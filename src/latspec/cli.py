@@ -24,16 +24,17 @@ from .degrees import (
     f2_mobius,
     f2_split_adjacency,
     f2_split_laplacian,
+    graph_and_spectra,
     sd_direct,
     sd_spectral,
     sd_via_f2,
+    top_graph,
     verify_identities,
 )
 from .errors import DomainError, InputError, LatspecError, SizeError
-from .graph import adjacency_matrix, build_graph, dot_export, laplacian_matrix, vertex_label
+from .graph import adjacency_matrix, dot_export, laplacian_matrix, vertex_label
 from .lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
 from .perm import format_generators
-from .spectral import eigenvalues_symmetric
 
 NOT_APPLICABLE = "not applicable (the split formula requires sd(G) != 1)"
 
@@ -76,9 +77,7 @@ class Pipeline:
     def structure(self) -> dict:
         if "structure" not in self._sections:
             lattice = self.lattice()
-            graph = build_graph(lattice)
-            adj = eigenvalues_symmetric(adjacency_matrix(graph), self.tol)
-            lap = eigenvalues_symmetric(laplacian_matrix(graph), self.tol)
+            graph, adj, lap = graph_and_spectra(lattice, self.tol)
             self._sections["structure"] = {
                 "signature": signature_of(self.group),
                 "generators": format_generators(self.group.generators),
@@ -157,7 +156,7 @@ def cmd_lattice(pipeline: Pipeline, args) -> int:
 def cmd_graph(pipeline: Pipeline, args) -> int:
     structure = pipeline.structure()
     if args.dot:
-        text = dot_export(build_graph(pipeline.lattice()))
+        text = dot_export(top_graph(pipeline.lattice()))
         if args.dot == "-":
             sys.stdout.write(text)
         else:
@@ -166,7 +165,7 @@ def cmd_graph(pipeline: Pipeline, args) -> int:
             print(f"wrote {args.dot}")
         return 0
     if args.matrix:
-        graph = build_graph(pipeline.lattice())
+        graph = top_graph(pipeline.lattice())
         matrix = (adjacency_matrix if args.matrix == "adjacency" else laplacian_matrix)(graph)
         if args.json:
             _print_json({"matrix": args.matrix, "entries": matrix.to_lists()})
@@ -230,7 +229,7 @@ def _sd_values(pipeline: Pipeline, method: str) -> dict[str, str]:
     if method in ("direct", "all"):
         out["direct"] = str(sd_direct(lattice))
     if method in ("spectral", "all"):
-        out["spectral"] = str(sd_spectral(lattice, build_graph(lattice)))
+        out["spectral"] = str(sd_spectral(lattice, top_graph(lattice)))
     if method in ("f2", "all"):
         out["via_f2"] = str(sd_via_f2(lattice))
     return out

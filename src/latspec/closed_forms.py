@@ -27,7 +27,7 @@ class PrimePower:
     n: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
         if self.n < 1:
             raise InputError("exponent must be >= 1")
@@ -57,7 +57,7 @@ class PrimePower:
         return cls(p, n)
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -238,7 +238,7 @@ def mobius_hall(p: int, order_exponent: int, elementary_abelian: bool) -> int:
     Zero unless the group is elementary abelian, where it is
     (-1)^n * p^binomial(n, 2).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if order_exponent < 0:
         raise InputError("order exponent must be >= 0")
@@ -265,10 +265,10 @@ class MobiusSymmetricValue:
 def mobius_symmetric(n: int) -> MobiusSymmetricValue:
     if n < 2:
         raise InputError("defined for n >= 2")
-    if _is_prime(n):
+    if is_prime(n):
         return MobiusSymmetricValue(
             (-1) ** (n - 1) * math.factorial(n) // 2, "n prime", False)
-    if _is_prime(n - 1) and (n - 1) % 4 == 3:
+    if is_prime(n - 1) and (n - 1) % 4 == 3:
         return MobiusSymmetricValue(
             -math.factorial(n), "n-1 prime, congruent 3 mod 4", True)
     if n == 22:

@@ -6,21 +6,39 @@ for the floating eigenvalue sums (they agree by the trace identity), and the
 floating spectra are kept as a checked shadow so the spectral path is still
 exercised end to end.
 
-Per-subgroup results (standalone lattices, factorization numbers, edge
-counts) are memoized per parent lattice, keyed by member bitset.
+Per-subgroup results (standalone lattices, factorization numbers, graphs)
+are memoized per parent lattice, keyed by member bitset. The same memo holds
+the graph spectra, keyed by (matrix content, tol): the spectrum is a pure
+function of both, so the structure dump, the trace checks and the split
+shadows share one Jacobi solve per distinct matrix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .cache import signature_of
 from .errors import ConsistencyError, DomainError
-from .graph import NonPermutabilityGraph, adjacency_matrix, build_graph, laplacian_matrix
+from .graph import (
+    DenseSymMatrix,
+    NonPermutabilityGraph,
+    adjacency_matrix,
+    build_graph,
+    laplacian_matrix,
+)
 from .lattice import SubgroupLattice, enumerate_subgroups
-from .spectral import IdentityCheck, eigenvalues_symmetric, spectral_sums, verify_trace_identities
+from .spectral import (
+    DEFAULT_TOL,
+    IdentityCheck,
+    Spectrum,
+    eigenvalues_symmetric,
+    spectral_sums,
+    verify_trace_identities,
+)
 
 # Exact rational values: arbitrary-precision, always reduced, denominator > 0.
 ExactRational = Fraction
@@ -53,6 +71,7 @@ class _SubgroupData:
         self._f2: dict[int, int] = {}
         self._qh: dict[int, bool] = {}
         self._graphs: dict[int, NonPermutabilityGraph] = {}
+        self._spectra: dict[tuple[bytes, float], Spectrum] = {}
 
     def _key(self, sid: int) -> int:
         return self.lattice.subgroup(sid).members
@@ -87,6 +106,20 @@ class _SubgroupData:
             self._graphs[key] = build_graph(self.sub_lattice(sid))
         return self._graphs[key]
 
+    def spectrum(self, sid: int, matrix_of: Callable[[NonPermutabilityGraph], DenseSymMatrix],
+                 tol: float) -> Spectrum:
+        """Spectrum at tol of `matrix_of` (adjacency or Laplacian) of the subgroup's graph.
+
+        Keyed by the matrix content rather than the subgroup, so conjugate
+        subgroups whose standalone graphs come out identical share one solve.
+        The key holds a digest, not the bytes: a dimension-177 matrix is 250 KB.
+        """
+        matrix = matrix_of(self.graph(sid))
+        key = (hashlib.sha256(matrix.data.tobytes()).digest(), tol)
+        if key not in self._spectra:
+            self._spectra[key] = eigenvalues_symmetric(matrix, tol)
+        return self._spectra[key]
+
 
 _DATA: "weakref.WeakKeyDictionary[SubgroupLattice, _SubgroupData]" = weakref.WeakKeyDictionary()
 
@@ -97,6 +130,21 @@ def _data(lattice: SubgroupLattice) -> _SubgroupData:
         data = _SubgroupData(lattice)
         _DATA[lattice] = data
     return data
+
+
+def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
+    """The lattice's non-permutability graph, built once per lattice."""
+    return _data(lattice).graph(lattice.top_id)
+
+
+def graph_and_spectra(lattice: SubgroupLattice,
+                      tol: float) -> tuple[NonPermutabilityGraph, Spectrum, Spectrum]:
+    """The lattice's graph with its adjacency and Laplacian spectra at tol,
+    each solved once per lattice."""
+    data = _data(lattice)
+    top = lattice.top_id
+    return (data.graph(top), data.spectrum(top, adjacency_matrix, tol),
+            data.spectrum(top, laplacian_matrix, tol))
 
 
 # -- sd --------------------------------------------------------------------
@@ -194,14 +242,11 @@ def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
     for k in part.k_ids:
         total += data.lattice_size(k) ** 2 * lattice.mobius(k, top)
     for h in part.h_ids:
-        graph = data.graph(h)
-        s_exact = 2 * graph.edge_count
+        s_exact = 2 * data.graph(h).edge_count
         if use_adjacency:
-            spec = eigenvalues_symmetric(adjacency_matrix(graph))
-            shadow = spectral_sums(spec)[1]
+            shadow = spectral_sums(data.spectrum(h, adjacency_matrix, DEFAULT_TOL))[1]
         else:
-            spec = eigenvalues_symmetric(laplacian_matrix(graph))
-            shadow = spectral_sums(spec)[0]
+            shadow = spectral_sums(data.spectrum(h, laplacian_matrix, DEFAULT_TOL))[0]
         if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
             raise ConsistencyError(
                 f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
@@ -354,7 +399,7 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
     """
     data = _data(lattice)
     n = lattice.size
-    graph = data.graph(lattice.top_id)
+    graph, adj_spec, lap_spec = graph_and_spectra(lattice, jacobi_tol)
     quasihamiltonian = lattice.is_quasihamiltonian()
 
     sd_d = sd_direct(lattice)
@@ -415,8 +460,6 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
         ", ".join(f"{k}={v}" for k, v in f2_values.items()),
     ))
 
-    adj_spec = eigenvalues_symmetric(adjacency_matrix(graph), jacobi_tol)
-    lap_spec = eigenvalues_symmetric(laplacian_matrix(graph), jacobi_tol)
     trace_checks = verify_trace_identities(graph, adj_spec, lap_spec)
 
     return DegreeReport(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .closed_forms import is_prime
 from .errors import DomainError, InputError, SizeError
 from .perm import FiniteGroup, Permutation, bits_of, iter_bits
 
@@ -340,24 +341,13 @@ def enumerate_subgroups(group: FiniteGroup,
     return SubgroupLattice(group, subs)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:
     """The subgroup generated by all elements g with g^p != identity.
 
     Trivial when every non-identity element has order p; the result is stable
     under the generation closure, so it is always a lattice member.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     group = lattice.group
     gens = [

@@ -1,6 +1,10 @@
 import json
+import sys
+
+import pytest
 
 import latspec.degrees as degrees
+import latspec.spectral as spectral
 from latspec.cli import main
 
 
@@ -242,3 +246,54 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def jacobi_solves(monkeypatch):
+    """Record (dimension, matrix bytes, tol) for every eigensolver call, at
+    every latspec module that binds the solver."""
+    real = spectral.eigenvalues_symmetric
+    solves = []
+
+    def recording(matrix, tol=spectral.DEFAULT_TOL):
+        solves.append((matrix.dimension, matrix.data.tobytes(), tol))
+        return real(matrix, tol)
+
+    sites = [mod for name, mod in list(sys.modules.items())
+             if name.startswith("latspec") and vars(mod).get("eigenvalues_symmetric") is real]
+    assert degrees in sites
+    for mod in sites:
+        monkeypatch.setattr(mod, "eigenvalues_symmetric", recording)
+    return solves
+
+
+class TestSolveOnce:
+    def test_each_matrix_is_solved_once_per_verify(self, capsys, jacobi_solves):
+        code, out, _ = run(capsys, "verify", "S4", "--json")
+        assert code == 0
+        top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
+        keys = [(data, tol) for _, data, tol in jacobi_solves]
+        assert len(keys) == len(set(keys))
+        assert [dim for dim, _, _ in jacobi_solves].count(top_dim) == 2
+
+    def test_structure_from_cache_then_verify_matches_cold_run(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "c")
+        assert run(capsys, "--cache", cache_dir, "lattice", "S4")[0] == 0
+        code, warm, _ = run(capsys, "--cache", cache_dir, "verify", "S4", "--json")
+        assert code == 0
+        code, cold, _ = run(capsys, "verify", "S4", "--json")
+        assert code == 0
+        assert warm == cold
+
+    def test_tol_is_part_of_the_spectrum_key(self, capsys, jacobi_solves):
+        code, out, _ = run(capsys, "verify", "S4", "--json")
+        default = json.loads(out)["groups"][0]["report"]
+        del jacobi_solves[:]
+        code, out, _ = run(capsys, "verify", "S4", "--tol", "1e-10", "--json")
+        assert code == 0
+        loose = json.loads(out)["groups"][0]["report"]
+        assert loose["internal_ok"] is True
+        assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
+        # structure and trace checks solve at --tol, the split shadows at the default
+        top_tols = sorted(tol for dim, _, tol in jacobi_solves if dim == loose["vertex_count"])
+        assert top_tols == [1e-12, 1e-12, 1e-10, 1e-10]
