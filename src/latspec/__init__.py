@@ -26,7 +26,6 @@ from .perm import (
     generate_group,
     parse_generators,
     parse_permutation,
-    product_set,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "generate_group",
     "parse_generators",
     "parse_permutation",
-    "product_set",
     "__version__",
 ]
 

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .cache import signature_of
+from .closed_forms import PrimePower
 from .errors import InputError
 from .perm import FiniteGroup, Permutation, generate_group, parse_generators
 
@@ -188,26 +189,6 @@ class GroupSpec:
         return signature_of(self.group)
 
 
-def _prime_power(value: int) -> tuple[int, int]:
-    if value < 2:
-        raise InputError(f"{value} is not a prime power")
-    p = 2
-    while p * p <= value:
-        if value % p == 0:
-            break
-        p += 1
-    else:
-        p = value
-    n = 0
-    rest = value
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    if rest != 1:
-        raise InputError(f"{value} is not a prime power")
-    return p, n
-
-
 def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:
     def fail(reason: str):
         raise InputError(f"parse error at position {offset}: {reason}")
@@ -243,10 +224,10 @@ def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:
         return modular16(), notes
     if m := re.fullmatch(r"E(\d+)", token):
         try:
-            p, k = _prime_power(int(m.group(1)))
+            pp = PrimePower.from_value(int(m.group(1)))
         except InputError as exc:
             fail(str(exc))
-        return elementary_abelian(p, k), notes
+        return elementary_abelian(pp.p, pp.n), notes
     if m := re.fullmatch(r"PSL\(2,(\d+)\)", token):
         return psl2(int(m.group(1))), notes
     if m := re.fullmatch(r"PGL\(2,(\d+)\)", token):

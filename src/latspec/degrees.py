@@ -7,8 +7,8 @@ floating spectra are kept as a checked shadow so the spectral path is still
 exercised end to end.
 
 Per-subgroup results (standalone lattices, factorization numbers, graphs)
-are memoized per parent lattice, keyed by member bitset. The same memo holds
-the graph spectra, keyed by (matrix content, tol): the spectrum is a pure
+are memoized on the parent lattice, keyed by member bitset. The same memo
+holds the graph spectra, keyed by (matrix content, tol): the spectrum is a pure
 function of both, so the structure dump, the trace checks and the split
 shadows share one Jacobi solve per distinct matrix.
 """
@@ -16,7 +16,6 @@ shadows share one Jacobi solve per distinct matrix.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -121,14 +120,11 @@ class _SubgroupData:
         return self._spectra[key]
 
 
-_DATA: "weakref.WeakKeyDictionary[SubgroupLattice, _SubgroupData]" = weakref.WeakKeyDictionary()
-
-
 def _data(lattice: SubgroupLattice) -> _SubgroupData:
-    data = _DATA.get(lattice)
+    """The lattice's memo, kept on the lattice itself so that both are freed together."""
+    data = getattr(lattice, "_subgroup_data", None)
     if data is None:
-        data = _SubgroupData(lattice)
-        _DATA[lattice] = data
+        data = lattice._subgroup_data = _SubgroupData(lattice)
     return data
 
 
@@ -151,7 +147,12 @@ def graph_and_spectra(lattice: SubgroupLattice,
 
 
 def commuting_pair_count(lattice: SubgroupLattice) -> int:
-    """Ordered subgroup pairs (X, Y) with XY = YX, by exhaustive product tests."""
+    """Ordered subgroup pairs (X, Y) with XY = YX, by the lattice-order test.
+
+    Each pair is decided by |X join Y| * |X meet Y| = |X| * |Y|
+    (`products_commute`), not by set products; `f2_direct` is the route that
+    multiplies subgroups element by element.
+    """
     count = 0
     for a in range(lattice.size):
         count += 1  # (a, a)
@@ -185,7 +186,11 @@ def sd_via_f2(lattice: SubgroupLattice) -> Fraction:
 
 
 def f2_direct(lattice: SubgroupLattice) -> int:
-    """Ordered pairs (H, K) with HK = G, counted by exhaustive set products."""
+    """Ordered pairs (H, K) with HK = G, counted by exhaustive set products.
+
+    This is the one route that builds complex products element by element, so
+    the sd and F2 cross-checks compare it against the lattice-order test.
+    """
     n = lattice.group.order
     full = (1 << n) - 1
     orders = [s.order for s in lattice.subgroups]
@@ -394,6 +399,12 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
       f2_methods_equal        direct / Möbius / both splits agree exactly
       no_trimmed_edges        no non-permuting pair has an endpoint inside the core
       trace identities        floating spectra vs exact 2|E|
+
+    The graph, the core, sd[direct] and the Möbius and split F2 routes rest
+    on the lattice-order pair test; f2[direct] and, through the subgroup F2
+    sum, sd[via_f2] rest on set products (`f2_direct`). So
+    edge_count_vs_f2_sum, sd_methods_equal and f2_methods_equal each compare
+    two independent computations.
 
     Published-value disagreements are reported as notes and never fail the run.
     """

@@ -1,9 +1,11 @@
 """The non-permutability graph of subgroups and its dense matrix forms.
 
 Vertices are the lattice members outside the permuting core, in lattice
-canonical order; two vertices are joined exactly when their set products
-differ. Quasihamiltonian groups give the null graph. Isolated vertices are
-kept: lying outside the core does not force a vertex to have an edge.
+canonical order; two vertices H, K are joined exactly when HK != KH. The
+pair test is arithmetic on the lattice, |H join K| * |H meet K| != |H| * |K|,
+which needs a join-closed lattice. Quasihamiltonian groups give the null
+graph. Isolated vertices are kept: lying outside the core does not force a
+vertex to have an edge.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class NonPermutabilityGraph:
 
 
 def build_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
-    """Pairwise product tests over the non-core subgroups."""
+    """Pairwise permutability tests over the non-core subgroups."""
     core = lattice.permuting_core()
     vertex_ids = tuple(i for i in range(lattice.size) if i not in core)
     m = len(vertex_ids)
@@ -136,10 +138,6 @@ def laplacian_matrix(graph: NonPermutabilityGraph) -> DenseSymMatrix:
     a = adjacency_matrix(graph).data
     lap = np.diag(a.sum(axis=1)) - a
     return DenseSymMatrix(lap)
-
-
-def degree(graph: NonPermutabilityGraph, v: int) -> int:
-    return graph.degree(v)
 
 
 def vertex_label(lattice: SubgroupLattice, sid: int) -> str:

@@ -177,10 +177,17 @@ class SubgroupLattice:
         return out
 
     def products_commute(self, a: int, b: int) -> bool:
-        """True when the two member sets permute: AB = BA as element sets."""
-        if a == b:
-            return True
-        return self.product_bits(a, b) == self.product_bits(b, a)
+        """True when the two subgroups permute: AB = BA as element sets.
+
+        |AB| = |A||B|/|A meet B| and AB lies inside A join B, and AB = BA
+        exactly when AB is a subgroup, i.e. AB = A join B. So the pair
+        permutes iff |A join B| * |A meet B| = |A| * |B|. Exact only while
+        `join` is, that is on a join-closed family (enumerated lattices are,
+        by construction).
+        """
+        subs = self.subgroups
+        return (subs[self.join(a, b)].order * subs[self.meet(a, b)].order
+                == subs[a].order * subs[b].order)
 
     # -- permuting core and derived predicates --------------------------------
 

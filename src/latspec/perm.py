@@ -282,20 +282,6 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     return FiniteGroup(degree, list(seen.values()), gens)
 
 
-def product_set(group: FiniteGroup, h_indices: Iterable[int],
-                k_indices: Iterable[int]) -> frozenset[int]:
-    """The complex product {h*k} as a set of element indices."""
-    hs = list(h_indices)
-    ks = list(k_indices)
-    table = group.mul_table
-    out: set[int] = set()
-    for h in hs:
-        row = table[h]
-        for k in ks:
-            out.add(row[k])
-    return frozenset(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, ascending."""
     while mask:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,8 @@ from latspec.degrees import (
 )
 from latspec.errors import DomainError
 from latspec.graph import build_graph
-from latspec.lattice import enumerate_subgroups
-from latspec.perm import generate_group
+from latspec.lattice import SubgroupLattice, enumerate_subgroups
+from latspec.perm import generate_group, parse_permutation
 
 
 
@@ -276,3 +278,57 @@ class TestVerifyIdentities:
         for name in ("edge_count_vs_sd", "edge_count_vs_f2_sum", "sd_methods_equal",
                      "f2_methods_equal", "no_trimmed_edges"):
             assert name in text
+
+    def test_memo_is_freed_with_its_lattice(self):
+        lattice = enumerate_subgroups(symmetric(4))
+        verify_identities(lattice)
+        ref = weakref.ref(lattice)
+        del lattice
+        gc.collect()
+        assert ref() is None
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestIndependentRoutes:
+    """Set products and the lattice-order pair test are separate computations:
+    corrupting either one alone must break a cross-check."""
+
+    def test_corrupt_set_product_is_caught(self, monkeypatch):
+        lattice = enumerate_subgroups(symmetric(4))
+        original = SubgroupLattice.product_bits
+
+        def drop_one_element(self, a, b):
+            out = original(self, a, b)
+            if self is lattice and (a, b) == (lattice.top_id, lattice.bottom_id):
+                out &= ~(1 << lattice.group.identity_index)
+            return out
+
+        monkeypatch.setattr(SubgroupLattice, "product_bits", drop_one_element)
+        report = verify_identities(lattice)
+        assert not report.internal_ok
+        assert report.f2["direct"] == 176 and report.f2["mobius"] == 177
+        assert not _check(report, "f2_methods_equal").passed
+
+    def test_corrupt_pair_test_is_caught(self, monkeypatch):
+        lattice = enumerate_subgroups(symmetric(4))
+        group = lattice.group
+        pair = {
+            lattice.id_of_members((1 << group.identity_index)
+                                  | (1 << group.index_of(parse_permutation(t, 4))))
+            for t in ("(1,2)", "(1,3)")
+        }
+        original = SubgroupLattice.products_commute
+
+        def flip_one_pair(self, a, b):
+            out = original(self, a, b)
+            return not out if self is lattice and {a, b} == pair else out
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", flip_one_pair)
+        report = verify_identities(lattice)
+        assert not report.internal_ok
+        assert not _check(report, "edge_count_vs_f2_sum").passed
+        # both sides of this one come from the pair test, so it cannot tell
+        assert _check(report, "edge_count_vs_sd").passed

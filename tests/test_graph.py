@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.errors import InputError
 from latspec.graph import (
     DenseSymMatrix,
     adjacency_matrix,
     build_graph,
-    degree,
     dot_export,
     laplacian_matrix,
     vertex_label,
@@ -78,19 +78,34 @@ class TestBuildGraph:
     def test_degree_sum_is_twice_edges(self, a4_graph, d4_graph, s3_graph):
         for g in (a4_graph, d4_graph, s3_graph):
             assert sum(g.degrees()) == 2 * g.edge_count
-            assert degree(g, 0) == g.degrees()[0]
+            assert g.degree(0) == g.degrees()[0]
 
-    def test_edges_match_raw_product_comparison(self, s4):
-        # independent oracle: recompute each vertex pair by raw composition
-        lattice = enumerate_subgroups(s4)
-        g = build_graph(lattice)
-        elements = s4.elements
-        for (u, v) in itertools.combinations(range(g.vertex_count), 2):
-            a = lattice.subgroup(g.vertex_ids[u]).member_indices()
-            b = lattice.subgroup(g.vertex_ids[v]).member_indices()
-            ab = {compose(elements[x], elements[y]) for x in a for y in b}
-            ba = {compose(elements[y], elements[x]) for x in a for y in b}
-            assert g.adjacent(u, v) == (ab != ba)
+    def test_edges_match_raw_product_comparison(self, s3, a4, d4_order8, s4):
+        # independent oracle: recompute every ordered pair by raw composition
+        groups = [s3, a4, d4_order8, parse_group_spec("Q8").group, s4,
+                  parse_group_spec("A5").group]
+        for group in groups:
+            lattice = enumerate_subgroups(group)
+            elements = group.elements
+            members = [[elements[i] for i in s.member_indices()] for s in lattice.subgroups]
+            permute = {}
+            for a, b in itertools.product(range(lattice.size), repeat=2):
+                ab = {compose(x, y) for x in members[a] for y in members[b]}
+                ba = {compose(y, x) for x in members[a] for y in members[b]}
+                permute[a, b] = ab == ba
+                assert lattice.products_commute(a, b) == permute[a, b], (group, a, b)
+            g = build_graph(lattice)
+            ids = g.vertex_ids
+            for u, v in itertools.combinations(range(g.vertex_count), 2):
+                assert g.adjacent(u, v) == (not permute[ids[u], ids[v]])
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_pair_test_matches_set_products(self, name):
+        # the lattice-order test against both complex products, every ordered pair
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        for a, b in itertools.product(range(lattice.size), repeat=2):
+            commute = lattice.product_bits(a, b) == lattice.product_bits(b, a)
+            assert lattice.products_commute(a, b) == commute, (a, b)
 
 
 class TestMatrices:

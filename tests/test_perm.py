@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latspec.errors import InputError, SizeError
+from latspec.lattice import enumerate_subgroups
 from latspec.perm import (
     Permutation,
+    bits_of,
     compose,
     element_order,
     format_generators,
     generate_group,
+    iter_bits,
     parse_generators,
     parse_permutation,
-    product_set,
 )
 
 from conftest import build, naive_closure
@@ -142,17 +144,26 @@ def subgroup_indices(group, gen_texts):
     return frozenset(group.index_of(p) for p in members)
 
 
+def product_set(lattice, h, k):
+    """SubgroupLattice.product_bits for two member index sets, as a set of indices."""
+    a = lattice.id_of_members(bits_of(h))
+    b = lattice.id_of_members(bits_of(k))
+    return frozenset(iter_bits(lattice.product_bits(a, b)))
+
+
 class TestProductSet:
     def test_product_with_trivial(self, s3):
+        lattice = enumerate_subgroups(s3)
         h = subgroup_indices(s3, ["(1,2)"])
         e = frozenset([s3.identity_index])
-        assert product_set(s3, h, e) == h
+        assert product_set(lattice, h, e) == h
 
     def test_noncommuting_product_in_s3(self, s3):
+        lattice = enumerate_subgroups(s3)
         h = subgroup_indices(s3, ["(1,2)"])
         k = subgroup_indices(s3, ["(1,3)"])
-        hk = product_set(s3, h, k)
-        kh = product_set(s3, k, h)
+        hk = product_set(lattice, h, k)
+        kh = product_set(lattice, k, h)
         # exhaustive oracle by raw composition
         oracle_hk = frozenset(
             s3.index_of(compose(s3.elements[a], s3.elements[b]))
@@ -163,12 +174,14 @@ class TestProductSet:
         assert hk != kh
 
     def test_v4_times_c3_covers_a4(self, a4):
+        lattice = enumerate_subgroups(a4)
         v4 = subgroup_indices(a4, ["(1,2)(3,4)", "(1,3)(2,4)"])
         c3 = subgroup_indices(a4, ["(1,2,3)"])
-        assert product_set(a4, v4, c3) == frozenset(range(12))
+        assert product_set(lattice, v4, c3) == frozenset(range(12))
 
     def test_product_size_identity(self, s4):
         # |HK| * |H meet K| = |H| * |K| for subgroups
+        lattice = enumerate_subgroups(s4)
         subs = [
             subgroup_indices(s4, ["(1,2)"]),
             subgroup_indices(s4, ["(1,2,3)"]),
@@ -177,5 +190,5 @@ class TestProductSet:
             subgroup_indices(s4, ["(1,2,3)", "(1,2)"]),
         ]
         for h, k in itertools.product(subs, repeat=2):
-            hk = product_set(s4, h, k)
+            hk = product_set(lattice, h, k)
             assert len(hk) * len(h & k) == len(h) * len(k)
