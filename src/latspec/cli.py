@@ -63,10 +63,16 @@ class Pipeline:
         if self._lattice is None:
             stored = self._sections.get("structure")
             if stored is not None:
-                self._lattice = SubgroupLattice.from_member_lists(
-                    self.group, [s["members"] for s in stored["lattice"]["subgroups"]]
-                )
-            else:
+                try:
+                    self._lattice = SubgroupLattice.from_member_lists(
+                        self.group, [s["members"] for s in stored["lattice"]["subgroups"]]
+                    )
+                except InputError as exc:
+                    # every cached section derives from this lattice
+                    print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "
+                          "recomputing", file=sys.stderr)
+                    self._sections = {}
+            if self._lattice is None:
                 self._lattice = enumerate_subgroups(self.group)
         return self._lattice
 
@@ -139,13 +145,12 @@ def cmd_info(pipeline: Pipeline, args) -> int:
 
 
 def cmd_lattice(pipeline: Pipeline, args) -> int:
-    structure = pipeline.structure()
     if args.json:
-        _print_json(structure["lattice"])
+        _print_json(pipeline.structure()["lattice"])
         return 0
     _print_notes(pipeline.spec)
-    lattice = pipeline.lattice()
-    core = set(structure["lattice"]["core"])
+    lattice = pipeline.lattice()  # first, so a rejected cache entry is recomputed
+    core = set(pipeline.structure()["lattice"]["core"])
     print(f"{lattice.size} subgroups of a group of order {pipeline.group.order}")
     for sub in lattice.subgroups:
         tag = " (core)" if sub.id in core else ""

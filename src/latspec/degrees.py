@@ -122,7 +122,7 @@ class _SubgroupData:
 
 def _data(lattice: SubgroupLattice) -> _SubgroupData:
     """The lattice's memo, kept on the lattice itself so that both are freed together."""
-    data = getattr(lattice, "_subgroup_data", None)
+    data = lattice._subgroup_data
     if data is None:
         data = lattice._subgroup_data = _SubgroupData(lattice)
     return data

@@ -94,6 +94,7 @@ class SubgroupLattice:
         self._mobius_memo: dict[tuple[int, int], int] = {}
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
+        self._subgroup_data = None  # degrees._SubgroupData, made by degrees._data on first use
 
     # -- basic structure ----------------------------------------------------
 
@@ -182,8 +183,8 @@ class SubgroupLattice:
         |AB| = |A||B|/|A meet B| and AB lies inside A join B, and AB = BA
         exactly when AB is a subgroup, i.e. AB = A join B. So the pair
         permutes iff |A join B| * |A meet B| = |A| * |B|. Exact only while
-        `join` is, that is on a join-closed family (enumerated lattices are,
-        by construction).
+        `join` is, that is on a join-closed family: enumerated lattices are
+        by construction, and `from_member_lists` checks it.
         """
         subs = self.subgroups
         return (subs[self.join(a, b)].order * subs[self.meet(a, b)].order
@@ -285,19 +286,99 @@ class SubgroupLattice:
                           member_lists: Iterable[Sequence[int]]) -> "SubgroupLattice":
         """Rebuild a lattice from dumped member index arrays (e.g. a cache entry).
 
-        Every member set is re-checked to be closed under the group operation;
-        completeness of the family is the dump writer's contract.
+        Every member set is re-checked to be closed under the group operation,
+        and the family to hold every subgroup (`_require_complete`), so a
+        truncated dump is rejected instead of giving wrong joins.
         """
         lattice = cls(group, (bits_of(m) for m in member_lists))
-        table = group.mul_table
-        for sub, members in zip(lattice.subgroups, lattice._member_tuples):
-            bits = sub.members
-            for x in members:
-                row = table[x]
-                for y in members:
-                    if not bits & (1 << row[y]):
-                        raise InputError("dumped member sets are not subgroups")
+        trivial = 1 << group.identity_index
+        for sub in lattice.subgroups:
+            # the greedy generators span the member set only if it is a subgroup
+            gens = lattice.minimal_generators(sub.id)
+            if _closure_bits(group.mul_table, trivial, gens) != sub.members:
+                raise InputError("dumped member sets are not subgroups")
+        lattice._require_complete()
         return lattice
+
+    def _require_complete(self) -> None:
+        """Raise InputError unless the family holds every subgroup of the group.
+
+        The members are already known to be subgroups, with the trivial one
+        among them and meets closed. Let K be a missing subgroup of least
+        order and H a maximal subgroup of K, so H is present. Some cyclic
+        p-subgroup C of K lies outside H with its maximal subgroup inside H
+        (walk down a prime-power part of any element of K outside H), and
+        then <H, C> = K. So a family closed under conjugation is complete
+        iff <R, C> is a member for every class representative R and every
+        such cyclic p-subgroup C of the group (C = <g> with g outside R and
+        g^p inside R). That also makes the family join-closed, which `join`
+        relies on.
+        """
+        group = self.group
+        table = group.mul_table
+        conj = []  # h -> s^-1 h s, one map per generator s of the group
+        for s in map(group.index_of, group.generators):
+            row = table[group.inverse_index(s)]
+            conj.append([table[row[h]][s] for h in range(group.order)])
+        classed = 0
+        reps = []  # least id of each conjugacy class
+        for sid in range(self.size):
+            if classed >> sid & 1:
+                continue
+            reps.append(sid)
+            classed |= 1 << sid
+            orbit = [sid]
+            while orbit:
+                members = self._member_tuples[orbit.pop()]
+                for images in conj:
+                    image = self._id_of.get(sum(1 << images[h] for h in members))
+                    if image is None:
+                        raise InputError("dumped member sets are not closed under conjugation")
+                    if not classed >> image & 1:
+                        classed |= 1 << image
+                        orbit.append(image)
+
+        cyclic: dict[int, tuple[int, int]] = {}  # <g> bits -> (g, g^p), |g| = p^k
+        for g in range(group.order):
+            n = group.order_of_index(g)
+            p = next((d for d in range(2, n + 1) if n % d == 0), None)
+            if p is None or p ** n.bit_length() % n:  # skip e and non-prime-power orders
+                continue
+            powers = [group.identity_index]
+            for _ in range(n - 1):
+                powers.append(table[powers[-1]][g])
+            cyclic.setdefault(bits_of(powers), (g, powers[p % n]))
+        holders = [0] * group.order  # ids of the members holding each element
+        for sid, members in enumerate(self._member_tuples):
+            for h in members:
+                holders[h] |= 1 << sid
+        e = group.identity_index
+        for r in reps:
+            r_bits = self.subgroups[r].members
+            r_order = self.subgroups[r].order
+            coset = [-1] * group.order  # left coset xR -> its least element
+            for x in range(group.order):
+                if coset[x] < 0:
+                    for h in self._member_tuples[r]:
+                        coset[table[x][h]] = x
+            for g, gp in cyclic.values():
+                if r_bits >> g & 1 or not r_bits >> gp & 1:
+                    continue
+                # <R, g> lies in M, the least member above R and g, and is
+                # M exactly when it moves the coset R onto |M : R| cosets
+                common = self._up[r] & holders[g]
+                index = self.subgroups[(common & -common).bit_length() - 1].order // r_order
+                gens = self.minimal_generators(r) + (g,)
+                reached, frontier = 1 << coset[e], [coset[e]]
+                while frontier:
+                    x = frontier.pop()
+                    for s in gens:
+                        y = coset[table[s][x]]
+                        if not reached >> y & 1:
+                            reached |= 1 << y
+                            frontier.append(y)
+                if reached.bit_count() != index:
+                    raise InputError("dumped member sets are not every subgroup")
 
     def __repr__(self) -> str:
         return f"SubgroupLattice(group_order={self.group.order}, size={self.size})"

@@ -236,6 +236,51 @@ class TestCache:
         assert json.loads(out)["groups"][0]["report"]["f2"]["direct"] == 27
 
 
+class TestTruncatedCache:
+    """A cached S4 lattice with A4 removed: once every route agreed on 443/841."""
+
+    @pytest.fixture
+    def cache_dir(self, capsys, tmp_path):
+        cache_dir = tmp_path / "c"
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")[0] == 0
+        path = next(cache_dir.glob("*.json"))
+        data = json.loads(path.read_text())
+        lattice = data["entries"][0]["sections"]["structure"]["lattice"]
+        lattice["subgroups"] = [s for s in lattice["subgroups"] if s["order"] != 12]
+        path.write_text(json.dumps(data))
+        return str(cache_dir)
+
+    def test_verify_rejects_the_entry_and_recomputes(self, capsys, cache_dir):
+        code, out, err = run(capsys, "--cache", cache_dir, "verify", "S4", "--json")
+        assert code == 0
+        assert "rejecting the cached entry for S4" in err
+        report = json.loads(out)["groups"][0]["report"]
+        assert report["internal_ok"] is True
+        assert report["lattice_size"] == 30
+        assert set(report["sd"].values()) == {"17/30"}
+        assert set(report["f2"].values()) == {177}
+        # the recomputed entry replaced the truncated one
+        code, again, err = run(capsys, "--cache", cache_dir, "verify", "S4", "--json")
+        assert (code, again, err) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("sd", "S4", "--method", "all"), {"direct": "17/30", "spectral": "17/30",
+                                           "via_f2": "17/30"}),
+        (("f2", "S4", "--method", "mobius"), {"mobius": 177}),
+    ])
+    def test_other_commands_reject_the_entry(self, capsys, cache_dir, argv, expected):
+        code, out, err = run(capsys, "--cache", cache_dir, *argv, "--json")
+        assert code == 0
+        assert "rejecting the cached entry for S4" in err
+        assert json.loads(out) == expected
+
+    def test_lattice_text_lists_the_recomputed_lattice(self, capsys, cache_dir):
+        code, out, err = run(capsys, "--cache", cache_dir, "lattice", "S4")
+        assert code == 0
+        assert "rejecting the cached entry for S4" in err
+        assert out.startswith("30 subgroups")
+
+
 class TestDeterminism:
     def test_verify_catalog_like_subset_is_byte_identical(self, capsys):
         # full-catalog determinism is covered by the acceptance suite; a

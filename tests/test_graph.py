@@ -81,31 +81,32 @@ class TestBuildGraph:
             assert g.degree(0) == g.degrees()[0]
 
     def test_edges_match_raw_product_comparison(self, s3, a4, d4_order8, s4):
-        # independent oracle: recompute every ordered pair by raw composition
-        groups = [s3, a4, d4_order8, parse_group_spec("Q8").group, s4,
-                  parse_group_spec("A5").group]
-        for group in groups:
-            lattice = enumerate_subgroups(group)
-            elements = group.elements
+        # the lattice-order pair test against both complex products on every
+        # ordered pair: by raw composition on small groups, by product_bits on
+        # every catalog group (test_perm checks product_bits by raw composition)
+        def by_composition(lattice):
+            elements = lattice.group.elements
             members = [[elements[i] for i in s.member_indices()] for s in lattice.subgroups]
+            return lambda a, b: ({compose(x, y) for x in members[a] for y in members[b]}
+                                 == {compose(y, x) for x in members[a] for y in members[b]})
+
+        def by_product_bits(lattice):
+            return lambda a, b: lattice.product_bits(a, b) == lattice.product_bits(b, a)
+
+        cases = [(group, by_composition)
+                 for group in (s3, a4, d4_order8, parse_group_spec("Q8").group, s4)]
+        cases += [(parse_group_spec(name).group, by_product_bits) for name in CATALOG_NAMES]
+        for group, oracle in cases:
+            lattice = enumerate_subgroups(group)
+            commute = oracle(lattice)
             permute = {}
             for a, b in itertools.product(range(lattice.size), repeat=2):
-                ab = {compose(x, y) for x in members[a] for y in members[b]}
-                ba = {compose(y, x) for x in members[a] for y in members[b]}
-                permute[a, b] = ab == ba
+                permute[a, b] = commute(a, b)
                 assert lattice.products_commute(a, b) == permute[a, b], (group, a, b)
             g = build_graph(lattice)
             ids = g.vertex_ids
             for u, v in itertools.combinations(range(g.vertex_count), 2):
                 assert g.adjacent(u, v) == (not permute[ids[u], ids[v]])
-
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_pair_test_matches_set_products(self, name):
-        # the lattice-order test against both complex products, every ordered pair
-        lattice = enumerate_subgroups(parse_group_spec(name).group)
-        for a, b in itertools.product(range(lattice.size), repeat=2):
-            commute = lattice.product_bits(a, b) == lattice.product_bits(b, a)
-            assert lattice.products_commute(a, b) == commute, (a, b)
 
 
 class TestMatrices:

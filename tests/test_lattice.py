@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.errors import DomainError, InputError
 from latspec.lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
 from latspec.perm import bits_of, generate_group, iter_bits, parse_permutation
@@ -346,6 +347,28 @@ class TestSerialization:
         members[3] = [0, three_cycle]
         with pytest.raises(InputError):
             SubgroupLattice.from_member_lists(lat_a4.group, members)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_rehydration_accepts_complete_families_only(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        members = [s.member_indices() for s in lattice.subgroups]
+        rebuilt = SubgroupLattice.from_member_lists(lattice.group, members)
+        assert rebuilt.to_json_dict() == lattice.to_json_dict()
+        # dropping one subgroup, or its whole conjugacy class (which keeps the
+        # family closed under conjugation), must be caught
+        group, table = lattice.group, lattice.group.mul_table
+        for sid in range(lattice.size):
+            if sid in (lattice.bottom_id, lattice.top_id):
+                continue
+            conjugates = {
+                bits_of(table[table[group.inverse_index(x)][h]][x] for h in members[sid])
+                for x in range(group.order)
+            }
+            for dropped in ({lattice.subgroup(sid).members}, conjugates):
+                kept = [m for s, m in zip(lattice.subgroups, members)
+                        if s.members not in dropped]
+                with pytest.raises(InputError):
+                    SubgroupLattice.from_member_lists(group, kept)
 
     def test_leq_pairs_consistent(self, lat_a4):
         dump = lat_a4.to_json_dict()
