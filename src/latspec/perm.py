@@ -215,16 +215,32 @@ class FiniteGroup:
 
     @property
     def mul_table(self) -> list[list[int]]:
-        """Full index-level multiplication table (built on first use)."""
+        """Full index-level multiplication table (built on first use).
+
+        Row i is left multiplication by elements[i], read as a permutation of
+        indices. A breadth-first search over the generators reaches every
+        element as elements[y] = g * elements[x]; row y is then row x sent
+        through left multiplication by g, so each row costs one `map` over
+        a precomputed index list and only the generator rows compose
+        permutations.
+        """
         if self._mul_table is None:
             n = len(self.elements)
             if n > MUL_TABLE_LIMIT:
                 raise SizeError(f"group order {n} exceeds table limit {MUL_TABLE_LIMIT}")
             index = self._index
             images = [p.images for p in self.elements]
-            table = []
-            for a in images:
-                table.append([index[tuple(a[x] for x in b)] for b in images])
+            left = [[index[tuple(g.images[v] for v in a)] for a in images]
+                    for g in self.generators]
+            table: list[list[int] | None] = [None] * n
+            table[self.identity_index] = list(index.values())
+            queue = [self.identity_index]
+            for x in queue:
+                for row in left:
+                    y = row[x]
+                    if table[y] is None:
+                        table[y] = list(map(row.__getitem__, table[x]))
+                        queue.append(y)
             self._mul_table = table
         return self._mul_table
 

@@ -3,9 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.errors import InputError, SizeError
 from latspec.lattice import enumerate_subgroups
 from latspec.perm import (
+    FiniteGroup,
     Permutation,
     bits_of,
     compose,
@@ -136,6 +138,25 @@ class TestGenerateGroup:
     def test_degree_mismatch(self):
         with pytest.raises(InputError):
             generate_group(3, [Permutation.identity(4)])
+
+
+class TestMulTable:
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)",))
+    def test_matches_composition(self, name):
+        parsed = parse_group_spec(name).group
+        group = FiniteGroup(parsed.degree, parsed.elements, parsed.generators)
+        n = group.order
+        # mul() composes the permutations while no table exists
+        by_compose = [[group.mul(i, j) for j in range(n)] for i in range(n)]
+        assert group.mul_table == by_compose
+
+    def test_size_limit(self, monkeypatch, s4):
+        import latspec.perm
+
+        monkeypatch.setattr(latspec.perm, "MUL_TABLE_LIMIT", 23)
+        group = FiniteGroup(s4.degree, s4.elements, s4.generators)
+        with pytest.raises(SizeError):
+            group.mul_table
 
 
 def subgroup_indices(group, gen_texts):
