@@ -4,6 +4,10 @@ Entries are keyed by the group signature (order, element-order histogram,
 hash of the canonical element table). Two distinct groups whose hashes ever
 collided would still be stored separately: every lookup compares the full
 element table, and one cache file can hold several entries.
+
+Each entry records, next to its sections, the eigensolver tolerance they were
+computed at. A lookup at another tolerance, or of an entry with none
+recorded, is a miss, and the next store overwrites the entry.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .perm import FiniteGroup
+from .spectral import DEFAULT_TOL
 
 TOOL_VERSION = __version__
 
@@ -66,8 +71,9 @@ def _load_file(path: Path) -> dict | None:
     return data
 
 
-def cache_lookup(cache_dir: str | Path, group: FiniteGroup) -> dict | None:
-    """Return the stored sections for this exact group, or None."""
+def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
+                 tol: float = DEFAULT_TOL) -> dict | None:
+    """Return the sections stored for this exact group at this tol, or None."""
     data = _load_file(_cache_file(cache_dir, group))
     if data is None:
         return None
@@ -75,11 +81,14 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup) -> dict | None:
     for entry in data["entries"]:
         if entry.get("degree") == group.degree and entry.get("elements") == elements:
             sections = entry.get("sections")
-            return sections if isinstance(sections, dict) else None
+            if entry.get("tol") != tol or not isinstance(sections, dict):
+                return None
+            return sections
     return None
 
 
-def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: dict) -> None:
+def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: dict,
+                tol: float = DEFAULT_TOL) -> None:
     """Write or update this group's entry atomically (temp file + rename)."""
     path = _cache_file(cache_dir, group)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -90,6 +99,7 @@ def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: dict) -> No
         "degree": group.degree,
         "elements": elements,
         "sections": sections,
+        "tol": tol,
     }
     for i, existing in enumerate(data["entries"]):
         if existing.get("degree") == group.degree and existing.get("elements") == elements:

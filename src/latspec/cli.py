@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ class Pipeline:
         self.group = spec.group
         self.tol = tol
         self.cache_dir = cache_dir
-        self._sections = (cache_lookup(cache_dir, self.group) or {}) if cache_dir else {}
+        self._sections = (cache_lookup(cache_dir, self.group, tol) or {}) if cache_dir else {}
         self._lattice: SubgroupLattice | None = None
 
     def lattice(self) -> SubgroupLattice:
@@ -78,7 +79,7 @@ class Pipeline:
 
     def _store(self) -> None:
         if self.cache_dir:
-            cache_store(self.cache_dir, self.group, self._sections)
+            cache_store(self.cache_dir, self.group, self._sections, self.tol)
 
     def structure(self) -> dict:
         if "structure" not in self._sections:
@@ -454,8 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         args.tol = 1e-12
     if not hasattr(args, "json"):
         args.json = False
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return 2
     try:
         if args.command == "census":

@@ -6,16 +6,19 @@ for the floating eigenvalue sums (they agree by the trace identity), and the
 floating spectra are kept as a checked shadow so the spectral path is still
 exercised end to end.
 
-Per-subgroup results (standalone lattices, factorization numbers, graphs)
-are memoized on the parent lattice, keyed by member bitset. The same memo
-holds the graph spectra, keyed by (matrix content, tol): the spectrum is a pure
-function of both, so the structure dump, the trace checks and the split
-shadows share one Jacobi solve per distinct matrix.
+Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
+quasihamiltonian flag, the graph's edge count and both spectra. A parent
+lattice therefore holds one standalone lattice per conjugacy class (`_own`,
+keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
+its graph, its F2 and its two spectra per tol. The structure dump, the trace
+checks and the split shadows share one Jacobi solve per class, matrix and
+tol. Matrices that merely coincide are each solved; in the catalog those
+have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
+null graph, the graphs of the two classes of S3 in D6 and of D4 in D8).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -61,86 +64,47 @@ class HKPartition:
     k_ids: tuple[int, ...]  # sd == 1
 
 
-class _SubgroupData:
-    """Per-lattice memo of standalone-subgroup computations (keyed by member bitset)."""
-
-    def __init__(self, lattice: SubgroupLattice) -> None:
-        self.lattice = lattice
-        self._lattices: dict[int, SubgroupLattice] = {}
-        self._f2: dict[int, int] = {}
-        self._qh: dict[int, bool] = {}
-        self._graphs: dict[int, NonPermutabilityGraph] = {}
-        self._spectra: dict[tuple[bytes, float], Spectrum] = {}
-
-    def _key(self, sid: int) -> int:
-        return self.lattice.subgroup(sid).members
-
-    def sub_lattice(self, sid: int) -> SubgroupLattice:
-        key = self._key(sid)
-        if key not in self._lattices:
-            if sid == self.lattice.top_id:
-                self._lattices[key] = self.lattice
-            else:
-                self._lattices[key] = enumerate_subgroups(self.lattice.standalone_group(sid))
-        return self._lattices[key]
-
-    def lattice_size(self, sid: int) -> int:
-        return self.sub_lattice(sid).size
-
-    def f2(self, sid: int) -> int:
-        key = self._key(sid)
-        if key not in self._f2:
-            self._f2[key] = f2_direct(self.sub_lattice(sid))
-        return self._f2[key]
-
-    def quasihamiltonian(self, sid: int) -> bool:
-        key = self._key(sid)
-        if key not in self._qh:
-            self._qh[key] = self.sub_lattice(sid).is_quasihamiltonian()
-        return self._qh[key]
-
-    def graph(self, sid: int) -> NonPermutabilityGraph:
-        key = self._key(sid)
-        if key not in self._graphs:
-            self._graphs[key] = build_graph(self.sub_lattice(sid))
-        return self._graphs[key]
-
-    def spectrum(self, sid: int, matrix_of: Callable[[NonPermutabilityGraph], DenseSymMatrix],
-                 tol: float) -> Spectrum:
-        """Spectrum at tol of `matrix_of` (adjacency or Laplacian) of the subgroup's graph.
-
-        Keyed by the matrix content rather than the subgroup, so conjugate
-        subgroups whose standalone graphs come out identical share one solve.
-        The key holds a digest, not the bytes: a dimension-177 matrix is 250 KB.
-        """
-        matrix = matrix_of(self.graph(sid))
-        key = (hashlib.sha256(matrix.data.tobytes()).digest(), tol)
-        if key not in self._spectra:
-            self._spectra[key] = eigenvalues_symmetric(matrix, tol)
-        return self._spectra[key]
+def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
+    """`compute()`, stored on the lattice under `key` on first use."""
+    memo = lattice.memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
-def _data(lattice: SubgroupLattice) -> _SubgroupData:
-    """The lattice's memo, kept on the lattice itself so that both are freed together."""
-    data = lattice._subgroup_data
-    if data is None:
-        data = lattice._subgroup_data = _SubgroupData(lattice)
-    return data
+def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
+    """The standalone lattice of subgroup `sid`, built once per conjugacy class."""
+    if sid == lattice.top_id:
+        return lattice
+    rep = lattice.class_reps()[sid]
+    return _memo(lattice, ("own", rep),
+                 lambda: enumerate_subgroups(lattice.standalone_group(rep)))
+
+
+def _f2(lattice: SubgroupLattice) -> int:
+    """f2_direct of the lattice, counted once."""
+    return _memo(lattice, "f2", lambda: f2_direct(lattice))
+
+
+def _spectrum(lattice: SubgroupLattice,
+              matrix_of: Callable[[NonPermutabilityGraph], DenseSymMatrix],
+              tol: float) -> Spectrum:
+    """Spectrum at tol of `matrix_of` (adjacency or Laplacian) of the lattice's graph."""
+    return _memo(lattice, (matrix_of, tol),
+                 lambda: eigenvalues_symmetric(matrix_of(top_graph(lattice)), tol))
 
 
 def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
     """The lattice's non-permutability graph, built once per lattice."""
-    return _data(lattice).graph(lattice.top_id)
+    return _memo(lattice, "graph", lambda: build_graph(lattice))
 
 
 def graph_and_spectra(lattice: SubgroupLattice,
                       tol: float) -> tuple[NonPermutabilityGraph, Spectrum, Spectrum]:
     """The lattice's graph with its adjacency and Laplacian spectra at tol,
     each solved once per lattice."""
-    data = _data(lattice)
-    top = lattice.top_id
-    return (data.graph(top), data.spectrum(top, adjacency_matrix, tol),
-            data.spectrum(top, laplacian_matrix, tol))
+    return (top_graph(lattice), _spectrum(lattice, adjacency_matrix, tol),
+            _spectrum(lattice, laplacian_matrix, tol))
 
 
 # -- sd --------------------------------------------------------------------
@@ -176,8 +140,7 @@ def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> Fract
 
 def sd_via_f2(lattice: SubgroupLattice) -> Fraction:
     """Sum of the factorization numbers of all subgroups, divided by |L|^2."""
-    data = _data(lattice)
-    total = sum(data.f2(sid) for sid in range(lattice.size))
+    total = sum(_f2(_own(lattice, sid)) for sid in range(lattice.size))
     n = lattice.size
     return Fraction(total, n * n)
 
@@ -210,11 +173,10 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     Each term is sd(T) * |L(T)|^2 * mu(T, G); the exact rational total must be
     an integer, anything else signals a Möbius or sd defect.
     """
-    data = _data(lattice)
     top = lattice.top_id
     total = Fraction(0)
     for sid in range(lattice.size):
-        sub = data.sub_lattice(sid)
+        sub = _own(lattice, sid)
         total += sd_direct(sub) * sub.size ** 2 * lattice.mobius(sid, top)
     if total.denominator != 1:
         raise ConsistencyError(f"Möbius inversion total {total} is not an integer")
@@ -223,11 +185,10 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
 
 def partition_hk(lattice: SubgroupLattice) -> HKPartition:
     """Classify every subgroup by whether all of its own subgroup pairs permute."""
-    data = _data(lattice)
     h_ids = []
     k_ids = []
     for sid in range(lattice.size):
-        if data.quasihamiltonian(sid):
+        if _own(lattice, sid).is_quasihamiltonian():
             k_ids.append(sid)
         else:
             h_ids.append(sid)
@@ -240,23 +201,23 @@ def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
             "the spectral split formula requires sd(G) != 1; "
             "this group is quasihamiltonian"
         )
-    data = _data(lattice)
     top = lattice.top_id
     part = partition_hk(lattice)
     total = 0
     for k in part.k_ids:
-        total += data.lattice_size(k) ** 2 * lattice.mobius(k, top)
+        total += _own(lattice, k).size ** 2 * lattice.mobius(k, top)
     for h in part.h_ids:
-        s_exact = 2 * data.graph(h).edge_count
+        own = _own(lattice, h)
+        s_exact = 2 * top_graph(own).edge_count
         if use_adjacency:
-            shadow = spectral_sums(data.spectrum(h, adjacency_matrix, DEFAULT_TOL))[1]
+            shadow = spectral_sums(_spectrum(own, adjacency_matrix, DEFAULT_TOL))[1]
         else:
-            shadow = spectral_sums(data.spectrum(h, laplacian_matrix, DEFAULT_TOL))[0]
+            shadow = spectral_sums(_spectrum(own, laplacian_matrix, DEFAULT_TOL))[0]
         if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
             raise ConsistencyError(
                 f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
             )
-        total += (data.lattice_size(h) ** 2 - s_exact) * lattice.mobius(h, top)
+        total += (own.size ** 2 - s_exact) * lattice.mobius(h, top)
     return total
 
 
@@ -324,31 +285,6 @@ class DegreeReport:
             "internal_ok": self.internal_ok,
         }
 
-    def to_text(self) -> str:
-        lines = [
-            f"group order        {self.group_order}",
-            f"lattice size       {self.lattice_size}",
-            f"graph              {self.vertex_count} vertices, {self.edge_count} edges",
-            f"quasihamiltonian   {'yes' if self.quasihamiltonian else 'no'}",
-        ]
-        for name, value in self.sd.items():
-            lines.append(f"sd[{name}]  {value}")
-        for name, value in self.f2.items():
-            shown = "not applicable" if value is None else value
-            lines.append(f"f2[{name}]  {shown}")
-        for check in self.checks:
-            mark = "ok" if check.passed else "FAIL"
-            lines.append(f"check {check.name}: {mark} ({check.lhs} vs {check.rhs})")
-        for check in self.trace_checks:
-            mark = "ok" if check.passed else "FAIL"
-            lines.append(
-                f"check {check.name}: {mark} (residual {check.residual:.3e})"
-            )
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        lines.append(f"result: {'all internal identities hold' if self.internal_ok else 'INTERNAL FAILURE'}")
-        return "\n".join(lines)
-
 
 def _fingerprint(lattice: SubgroupLattice) -> tuple:
     hist = lattice.group.element_order_histogram()
@@ -408,17 +344,16 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
 
     Published-value disagreements are reported as notes and never fail the run.
     """
-    data = _data(lattice)
     n = lattice.size
     graph, adj_spec, lap_spec = graph_and_spectra(lattice, jacobi_tol)
     quasihamiltonian = lattice.is_quasihamiltonian()
 
+    f2_d = _f2(lattice)  # counted once: sd_via_f2 reads the top term from the memo
     sd_d = sd_direct(lattice)
     sd_s = sd_spectral(lattice, graph)
     sd_f = sd_via_f2(lattice)
     sd_values = {"direct": sd_d, "spectral": sd_s, "via_f2": sd_f}
 
-    f2_d = f2_direct(lattice)
     f2_m = f2_mobius(lattice)
     f2_values: dict[str, int | None] = {"direct": f2_d, "mobius": f2_m}
     if quasihamiltonian:
@@ -451,7 +386,7 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
         "edge_count_vs_sd", Fraction(two_e) == sd_rhs, str(two_e), str(sd_rhs),
     ))
 
-    f2_sum = sum(data.f2(sid) for sid in range(n))
+    f2_sum = sum(_f2(_own(lattice, sid)) for sid in range(n))
     checks.append(CheckResult(
         "edge_count_vs_f2_sum", two_e == n * n - f2_sum, str(two_e), str(n * n - f2_sum),
     ))

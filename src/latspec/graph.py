@@ -36,9 +36,6 @@ class DenseSymMatrix:
     def dimension(self) -> int:
         return self.data.shape[0]
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.data[i, j])
-
     def to_lists(self) -> list[list[int]]:
         return [[int(round(v)) for v in row] for row in self.data]
 

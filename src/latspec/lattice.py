@@ -1,8 +1,8 @@
 """Complete subgroup lattices: enumeration, meet/join, Möbius values, permuting core.
 
 A lattice is built once (single writer) and is immutable afterwards; the
-Möbius memo is filled lazily with deterministic values, so concurrent readers
-always observe a consistent map.
+Möbius memo, the conjugacy-class map and `memo` are filled lazily with
+deterministic values, so concurrent readers always observe a consistent map.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
@@ -57,6 +57,46 @@ def _closure_bits(table: list[list[int]], start_bits: int, gens: Sequence[int]) 
     return members
 
 
+def _conjugators(group: FiniteGroup) -> list[list[int]]:
+    """One map h -> s^-1 h s per generator s of the group."""
+    table = group.mul_table
+    maps = []
+    for s in map(group.index_of, group.generators):
+        row = table[group.inverse_index(s)]
+        maps.append([table[row[h]][s] for h in range(group.order)])
+    return maps
+
+
+def _conjugates(bits: int, conjugators: list[list[int]]) -> list[int]:
+    """Member bitsets of every conjugate of the subgroup `bits`, itself first."""
+    orbit = [bits]
+    seen = {bits}
+    for x in orbit:  # grows while it is walked
+        members = tuple(iter_bits(x))
+        for images in conjugators:
+            y = bits_of(images[h] for h in members)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
+def _cyclic_p_subgroups(group: FiniteGroup) -> dict[int, tuple[int, int]]:
+    """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1."""
+    table = group.mul_table
+    cyclic: dict[int, tuple[int, int]] = {}
+    for g in range(group.order):
+        n = group.order_of_index(g)
+        p = next((d for d in range(2, n + 1) if n % d == 0), None)
+        if p is None or p ** n.bit_length() % n:  # skip e and non-prime-power orders
+            continue
+        powers = [group.identity_index]
+        for _ in range(n - 1):
+            powers.append(table[powers[-1]][g])
+        cyclic.setdefault(bits_of(powers), (g, powers[p % n]))
+    return cyclic
+
+
 class SubgroupLattice:
     """The lattice of all subgroups of a finite group, ordered by inclusion."""
 
@@ -94,7 +134,9 @@ class SubgroupLattice:
         self._mobius_memo: dict[tuple[int, int], int] = {}
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._subgroup_data = None  # degrees._SubgroupData, made by degrees._data on first use
+        self._class_reps: tuple[int, ...] | None = None
+        # results other modules derive from this lattice (see degrees), freed with it
+        self.memo: dict = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -117,9 +159,6 @@ class SubgroupLattice:
     def down_ids(self, sid: int) -> tuple[int, ...]:
         return tuple(iter_bits(self._down[sid]))
 
-    def up_ids(self, sid: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._up[sid]))
-
     def meet(self, a: int, b: int) -> int:
         return self._id_of[self.subgroups[a].members & self.subgroups[b].members]
 
@@ -135,6 +174,26 @@ class SubgroupLattice:
             raise DomainError(f"subgroup {lower} is not contained in {upper}")
         ids = tuple(iter_bits(self._down[upper] & self._up[lower]))
         return Interval(lower, upper, ids)
+
+    def class_reps(self) -> tuple[int, ...]:
+        """For each id, the least id in the conjugacy class of that subgroup.
+
+        One orbit walk under the conjugation maps of the group's generators;
+        InputError if a conjugate of a member is not a member.
+        """
+        if self._class_reps is None:
+            conjugators = _conjugators(self.group)
+            reps = [-1] * self.size
+            for sid, sub in enumerate(self.subgroups):
+                if reps[sid] >= 0:
+                    continue
+                for bits in _conjugates(sub.members, conjugators):
+                    image = self._id_of.get(bits)
+                    if image is None:
+                        raise InputError("member sets are not closed under conjugation")
+                    reps[image] = sid
+            self._class_reps = tuple(reps)
+        return self._class_reps
 
     # -- Möbius function -----------------------------------------------------
 
@@ -312,46 +371,18 @@ class SubgroupLattice:
         iff <R, C> is a member for every class representative R and every
         such cyclic p-subgroup C of the group (C = <g> with g outside R and
         g^p inside R). That also makes the family join-closed, which `join`
-        relies on.
+        relies on. The representatives come from `class_reps`, which also
+        checks the closure under conjugation; `enumerate_subgroups` builds
+        its family by the same argument.
         """
+        reps = sorted(set(self.class_reps()))
         group = self.group
         table = group.mul_table
-        conj = []  # h -> s^-1 h s, one map per generator s of the group
-        for s in map(group.index_of, group.generators):
-            row = table[group.inverse_index(s)]
-            conj.append([table[row[h]][s] for h in range(group.order)])
-        classed = 0
-        reps = []  # least id of each conjugacy class
-        for sid in range(self.size):
-            if classed >> sid & 1:
-                continue
-            reps.append(sid)
-            classed |= 1 << sid
-            orbit = [sid]
-            while orbit:
-                members = self._member_tuples[orbit.pop()]
-                for images in conj:
-                    image = self._id_of.get(sum(1 << images[h] for h in members))
-                    if image is None:
-                        raise InputError("dumped member sets are not closed under conjugation")
-                    if not classed >> image & 1:
-                        classed |= 1 << image
-                        orbit.append(image)
-
-        cyclic: dict[int, tuple[int, int]] = {}  # <g> bits -> (g, g^p), |g| = p^k
-        for g in range(group.order):
-            n = group.order_of_index(g)
-            p = next((d for d in range(2, n + 1) if n % d == 0), None)
-            if p is None or p ** n.bit_length() % n:  # skip e and non-prime-power orders
-                continue
-            powers = [group.identity_index]
-            for _ in range(n - 1):
-                powers.append(table[powers[-1]][g])
-            cyclic.setdefault(bits_of(powers), (g, powers[p % n]))
         holders = [0] * group.order  # ids of the members holding each element
         for sid, members in enumerate(self._member_tuples):
             for h in members:
                 holders[h] |= 1 << sid
+        cyclic = _cyclic_p_subgroups(group).values()
         e = group.identity_index
         for r in reps:
             r_bits = self.subgroups[r].members
@@ -361,7 +392,7 @@ class SubgroupLattice:
                 if coset[x] < 0:
                     for h in self._member_tuples[r]:
                         coset[table[x][h]] = x
-            for g, gp in cyclic.values():
+            for g, gp in cyclic:
                 if r_bits >> g & 1 or not r_bits >> gp & 1:
                     continue
                 # <R, g> lies in M, the least member above R and g, and is
@@ -386,47 +417,37 @@ class SubgroupLattice:
 
 def enumerate_subgroups(group: FiniteGroup,
                         subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
-    """Enumerate every subgroup: cyclic seeds, then pairwise join closure to a fixpoint.
+    """Enumerate every subgroup by cyclic extension, one conjugacy class at a time.
 
-    Every subgroup is a join of cyclic subgroups, so the fixpoint is complete.
-    Raises SizeError if more than `subgroup_cap` subgroups appear.
+    Each class has one representative R, starting with the trivial subgroup.
+    R is extended by every cyclic p-subgroup <g> with g outside R and g^p
+    inside R; a new <R, g> brings in its whole conjugacy class and becomes
+    that class's representative. The family is then closed under conjugation
+    and holds every such <R, g>, which is exactly the completeness criterion
+    proved in `SubgroupLattice._require_complete` (Neubüser's cyclic
+    extension). Raises SizeError if more than `subgroup_cap` subgroups appear.
     """
     table = group.mul_table
-    e = group.identity_index
-    n = group.order
-
-    found: dict[int, tuple[int, ...]] = {1 << e: ()}
-    for g in range(n):
-        if g == e:
-            continue
-        bits = 1 << e
-        cur = g
-        while cur != e:
-            bits |= 1 << cur
-            cur = table[cur][g]
-        if bits not in found:
-            found[bits] = (g,)
-
-    subs = list(found)
-    i = 1
-    while i < len(subs):
-        a = subs[i]
-        gens_a = found[a]
-        for j in range(1, i):
-            b = subs[j]
-            ab = a & b
-            if ab == a or ab == b:
+    conjugators = _conjugators(group)
+    cyclic = _cyclic_p_subgroups(group).values()
+    trivial = 1 << group.identity_index
+    found = {trivial}
+    reps: list[tuple[int, tuple[int, ...]]] = [(trivial, ())]  # (members, generators)
+    for r_bits, r_gens in reps:  # grows while it is walked
+        for g, gp in cyclic:
+            if r_bits >> g & 1 or not r_bits >> gp & 1:
                 continue
-            gens = tuple(dict.fromkeys(gens_a + found[b]))
-            joined = _closure_bits(table, a | b, gens)
-            if joined not in found:
+            gens = r_gens + (g,)
+            joined = _closure_bits(table, r_bits | 1 << g, gens)
+            if joined in found:
+                continue
+            for bits in _conjugates(joined, conjugators):
                 if len(found) >= subgroup_cap:
                     raise SizeError(f"subgroup count exceeded cap {subgroup_cap}")
-                found[joined] = gens
-                subs.append(joined)
-        i += 1
+                found.add(bits)
+            reps.append((joined, gens))
 
-    return SubgroupLattice(group, subs)
+    return SubgroupLattice(group, found)
 
 
 def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:

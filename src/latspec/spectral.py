@@ -120,8 +120,8 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     the final off-diagonal norm, which the Spectrum records with the sweep
     and rotation counts.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError("tolerance must be positive and finite")
     data = np.asarray(matrix.data, dtype=float)
     if data.size and not np.array_equal(data, data.T):
         raise InputError("matrix is not symmetric")

@@ -85,3 +85,30 @@ class TestHashCollision:
         assert len(list(cache_dir.glob("*.json"))) == 1
         assert cache_lookup(cache_dir, g1) == {"report": {"who": "C4"}}
         assert cache_lookup(cache_dir, g2) == {"report": {"who": "V4"}}
+
+
+class TestTolerance:
+    def test_entry_answers_only_its_own_tol(self, cache_dir):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
+        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
+        assert cache_lookup(cache_dir, group) is None
+
+    def test_store_at_another_tol_overwrites(self, cache_dir):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
+        cache_store(cache_dir, group, {"structure": {"v": 2}})
+        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
+        assert cache_lookup(cache_dir, group, tol=0.3) is None
+        data = json.loads(next(cache_dir.glob("*.json")).read_text())
+        assert len(data["entries"]) == 1
+        assert data["entries"][0]["tol"] == 1e-12
+
+    def test_entry_without_tol_misses(self, cache_dir):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}})
+        path = next(cache_dir.glob("*.json"))
+        data = json.loads(path.read_text())
+        del data["entries"][0]["tol"]
+        path.write_text(json.dumps(data))
+        assert cache_lookup(cache_dir, group) is None

@@ -52,6 +52,12 @@ class TestBasics:
         code, _, err = run(capsys, "--tol", "-1", "info", "S3")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, "spectrum", "S3", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "--tol" in err
+
 
 class TestLatticeGraphSpectrum:
     def test_lattice_text(self, capsys):
@@ -234,6 +240,21 @@ class TestCache:
         code, out, _ = run(capsys, "--cache", cache_dir, "verify", "A4", "--json")
         assert code == 0
         assert json.loads(out)["groups"][0]["report"]["f2"]["direct"] == 27
+
+
+class TestCacheTolerance:
+    """Sections computed at one --tol must not answer a run at another."""
+
+    @pytest.mark.parametrize("argv", [("spectrum", "S4"), ("verify", "S4")])
+    def test_loose_entry_is_not_replayed(self, capsys, tmp_path, argv):
+        cache_dir = str(tmp_path / "c")
+        run(capsys, "--cache", cache_dir, *argv, "--tol", "0.3")
+        warm = run(capsys, "--cache", cache_dir, *argv)
+        cold = run(capsys, *argv)
+        assert warm == cold
+        assert cold[0] == 0
+        # the recomputed sections replaced the loose ones
+        assert run(capsys, "--cache", cache_dir, *argv) == cold
 
 
 class TestTruncatedCache:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latspec.degrees as degrees
 from latspec.catalog import alternating, cyclic, dihedral, elementary_abelian, quaternion, symmetric
 from latspec.degrees import (
     ExactRational,
@@ -273,11 +274,19 @@ class TestVerifyIdentities:
         assert parsed["f2"]["direct"] == 27
         assert parsed["internal_ok"] is True
 
-    def test_text_rendering_mentions_every_check(self, lat_a4):
-        text = verify_identities(lat_a4).to_text()
-        for name in ("edge_count_vs_sd", "edge_count_vs_f2_sum", "sd_methods_equal",
-                     "f2_methods_equal", "no_trimmed_edges"):
-            assert name in text
+    def test_one_standalone_lattice_per_class(self, monkeypatch):
+        # S4 has 11 conjugacy classes of subgroups; every one but the top
+        # gets its own lattice, once
+        lattice = enumerate_subgroups(symmetric(4))
+        built = []
+
+        def counting(group):
+            built.append(group.order)
+            return enumerate_subgroups(group)
+
+        monkeypatch.setattr(degrees, "enumerate_subgroups", counting)
+        assert verify_identities(lattice).internal_ok
+        assert sorted(built) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12]
 
     def test_memo_is_freed_with_its_lattice(self):
         lattice = enumerate_subgroups(symmetric(4))

@@ -152,6 +152,29 @@ def id_by_gens(lattice, gen_texts):
     return lattice.id_of_members(members)
 
 
+class TestClassReps:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_matches_conjugation_by_every_element(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        group, table = lattice.group, lattice.group.mul_table
+        expected = [
+            min(lattice.id_of_members(
+                    bits_of(table[table[group.inverse_index(x)][h]][x] for h in s.member_indices()))
+                for x in range(group.order))
+            for s in lattice.subgroups
+        ]
+        assert list(lattice.class_reps()) == expected
+
+    def test_family_not_closed_under_conjugation_rejected(self, s3):
+        # {e, <(1,2)>, S3} is meet-closed, but <(1,3)> and <(2,3)> are missing
+        transposition = s3.index_of(parse_permutation("(1,2)", 3))
+        family = [1 << s3.identity_index, (1 << s3.identity_index) | (1 << transposition),
+                  bits_of(range(s3.order))]
+        lattice = SubgroupLattice(s3, family)
+        with pytest.raises(InputError):
+            lattice.class_reps()
+
+
 class TestMeetJoin:
     def test_bounded_lattice_laws(self, lat_s4):
         top, bot = lat_s4.top_id, lat_s4.bottom_id
@@ -336,6 +359,15 @@ class TestSerialization:
             lat_a4.group, [s["members"] for s in dump["subgroups"]]
         )
         assert rebuilt.to_json_dict() == dump
+
+    @pytest.mark.parametrize("name", ["S5", "PSL(2,7)"])
+    def test_enumeration_passes_the_completeness_proof(self, name):
+        # the coset-orbit test in from_member_lists checks the family
+        # independently of the closures enumeration ran
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        rebuilt = SubgroupLattice.from_member_lists(
+            lattice.group, [s.member_indices() for s in lattice.subgroups])
+        assert [s.members for s in rebuilt.subgroups] == [s.members for s in lattice.subgroups]
 
     def test_rehydration_rejects_non_subgroup_sets(self, lat_a4):
         dump = lat_a4.to_json_dict()

@@ -85,6 +85,13 @@ class TestJacobi:
         with pytest.raises(InputError):
             eigenvalues_symmetric(DenseSymMatrix(np.zeros((2, 2))), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a nan or inf stop bound would end the iteration at once and
+        # return the unrotated diagonal
+        with pytest.raises(InputError):
+            eigenvalues_symmetric(DenseSymMatrix(np.ones((3, 3)) - np.eye(3)), tol=tol)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
                     min_size=4, max_size=4))
