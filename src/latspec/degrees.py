@@ -10,10 +10,10 @@ Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
 quasihamiltonian flag, the graph's edge count and both spectra. A parent
 lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
-its graph, its F2 and its two spectra per tol. The structure dump, the trace
-checks and the split shadows share one Jacobi solve per class, matrix and
-tol. Matrices that merely coincide are each solved; in the catalog those
-have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
+its graph, its sd, its F2 and its two spectra per tol. The structure dump,
+the trace checks and the split shadows share one eigenvalue solve per class,
+matrix and tol. Matrices that merely coincide are each solved; in the catalog
+those have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
 null graph, the graphs of the two classes of S3 in D6 and of D4 in D8).
 """
 
@@ -84,6 +84,11 @@ def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
 def _f2(lattice: SubgroupLattice) -> int:
     """f2_direct of the lattice, counted once."""
     return _memo(lattice, "f2", lambda: f2_direct(lattice))
+
+
+def _sd(lattice: SubgroupLattice) -> Fraction:
+    """sd_direct of the lattice, counted once."""
+    return _memo(lattice, "sd", lambda: sd_direct(lattice))
 
 
 def _spectrum(lattice: SubgroupLattice,
@@ -171,13 +176,16 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     """Möbius inversion of the subgroup-sum identity for sd.
 
     Each term is sd(T) * |L(T)|^2 * mu(T, G); the exact rational total must be
-    an integer, anything else signals a Möbius or sd defect.
+    an integer, anything else signals a Möbius or sd defect. Terms with
+    mu(T, G) = 0 are skipped, and sd is counted once per conjugacy class.
     """
     top = lattice.top_id
     total = Fraction(0)
     for sid in range(lattice.size):
-        sub = _own(lattice, sid)
-        total += sd_direct(sub) * sub.size ** 2 * lattice.mobius(sid, top)
+        mu = lattice.mobius(sid, top)
+        if mu:
+            sub = _own(lattice, sid)
+            total += _sd(sub) * sub.size ** 2 * mu
     if total.denominator != 1:
         raise ConsistencyError(f"Möbius inversion total {total} is not an integer")
     return int(total)
@@ -325,7 +333,7 @@ def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> 
     return notes
 
 
-def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> DegreeReport:
+def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> DegreeReport:
     """Run every exact identity and cross-method comparison for one lattice.
 
     Internal checks (counted in `internal_ok`):
@@ -345,11 +353,11 @@ def verify_identities(lattice: SubgroupLattice, jacobi_tol: float = 1e-12) -> De
     Published-value disagreements are reported as notes and never fail the run.
     """
     n = lattice.size
-    graph, adj_spec, lap_spec = graph_and_spectra(lattice, jacobi_tol)
+    graph, adj_spec, lap_spec = graph_and_spectra(lattice, tol)
     quasihamiltonian = lattice.is_quasihamiltonian()
 
     f2_d = _f2(lattice)  # counted once: sd_via_f2 reads the top term from the memo
-    sd_d = sd_direct(lattice)
+    sd_d = _sd(lattice)
     sd_s = sd_spectral(lattice, graph)
     sd_f = sd_via_f2(lattice)
     sd_values = {"direct": sd_d, "spectral": sd_s, "via_f2": sd_f}

@@ -1,23 +1,21 @@
-"""Cyclic Jacobi eigensolver for real symmetric matrices, plus trace-identity checks.
+"""Symmetric eigenvalues by Householder tridiagonalization and Sturm multisection,
+plus trace-identity checks.
 
-Jacobi rotations are the right tool here: the matrices are small dense
-integer matrices, convergence for symmetric input is guaranteed, and a fixed
-cyclic sweep order makes the result deterministic. Eigenvectors are never
-needed.
-
-The sweep order is a parallel round-robin ordering in the sense of Brent and
-Luk (SIAM J. Sci. Stat. Comput. 1985): each sweep is one round-robin
-tournament on the indices (the circle method), n - 1 rounds of n/2 disjoint
-pairs; an odd n gets one idle index. The rotations of a round commute, so
-they are applied together as whole-array updates. The order is fixed,
-so the iteration is still a deterministic cyclic Jacobi method.
+The matrices are small dense integer matrices and eigenvectors are never
+needed, so the solver reduces the matrix once to tridiagonal form T with
+n - 2 Householder reflections (Golub & Van Loan, *Matrix Computations*,
+section 8.3) and then locates every eigenvalue of T by Sturm counts (section
+8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). The counts are taken
+for all n eigenvalue indices at once: each step splits every index's bracket
+at seven interior points (multisection), one pass over the rows of T for all
+7n shifts together. Every operation is elementwise numpy (no BLAS call) in a
+fixed order, so repeat solves are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,22 +23,25 @@ from .errors import InputError, NumericError
 from .graph import DenseSymMatrix, NonPermutabilityGraph
 
 DEFAULT_TOL = 1e-12
-MAX_SWEEPS = 100
+MAX_STEPS = 64  # far above need: each step shrinks a bracket eightfold
+_POINTS = 7  # interior points per bracket and multisection step
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues with multiplicity, ascending.
 
-    `sweeps`, `rotations` and `off_norm` record the solver's work and its
-    final off-diagonal Frobenius norm; they take no part in equality and are
-    never printed or cached.
+    `reflections`, `steps` and `width` record the solver's work (Householder
+    reflections applied, multisection steps) and its final largest bracket
+    width; they take no part in equality and are never printed or cached.
     """
 
     values: tuple[float, ...]
-    sweeps: int = field(default=0, compare=False)
-    rotations: int = field(default=0, compare=False)
-    off_norm: float = field(default=0.0, compare=False)
+    reflections: int = field(default=0, compare=False)
+    steps: int = field(default=0, compare=False)
+    width: float = field(default=0.0, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -53,138 +54,137 @@ class Spectrum:
         return tuple(int(round(v)) for v in self.values)
 
 
-@lru_cache(maxsize=32)
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layout and round-to-round permutation of the round-robin tournament on m (even) players.
+def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Diagonal d, off-diagonal e and reflection count of T = Q^T A Q.
 
-    Round r pairs player m-1 with r, and r+k with r-k (mod m-1) for
-    0 < k < m/2: the circle method. The iterate is stored so that the pairs
-    of the current round sit at positions (2k, 2k+1). `layout[x]` is the
-    player at position x in round 0, which is also the layout at every sweep
-    boundary. Every player but m-1 moves on by one place per round, so the
-    next round's layout takes position x from position `source[x]` of the
-    current one, the same permutation in every round.
+    Reflection k maps column k below the diagonal onto its first entry
+    alpha = -sign(x0)*||x||; it is skipped when that column is already
+    zero below the subdiagonal. The trailing block is updated as
+    A - v w^T - w v^T with p = beta A v, w = p - (beta/2)(p.v) v, and the
+    rank-2 term is summed as one symmetric matrix, so the block stays
+    exactly symmetric.
     """
-    ring = m - 1
-    layout = np.empty(m, dtype=np.intp)
-    layout[0], layout[1] = 0, ring
-    k = np.arange(1, m // 2)
-    layout[2::2] = k
-    layout[3::2] = ring - k
-    position = np.empty(m, dtype=np.intp)
-    position[layout] = np.arange(m)
-    source = position[(layout + 1) % ring]
-    source[1] = 1
-    layout.flags.writeable = source.flags.writeable = False  # shared by the cache
-    return layout, source
+    n = data.shape[0]
+    a = data.copy()
+    e = np.empty(n - 1)
+    scratch = np.empty(2 * (n - 1) ** 2)
+    reflections = 0
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        sigma = float((x[1:] * x[1:]).sum())
+        if sigma == 0.0:
+            e[k] = x[0]
+            continue
+        m = n - 1 - k
+        outer = scratch[:m * m].reshape(m, m)
+        twice = scratch[m * m:2 * m * m].reshape(m, m)
+        x0 = float(x[0])
+        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
+        v = x.copy()
+        v[0] = x0 - alpha
+        beta = 2.0 / float((v * v).sum())
+        block = a[k + 1:, k + 1:]
+        np.multiply(block, v, out=outer)
+        p = outer.sum(axis=1)
+        p *= beta
+        w = p - (0.5 * beta * float((p * v).sum())) * v
+        np.multiply.outer(v, w, out=outer)
+        np.add(outer, outer.T, out=twice)
+        block -= twice
+        e[k] = alpha
+        reflections += 1
+    e[n - 2] = a[n - 1, n - 2]
+    return np.diag(a).copy(), e, reflections
 
 
-def _off_norm(a: np.ndarray, scratch: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part, summed from those entries alone."""
-    np.multiply(a, a, out=scratch)
-    scratch.reshape(-1)[:: a.shape[0] + 1] = 0.0
-    return math.sqrt(float(scratch.sum()))
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of T below each shift in x.
 
-
-def _permute(a: np.ndarray, order: np.ndarray, scratch: np.ndarray) -> None:
-    """a <- a[order][:, order], in place, through a scratch array of the same shape."""
-    np.take(a, order, axis=0, out=scratch, mode="clip")
-    np.take(scratch, order, axis=1, out=a, mode="clip")
-
-
-def _tangents(app: np.ndarray, apq: np.ndarray, aqq: np.ndarray,
-              live: np.ndarray) -> np.ndarray:
-    """tan of the Jacobi angle that zeroes each live a_pq; 0 (no rotation) elsewhere.
-
-    t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (a_qq - a_pp) / (2 a_pq),
-    where tau = -0.0 counts as tau >= 0, as in the scalar form.
+    These are the negative pivots q_i = (d_i - e_{i-1}^2 / q_{i-1}) - x of
+    the LDL^T factorization of T - x, taken row by row for all shifts at
+    once. A pivot below pivmin in magnitude, zero included, is replaced by
+    -pivmin, so no division overflows (LAPACK dstebz's guard).
     """
-    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros_like(apq), where=live)
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-    t[~live] = 0.0
-    return t
+    q = np.subtract(d[0], x)
+    negative = np.empty(x.size, dtype=bool)
+    count = np.zeros(x.size, dtype=np.intp)
+    for i in range(d.size):
+        if i:
+            np.divide(e2[i - 1], q, out=q)
+            np.subtract(d[i], q, out=q)
+            q -= x
+        # a pivot below pivmin is negative once guarded, so the mask is the count
+        np.less(q, pivmin, out=negative)
+        np.minimum(q, -pivmin, out=q, where=negative)
+        count += negative
+    return count
 
 
 def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Cyclic Jacobi iteration in the round-robin parallel ordering until the
-    off-diagonal Frobenius norm drops below tol*(1 + ||M||_F), or NumericError
-    after MAX_SWEEPS sweeps.
+    """All eigenvalues of a real symmetric matrix, ascending.
 
-    A round rotates every pair (p, q) of the round with |a_pq| above
-    tol*||M||_F/n. The pairs are disjoint, so the round is one product
-    J^T A J with J block diagonal: a complex multiplication rotates all
-    column pairs at once, and a transpose turns the row rotations into column
-    rotations. Each rotated 2x2 block is then set exactly (diagonal
-    a_pp - t*a_pq and a_qq + t*a_pq, off-diagonal 0), and the iterate is kept
-    exactly symmetric. The returned diagonal approximates the spectrum within
-    the final off-diagonal norm, which the Spectrum records with the sweep
-    and rotation counts.
+    Householder reflections reduce the matrix to tridiagonal T. Every
+    eigenvalue index starts from T's Gershgorin interval; each multisection
+    step splits each bracket into eight equal parts and keeps the one whose
+    ends the Sturm counts place the eigenvalue between. Steps continue until
+    every bracket is at most
+
+        width = 2 * eps * ||T||_inf * max(1, tol / DEFAULT_TOL) + 4 * pivmin
+
+    wide, where eps is the double-precision machine epsilon and
+    pivmin = tiny * max(1, max e_i^2) is the pivot guard. At DEFAULT_TOL this
+    is machine-precision width; a looser tol widens it in proportion and a
+    tighter one cannot narrow it. Each value is its bracket's midpoint.
+
+    InputError for a non-finite or non-positive tol and for a non-finite or
+    non-symmetric matrix; NumericError when the arithmetic overflows or the
+    brackets have not closed after MAX_STEPS steps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError("tolerance must be positive and finite")
     data = np.asarray(matrix.data, dtype=float)
+    if not np.isfinite(data).all():
+        raise InputError("matrix entries must be finite")
     if data.size and not np.array_equal(data, data.T):
         raise InputError("matrix is not symmetric")
     n = data.shape[0]
     if n <= 1:
         return Spectrum(tuple(float(v) for v in np.diag(data)))
 
-    norm = math.sqrt(float((data * data).sum()))
-    stop = tol * (1.0 + norm)
-    # scaled by 1/n so a sweep that skips everything already satisfies the
-    # stop criterion (off-norm <= n * floor < stop); otherwise tiny entries
-    # sitting just under the floor could stall the iteration above it
-    rotate_floor = tol * norm / n
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            d, e, reflections = _tridiagonalize(data)
+            e2 = e * e
+            pivmin = _TINY * max(1.0, float(e2.max()))
+            abs_e = np.abs(e)
+            radius = np.zeros(n)
+            radius[:-1] += abs_e
+            radius[1:] += abs_e
+            norm = float((np.abs(d) + radius).max())
+            width = 2.0 * _EPS * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
 
-    m = n + (n & 1)  # an odd n gets an idle index: a zero row and column
-    layout, source = _round_robin(m)
-    a, b = np.zeros((m, m)), np.empty((m, m))
-    a[:n, :n] = data
-    _permute(a, layout, b)
-    a_flat = a.reshape(-1)
-    # column pair (2k, 2k+1) of each row read as one complex number, so the
-    # rotation of all the round's column pairs is one complex multiplication
-    a_pairs, b_pairs = a.view(np.complex128), b.view(np.complex128)
-    block = 2 * m + 2  # flat stride between consecutive pairs' 2x2 blocks
-
-    sweeps = rotations = 0
-    off = _off_norm(a, b)
-    while off >= stop:
-        if sweeps == MAX_SWEEPS:
-            raise NumericError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-        sweeps += 1
-        rotated = 0
-        for _ in range(m - 1):
-            app = a_flat[0::block].copy()
-            apq = a_flat[1::block].copy()
-            aqq = a_flat[m + 1::block].copy()
-            live = np.abs(apq) > rotate_floor
-            count = int(np.count_nonzero(live))
-            if count:
-                rotated += count
-                t = _tangents(app, apq, aqq, live)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                turn = c + 1j * (t * c)  # (c + is)(x + iy) = (cx - sy) + i(sx + cy)
-                # a = A J, b = a^T = J^T A, b = b J / 2 = J^T A J / 2; then
-                # a = b^T + b is J^T A J made exactly symmetric
-                np.multiply(a_pairs, turn, out=a_pairs)
-                np.copyto(b, a.T)
-                np.multiply(b_pairs, 0.5 * turn, out=b_pairs)
-                np.copyto(a, b.T)
-                a += b
-                shift = t * apq
-                a_flat[0::block] = app - shift
-                a_flat[m + 1::block] = aqq + shift
-                np.copyto(a_flat[1::block], 0.0, where=live)
-                np.copyto(a_flat[m::block], 0.0, where=live)
-            _permute(a, source, b)
-        rotations += rotated
-        off = _off_norm(a, b)
-        if not rotated:
-            break
-
-    diagonal = np.diag(a)[layout < n]
-    return Spectrum(tuple(sorted(float(v) for v in diagonal)), sweeps, rotations, off)
+            index = np.arange(n)
+            lo = np.full(n, float((d - radius).min()))
+            hi = np.full(n, float((d + radius).max()))
+            fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
+            grid = np.empty((n, _POINTS + 2))
+            steps = 0
+            while (hi - lo).max() > width:
+                if steps == MAX_STEPS:
+                    raise NumericError(f"bisection did not converge in {MAX_STEPS} steps")
+                steps += 1
+                grid[:, 0], grid[:, -1] = lo, hi
+                np.multiply.outer(hi - lo, fractions, out=grid[:, 1:-1])
+                grid[:, 1:-1] += lo[:, None]
+                counts = _sturm_counts(d, e2, pivmin, grid[:, 1:-1].reshape(-1))
+                # counts rise with the shift, so the points whose count is at most
+                # index j are a prefix; eigenvalue j lies just past the last of them
+                below = (counts.reshape(n, _POINTS) <= index[:, None]).sum(axis=1)
+                lo, hi = grid[index, below], grid[index, below + 1]
+            values = np.sort(0.5 * (lo + hi))
+    except FloatingPointError as exc:
+        raise NumericError(f"eigenvalue computation overflowed: {exc}") from None
+    return Spectrum(tuple(float(v) for v in values), reflections, steps, float((hi - lo).max()))
 
 
 def spectral_sums(spectrum: Spectrum) -> tuple[float, float]:

@@ -315,7 +315,7 @@ class TestDeterminism:
 
 
 @pytest.fixture
-def jacobi_solves(monkeypatch):
+def eigen_solves(monkeypatch):
     """Record (dimension, matrix bytes, tol) for every eigensolver call, at
     every latspec module that binds the solver."""
     real = spectral.eigenvalues_symmetric
@@ -334,13 +334,13 @@ def jacobi_solves(monkeypatch):
 
 
 class TestSolveOnce:
-    def test_each_matrix_is_solved_once_per_verify(self, capsys, jacobi_solves):
+    def test_each_matrix_is_solved_once_per_verify(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "S4", "--json")
         assert code == 0
         top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
-        keys = [(data, tol) for _, data, tol in jacobi_solves]
+        keys = [(data, tol) for _, data, tol in eigen_solves]
         assert len(keys) == len(set(keys))
-        assert [dim for dim, _, _ in jacobi_solves].count(top_dim) == 2
+        assert [dim for dim, _, _ in eigen_solves].count(top_dim) == 2
 
     def test_structure_from_cache_then_verify_matches_cold_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "c")
@@ -351,15 +351,15 @@ class TestSolveOnce:
         assert code == 0
         assert warm == cold
 
-    def test_tol_is_part_of_the_spectrum_key(self, capsys, jacobi_solves):
+    def test_tol_is_part_of_the_spectrum_key(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "S4", "--json")
         default = json.loads(out)["groups"][0]["report"]
-        del jacobi_solves[:]
+        del eigen_solves[:]
         code, out, _ = run(capsys, "verify", "S4", "--tol", "1e-10", "--json")
         assert code == 0
         loose = json.loads(out)["groups"][0]["report"]
         assert loose["internal_ok"] is True
         assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
         # structure and trace checks solve at --tol, the split shadows at the default
-        top_tols = sorted(tol for dim, _, tol in jacobi_solves if dim == loose["vertex_count"])
+        top_tols = sorted(tol for dim, _, tol in eigen_solves if dim == loose["vertex_count"])
         assert top_tols == [1e-12, 1e-12, 1e-10, 1e-10]

@@ -20,6 +20,7 @@ from latspec.degrees import (
     sd_via_f2,
     verify_identities,
 )
+from latspec.closed_forms import _PSL_F2_TABLE
 from latspec.errors import DomainError
 from latspec.graph import build_graph
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
@@ -147,6 +148,22 @@ class TestF2Mobius:
 
     def test_q8(self, lat_q8):
         assert f2_mobius(lat_q8) == f2_direct(lat_q8)
+
+    def test_sd_counted_once_per_class_with_nonzero_mobius(self, monkeypatch):
+        # mu(X, S4) vanishes on the classes of C4, the non-normal V4 and the
+        # double transpositions; each of the other 8 classes counts sd once
+        lattice = enumerate_subgroups(symmetric(4))
+        orders = []
+
+        def counting(sub):
+            orders.append(sub.group.order)
+            return sd_direct(sub)
+
+        monkeypatch.setattr(degrees, "sd_direct", counting)
+        assert f2_mobius(lattice) == 177
+        assert sorted(orders) == [1, 2, 3, 4, 6, 8, 12, 24]
+        assert f2_mobius(lattice) == 177
+        assert len(orders) == 8
 
 
 class TestF2Splits:
@@ -287,6 +304,16 @@ class TestVerifyIdentities:
         monkeypatch.setattr(degrees, "enumerate_subgroups", counting)
         assert verify_identities(lattice).internal_ok
         assert sorted(built) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12]
+
+    def test_a6_all_routes_match_the_published_value(self):
+        # A6 = PSL(2,9): 501 subgroups, a 499-vertex top graph
+        lattice = enumerate_subgroups(alternating(6))
+        assert lattice.size == 501
+        report = verify_identities(lattice)
+        assert report.internal_ok
+        assert report.f2 == dict.fromkeys(
+            ("direct", "mobius", "split_laplacian", "split_adjacency"), _PSL_F2_TABLE[9])
+        assert _PSL_F2_TABLE[9] == 2033
 
     def test_memo_is_freed_with_its_lattice(self):
         lattice = enumerate_subgroups(symmetric(4))
