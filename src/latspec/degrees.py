@@ -6,11 +6,19 @@ for the floating eigenvalue sums (they agree by the trace identity), and the
 floating spectra are kept as a checked shadow so the spectral path is still
 exercised end to end.
 
+Two independent pair computations feed the cross-checks. Every pair-test
+consumer (sd[direct], the graph, the core, the quasihamiltonian flag) reads
+the lattice's one permutability matrix, filled by the lattice-order test.
+`f2_direct` alone multiplies subgroups element by element, and it never reads
+joins, meets or that matrix.
+
 Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
 quasihamiltonian flag, the graph's edge count and both spectra. A parent
 lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
-its graph, its sd, its F2 and its two spectra per tol. The structure dump,
+its graph, its sd, its F2, its subgroup F2 sum and its two spectra per tol.
+Sums over all subgroups (the subgroup F2 sum, and the rows of `f2_direct`)
+take one term per class, weighted by the class size. The structure dump,
 the trace checks and the split shadows share one eigenvalue solve per class,
 matrix and tol. Matrices that merely coincide are each solved; in the catalog
 those have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
@@ -19,6 +27,7 @@ null graph, the graphs of the two classes of S3 in D6 and of D4 in D8).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -86,6 +95,14 @@ def _f2(lattice: SubgroupLattice) -> int:
     return _memo(lattice, "f2", lambda: f2_direct(lattice))
 
 
+def _f2_sum(lattice: SubgroupLattice) -> int:
+    """Sum of F2 over all subgroups: one F2 per conjugacy class times the class size."""
+    return _memo(lattice, "f2_sum", lambda: sum(
+        size * _f2(_own(lattice, rep))
+        for rep, size in Counter(lattice.class_reps()).items()
+    ))
+
+
 def _sd(lattice: SubgroupLattice) -> Fraction:
     """sd_direct of the lattice, counted once."""
     return _memo(lattice, "sd", lambda: sd_direct(lattice))
@@ -116,19 +133,13 @@ def graph_and_spectra(lattice: SubgroupLattice,
 
 
 def commuting_pair_count(lattice: SubgroupLattice) -> int:
-    """Ordered subgroup pairs (X, Y) with XY = YX, by the lattice-order test.
+    """Ordered subgroup pairs (X, Y) with XY = YX: the sum of the permutability matrix.
 
     Each pair is decided by |X join Y| * |X meet Y| = |X| * |Y|
     (`products_commute`), not by set products; `f2_direct` is the route that
     multiplies subgroups element by element.
     """
-    count = 0
-    for a in range(lattice.size):
-        count += 1  # (a, a)
-        for b in range(a + 1, lattice.size):
-            if lattice.products_commute(a, b):
-                count += 2
-    return count
+    return int(lattice.permutability().sum())
 
 
 def sd_direct(lattice: SubgroupLattice) -> Fraction:
@@ -145,9 +156,8 @@ def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> Fract
 
 def sd_via_f2(lattice: SubgroupLattice) -> Fraction:
     """Sum of the factorization numbers of all subgroups, divided by |L|^2."""
-    total = sum(_f2(_own(lattice, sid)) for sid in range(lattice.size))
     n = lattice.size
-    return Fraction(total, n * n)
+    return Fraction(_f2_sum(lattice), n * n)
 
 
 # -- F2 --------------------------------------------------------------------
@@ -157,18 +167,19 @@ def f2_direct(lattice: SubgroupLattice) -> int:
     """Ordered pairs (H, K) with HK = G, counted by exhaustive set products.
 
     This is the one route that builds complex products element by element, so
-    the sd and F2 cross-checks compare it against the lattice-order test.
+    the sd and F2 cross-checks compare it against the lattice-order test; it
+    reads no join, meet or permutability matrix. H runs over one
+    representative per conjugacy class, each row weighted by the class size:
+    H^g K^g = (HK)^g, so HK = G exactly when H^g K^g = G.
     """
     n = lattice.group.order
     full = (1 << n) - 1
     orders = [s.order for s in lattice.subgroups]
     count = 0
-    for a in range(lattice.size):
+    for a, size in Counter(lattice.class_reps()).items():
         for b in range(lattice.size):
-            if orders[a] * orders[b] < n:
-                continue
-            if lattice.product_bits(a, b) == full:
-                count += 1
+            if orders[a] * orders[b] >= n and lattice.product_bits(a, b) == full:
+                count += size
     return count
 
 
@@ -374,12 +385,12 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
     two_e = 2 * graph.edge_count
     checks: list[CheckResult] = []
 
-    core = lattice.permuting_core()
+    permutes = lattice.permutability()
     trimmed = [
         (c, x)
-        for c in sorted(core)
+        for c in sorted(lattice.permuting_core())
         for x in range(n)
-        if not lattice.products_commute(c, x)
+        if not permutes[c, x]
     ]
     checks.append(CheckResult(
         "no_trimmed_edges",
@@ -394,7 +405,7 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
         "edge_count_vs_sd", Fraction(two_e) == sd_rhs, str(two_e), str(sd_rhs),
     ))
 
-    f2_sum = sum(_f2(_own(lattice, sid)) for sid in range(n))
+    f2_sum = _f2_sum(lattice)
     checks.append(CheckResult(
         "edge_count_vs_f2_sum", two_e == n * n - f2_sum, str(two_e), str(n * n - f2_sum),
     ))

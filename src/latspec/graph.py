@@ -2,10 +2,14 @@
 
 Vertices are the lattice members outside the permuting core, in lattice
 canonical order; two vertices H, K are joined exactly when HK != KH. The
-pair test is arithmetic on the lattice, |H join K| * |H meet K| != |H| * |K|,
-which needs a join-closed lattice. Quasihamiltonian groups give the null
-graph. Isolated vertices are kept: lying outside the core does not force a
-vertex to have an edge.
+adjacency is the complement of the lattice's permutability matrix
+(`SubgroupLattice.permutability`, the lattice-order test
+|H join K| * |H meet K| = |H| * |K|, exact on a join-closed lattice) with
+the core rows and columns taken off. The graph stores it as a read-only
+boolean array; the dense adjacency and Laplacian matrices are read from that
+array, and the edge list walks it row by row. Quasihamiltonian groups give
+the null graph. Isolated vertices are kept: lying outside the core does not
+force a vertex to have an edge.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import SubgroupLattice
-from .perm import iter_bits
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,11 @@ class NonPermutabilityGraph:
     """Simple loop-free graph on the non-core subgroups of a lattice."""
 
     def __init__(self, lattice: SubgroupLattice, vertex_ids: tuple[int, ...],
-                 adjacency_bits: tuple[int, ...]) -> None:
+                 adjacency: np.ndarray) -> None:
         self.lattice = lattice
         self.vertex_ids = vertex_ids
-        self._adj = adjacency_bits
-        self.edge_count = sum(bits.bit_count() for bits in adjacency_bits) // 2
+        self._adj = adjacency  # read-only boolean, rows and columns by vertex position
+        self.edge_count = int(adjacency.sum()) // 2
 
     @property
     def vertex_count(self) -> int:
@@ -62,22 +65,17 @@ class NonPermutabilityGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         """Adjacency between vertex positions (not subgroup ids)."""
-        return bool(self._adj[u] & (1 << v))
+        return bool(self._adj[u, v])
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return int(self._adj[v].sum())
 
     def degrees(self) -> list[int]:
-        return [bits.bit_count() for bits in self._adj]
+        return self._adj.sum(axis=1).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
-        """Unordered adjacent pairs as (position, position), deterministic order."""
-        out = []
-        for u in range(self.vertex_count):
-            for v in iter_bits(self._adj[u]):
-                if v > u:
-                    out.append((u, v))
-        return out
+        """Unordered adjacent pairs (u, v), u < v, as positions, in row-major order."""
+        return [(u, v) for u, v in np.argwhere(np.triu(self._adj, 1)).tolist()]
 
     def connected_components(self) -> int:
         seen: set[int] = set()
@@ -90,7 +88,7 @@ class NonPermutabilityGraph:
             seen.add(start)
             while stack:
                 u = stack.pop()
-                for v in iter_bits(self._adj[u]):
+                for v in np.flatnonzero(self._adj[u]).tolist():
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
@@ -108,33 +106,22 @@ class NonPermutabilityGraph:
 
 
 def build_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
-    """Pairwise permutability tests over the non-core subgroups."""
+    """The complement of the permutability matrix on the non-core subgroups."""
     core = lattice.permuting_core()
     vertex_ids = tuple(i for i in range(lattice.size) if i not in core)
-    m = len(vertex_ids)
-    adj = [0] * m
-    for u in range(m):
-        for v in range(u + 1, m):
-            if not lattice.products_commute(vertex_ids[u], vertex_ids[v]):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return NonPermutabilityGraph(lattice, vertex_ids, tuple(adj))
+    adj = ~lattice.permutability()[np.ix_(vertex_ids, vertex_ids)]
+    adj.flags.writeable = False
+    return NonPermutabilityGraph(lattice, vertex_ids, adj)
 
 
 def adjacency_matrix(graph: NonPermutabilityGraph) -> DenseSymMatrix:
-    m = graph.vertex_count
-    a = np.zeros((m, m))
-    for u, v in graph.edges():
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return DenseSymMatrix(a)
+    return DenseSymMatrix(graph._adj.astype(float))
 
 
 def laplacian_matrix(graph: NonPermutabilityGraph) -> DenseSymMatrix:
     """Degree diagonal minus adjacency; every row sums to zero."""
-    a = adjacency_matrix(graph).data
-    lap = np.diag(a.sum(axis=1)) - a
-    return DenseSymMatrix(lap)
+    a = graph._adj.astype(float)
+    return DenseSymMatrix(np.diag(a.sum(axis=1)) - a)
 
 
 def vertex_label(lattice: SubgroupLattice, sid: int) -> str:

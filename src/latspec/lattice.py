@@ -1,8 +1,15 @@
 """Complete subgroup lattices: enumeration, meet/join, Möbius values, permuting core.
 
 A lattice is built once (single writer) and is immutable afterwards; the
-Möbius memo, the conjugacy-class map and `memo` are filled lazily with
-deterministic values, so concurrent readers always observe a consistent map.
+Möbius memo, the conjugacy-class map, the permutability matrix and `memo` are
+filled lazily with deterministic values, so concurrent readers always observe
+a consistent map.
+
+Two independent pair computations live here. `products_commute` decides
+HK = KH from lattice orders, and `permutability` calls it once per unordered
+pair to fill the one matrix every permutability consumer reads.
+`product_bits` builds the set product HK element by element, as a union of
+right cosets; it never touches joins, meets or the matrix.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
@@ -13,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .closed_forms import is_prime
 from .errors import DomainError, InputError, SizeError
@@ -132,6 +141,7 @@ class SubgroupLattice:
                     raise InputError("member sets are not meet-closed")
 
         self._mobius_memo: dict[tuple[int, int], int] = {}
+        self._permutes: np.ndarray | None = None
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
         self._class_reps: tuple[int, ...] | None = None
@@ -226,14 +236,19 @@ class SubgroupLattice:
     # -- complex products ----------------------------------------------------
 
     def product_bits(self, a: int, b: int) -> int:
-        """Bitset of the complex product (members of a) * (members of b)."""
+        """Bitset of the complex product (members of a) * (members of b).
+
+        AB is the union of the right cosets Ak, k in B. A k already in the
+        union is some h*k' with k' walked before, so Ak = Ak' is held and is
+        skipped: |B| + |AB| table reads instead of |A| * |B|.
+        """
         table = self.group.mul_table
+        left = self._member_tuples[a]
         out = 0
-        kt = self._member_tuples[b]
-        for h in self._member_tuples[a]:
-            row = table[h]
-            for k in kt:
-                out |= 1 << row[k]
+        for k in self._member_tuples[b]:
+            if not out >> k & 1:
+                for h in left:
+                    out |= 1 << table[h][k]
         return out
 
     def products_commute(self, a: int, b: int) -> bool:
@@ -251,19 +266,34 @@ class SubgroupLattice:
 
     # -- permuting core and derived predicates --------------------------------
 
+    def permutability(self) -> np.ndarray:
+        """Read-only symmetric boolean matrix: entry (a, b) says whether a and b permute.
+
+        Filled once per lattice by one `products_commute` call per unordered
+        pair a < b; the diagonal is true. The permuting core, the
+        quasihamiltonian flag, sd[direct] and the graph all read it.
+        """
+        if self._permutes is None:
+            size = self.size
+            permutes = np.ones((size, size), dtype=bool)
+            for a in range(size):
+                for b in range(a + 1, size):
+                    if not self.products_commute(a, b):
+                        permutes[a, b] = permutes[b, a] = False
+            permutes.flags.writeable = False
+            self._permutes = permutes
+        return self._permutes
+
     def permuting_core(self) -> frozenset[int]:
         """Ids of the sublattice closure of the permute-with-all subgroup set.
 
-        Starts from {Y : YX = XY for every X}, which need not be a sublattice,
-        and alternates meet- and join-closure passes until a fixpoint.
+        Starts from {Y : YX = XY for every X}, the all-true rows of the
+        permutability matrix, which need not be a sublattice, and alternates
+        meet- and join-closure passes until a fixpoint.
         """
         if self._core is not None:
             return self._core
-        size = self.size
-        core = {
-            y for y in range(size)
-            if all(self.products_commute(y, x) for x in range(size))
-        }
+        core = set(np.flatnonzero(self.permutability().all(axis=1)).tolist())
         changed = True
         while changed:
             changed = False
@@ -279,12 +309,7 @@ class SubgroupLattice:
 
     def is_quasihamiltonian(self) -> bool:
         """True iff every pair of subgroups permutes (the whole lattice is the core)."""
-        size = self.size
-        return all(
-            self.products_commute(a, b)
-            for a in range(size)
-            for b in range(a + 1, size)
-        )
+        return bool(self.permutability().all())
 
     # -- materializing members as standalone groups ---------------------------
 

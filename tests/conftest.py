@@ -1,6 +1,6 @@
 import pytest
 
-from latspec.perm import FiniteGroup, Permutation, compose, generate_group, parse_generators
+from latspec.perm import FiniteGroup, Permutation, bits_of, compose, generate_group, parse_generators
 
 
 @pytest.fixture(autouse=True)
@@ -55,3 +55,12 @@ def c6():
 @pytest.fixture(scope="session")
 def e8():
     return build(6, "(1,2);(3,4);(5,6)")
+
+
+def double_loop_product(lattice, a, b):
+    """Reference set product of subgroups a and b: h*k for every member pair,
+    |A| * |B| table reads."""
+    table = lattice.group.mul_table
+    left = lattice.subgroups[a].member_indices()
+    right = lattice.subgroups[b].member_indices()
+    return bits_of(table[h][k] for h in left for k in right)

@@ -6,6 +6,7 @@ import pytest
 import latspec.degrees as degrees
 import latspec.spectral as spectral
 from latspec.cli import main
+from latspec.lattice import SubgroupLattice
 
 
 def run(capsys, *argv):
@@ -341,6 +342,27 @@ class TestSolveOnce:
         keys = [(data, tol) for _, data, tol in eigen_solves]
         assert len(keys) == len(set(keys))
         assert [dim for dim, _, _ in eigen_solves].count(top_dim) == 2
+
+    def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
+        built = []
+        calls = {}
+        real_init = SubgroupLattice.__init__
+        real_test = SubgroupLattice.products_commute
+
+        def recording_init(self, *args):
+            real_init(self, *args)
+            built.append(self)
+
+        def counting_test(self, a, b):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return real_test(self, a, b)
+
+        monkeypatch.setattr(SubgroupLattice, "__init__", recording_init)
+        monkeypatch.setattr(SubgroupLattice, "products_commute", counting_test)
+        assert run(capsys, "verify", "S4")[0] == 0
+        assert len(built) == 11  # S4 and one lattice per other conjugacy class
+        assert [calls.get(id(lat), 0) for lat in built] == [
+            lat.size * (lat.size - 1) // 2 for lat in built]
 
     def test_structure_from_cache_then_verify_matches_cold_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "c")

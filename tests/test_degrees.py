@@ -1,12 +1,22 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latspec.degrees as degrees
-from latspec.catalog import alternating, cyclic, dihedral, elementary_abelian, quaternion, symmetric
+from latspec.catalog import (
+    CATALOG_NAMES,
+    alternating,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    parse_group_spec,
+    quaternion,
+    symmetric,
+)
 from latspec.degrees import (
     ExactRational,
     commuting_pair_count,
@@ -26,6 +36,7 @@ from latspec.graph import build_graph
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
 from latspec.perm import generate_group, parse_permutation
 
+from conftest import double_loop_product
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +134,29 @@ class TestF2Direct:
         # pairs involving the whole group alone give 2|L| - 1
         for lattice in (lat_s4, lat_d4, lat_q8):
             assert f2_direct(lattice) >= 2 * lattice.size - 1
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_matches_the_double_loop_over_all_pairs(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        n = lattice.group.order
+        full = (1 << n) - 1
+        orders = [s.order for s in lattice.subgroups]
+        expected = sum(
+            1
+            for a in range(lattice.size)
+            for b in range(lattice.size)
+            if orders[a] * orders[b] >= n and double_loop_product(lattice, a, b) == full
+        )
+        assert f2_direct(lattice) == expected
+
+    def test_reads_no_pair_test(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("f2_direct must not use the lattice-order test")
+
+        lattices = [enumerate_subgroups(symmetric(4)), enumerate_subgroups(alternating(5))]
+        for name in ("products_commute", "join", "meet", "permutability"):
+            monkeypatch.setattr(SubgroupLattice, name, forbidden)
+        assert [f2_direct(lattice) for lattice in lattices] == [177, 237]
 
     def test_factorization_pairs_permute(self, lat_d4):
         n = lat_d4.group.order
@@ -346,6 +380,28 @@ class TestIndependentRoutes:
         report = verify_identities(lattice)
         assert not report.internal_ok
         assert report.f2["direct"] == 176 and report.f2["mobius"] == 177
+        assert not _check(report, "f2_methods_equal").passed
+
+    def test_corrupt_product_of_a_class_rep_drops_f2_by_its_class_size(self, monkeypatch):
+        lattice = enumerate_subgroups(symmetric(4))
+        sizes = Counter(lattice.class_reps())
+        full = (1 << lattice.group.order) - 1
+        a, b = next(
+            (a, b) for a in sizes for b in range(lattice.size)
+            if sizes[a] > 1 and b != lattice.top_id and lattice.product_bits(a, b) == full
+        )
+        original = SubgroupLattice.product_bits
+
+        def drop_one_element(self, x, y):
+            out = original(self, x, y)
+            if self is lattice and (x, y) == (a, b):
+                out &= ~(1 << lattice.group.identity_index)
+            return out
+
+        monkeypatch.setattr(SubgroupLattice, "product_bits", drop_one_element)
+        report = verify_identities(lattice)
+        assert not report.internal_ok
+        assert report.f2["direct"] == 177 - sizes[a] and report.f2["mobius"] == 177
         assert not _check(report, "f2_methods_equal").passed
 
     def test_corrupt_pair_test_is_caught(self, monkeypatch):

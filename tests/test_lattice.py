@@ -283,6 +283,20 @@ class TestPermutingCore:
             assert lat_s4.join(a, b) in core
 
 
+class TestPermutability:
+    def test_symmetric_with_true_diagonal_and_one_call_per_pair(self):
+        for name in CATALOG_NAMES:
+            lattice = enumerate_subgroups(parse_group_spec(name).group)
+            permutes = lattice.permutability()
+            assert permutes.shape == (lattice.size, lattice.size)
+            assert (permutes == permutes.T).all() and permutes.diagonal().all(), name
+            assert not permutes.flags.writeable
+            for a, b in itertools.combinations(range(lattice.size), 2):
+                assert permutes[a, b] == lattice.products_commute(a, b), (name, a, b)
+            assert lattice.permutability() is permutes
+            assert lattice.is_quasihamiltonian() == permutes.all()
+
+
 class TestQuasihamiltonian:
     def test_abelian_groups(self, c6, e8):
         assert enumerate_subgroups(c6).is_quasihamiltonian()

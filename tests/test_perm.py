@@ -19,7 +19,7 @@ from latspec.perm import (
     parse_permutation,
 )
 
-from conftest import build, naive_closure
+from conftest import build, double_loop_product, naive_closure
 
 
 def pointwise_compose(a, b):
@@ -193,6 +193,12 @@ class TestProductSet:
         assert hk == oracle_hk
         assert len(hk) == 4
         assert hk != kh
+
+    def test_coset_union_matches_the_double_loop(self):
+        for name in CATALOG_NAMES:
+            lattice = enumerate_subgroups(parse_group_spec(name).group)
+            for a, b in itertools.product(range(lattice.size), repeat=2):
+                assert lattice.product_bits(a, b) == double_loop_product(lattice, a, b), (name, a, b)
 
     def test_v4_times_c3_covers_a4(self, a4):
         lattice = enumerate_subgroups(a4)
