@@ -5,9 +5,9 @@ hash of the canonical element table). Two distinct groups whose hashes ever
 collided would still be stored separately: every lookup compares the full
 element table, and one cache file can hold several entries.
 
-Each entry records, next to its sections, the eigensolver tolerance they were
-computed at. A lookup at another tolerance, or of an entry with none
-recorded, is a miss, and the next store overwrites the entry.
+Entries are also keyed by the eigensolver tolerance of their sections, so a
+store replaces, and a lookup reads, only the entry at its own tolerance; an
+entry with no tolerance recorded never matches.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ def _element_lists(group: FiniteGroup) -> list[list[int]]:
     return [list(p.images) for p in group.elements]
 
 
+def _key(entry: dict) -> tuple:
+    return entry.get("tol"), entry.get("degree"), entry.get("elements")
+
+
 def _cache_file(cache_dir: str | Path, group: FiniteGroup) -> Path:
     key = f"{group.order}-{table_hash(group)[:24]}"
     return Path(cache_dir) / f"{key}.json"
@@ -77,13 +81,11 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
     data = _load_file(_cache_file(cache_dir, group))
     if data is None:
         return None
-    elements = _element_lists(group)
+    key = (tol, group.degree, _element_lists(group))
     for entry in data["entries"]:
-        if entry.get("degree") == group.degree and entry.get("elements") == elements:
+        if _key(entry) == key:
             sections = entry.get("sections")
-            if entry.get("tol") != tol or not isinstance(sections, dict):
-                return None
-            return sections
+            return sections if isinstance(sections, dict) else None
     return None
 
 
@@ -93,16 +95,15 @@ def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: dict,
     path = _cache_file(cache_dir, group)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = _load_file(path) or {"version": TOOL_VERSION, "entries": []}
-    elements = _element_lists(group)
     entry = {
         "signature": signature_of(group),
         "degree": group.degree,
-        "elements": elements,
+        "elements": _element_lists(group),
         "sections": sections,
         "tol": tol,
     }
     for i, existing in enumerate(data["entries"]):
-        if existing.get("degree") == group.degree and existing.get("elements") == elements:
+        if _key(existing) == _key(entry):
             data["entries"][i] = entry
             break
     else:

@@ -44,6 +44,14 @@ def _fixed(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _member_lists(structure) -> list:
+    """The member lists of a cached structure section; InputError if it is malformed."""
+    try:
+        return [s["members"] for s in structure["lattice"]["subgroups"]]
+    except (KeyError, TypeError):
+        raise InputError("the lattice section is malformed") from None
+
+
 class Pipeline:
     """Computes and caches the per-group artifact sections.
 
@@ -62,12 +70,10 @@ class Pipeline:
 
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
-            stored = self._sections.get("structure")
-            if stored is not None:
+            if "structure" in self._sections:
                 try:
                     self._lattice = SubgroupLattice.from_member_lists(
-                        self.group, [s["members"] for s in stored["lattice"]["subgroups"]]
-                    )
+                        self.group, _member_lists(self._sections["structure"]))
                 except InputError as exc:
                     # every cached section derives from this lattice
                     print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "

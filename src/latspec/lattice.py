@@ -11,6 +11,10 @@ pair to fill the one matrix every permutability consumer reads.
 `product_bits` builds the set product HK element by element, as a union of
 right cosets; it never touches joins, meets or the matrix.
 
+A lattice holds every subgroup, which `meet` and `join` rely on.
+`_close_by_cyclic_extension` builds one from the trivial subgroup, and proves
+a dumped one complete: closing it must add nothing.
+
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
 makes every id, dump, and downstream artifact deterministic.
@@ -106,6 +110,63 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> dict[int, tuple[int, int]]:
     return cyclic
 
 
+def _close_by_cyclic_extension(group: FiniteGroup, found: set[int],
+                               reps: list[tuple[int, tuple[int, ...]]],
+                               subgroup_cap: int) -> set[int]:
+    """Add every subgroup of the group to `found` by Neubüser's cyclic extension.
+
+    `found` must be a family of subgroups, closed under conjugation, holding
+    the trivial subgroup; `reps` holds one (member bits, generators) pair per
+    conjugacy class in it. Each representative R is extended by every cyclic
+    p-subgroup <g> with g outside R and g^p inside R. <R, g> is the union of
+    the left cosets of R that the generators reach from R, read from one
+    coset table per representative. A new <R, g> brings in its whole
+    conjugacy class and becomes that class's representative.
+
+    The result holds every subgroup. Let K be a missing subgroup of least
+    order and R a maximal subgroup of K. R is present, and after conjugating
+    K (its conjugates are missing too) R is a walked representative. Some
+    cyclic p-subgroup <g> of K lies outside R with g^p inside R (walk down a
+    prime-power part of any element of K outside R), and then <R, g> = K,
+    which the walk over R adds. A complete family is closed under meets and
+    joins, which `meet` and `join` rely on. Raises SizeError once the family
+    would exceed `subgroup_cap`.
+    """
+    table = group.mul_table
+    conjugators = _conjugators(group)
+    cyclic = _cyclic_p_subgroups(group).values()
+    for r_bits, r_gens in reps:  # grows while it is walked
+        r_members = tuple(iter_bits(r_bits))
+        coset = [0] * group.order  # x -> bits of its left coset xR
+        for x in range(group.order):
+            if not coset[x]:
+                row = table[x]
+                xr = [row[h] for h in r_members]
+                bits = bits_of(xr)
+                for y in xr:
+                    coset[y] = bits
+        for g, gp in cyclic:
+            if r_bits >> g & 1 or not r_bits >> gp & 1:
+                continue
+            gens = r_gens + (g,)
+            joined, frontier = r_bits, [group.identity_index]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = table[s][x]
+                    if not joined >> y & 1:
+                        joined |= coset[y]
+                        frontier.append(y)
+            if joined in found:
+                continue
+            for bits in _conjugates(joined, conjugators):
+                if len(found) >= subgroup_cap:
+                    raise SizeError(f"subgroup count exceeded cap {subgroup_cap}")
+                found.add(bits)
+            reps.append((joined, gens))
+    return found
+
+
 class SubgroupLattice:
     """The lattice of all subgroups of a finite group, ordered by inclusion."""
 
@@ -134,11 +195,6 @@ class SubgroupLattice:
                 if sj.members & mi == sj.members:
                     self._down[i] |= 1 << j
                     self._up[j] |= 1 << i
-        for i, si in enumerate(self.subgroups):
-            for j in range(i + 1, n):
-                meet_bits = si.members & self.subgroups[j].members
-                if meet_bits not in self._id_of:
-                    raise InputError("member sets are not meet-closed")
 
         self._mobius_memo: dict[tuple[int, int], int] = {}
         self._permutes: np.ndarray | None = None
@@ -257,8 +313,8 @@ class SubgroupLattice:
         |AB| = |A||B|/|A meet B| and AB lies inside A join B, and AB = BA
         exactly when AB is a subgroup, i.e. AB = A join B. So the pair
         permutes iff |A join B| * |A meet B| = |A| * |B|. Exact only while
-        `join` is, that is on a join-closed family: enumerated lattices are
-        by construction, and `from_member_lists` checks it.
+        `join` is, that is on a complete family, which both constructors
+        prove with `_close_by_cyclic_extension`.
         """
         subs = self.subgroups
         return (subs[self.join(a, b)].order * subs[self.meet(a, b)].order
@@ -370,71 +426,30 @@ class SubgroupLattice:
                           member_lists: Iterable[Sequence[int]]) -> "SubgroupLattice":
         """Rebuild a lattice from dumped member index arrays (e.g. a cache entry).
 
-        Every member set is re-checked to be closed under the group operation,
-        and the family to hold every subgroup (`_require_complete`), so a
-        truncated dump is rejected instead of giving wrong joins.
+        InputError unless the lists hold element indices, the family is
+        closed under conjugation, each class representative (so each member)
+        is a subgroup, and `_close_by_cyclic_extension` adds nothing to it.
         """
-        lattice = cls(group, (bits_of(m) for m in member_lists))
-        trivial = 1 << group.identity_index
-        for sub in lattice.subgroups:
+        family = []
+        for members in member_lists:
+            if not isinstance(members, (list, tuple)) or not all(
+                    type(h) is int and 0 <= h < group.order for h in members):
+                raise InputError("dumped member lists are not lists of element indices")
+            family.append(bits_of(members))
+        lattice = cls(group, family)
+        reps = []
+        for sid in sorted(set(lattice.class_reps())):
             # the greedy generators span the member set only if it is a subgroup
-            gens = lattice.minimal_generators(sub.id)
-            if _closure_bits(group.mul_table, trivial, gens) != sub.members:
+            gens = lattice.minimal_generators(sid)
+            members = lattice.subgroups[sid].members
+            if _closure_bits(group.mul_table, 1 << group.identity_index, gens) != members:
                 raise InputError("dumped member sets are not subgroups")
-        lattice._require_complete()
+            reps.append((members, gens))
+        closed = _close_by_cyclic_extension(group, set(lattice._id_of), reps,
+                                            DEFAULT_SUBGROUP_CAP)
+        if len(closed) != lattice.size:
+            raise InputError("dumped member sets are not every subgroup")
         return lattice
-
-    def _require_complete(self) -> None:
-        """Raise InputError unless the family holds every subgroup of the group.
-
-        The members are already known to be subgroups, with the trivial one
-        among them and meets closed. Let K be a missing subgroup of least
-        order and H a maximal subgroup of K, so H is present. Some cyclic
-        p-subgroup C of K lies outside H with its maximal subgroup inside H
-        (walk down a prime-power part of any element of K outside H), and
-        then <H, C> = K. So a family closed under conjugation is complete
-        iff <R, C> is a member for every class representative R and every
-        such cyclic p-subgroup C of the group (C = <g> with g outside R and
-        g^p inside R). That also makes the family join-closed, which `join`
-        relies on. The representatives come from `class_reps`, which also
-        checks the closure under conjugation; `enumerate_subgroups` builds
-        its family by the same argument.
-        """
-        reps = sorted(set(self.class_reps()))
-        group = self.group
-        table = group.mul_table
-        holders = [0] * group.order  # ids of the members holding each element
-        for sid, members in enumerate(self._member_tuples):
-            for h in members:
-                holders[h] |= 1 << sid
-        cyclic = _cyclic_p_subgroups(group).values()
-        e = group.identity_index
-        for r in reps:
-            r_bits = self.subgroups[r].members
-            r_order = self.subgroups[r].order
-            coset = [-1] * group.order  # left coset xR -> its least element
-            for x in range(group.order):
-                if coset[x] < 0:
-                    for h in self._member_tuples[r]:
-                        coset[table[x][h]] = x
-            for g, gp in cyclic:
-                if r_bits >> g & 1 or not r_bits >> gp & 1:
-                    continue
-                # <R, g> lies in M, the least member above R and g, and is
-                # M exactly when it moves the coset R onto |M : R| cosets
-                common = self._up[r] & holders[g]
-                index = self.subgroups[(common & -common).bit_length() - 1].order // r_order
-                gens = self.minimal_generators(r) + (g,)
-                reached, frontier = 1 << coset[e], [coset[e]]
-                while frontier:
-                    x = frontier.pop()
-                    for s in gens:
-                        y = coset[table[s][x]]
-                        if not reached >> y & 1:
-                            reached |= 1 << y
-                            frontier.append(y)
-                if reached.bit_count() != index:
-                    raise InputError("dumped member sets are not every subgroup")
 
     def __repr__(self) -> str:
         return f"SubgroupLattice(group_order={self.group.order}, size={self.size})"
@@ -442,36 +457,13 @@ class SubgroupLattice:
 
 def enumerate_subgroups(group: FiniteGroup,
                         subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic extension, one conjugacy class at a time.
+    """Enumerate every subgroup by cyclic extension from the trivial subgroup.
 
-    Each class has one representative R, starting with the trivial subgroup.
-    R is extended by every cyclic p-subgroup <g> with g outside R and g^p
-    inside R; a new <R, g> brings in its whole conjugacy class and becomes
-    that class's representative. The family is then closed under conjugation
-    and holds every such <R, g>, which is exactly the completeness criterion
-    proved in `SubgroupLattice._require_complete` (Neubüser's cyclic
-    extension). Raises SizeError if more than `subgroup_cap` subgroups appear.
+    See `_close_by_cyclic_extension`. Raises SizeError if more than
+    `subgroup_cap` subgroups appear.
     """
-    table = group.mul_table
-    conjugators = _conjugators(group)
-    cyclic = _cyclic_p_subgroups(group).values()
     trivial = 1 << group.identity_index
-    found = {trivial}
-    reps: list[tuple[int, tuple[int, ...]]] = [(trivial, ())]  # (members, generators)
-    for r_bits, r_gens in reps:  # grows while it is walked
-        for g, gp in cyclic:
-            if r_bits >> g & 1 or not r_bits >> gp & 1:
-                continue
-            gens = r_gens + (g,)
-            joined = _closure_bits(table, r_bits | 1 << g, gens)
-            if joined in found:
-                continue
-            for bits in _conjugates(joined, conjugators):
-                if len(found) >= subgroup_cap:
-                    raise SizeError(f"subgroup count exceeded cap {subgroup_cap}")
-                found.add(bits)
-            reps.append((joined, gens))
-
+    found = _close_by_cyclic_extension(group, {trivial}, [(trivial, ())], subgroup_cap)
     return SubgroupLattice(group, found)
 
 

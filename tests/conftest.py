@@ -64,3 +64,22 @@ def double_loop_product(lattice, a, b):
     left = lattice.subgroups[a].member_indices()
     right = lattice.subgroups[b].member_indices()
     return bits_of(table[h][k] for h in left for k in right)
+
+
+def pair_closures(group):
+    """Member sets of <a, b> for every pair of elements, each closed by a
+    breadth-first search over the mul table. Every subgroup of a group whose
+    subgroups are all 2-generated is among them."""
+    table = group.mul_table
+    found = set()
+    for a in range(group.order):
+        for b in range(a, group.order):
+            members, frontier = {group.identity_index}, [group.identity_index]
+            while frontier:
+                row = table[frontier.pop()]
+                for y in (row[a], row[b]):
+                    if y not in members:
+                        members.add(y)
+                        frontier.append(y)
+            found.add(frozenset(members))
+    return found

@@ -94,15 +94,20 @@ class TestTolerance:
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
         assert cache_lookup(cache_dir, group) is None
 
-    def test_store_at_another_tol_overwrites(self, cache_dir):
+    def test_store_at_another_tol_keeps_both_entries(self, cache_dir):
         group = symmetric(3)
         cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
         cache_store(cache_dir, group, {"structure": {"v": 2}})
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
-        assert cache_lookup(cache_dir, group, tol=0.3) is None
+        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
+        assert cache_lookup(cache_dir, group, tol=1e-10) is None
         data = json.loads(next(cache_dir.glob("*.json")).read_text())
-        assert len(data["entries"]) == 1
-        assert data["entries"][0]["tol"] == 1e-12
+        assert sorted(e["tol"] for e in data["entries"]) == [1e-12, 0.3]
+        # a second store at one tol replaces only that tol's entry
+        cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
+        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
+        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
+        assert len(json.loads(next(cache_dir.glob("*.json")).read_text())["entries"]) == 2
 
     def test_entry_without_tol_misses(self, cache_dir):
         group = symmetric(3)

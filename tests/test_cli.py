@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import latspec.cli as cli
 import latspec.degrees as degrees
 import latspec.spectral as spectral
 from latspec.cli import main
@@ -254,8 +255,20 @@ class TestCacheTolerance:
         cold = run(capsys, *argv)
         assert warm == cold
         assert cold[0] == 0
-        # the recomputed sections replaced the loose ones
+        # the recomputed sections are stored beside the loose ones and answer the default tol
         assert run(capsys, "--cache", cache_dir, *argv) == cold
+
+    def test_a_run_at_another_tol_keeps_the_default_report(self, capsys, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "c")
+        first = run(capsys, "--cache", cache_dir, "verify", "S4")
+        assert first[0] == 0
+        assert run(capsys, "--cache", cache_dir, "lattice", "S4", "--tol", "1e-10")[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("the stored report was not replayed")
+
+        monkeypatch.setattr(cli, "verify_identities", refuse)
+        assert run(capsys, "--cache", cache_dir, "verify", "S4") == first
 
 
 class TestTruncatedCache:
@@ -301,6 +314,29 @@ class TestTruncatedCache:
         assert code == 0
         assert "rejecting the cached entry for S4" in err
         assert out.startswith("30 subgroups")
+
+
+class TestMalformedCache:
+    """A cached lattice section of the wrong shape is rejected, not a traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lattice: lattice["subgroups"].append({"id": 6, "order": 2, "members": [0, 999]}),
+        lambda lattice: lattice["subgroups"][1]["members"].append("a"),
+        lambda lattice: lattice.update(subgroups=5),
+        lambda lattice: lattice["subgroups"][1].pop("members"),
+    ], ids=["index_out_of_range", "index_not_an_int", "subgroups_not_a_list",
+            "members_missing"])
+    def test_entry_is_rejected_and_recomputed(self, capsys, tmp_path, corrupt):
+        cache_dir = tmp_path / "c"
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
+        path = next(cache_dir.glob("*.json"))
+        data = json.loads(path.read_text())
+        corrupt(data["entries"][0]["sections"]["structure"]["lattice"])
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "--cache", str(cache_dir), "sd", "S3", "--method", "all")
+        assert code == 0
+        assert "rejecting the cached entry for S3" in err
+        assert (code, out) == run(capsys, "sd", "S3", "--method", "all")[:2]
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ from latspec.errors import DomainError, InputError
 from latspec.lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
 from latspec.perm import bits_of, generate_group, iter_bits, parse_permutation
 
-from conftest import build, naive_closure
+from conftest import build, naive_closure, pair_closures
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,14 @@ class TestEnumeration:
         g = build(degree, gens)
         lattice = enumerate_subgroups(g)
         assert member_sets(lattice) == brute_subgroups(g)
+
+    @pytest.mark.parametrize("name, size", [("A5", 59), ("S5", 156), ("PSL(2,7)", 179)])
+    def test_matches_the_closures_of_all_pairs(self, name, size):
+        # every subgroup of these groups is 2-generated
+        group = parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        assert lattice.size == size
+        assert member_sets(lattice) == pair_closures(group)
 
     def test_every_order_divides_group_order(self, lat_s4):
         for s in lat_s4.subgroups:
@@ -376,12 +384,23 @@ class TestSerialization:
 
     @pytest.mark.parametrize("name", ["S5", "PSL(2,7)"])
     def test_enumeration_passes_the_completeness_proof(self, name):
-        # the coset-orbit test in from_member_lists checks the family
-        # independently of the closures enumeration ran
+        # from_member_lists re-runs the cyclic extension that enumeration ran,
+        # seeded with the whole family, so this is a consistency check; the
+        # independent oracle is test_matches_the_closures_of_all_pairs
         lattice = enumerate_subgroups(parse_group_spec(name).group)
         rebuilt = SubgroupLattice.from_member_lists(
             lattice.group, [s.member_indices() for s in lattice.subgroups])
         assert [s.members for s in rebuilt.subgroups] == [s.members for s in lattice.subgroups]
+
+    def test_rehydration_rejects_a_conjugation_closed_non_subgroup(self, lat_s4):
+        # {e, the 9 involutions, the 8 3-cycles} is a union of conjugacy
+        # classes of S4, so only the subgroup check can reject it
+        group = lat_s4.group
+        members = [s.member_indices() for s in lat_s4.subgroups]
+        small_orders = [i for i in range(group.order) if group.order_of_index(i) in (1, 2, 3)]
+        assert len(small_orders) == 18
+        with pytest.raises(InputError, match="not subgroups"):
+            SubgroupLattice.from_member_lists(group, members + [small_orders])
 
     def test_rehydration_rejects_non_subgroup_sets(self, lat_a4):
         dump = lat_a4.to_json_dict()
