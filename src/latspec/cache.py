@@ -69,7 +69,8 @@ def _load_file(path: Path) -> dict | None:
         return None
     if not isinstance(data, dict) or data.get("version") != TOOL_VERSION:
         return None
-    if not isinstance(data.get("entries"), list):
+    entries = data.get("entries")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         print(f"warning: ignoring malformed cache file {path}", file=sys.stderr)
         return None
     return data

@@ -20,6 +20,7 @@ expected group order, so a bad table fails loudly at first use.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -74,10 +75,7 @@ def symmetric(n: int) -> FiniteGroup:
         return cyclic(2)
     transposition = (1, 0) + tuple(range(2, n))
     cycle = tuple((i + 1) % n for i in range(n))
-    expected = 1
-    for k in range(2, n + 1):
-        expected *= k
-    return _from_images(n, [transposition, cycle], expected)
+    return _from_images(n, [transposition, cycle], math.factorial(n))
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -93,10 +91,7 @@ def alternating(n: int) -> FiniteGroup:
     else:
         # fix 0 and cycle the remaining n-1 points (odd length, hence even)
         gens = [three_cycle, (0,) + tuple(range(2, n)) + (1,)]
-    expected = 1
-    for k in range(2, n + 1):
-        expected *= k
-    return _from_images(n, gens, expected // 2)
+    return _from_images(n, gens, math.factorial(n) // 2)
 
 
 def quaternion() -> FiniteGroup:
@@ -289,7 +284,8 @@ CATALOG_NAMES: tuple[str, ...] = (
 )
 
 
-def _order_histogram_key(group: FiniteGroup) -> tuple:
+def order_histogram_key(group: FiniteGroup) -> tuple:
+    """(order, sorted element-order histogram), an isomorphism invariant."""
     return (group.order, tuple(sorted(group.element_order_histogram().items())))
 
 
@@ -305,7 +301,7 @@ def recognize_projective(group: FiniteGroup) -> tuple[str, int] | None:
     """
     if not _RECOGNITION:
         for q in PSL_SUPPORTED:
-            _RECOGNITION[_order_histogram_key(psl2(q))] = ("psl", q)
-        _RECOGNITION[_order_histogram_key(pgl2(3))] = ("pgl", 3)
-        _RECOGNITION[_order_histogram_key(symmetric(5))] = ("pgl", 5)
-    return _RECOGNITION.get(_order_histogram_key(group))
+            _RECOGNITION[order_histogram_key(psl2(q))] = ("psl", q)
+        _RECOGNITION[order_histogram_key(pgl2(3))] = ("pgl", 3)
+        _RECOGNITION[order_histogram_key(symmetric(5))] = ("pgl", 5)
+    return _RECOGNITION.get(order_histogram_key(group))

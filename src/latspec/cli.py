@@ -56,8 +56,9 @@ class Pipeline:
     """Computes and caches the per-group artifact sections.
 
     `structure` holds the lattice dump, graph, and spectra; `report` holds the
-    identity-verifier output. A cache entry always carries every section
-    computed so far; writes are atomic.
+    identity-verifier output. `save` writes the cache entry once, after the
+    command, with every section known, and only if this run computed one;
+    writes are atomic.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -67,6 +68,7 @@ class Pipeline:
         self.cache_dir = cache_dir
         self._sections = (cache_lookup(cache_dir, self.group, tol) or {}) if cache_dir else {}
         self._lattice: SubgroupLattice | None = None
+        self._computed = False
 
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
@@ -83,8 +85,8 @@ class Pipeline:
                 self._lattice = enumerate_subgroups(self.group)
         return self._lattice
 
-    def _store(self) -> None:
-        if self.cache_dir:
+    def save(self) -> None:
+        if self.cache_dir and self._computed:
             cache_store(self.cache_dir, self.group, self._sections, self.tol)
 
     def structure(self) -> dict:
@@ -101,14 +103,14 @@ class Pipeline:
                     "laplacian": [_fixed(v) for v in lap.values],
                 },
             }
-            self._store()
+            self._computed = True
         return self._sections["structure"]
 
     def report(self) -> dict:
         if "report" not in self._sections:
             self.structure()
             self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
-            self._store()
+            self._computed = True
         return self._sections["report"]
 
 
@@ -354,6 +356,7 @@ def _verify_one(name: str, tol: float, cache_dir: str | None) -> tuple[dict, boo
     spec = parse_group_spec(name)
     pipeline = Pipeline(spec, tol, cache_dir)
     report = pipeline.report()
+    pipeline.save()
     return {"name": name, "report": report}, bool(report["internal_ok"])
 
 
@@ -474,7 +477,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(args, args.tol, args.cache)
         spec = parse_group_spec(args.group)
         pipeline = Pipeline(spec, args.tol, args.cache)
-        return _GROUP_COMMANDS[args.command](pipeline, args)
+        status = _GROUP_COMMANDS[args.command](pipeline, args)
+        pipeline.save()
+        return status
     except (InputError, SizeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

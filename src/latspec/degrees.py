@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cache import signature_of
+from .catalog import order_histogram_key
 from .errors import ConsistencyError, DomainError
 from .graph import (
     DenseSymMatrix,
@@ -305,13 +306,8 @@ class DegreeReport:
         }
 
 
-def _fingerprint(lattice: SubgroupLattice) -> tuple:
-    hist = lattice.group.element_order_histogram()
-    return (lattice.group.order, tuple(sorted(hist.items())))
-
-
 def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> list[str]:
-    if _fingerprint(lattice) != _S4_FINGERPRINT:
+    if order_histogram_key(lattice.group) != _S4_FINGERPRINT:
         return []
     pub = _S4_PUBLISHED
     mu_bottom = lattice.mobius(lattice.bottom_id, lattice.top_id)

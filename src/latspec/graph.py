@@ -133,14 +133,13 @@ def vertex_label(lattice: SubgroupLattice, sid: int) -> str:
     return f"<{parts}>"
 
 
-def dot_export(graph: NonPermutabilityGraph, labels: dict[int, str] | None = None) -> str:
+def dot_export(graph: NonPermutabilityGraph) -> str:
     """Undirected DOT document, one node line per vertex and one line per edge."""
     lattice = graph.lattice
     ids = graph.vertex_ids
     lines = ["graph G {"]
-    for pos, sid in enumerate(ids):
-        label = labels[sid] if labels is not None else vertex_label(lattice, sid)
-        lines.append(f'  s{sid} [label="{label}"];')
+    for sid in ids:
+        lines.append(f'  s{sid} [label="{vertex_label(lattice, sid)}"];')
     for u, v in graph.edges():
         lines.append(f"  s{ids[u]} -- s{ids[v]};")
     lines.append("}")

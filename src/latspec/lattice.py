@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_forms import is_prime
 from .errors import DomainError, InputError, SizeError
-from .perm import FiniteGroup, Permutation, bits_of, iter_bits
+from .perm import FiniteGroup, bits_of, iter_bits
 
 DEFAULT_SUBGROUP_CAP = 100_000
 
@@ -370,7 +370,13 @@ class SubgroupLattice:
     # -- materializing members as standalone groups ---------------------------
 
     def minimal_generators(self, sid: int) -> tuple[int, ...]:
-        """A small generating set of element indices for the given subgroup (greedy, deterministic)."""
+        """A small generating set of element indices for the subgroup (greedy, deterministic).
+
+        Each member outside the closure so far becomes a generator, so every
+        member ends inside the final closure, which equals the member set
+        exactly when that set is a subgroup. InputError otherwise, which only
+        a family rebuilt by `from_member_lists` can hit.
+        """
         cached = self._min_gens.get(sid)
         if cached is not None:
             return cached
@@ -386,18 +392,21 @@ class SubgroupLattice:
                 continue
             gens.append(idx)
             closure = _closure_bits(table, closure | (1 << idx), gens)
+        if closure != target:
+            raise InputError("dumped member sets are not subgroups")
         self._min_gens[sid] = tuple(gens)
         return self._min_gens[sid]
 
     def standalone_group(self, sid: int) -> FiniteGroup:
-        """The subgroup as its own FiniteGroup (same degree, re-sorted element list)."""
+        """The subgroup as its own FiniteGroup, closed from its minimal generators.
+
+        Its element list is the subgroup's members in the parent's index order,
+        since both are sorted the same way.
+        """
         if sid == self.top_id:
             return self.group
-        elems = [self.group.elements[i] for i in self._member_tuples[sid]]
         gens = [self.group.elements[i] for i in self.minimal_generators(sid)]
-        if not gens:
-            gens = [Permutation.identity(self.group.degree)]
-        return FiniteGroup(self.group.degree, elems, gens)
+        return FiniteGroup(self.group.degree, gens)
 
     # -- serialization ---------------------------------------------------------
 
@@ -429,6 +438,9 @@ class SubgroupLattice:
         InputError unless the lists hold element indices, the family is
         closed under conjugation, each class representative (so each member)
         is a subgroup, and `_close_by_cyclic_extension` adds nothing to it.
+        The greedy closure of `minimal_generators` is the subgroup check, and
+        the family's own size is the extension's cap, so a truncated family
+        is rejected at the first subgroup it lacks.
         """
         family = []
         for members in member_lists:
@@ -437,18 +449,12 @@ class SubgroupLattice:
                 raise InputError("dumped member lists are not lists of element indices")
             family.append(bits_of(members))
         lattice = cls(group, family)
-        reps = []
-        for sid in sorted(set(lattice.class_reps())):
-            # the greedy generators span the member set only if it is a subgroup
-            gens = lattice.minimal_generators(sid)
-            members = lattice.subgroups[sid].members
-            if _closure_bits(group.mul_table, 1 << group.identity_index, gens) != members:
-                raise InputError("dumped member sets are not subgroups")
-            reps.append((members, gens))
-        closed = _close_by_cyclic_extension(group, set(lattice._id_of), reps,
-                                            DEFAULT_SUBGROUP_CAP)
-        if len(closed) != lattice.size:
-            raise InputError("dumped member sets are not every subgroup")
+        reps = [(lattice.subgroups[sid].members, lattice.minimal_generators(sid))
+                for sid in sorted(set(lattice.class_reps()))]
+        try:
+            _close_by_cyclic_extension(group, set(lattice._id_of), reps, lattice.size)
+        except SizeError:
+            raise InputError("dumped member sets are not every subgroup") from None
         return lattice
 
     def __repr__(self) -> str:

@@ -1,8 +1,10 @@
 """Permutations on {0..n-1} and exhaustively tabulated finite permutation groups.
 
 Everything here is immutable after construction and safe to share between
-threads. Groups keep the complete element list in a canonical (lexicographic)
-order, so every identifier derived from element indices is deterministic.
+threads. A group closes its generators once; that one closure yields the
+complete element list, kept in a canonical (lexicographic) order so every
+identifier derived from element indices is deterministic, and the generator
+rows the multiplication table is built from.
 """
 
 from __future__ import annotations
@@ -150,49 +152,49 @@ def format_generators(gens: Iterable[Permutation]) -> str:
 
 
 class FiniteGroup:
-    """A finite permutation group stored as its complete, canonically sorted element list.
+    """A finite permutation group: the closure of its generators, canonically sorted.
 
-    The element order (lexicographic on image tuples) fixes the element index
-    of every permutation, and all subgroup identifiers downstream derive from
-    those indices.
+    The constructor closes the generators once, under left multiplication
+    from the identity, and sorts the elements lexicographically by image
+    tuple. That order fixes the element index of every permutation, and all
+    subgroup identifiers downstream derive from those indices. Raises
+    SizeError once the closure grows past `element_cap`.
 
     Observably immutable: the multiplication table, inverse list, and element
     orders are filled lazily, but the values are deterministic functions of
     the element list, so a racing double-computation writes identical data.
     """
 
-    def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation]) -> None:
+    def __init__(self, degree: int, generators: Sequence[Permutation],
+                 element_cap: int = DEFAULT_ELEMENT_CAP) -> None:
         self.degree = degree
-        self.elements: tuple[Permutation, ...] = tuple(sorted(set(elements)))
         self.generators: tuple[Permutation, ...] = tuple(generators)
+        found = [tuple(range(degree))]
+        seen = {found[0]: 0}
+        rows: list[list[int]] = [[] for _ in self.generators]  # row[x]: index of g * found[x]
+        for x in found:  # grows while it is walked
+            for g, row in zip(self.generators, rows):
+                y = tuple(map(g.images.__getitem__, x))
+                i = seen.get(y)
+                if i is None:
+                    if len(found) >= element_cap:
+                        raise SizeError(f"closure exceeded element cap {element_cap}")
+                    i = seen[y] = len(found)
+                    found.append(y)
+                row.append(i)
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = [0] * len(found)
+        for new, old in enumerate(order):
+            rank[old] = new
+        self.elements: tuple[Permutation, ...] = tuple(Permutation(found[i]) for i in order)
         self._index: dict[tuple[int, ...], int] = {
             p.images: i for i, p in enumerate(self.elements)
         }
-        ident = Permutation.identity(degree)
-        if ident.images not in self._index:
-            raise InputError("element list does not contain the identity")
-        self.identity_index: int = self._index[ident.images]
-        if len(self._closure_of(self.generators)) != len(self.elements):
-            raise InputError("generators do not generate the element list")
+        self.identity_index: int = rank[0]
+        self._generator_rows = [[rank[row[i]] for i in order] for row in rows]
         self._mul_table: list[list[int]] | None = None
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
-
-    def _closure_of(self, gens: Sequence[Permutation]) -> set[tuple[int, ...]]:
-        seen = {Permutation.identity(self.degree).images}
-        frontier = list(seen)
-        gen_images = [g.images for g in gens if not g.is_identity()]
-        while frontier:
-            x = frontier.pop()
-            for g in gen_images:
-                y = tuple(g[v] for v in x)
-                if y not in seen:
-                    if y not in self._index:
-                        raise InputError("generators leave the element list")
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
 
     @property
     def order(self) -> int:
@@ -218,25 +220,19 @@ class FiniteGroup:
         """Full index-level multiplication table (built on first use).
 
         Row i is left multiplication by elements[i], read as a permutation of
-        indices. A breadth-first search over the generators reaches every
-        element as elements[y] = g * elements[x]; row y is then row x sent
-        through left multiplication by g, so each row costs one `map` over
-        a precomputed index list and only the generator rows compose
-        permutations.
+        indices. A breadth-first search over the generator rows recorded by
+        the closure reaches every element as elements[y] = g * elements[x];
+        row y is then row x sent through g's row, one `map` per element.
         """
         if self._mul_table is None:
             n = len(self.elements)
             if n > MUL_TABLE_LIMIT:
                 raise SizeError(f"group order {n} exceeds table limit {MUL_TABLE_LIMIT}")
-            index = self._index
-            images = [p.images for p in self.elements]
-            left = [[index[tuple(g.images[v] for v in a)] for a in images]
-                    for g in self.generators]
             table: list[list[int] | None] = [None] * n
-            table[self.identity_index] = list(index.values())
+            table[self.identity_index] = list(range(n))
             queue = [self.identity_index]
             for x in queue:
-                for row in left:
+                for row in self._generator_rows:
                     y = row[x]
                     if table[y] is None:
                         table[y] = list(map(row.__getitem__, table[x]))
@@ -274,28 +270,16 @@ class FiniteGroup:
 
 def generate_group(degree: int, gens: Sequence[Permutation],
                    element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
-    """Close `gens` under composition into a FiniteGroup (trivial group for no gens).
+    """The FiniteGroup generated by `gens` (the trivial group for no gens).
 
     Inverses come for free in a finite closure, since every element has finite
-    order. Raises SizeError once the closure grows past `element_cap`.
+    order. Raises InputError for a generator of another degree and SizeError
+    once the closure grows past `element_cap`.
     """
     for g in gens:
         if g.degree != degree:
             raise InputError(f"generator degree {g.degree} does not match {degree}")
-    ident = Permutation.identity(degree)
-    seen: dict[tuple[int, ...], Permutation] = {ident.images: ident}
-    frontier = [ident]
-    gen_list = [g for g in gens if not g.is_identity()]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_list:
-            y = compose(x, g)
-            if y.images not in seen:
-                if len(seen) >= element_cap:
-                    raise SizeError(f"closure exceeded element cap {element_cap}")
-                seen[y.images] = y
-                frontier.append(y)
-    return FiniteGroup(degree, list(seen.values()), gens)
+    return FiniteGroup(degree, gens, element_cap)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -218,16 +218,14 @@ class IdentityCheck:
 
 
 def verify_trace_identities(graph: NonPermutabilityGraph, adj_spectrum: Spectrum,
-                            lap_spectrum: Spectrum,
-                            tol: float | None = None) -> list[IdentityCheck]:
+                            lap_spectrum: Spectrum) -> list[IdentityCheck]:
     """Compare the floating spectra against the exact doubled edge count.
 
     The Laplacian eigenvalue sum and the squared adjacency eigenvalue sum both
     equal 2|E| exactly; the raw adjacency sum is the zero trace.
     """
     two_e = 2 * graph.edge_count
-    if tol is None:
-        tol = 1e-8 * max(1, two_e)
+    tol = 1e-8 * max(1, two_e)
     lap_sum, _ = spectral_sums(lap_spectrum)
     adj_sum, adj_sq = spectral_sums(adj_spectrum)
     checks = [

@@ -339,6 +339,49 @@ class TestMalformedCache:
         assert (code, out) == run(capsys, "sd", "S3", "--method", "all")[:2]
 
 
+    def test_a_non_object_entry_makes_the_file_malformed(self, capsys, tmp_path):
+        cache_dir = tmp_path / "c"
+        assert run(capsys, "--cache", str(cache_dir), "info", "S3")[0] == 0
+        path = next(cache_dir.glob("*.json"))
+        data = json.loads(path.read_text())
+        data["entries"].insert(0, 5)
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "--cache", str(cache_dir), "sd", "S3")
+        assert code == 0
+        assert "ignoring malformed cache file" in err
+        assert out == run(capsys, "sd", "S3")[1]
+        # the next store rewrites the file
+        assert run(capsys, "--cache", str(cache_dir), "info", "S3")[0] == 0
+        assert all(isinstance(e, dict) for e in json.loads(path.read_text())["entries"])
+
+
+class TestStoreOnce:
+    """A command writes its cache entry once, after it ran, and only if it computed a section."""
+
+    @pytest.fixture
+    def stores(self, monkeypatch):
+        calls = []
+        real = cli.cache_store
+
+        def counting(*args, **kwargs):
+            calls.append(sorted(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cache_store", counting)
+        return calls
+
+    def test_verify_stores_once_and_a_warm_verify_stores_nothing(self, capsys, tmp_path, stores):
+        cache_dir = str(tmp_path / "c")
+        first = run(capsys, "--cache", cache_dir, "verify", "S4")
+        assert stores == [["report", "structure"]]
+        assert run(capsys, "--cache", cache_dir, "verify", "S4") == first
+        assert len(stores) == 1
+
+    def test_a_cold_info_stores_once(self, capsys, tmp_path, stores):
+        assert run(capsys, "--cache", str(tmp_path / "c"), "info", "S4")[0] == 0
+        assert stores == [["structure"]]
+
+
 class TestDeterminism:
     def test_verify_catalog_like_subset_is_byte_identical(self, capsys):
         # full-catalog determinism is covered by the acceptance suite; a

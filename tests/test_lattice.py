@@ -358,6 +358,18 @@ class TestIntervalsAndStandalone:
             }
             assert parent_sets == standalone_sets
 
+    @pytest.mark.parametrize("name", ["S4", "PSL(2,7)"])
+    def test_standalone_group_is_the_parent_restricted(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        parent = lattice.group
+        for sid in sorted(set(lattice.class_reps())):
+            members = lattice.subgroup(sid).member_indices()
+            sub = lattice.standalone_group(sid)
+            assert sub.elements == tuple(parent.elements[i] for i in members)
+            position = {h: k for k, h in enumerate(members)}
+            assert sub.mul_table == [[position[parent.mul_table[a][b]] for b in members]
+                                     for a in members]
+
     def test_minimal_generators_generate(self, lat_s4):
         from latspec.perm import Permutation
 
@@ -401,6 +413,26 @@ class TestSerialization:
         assert len(small_orders) == 18
         with pytest.raises(InputError, match="not subgroups"):
             SubgroupLattice.from_member_lists(group, members + [small_orders])
+
+    def test_a_truncated_dump_is_rejected_at_its_first_missing_subgroup(self, lat_s4,
+                                                                          monkeypatch):
+        import latspec.lattice
+
+        kept = [s.members for s in lat_s4.subgroups
+                if s.order <= 2 or s.id == lat_s4.top_id]
+        real = latspec.lattice._conjugates
+        outside = []
+
+        def recording(bits, conjugators):
+            if bits not in kept:
+                outside.append(bits)
+            return real(bits, conjugators)
+
+        monkeypatch.setattr(latspec.lattice, "_conjugates", recording)
+        with pytest.raises(InputError, match="not every subgroup"):
+            SubgroupLattice.from_member_lists(
+                lat_s4.group, [list(iter_bits(bits)) for bits in kept])
+        assert len(outside) == 1
 
     def test_rehydration_rejects_non_subgroup_sets(self, lat_a4):
         dump = lat_a4.to_json_dict()

@@ -119,8 +119,10 @@ class TestGenerateGroup:
         assert g.order == 1
         assert g.degree == 1
 
-    def test_matches_naive_closure(self, s4):
-        assert set(s4.elements) == naive_closure(list(s4.generators))
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)",))
+    def test_matches_naive_closure(self, name):
+        group = parse_group_spec(name).group
+        assert set(group.elements) == naive_closure(list(group.generators))
 
     def test_idempotent_regeneration(self, a4):
         again = generate_group(a4.degree, list(a4.elements))
@@ -144,7 +146,7 @@ class TestMulTable:
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)",))
     def test_matches_composition(self, name):
         parsed = parse_group_spec(name).group
-        group = FiniteGroup(parsed.degree, parsed.elements, parsed.generators)
+        group = FiniteGroup(parsed.degree, parsed.generators)
         n = group.order
         # mul() composes the permutations while no table exists
         by_compose = [[group.mul(i, j) for j in range(n)] for i in range(n)]
@@ -154,7 +156,7 @@ class TestMulTable:
         import latspec.perm
 
         monkeypatch.setattr(latspec.perm, "MUL_TABLE_LIMIT", 23)
-        group = FiniteGroup(s4.degree, s4.elements, s4.generators)
+        group = FiniteGroup(s4.degree, s4.generators)
         with pytest.raises(SizeError):
             group.mul_table
 
