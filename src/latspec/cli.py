@@ -11,6 +11,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -389,7 +390,10 @@ def cmd_verify(args, tol: float, cache_dir: str | None) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Parsing never changes it,
+    so every `main(argv)` call after the first reuses it."""
     # shared flags may appear before or after the subcommand; SUPPRESS keeps a
     # subparser from clobbering a value already parsed at the top level
     common = argparse.ArgumentParser(add_help=False)

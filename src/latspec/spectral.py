@@ -6,10 +6,11 @@ needed, so the solver reduces the matrix once to tridiagonal form T with
 n - 2 Householder reflections (Golub & Van Loan, *Matrix Computations*,
 section 8.3) and then locates every eigenvalue of T by Sturm counts (section
 8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). The counts are taken
-for all n eigenvalue indices at once: each step splits every index's bracket
-at seven interior points (multisection), one pass over the rows of T for all
-7n shifts together. Every operation is elementwise numpy (no BLAS call) in a
-fixed order, so repeat solves are bit-identical.
+per distinct bracket, as in LAPACK dstebz, so a cluster of equal eigenvalues
+is bisected once: each step splits every bracket at seven interior points
+(multisection), one pass over the rows of T for all shifts together. Every
+operation is elementwise numpy (no BLAS call) in a fixed order, so repeat
+solves are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ _TINY = float(np.finfo(float).tiny)
 class Spectrum:
     """Eigenvalues with multiplicity, ascending.
 
-    `reflections`, `steps` and `width` record the solver's work (Householder
-    reflections applied, multisection steps) and its final largest bracket
-    width; they take no part in equality and are never printed or cached.
+    `reflections`, `steps`, `width` and `shifts` record the solver's work
+    (Householder reflections applied, multisection steps, the final largest
+    bracket width and the Sturm shifts evaluated); they take no part in
+    equality and are never printed or cached.
     """
 
     values: tuple[float, ...]
     reflections: int = field(default=0, compare=False)
     steps: int = field(default=0, compare=False)
     width: float = field(default=0.0, compare=False)
+    shifts: int = field(default=0, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -123,10 +126,11 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray) -
 def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    Householder reflections reduce the matrix to tridiagonal T. Every
-    eigenvalue index starts from T's Gershgorin interval; each multisection
-    step splits each bracket into eight equal parts and keeps the one whose
-    ends the Sturm counts place the eigenvalue between. Steps continue until
+    Householder reflections reduce the matrix to tridiagonal T. One bracket,
+    T's Gershgorin interval, starts out holding all n eigenvalue indices.
+    Each multisection step splits every bracket into eight equal parts and
+    keeps the parts whose end Sturm counts differ; a part holds the indices
+    from its left end's count up to its right end's. Steps continue until
     every bracket is at most
 
         width = 2 * eps * ||T||_inf * max(1, tol / DEFAULT_TOL) + 4 * pivmin
@@ -134,11 +138,13 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     wide, where eps is the double-precision machine epsilon and
     pivmin = tiny * max(1, max e_i^2) is the pivot guard. At DEFAULT_TOL this
     is machine-precision width; a looser tol widens it in proportion and a
-    tighter one cannot narrow it. Each value is its bracket's midpoint.
+    tighter one cannot narrow it. Each value is its bracket's midpoint,
+    repeated once per index the bracket holds.
 
     InputError for a non-finite or non-positive tol and for a non-finite or
-    non-symmetric matrix; NumericError when the arithmetic overflows or the
-    brackets have not closed after MAX_STEPS steps.
+    non-symmetric matrix; NumericError when the arithmetic overflows, when
+    the Sturm counts fall as the shift rises, or when the brackets have not
+    closed after MAX_STEPS steps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError("tolerance must be positive and finite")
@@ -163,28 +169,32 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
             norm = float((np.abs(d) + radius).max())
             width = 2.0 * _EPS * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
 
-            index = np.arange(n)
-            lo = np.full(n, float((d - radius).min()))
-            hi = np.full(n, float((d + radius).max()))
+            lo = np.array([float((d - radius).min())])
+            hi = np.array([float((d + radius).max())])
+            c_lo, c_hi = np.array([0]), np.array([n])  # each bracket holds indices [c_lo, c_hi)
             fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
-            grid = np.empty((n, _POINTS + 2))
-            steps = 0
+            steps = shifts = 0
             while (hi - lo).max() > width:
                 if steps == MAX_STEPS:
                     raise NumericError(f"bisection did not converge in {MAX_STEPS} steps")
                 steps += 1
-                grid[:, 0], grid[:, -1] = lo, hi
-                np.multiply.outer(hi - lo, fractions, out=grid[:, 1:-1])
-                grid[:, 1:-1] += lo[:, None]
-                counts = _sturm_counts(d, e2, pivmin, grid[:, 1:-1].reshape(-1))
-                # counts rise with the shift, so the points whose count is at most
-                # index j are a prefix; eigenvalue j lies just past the last of them
-                below = (counts.reshape(n, _POINTS) <= index[:, None]).sum(axis=1)
-                lo, hi = grid[index, below], grid[index, below + 1]
-            values = np.sort(0.5 * (lo + hi))
+                inner = np.multiply.outer(hi - lo, fractions) + lo[:, None]
+                shifts += inner.size
+                grid = np.column_stack((lo, inner, hi))
+                # the end counts are carried from the step that made each bracket
+                counts = np.column_stack((
+                    c_lo, _sturm_counts(d, e2, pivmin, inner.ravel()).reshape(inner.shape), c_hi))
+                # a part holds the eigenvalues counted at its right end but not its left
+                keep = counts[:, 1:] > counts[:, :-1]
+                lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
+                c_lo, c_hi = counts[:, :-1][keep], counts[:, 1:][keep]
+                if int((c_hi - c_lo).sum()) != n:  # rising counts tile [0, n) exactly
+                    raise NumericError("Sturm counts fell as the shift rose")
+            values = np.repeat(0.5 * (lo + hi), c_hi - c_lo)
     except FloatingPointError as exc:
         raise NumericError(f"eigenvalue computation overflowed: {exc}") from None
-    return Spectrum(tuple(float(v) for v in values), reflections, steps, float((hi - lo).max()))
+    return Spectrum(tuple(float(v) for v in values), reflections, steps,
+                    float((hi - lo).max()), shifts)
 
 
 def spectral_sums(spectrum: Spectrum) -> tuple[float, float]:

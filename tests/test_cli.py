@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -380,6 +381,37 @@ class TestStoreOnce:
     def test_a_cold_info_stores_once(self, capsys, tmp_path, stores):
         assert run(capsys, "--cache", str(tmp_path / "c"), "info", "S4")[0] == 0
         assert stores == [["structure"]]
+
+
+class TestParserOnce:
+    # non-default options first, then the same command on its defaults: a
+    # parser that kept state between calls would print differently
+    COMMANDS = (
+        ("spectrum", "S3", "--matrix", "adjacency", "--csv"),
+        ("spectrum", "S3"),
+        ("--json", "info", "Q8"),
+        ("info", "Q8"),
+        ("info", "Zork"),
+    )
+
+    def test_the_parser_is_built_once_and_parses_like_a_fresh_one(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.COMMANDS:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+        assert fresh[4][0] == 2
+        builds = []
+        real = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            builds.append(parser.prog)
+            return real(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        assert [run(capsys, *argv) for argv in self.COMMANDS] == fresh
+        assert builds == ["latspec"]
 
 
 class TestDeterminism:

@@ -21,7 +21,7 @@ from latspec.spectral import (
     verify_trace_identities,
 )
 
-from conftest import build
+from conftest import build, per_index_multisection
 
 
 def graph_of(group):
@@ -286,7 +286,66 @@ class TestSolverCounters:
         assert_converged(laplacian_matrix(psl27_graph))
 
     def test_counters_do_not_affect_equality(self):
-        assert Spectrum((1.0,), reflections=3, steps=9, width=1e-13) == Spectrum((1.0,))
+        assert Spectrum((1.0,), reflections=3, steps=9, width=1e-13, shifts=63) == Spectrum((1.0,))
+
+
+def top_and_class_graphs(name):
+    """The group's graph and the graph of one subgroup per conjugacy class."""
+    lattice = enumerate_subgroups(parse_group_spec(name).group)
+    yield build_graph(lattice)
+    for rep in sorted(set(lattice.class_reps()) - {lattice.top_id}):
+        yield graph_of(lattice.standalone_group(rep))
+
+
+def assert_matches_per_index_reference(matrices):
+    for matrix in matrices:
+        for tol in (DEFAULT_TOL, 1e-6):
+            ours = eigenvalues_symmetric(matrix, tol)
+            reference = per_index_multisection(np.asarray(matrix.data, dtype=float), tol)
+            assert ours.values == reference.values
+            assert (ours.reflections, ours.steps, ours.width) == (
+                reference.reflections, reference.steps, reference.width)
+
+
+class TestClusterMultisection:
+    """One bracket per distinct interval gives bit for bit what one bracket
+    per eigenvalue index gives (`per_index_multisection`)."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_group_graphs_match_the_per_index_reference(self, name):
+        assert_matches_per_index_reference(
+            matrix_of(g) for g in top_and_class_graphs(name)
+            for matrix_of in (adjacency_matrix, laplacian_matrix))
+
+    def test_clustered_matrices_match_the_per_index_reference(self, s4):
+        complete = [np.ones((n, n)) - np.eye(n) for n in range(2, 41)]
+        zero = [np.zeros((n, n)) for n in (2, 3, 6)]
+        lap = laplacian_matrix(graph_of(s4)).data
+        blocks = [np.kron(np.eye(3), random_symmetric(7, seed=5)), np.kron(np.eye(3), lap)]
+        assert_matches_per_index_reference(
+            DenseSymMatrix(m) for m in complete + zero + blocks + [random_symmetric(33, seed=2)])
+
+    @pytest.mark.parametrize("matrix_of,shifts", [(adjacency_matrix, 3507),
+                                                  (laplacian_matrix, 4431)])
+    def test_psl27_top_graph_shift_counts(self, psl27_graph, matrix_of, shifts):
+        matrix = matrix_of(psl27_graph)
+        spec = eigenvalues_symmetric(matrix)
+        assert (spec.dimension, spec.steps, spec.shifts) == (177, 18, shifts)
+        # the per-index multisection evaluates 7 shifts per index and step
+        reference = per_index_multisection(matrix.data)
+        assert 7 * 177 * reference.steps == 22302
+
+    def test_falling_counts_raise(self, monkeypatch):
+        matrix = DenseSymMatrix(random_symmetric(6, seed=1))
+
+        def falling(d, e2, pivmin, x):
+            counts = np.full(x.size, d.size)
+            counts[1::2] = 0
+            return counts
+
+        monkeypatch.setattr(latspec.spectral, "_sturm_counts", falling)
+        with pytest.raises(NumericError):
+            eigenvalues_symmetric(matrix)
 
 
 class TestSpectralSums:
