@@ -23,6 +23,10 @@ the trace checks and the split shadows share one eigenvalue solve per class,
 matrix and tol. Matrices that merely coincide are each solved; in the catalog
 those have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
 null graph, the graphs of the two classes of S3 in D6 and of D4 in D8).
+The solves are handed to the eigensolver in batches, one call per batch: a
+graph's two matrices together, and, before the first split sums its terms,
+both matrices of every class in the split at DEFAULT_TOL, so a `verify`
+makes at most one call for the top graph and one for all its classes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .cache import signature_of
 from .catalog import order_histogram_key
 from .errors import ConsistencyError, DomainError
 from .graph import (
-    DenseSymMatrix,
     NonPermutabilityGraph,
     adjacency_matrix,
     build_graph,
@@ -109,25 +112,34 @@ def _sd(lattice: SubgroupLattice) -> Fraction:
     return _memo(lattice, "sd", lambda: sd_direct(lattice))
 
 
-def _spectrum(lattice: SubgroupLattice,
-              matrix_of: Callable[[NonPermutabilityGraph], DenseSymMatrix],
-              tol: float) -> Spectrum:
-    """Spectrum at tol of `matrix_of` (adjacency or Laplacian) of the lattice's graph."""
-    return _memo(lattice, (matrix_of, tol),
-                 lambda: eigenvalues_symmetric(matrix_of(top_graph(lattice)), tol))
-
-
 def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
     """The lattice's non-permutability graph, built once per lattice."""
     return _memo(lattice, "graph", lambda: build_graph(lattice))
 
 
+def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum, Spectrum]]:
+    """The adjacency and Laplacian spectra at tol of each lattice's graph.
+
+    Every spectrum not yet memoized on its lattice is solved in one
+    eigensolver call and memoized there; when none is missing, no call is made.
+    """
+    keys = [(adjacency_matrix, tol), (laplacian_matrix, tol)]
+    missing = [(lat, key) for lat in {id(lat): lat for lat in lattices}.values()
+               for key in keys if key not in lat.memo]
+    if missing:
+        solved = eigenvalues_symmetric(
+            *(matrix_of(top_graph(lat)) for lat, (matrix_of, _) in missing), tol=tol)
+        for (lat, key), spectrum in zip(missing, solved):
+            lat.memo[key] = spectrum
+    return [(lat.memo[keys[0]], lat.memo[keys[1]]) for lat in lattices]
+
+
 def graph_and_spectra(lattice: SubgroupLattice,
                       tol: float) -> tuple[NonPermutabilityGraph, Spectrum, Spectrum]:
     """The lattice's graph with its adjacency and Laplacian spectra at tol,
-    each solved once per lattice."""
-    return (top_graph(lattice), _spectrum(lattice, adjacency_matrix, tol),
-            _spectrum(lattice, laplacian_matrix, tol))
+    both solved in one call, once per lattice."""
+    [(adjacency, laplacian)] = _spectra([lattice], tol)
+    return top_graph(lattice), adjacency, laplacian
 
 
 # -- sd --------------------------------------------------------------------
@@ -226,13 +238,14 @@ def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
     total = 0
     for k in part.k_ids:
         total += _own(lattice, k).size ** 2 * lattice.mobius(k, top)
-    for h in part.h_ids:
-        own = _own(lattice, h)
+    owns = [_own(lattice, h) for h in part.h_ids]
+    # every class's pair in one call, so that both splits read them from the memo
+    for h, own, (adjacency, laplacian) in zip(part.h_ids, owns, _spectra(owns, DEFAULT_TOL)):
         s_exact = 2 * top_graph(own).edge_count
         if use_adjacency:
-            shadow = spectral_sums(_spectrum(own, adjacency_matrix, DEFAULT_TOL))[1]
+            shadow = spectral_sums(adjacency)[1]
         else:
-            shadow = spectral_sums(_spectrum(own, laplacian_matrix, DEFAULT_TOL))[0]
+            shadow = spectral_sums(laplacian)[0]
         if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
             raise ConsistencyError(
                 f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"

@@ -2,16 +2,20 @@
 plus trace-identity checks.
 
 The matrices are small dense integer matrices and eigenvectors are never
-needed, so the solver reduces the matrix once to tridiagonal form T with
+needed, so the solver reduces each matrix once to tridiagonal form T with
 n - 2 Householder reflections (Golub & Van Loan, *Matrix Computations*,
 section 8.3) and then locates every eigenvalue of T by Sturm counts (section
 8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). The counts are taken
 per distinct bracket, as in LAPACK dstebz, so a cluster of equal eigenvalues
 is bisected once: each step splits every bracket at seven interior points
-(multisection), one pass over the rows of T for all shifts together. Every
-operation is elementwise numpy (no BLAS call) in a fixed order, so repeat
-solves are bit-identical.
-"""
+(multisection). One call solves a batch of matrices: every bracket carries
+its matrix, and each step makes one pass over the rows for the shifts of all
+brackets together, each shift against its own matrix's rows, so a small
+matrix does not pay a pass of numpy calls per row on its own. Every
+operation is elementwise numpy (no BLAS call) in a fixed order, and each
+shift sees exactly the floats of a solve of its matrix alone, so a spectrum
+does not depend on the batch it was solved in and repeat solves are
+bit-identical."""
 
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from .graph import DenseSymMatrix, NonPermutabilityGraph
 DEFAULT_TOL = 1e-12
 MAX_STEPS = 64  # far above need: each step shrinks a bracket eightfold
 _POINTS = 7  # interior points per bracket and multisection step
+_FRACTIONS = np.arange(1, _POINTS + 1) / (_POINTS + 1)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -100,38 +105,176 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return np.diag(a).copy(), e, reflections
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of T below each shift in x.
+def _stack(ds: list[np.ndarray], e2s: list[np.ndarray]) -> np.ndarray:
+    """rows[i, j] = (d_i, e_{i-1}^2) of tridiagonal matrix j: its diagonal
+    entry in row i and the squared coupling into row i; zero past its size."""
+    rows = np.zeros((max(d.size for d in ds), len(ds), 2))
+    for j, (d, e2) in enumerate(zip(ds, e2s)):
+        rows[:d.size, j, 0] = d
+        rows[1:d.size, j, 1] = e2
+    return rows
 
-    These are the negative pivots q_i = (d_i - e_{i-1}^2 / q_{i-1}) - x of
-    the LDL^T factorization of T - x, taken row by row for all shifts at
-    once. A pivot below pivmin in magnitude, zero included, is replaced by
-    -pivmin, so no division overflows (LAPACK dstebz's guard).
+
+def _sturm_counts(rows: np.ndarray, dims: np.ndarray, pivmins: np.ndarray,
+                  x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift x[s] of tridiagonal matrix owner[s].
+
+    Matrix j has dimension dims[j], pivot guard pivmins[j] and its rows in
+    rows[:, j] (see `_stack`); `owner` must not decrease, and dims must not
+    increase along it. The counts are the negative pivots
+    q_i = (d_i - e_{i-1}^2 / q_{i-1}) - x of the LDL^T factorization of T - x,
+    taken row by row for every shift at once. A pivot below pivmin in
+    magnitude, zero included, is replaced by -pivmin, so no division
+    overflows (LAPACK dstebz's guard). Row i gathers each shift's own d_i and
+    e_{i-1}^2 into a shift-length buffer and leaves out the shifts of the
+    matrices without a row i, which come last, so every shift sees exactly
+    the floats of its own matrix counted alone.
     """
-    q = np.subtract(d[0], x)
+    pivmin = pivmins[owner]
+    floor = -pivmin
+    size = dims[owner]
+    q, row = np.empty(x.size), np.empty((x.size, 2))
     negative = np.empty(x.size, dtype=bool)
     count = np.zeros(x.size, dtype=np.intp)
-    for i in range(d.size):
-        if i:
-            np.divide(e2[i - 1], q, out=q)
-            np.subtract(d[i], q, out=q)
-            q -= x
-        # a pivot below pivmin is negative once guarded, so the mask is the count
-        np.less(q, pivmin, out=negative)
-        np.minimum(q, -pivmin, out=q, where=negative)
-        count += negative
+    first = 0
+    for last in sorted(set(dims.tolist())):
+        k = int(np.count_nonzero(size >= last))  # rows [first, last) hold the first k shifts
+        if not k:
+            break
+        qk, xk, ok, rk, dk, ek = q[:k], x[:k], owner[:k], row[:k], row[:k, 0], row[:k, 1]
+        pk, fk, nk, ck = pivmin[:k], floor[:k], negative[:k], count[:k]
+        for i in range(first, last):
+            rows[i].take(ok, axis=0, out=rk, mode="clip")
+            if i:
+                np.divide(ek, qk, out=qk)
+                np.subtract(dk, qk, out=qk)
+                qk -= xk
+            else:
+                np.subtract(dk, xk, out=qk)
+            # a pivot below pivmin is negative once guarded, so the mask is the count
+            np.less(qk, pk, out=nk)
+            np.minimum(qk, fk, out=qk, where=nk)
+            ck += nk
+        first = last
     return count
 
 
-def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix, ascending.
+@dataclass(frozen=True)
+class _Tridiagonal:
+    """One matrix reduced for the multisection: T's diagonal d and squared
+    off-diagonal e2, the pivot guard, the stop width and T's Gershgorin
+    interval [lo, hi]."""
 
-    Householder reflections reduce the matrix to tridiagonal T. One bracket,
-    T's Gershgorin interval, starts out holding all n eigenvalue indices.
-    Each multisection step splits every bracket into eight equal parts and
-    keeps the parts whose end Sturm counts differ; a part holds the indices
-    from its left end's count up to its right end's. Steps continue until
-    every bracket is at most
+    position: int
+    d: np.ndarray
+    e2: np.ndarray
+    pivmin: float
+    width: float
+    lo: float
+    hi: float
+    reflections: int
+
+
+def _label(position: int, dimension: int) -> str:
+    """How an error names one matrix of a call."""
+    return f"matrix {position} (dimension {dimension})"
+
+
+def _reduce(position: int, data: np.ndarray, tol: float) -> _Tridiagonal:
+    """Householder reduction of `data` and its multisection start at tol."""
+    n = data.shape[0]
+    d, e, reflections = _tridiagonalize(data)
+    e2 = e * e
+    pivmin = _TINY * max(1.0, float(e2.max()))
+    abs_e = np.abs(e)
+    radius = np.zeros(n)
+    radius[:-1] += abs_e
+    radius[1:] += abs_e
+    norm = float((np.abs(d) + radius).max())
+    width = 2.0 * _EPS * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
+    return _Tridiagonal(position, d, e2, pivmin, width, float((d - radius).min()),
+                        float((d + radius).max()), reflections)
+
+
+def _multisection(batch: list[_Tridiagonal]) -> list[Spectrum]:
+    """The spectrum of each matrix of `batch`, which comes largest matrix first.
+
+    The brackets of all matrices sit in one set of arrays, grouped by matrix
+    in batch order; `own` is each bracket's matrix. All matrices start
+    together, so each one still stepping has taken `step` steps. A matrix
+    steps while any of its brackets is wider than its width, and its
+    spectrum is read off, and its brackets dropped, once none is.
+    """
+    m = len(batch)
+    if not m:
+        return []
+    rows = _stack([t.d for t in batch], [t.e2 for t in batch])
+    dims = np.array([t.d.size for t in batch])
+    pivmins = np.array([t.pivmin for t in batch])
+    width = np.array([t.width for t in batch])
+    lo, hi = np.array([t.lo for t in batch]), np.array([t.hi for t in batch])
+    c_lo, c_hi = np.zeros(m, dtype=np.intp), dims.copy()  # each bracket holds indices [c_lo, c_hi)
+    own = np.arange(m)
+    brackets = np.zeros(m, dtype=np.intp)  # per matrix, summed over its steps
+    spectra: list[Spectrum] = [None] * m
+    stepping = np.ones(m, dtype=bool)
+    for step in range(MAX_STEPS + 1):
+        gap = hi - lo
+        wide = np.bincount(own, weights=gap > width[own], minlength=m) > 0
+        closed = np.flatnonzero(stepping & ~wide)
+        if closed.size:
+            for j in closed.tolist():
+                mine = own == j
+                values = np.repeat(0.5 * (lo[mine] + hi[mine]), c_hi[mine] - c_lo[mine])
+                spectra[j] = Spectrum(tuple(values.tolist()), batch[j].reflections,
+                                      step, float(gap[mine].max()), _POINTS * int(brackets[j]))
+            stepping = wide
+            if not stepping.any():
+                return spectra
+            keep = stepping[own]
+            lo, hi, gap, c_lo, c_hi, own = (a[keep] for a in (lo, hi, gap, c_lo, c_hi, own))
+        if step == MAX_STEPS:
+            t = batch[own[0]]
+            raise NumericError(f"{_label(t.position, t.d.size)}: "
+                               f"bisection did not converge in {MAX_STEPS} steps")
+        inner = np.multiply.outer(gap, _FRACTIONS) + lo[:, None]
+        brackets += np.bincount(own, minlength=m)
+        counts = _sturm_counts(rows, dims, pivmins, inner.ravel(), np.repeat(own, _POINTS))
+        grid = np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
+        # the end counts are carried from the step that made each bracket
+        counts = np.concatenate((c_lo[:, None], counts.reshape(inner.shape), c_hi[:, None]), axis=1)
+        # a part holds the eigenvalues counted at its right end but not its left
+        keep = counts[:, 1:] > counts[:, :-1]
+        lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
+        c_lo, c_hi = counts[:, :-1][keep], counts[:, 1:][keep]
+        own = np.repeat(own, _POINTS + 1)[keep.ravel()]
+        # rising counts tile [0, n) exactly
+        fell = np.flatnonzero(stepping & (np.bincount(own, weights=c_hi - c_lo, minlength=m) != dims))
+        if fell.size:
+            t = batch[fell[0]]
+            raise NumericError(f"{_label(t.position, t.d.size)}: Sturm counts fell as the shift rose")
+
+
+def _overflows_alone(t: _Tridiagonal) -> bool:
+    """Whether the multisection of this one matrix overflows."""
+    try:
+        _multisection([t])
+    except FloatingPointError:
+        return True
+    return False
+
+
+def eigenvalues_symmetric(*matrices: DenseSymMatrix,
+                          tol: float = DEFAULT_TOL) -> tuple[Spectrum, ...]:
+    """All eigenvalues of each real symmetric matrix, ascending, one Spectrum per matrix.
+
+    Householder reflections reduce each matrix in turn to tridiagonal T,
+    keeping only its diagonal and off-diagonal. One bracket, T's Gershgorin
+    interval, starts out holding all n eigenvalue indices. Each multisection
+    step splits every bracket into eight equal parts and keeps the parts
+    whose end Sturm counts differ; a part holds the indices from its left
+    end's count up to its right end's. A matrix takes steps until every one
+    of its brackets is at most
 
         width = 2 * eps * ||T||_inf * max(1, tol / DEFAULT_TOL) + 4 * pivmin
 
@@ -141,60 +284,49 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     tighter one cannot narrow it. Each value is its bracket's midpoint,
     repeated once per index the bracket holds.
 
+    The matrices share each step's one Sturm pass, and a matrix leaves the
+    batch once its own brackets close. Width, step count, MAX_STEPS and the
+    multiplicity check are each matrix's own, and every shift is evaluated
+    on its own matrix's floats alone, so each Spectrum, counters included,
+    is bit-identical to the one a call with that matrix alone returns,
+    whatever the other matrices or their order.
+
     InputError for a non-finite or non-positive tol and for a non-finite or
     non-symmetric matrix; NumericError when the arithmetic overflows, when
-    the Sturm counts fall as the shift rises, or when the brackets have not
-    closed after MAX_STEPS steps.
+    the Sturm counts fall as the shift rises, or when a matrix's brackets
+    have not closed after MAX_STEPS steps. An error about one matrix names
+    its position among the arguments and its dimension.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError("tolerance must be positive and finite")
-    data = np.asarray(matrix.data, dtype=float)
-    if not np.isfinite(data).all():
-        raise InputError("matrix entries must be finite")
-    if data.size and not np.array_equal(data, data.T):
-        raise InputError("matrix is not symmetric")
-    n = data.shape[0]
-    if n <= 1:
-        return Spectrum(tuple(float(v) for v in np.diag(data)))
-
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            d, e, reflections = _tridiagonalize(data)
-            e2 = e * e
-            pivmin = _TINY * max(1.0, float(e2.max()))
-            abs_e = np.abs(e)
-            radius = np.zeros(n)
-            radius[:-1] += abs_e
-            radius[1:] += abs_e
-            norm = float((np.abs(d) + radius).max())
-            width = 2.0 * _EPS * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
-
-            lo = np.array([float((d - radius).min())])
-            hi = np.array([float((d + radius).max())])
-            c_lo, c_hi = np.array([0]), np.array([n])  # each bracket holds indices [c_lo, c_hi)
-            fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
-            steps = shifts = 0
-            while (hi - lo).max() > width:
-                if steps == MAX_STEPS:
-                    raise NumericError(f"bisection did not converge in {MAX_STEPS} steps")
-                steps += 1
-                inner = np.multiply.outer(hi - lo, fractions) + lo[:, None]
-                shifts += inner.size
-                grid = np.column_stack((lo, inner, hi))
-                # the end counts are carried from the step that made each bracket
-                counts = np.column_stack((
-                    c_lo, _sturm_counts(d, e2, pivmin, inner.ravel()).reshape(inner.shape), c_hi))
-                # a part holds the eigenvalues counted at its right end but not its left
-                keep = counts[:, 1:] > counts[:, :-1]
-                lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
-                c_lo, c_hi = counts[:, :-1][keep], counts[:, 1:][keep]
-                if int((c_hi - c_lo).sum()) != n:  # rising counts tile [0, n) exactly
-                    raise NumericError("Sturm counts fell as the shift rose")
-            values = np.repeat(0.5 * (lo + hi), c_hi - c_lo)
-    except FloatingPointError as exc:
-        raise NumericError(f"eigenvalue computation overflowed: {exc}") from None
-    return Spectrum(tuple(float(v) for v in values), reflections, steps,
-                    float((hi - lo).max()), shifts)
+    spectra: list[Spectrum] = [None] * len(matrices)
+    batch = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for position, matrix in enumerate(matrices):
+            data = np.asarray(matrix.data, dtype=float)
+            where = _label(position, data.shape[0])
+            if not np.isfinite(data).all():
+                raise InputError(f"{where}: matrix entries must be finite")
+            if data.size and not np.array_equal(data, data.T):
+                raise InputError(f"{where}: matrix is not symmetric")
+            if data.shape[0] <= 1:
+                spectra[position] = Spectrum(tuple(float(v) for v in np.diag(data)))
+                continue
+            try:
+                batch.append(_reduce(position, data, tol))
+            except FloatingPointError as exc:
+                raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
+        batch.sort(key=lambda t: -t.d.size)  # the Sturm pass takes the largest matrix first
+        try:
+            solved = _multisection(batch)
+        except FloatingPointError as exc:
+            # each matrix sees the same floats alone, so rerunning them alone finds it
+            t = next(t for t in batch if _overflows_alone(t))
+            where = _label(t.position, t.d.size)
+            raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
+    for t, spectrum in zip(batch, solved):
+        spectra[t.position] = spectrum
+    return tuple(spectra)
 
 
 def spectral_sums(spectrum: Spectrum) -> tuple[float, float]:

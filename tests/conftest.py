@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from latspec.perm import FiniteGroup, Permutation, bits_of, compose, generate_group, parse_generators
-from latspec.spectral import DEFAULT_TOL, MAX_STEPS, _POINTS, Spectrum, _sturm_counts, _tridiagonalize
+from latspec.errors import NumericError
+from latspec.spectral import DEFAULT_TOL, MAX_STEPS, _POINTS, Spectrum, _tridiagonalize
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +88,63 @@ def pair_closures(group):
     return found
 
 
+def solo_sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray) -> np.ndarray:
+    """Reference Sturm counts of one tridiagonal matrix: the number of negative
+    pivots of T - x for each shift, one row at a time, with the pivmin guard."""
+    q = np.subtract(d[0], x)
+    negative = np.empty(x.size, dtype=bool)
+    count = np.zeros(x.size, dtype=np.intp)
+    for i in range(d.size):
+        if i:
+            np.divide(e2[i - 1], q, out=q)
+            np.subtract(d[i], q, out=q)
+            q -= x
+        np.less(q, pivmin, out=negative)
+        np.minimum(q, -pivmin, out=q, where=negative)
+        count += negative
+    return count
+
+
+def solo_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Reference eigensolver: the cluster multisection of `eigenvalues_symmetric`
+    run on one matrix at a time, with its own Sturm pass per step. A batched
+    solve must give each matrix exactly this Spectrum, counters included."""
+    n = data.shape[0]
+    if n <= 1:
+        return Spectrum(tuple(float(v) for v in np.diag(data)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        d, e, reflections = _tridiagonalize(data)
+        e2 = e * e
+        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+        norm = float((np.abs(d) + radius).max())
+        width = 2.0 * np.finfo(float).eps * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
+        lo = np.array([float((d - radius).min())])
+        hi = np.array([float((d + radius).max())])
+        c_lo, c_hi = np.array([0]), np.array([n])
+        fractions = np.arange(1, _POINTS + 1) / (_POINTS + 1)
+        steps = shifts = 0
+        while (hi - lo).max() > width:
+            if steps == MAX_STEPS:
+                raise NumericError(f"bisection did not converge in {MAX_STEPS} steps")
+            steps += 1
+            inner = np.multiply.outer(hi - lo, fractions) + lo[:, None]
+            shifts += inner.size
+            grid = np.column_stack((lo, inner, hi))
+            counts = np.column_stack((
+                c_lo, solo_sturm_counts(d, e2, pivmin, inner.ravel()).reshape(inner.shape), c_hi))
+            keep = counts[:, 1:] > counts[:, :-1]
+            lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
+            c_lo, c_hi = counts[:, :-1][keep], counts[:, 1:][keep]
+            if int((c_hi - c_lo).sum()) != n:
+                raise NumericError("Sturm counts fell as the shift rose")
+        values = np.repeat(0.5 * (lo + hi), c_hi - c_lo)
+    return Spectrum(tuple(float(v) for v in values), reflections, steps,
+                    float((hi - lo).max()), shifts)
+
+
 def per_index_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Reference eigensolver: the same Householder reduction, start bracket,
     grid and stop rule as `eigenvalues_symmetric`, but one bracket per
@@ -117,7 +175,7 @@ def per_index_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectr
             grid[:, 0], grid[:, -1] = lo, hi
             np.multiply.outer(hi - lo, fractions, out=grid[:, 1:-1])
             grid[:, 1:-1] += lo[:, None]
-            counts = _sturm_counts(d, e2, pivmin, grid[:, 1:-1].reshape(-1))
+            counts = solo_sturm_counts(d, e2, pivmin, grid[:, 1:-1].reshape(-1))
             below = (counts.reshape(n, _POINTS) <= index[:, None]).sum(axis=1)
             lo, hi = grid[index, below], grid[index, below + 1]
         values = np.sort(0.5 * (lo + hi))

@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -428,21 +429,36 @@ class TestDeterminism:
 
 @pytest.fixture
 def eigen_solves(monkeypatch):
-    """Record (dimension, matrix bytes, tol) for every eigensolver call, at
-    every latspec module that binds the solver."""
+    """Record every eigensolver call, at every latspec module that binds the
+    solver: per call, the (dimension, matrix bytes, tol) of each matrix it
+    solves and the names of the functions on the call stack."""
     real = spectral.eigenvalues_symmetric
-    solves = []
+    calls = []
 
-    def recording(matrix, tol=spectral.DEFAULT_TOL):
-        solves.append((matrix.dimension, matrix.data.tobytes(), tol))
-        return real(matrix, tol)
+    def recording(*matrices, tol=spectral.DEFAULT_TOL):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(SolverCall([(m.dimension, m.data.tobytes(), tol) for m in matrices],
+                                callers))
+        return real(*matrices, tol=tol)
 
     sites = [mod for name, mod in list(sys.modules.items())
              if name.startswith("latspec") and vars(mod).get("eigenvalues_symmetric") is real]
     assert degrees in sites
     for mod in sites:
         monkeypatch.setattr(mod, "eigenvalues_symmetric", recording)
-    return solves
+    return calls
+
+
+class SolverCall(NamedTuple):
+    solves: list[tuple[int, bytes, float]]
+    callers: set[str]
+
+
+def all_solves(calls):
+    return [solve for call in calls for solve in call.solves]
 
 
 class TestSolveOnce:
@@ -450,9 +466,23 @@ class TestSolveOnce:
         code, out, _ = run(capsys, "verify", "S4", "--json")
         assert code == 0
         top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
-        keys = [(data, tol) for _, data, tol in eigen_solves]
+        keys = [(data, tol) for _, data, tol in all_solves(eigen_solves)]
         assert len(keys) == len(set(keys))
-        assert [dim for dim, _, _ in eigen_solves].count(top_dim) == 2
+        assert [dim for dim, _, _ in all_solves(eigen_solves)].count(top_dim) == 2
+
+    def test_psl27_verify_makes_two_solver_calls(self, capsys, eigen_solves):
+        code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
+        assert code == 0
+        report = json.loads(out)["groups"][0]["report"]
+        assert len(eigen_solves) == 2
+        top, classes = eigen_solves
+        # the top graph's pair first; then, from inside the Laplacian split,
+        # the pairs of the 7 classes below the top whose own lattices do not permute
+        assert [dim for dim, _, _ in top.solves] == [report["vertex_count"]] * 2
+        assert "f2_split_laplacian" not in top.callers
+        assert "f2_split_laplacian" in classes.callers
+        assert "f2_split_adjacency" not in classes.callers
+        assert len(classes.solves) == 14
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
         built = []
@@ -494,5 +524,6 @@ class TestSolveOnce:
         assert loose["internal_ok"] is True
         assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
         # structure and trace checks solve at --tol, the split shadows at the default
-        top_tols = sorted(tol for dim, _, tol in eigen_solves if dim == loose["vertex_count"])
+        top_tols = sorted(tol for dim, _, tol in all_solves(eigen_solves)
+                          if dim == loose["vertex_count"])
         assert top_tols == [1e-12, 1e-12, 1e-10, 1e-10]

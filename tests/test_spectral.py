@@ -1,11 +1,14 @@
 import ast
 import inspect
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latspec.degrees
 import latspec.spectral
 from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.errors import InputError, NumericError
@@ -14,6 +17,7 @@ from latspec.lattice import enumerate_subgroups
 from latspec.spectral import (
     DEFAULT_TOL,
     Spectrum,
+    _stack,
     _sturm_counts,
     _tridiagonalize,
     eigenvalues_symmetric,
@@ -21,21 +25,27 @@ from latspec.spectral import (
     verify_trace_identities,
 )
 
-from conftest import build, per_index_multisection
+from conftest import build, per_index_multisection, solo_multisection
 
 
 def graph_of(group):
     return build_graph(enumerate_subgroups(group))
 
 
+def solve(matrix, tol=DEFAULT_TOL):
+    """The one Spectrum of a single-matrix solver call."""
+    (spectrum,) = eigenvalues_symmetric(matrix, tol=tol)
+    return spectrum
+
+
 class TestJacobi:
     def test_zero_matrix(self):
-        spec = eigenvalues_symmetric(DenseSymMatrix(np.zeros((5, 5))))
+        spec = solve(DenseSymMatrix(np.zeros((5, 5))))
         assert spec.values == (0.0,) * 5
 
     def test_empty_and_single(self):
-        assert eigenvalues_symmetric(DenseSymMatrix(np.zeros((0, 0)))).values == ()
-        got = eigenvalues_symmetric(DenseSymMatrix(np.array([[3.5]]))).values
+        assert solve(DenseSymMatrix(np.zeros((0, 0)))).values == ()
+        got = solve(DenseSymMatrix(np.array([[3.5]]))).values
         assert got == (3.5,)
 
     @pytest.mark.parametrize("gens_degree,expected", [
@@ -45,53 +55,53 @@ class TestJacobi:
     ])
     def test_known_laplacian_spectra(self, gens_degree, expected):
         gens, degree = gens_degree
-        spec = eigenvalues_symmetric(laplacian_matrix(graph_of(build(degree, gens))))
+        spec = solve(laplacian_matrix(graph_of(build(degree, gens))))
         assert spec.rounded() == expected
         assert max(abs(v - r) for v, r in zip(spec.values, expected)) < 1e-9
 
     def test_matches_lapack_oracle_on_s4_graph(self, s4):
         lap = laplacian_matrix(graph_of(s4))
-        ours = eigenvalues_symmetric(lap).values
+        ours = solve(lap).values
         reference = sorted(np.linalg.eigvalsh(lap.data))
         assert len(ours) == 26
         assert max(abs(a - b) for a, b in zip(ours, reference)) < 1e-9
 
     def test_ascending_order(self, s4):
-        values = eigenvalues_symmetric(laplacian_matrix(graph_of(s4))).values
+        values = solve(laplacian_matrix(graph_of(s4))).values
         assert list(values) == sorted(values)
 
     def test_laplacian_values_nonnegative(self, s4):
-        values = eigenvalues_symmetric(laplacian_matrix(graph_of(s4))).values
+        values = solve(laplacian_matrix(graph_of(s4))).values
         assert min(values) > -1e-9
 
     def test_zero_multiplicity_counts_components(self, a4, s4):
         for group in (a4, s4):
             g = graph_of(group)
-            values = eigenvalues_symmetric(laplacian_matrix(g)).values
+            values = solve(laplacian_matrix(g)).values
             zeros = sum(1 for v in values if abs(v) < 1e-7)
             assert zeros == g.connected_components()
 
     def test_trace_preserved(self, a4):
         lap = laplacian_matrix(graph_of(a4))
-        spec = eigenvalues_symmetric(lap)
+        spec = solve(lap)
         assert abs(float(np.trace(lap.data)) - math.fsum(spec.values)) < 1e-9
 
     def test_non_symmetric_rejected(self):
         m = DenseSymMatrix.__new__(DenseSymMatrix)
         object.__setattr__(m, "data", np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(InputError):
-            eigenvalues_symmetric(m)
+            solve(m)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(InputError):
-            eigenvalues_symmetric(DenseSymMatrix(np.zeros((2, 2))), tol=0.0)
+            solve(DenseSymMatrix(np.zeros((2, 2))), tol=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
         # a nan or inf stop bound would end the iteration at once and
         # return the unrotated diagonal
         with pytest.raises(InputError):
-            eigenvalues_symmetric(DenseSymMatrix(np.ones((3, 3)) - np.eye(3)), tol=tol)
+            solve(DenseSymMatrix(np.ones((3, 3)) - np.eye(3)), tol=tol)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
@@ -99,7 +109,7 @@ class TestJacobi:
     def test_random_integer_matrices_match_lapack(self, rows):
         m = np.array(rows, dtype=float)
         m = m + m.T
-        ours = eigenvalues_symmetric(DenseSymMatrix(m)).values
+        ours = solve(DenseSymMatrix(m)).values
         reference = sorted(np.linalg.eigvalsh(m))
         assert max(abs(a - b) for a, b in zip(ours, reference)) < 1e-8
 
@@ -108,8 +118,8 @@ class TestJacobi:
         rng = np.random.default_rng(7)
         p = rng.permutation(lap.shape[0])
         shuffled = lap[np.ix_(p, p)]
-        s1 = eigenvalues_symmetric(DenseSymMatrix(lap)).values
-        s2 = eigenvalues_symmetric(DenseSymMatrix(shuffled)).values
+        s1 = solve(DenseSymMatrix(lap)).values
+        s2 = solve(DenseSymMatrix(shuffled)).values
         assert max(abs(a - b) for a, b in zip(s1, s2)) < 1e-9
 
 
@@ -131,7 +141,7 @@ class TestRoundRobin:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 16, 17, 32, 33])
     def test_odd_and_even_dimensions_match_lapack(self, n):
         m = random_symmetric(n, seed=n)
-        spec = eigenvalues_symmetric(DenseSymMatrix(m))
+        spec = solve(DenseSymMatrix(m))
         assert spec.dimension == n
         assert spec.reflections <= max(0, n - 2)
         assert spec.steps > 0
@@ -141,22 +151,22 @@ class TestRoundRobin:
     def test_diagonal_input_needs_no_sweep(self):
         # already tridiagonal: no reflection, and every bracket closes on its
         # diagonal entry
-        spec = eigenvalues_symmetric(DenseSymMatrix(np.diag([3.0, -1.0, 2.0, 0.5, 7.0])))
+        spec = solve(DenseSymMatrix(np.diag([3.0, -1.0, 2.0, 0.5, 7.0])))
         assert spec.reflections == 0
         expected = (-1.0, 0.5, 2.0, 3.0, 7.0)
         assert max(abs(a - b) for a, b in zip(spec.values, expected)) <= spec.width
 
     def test_non_convergence_raises(self, monkeypatch, s4):
         lap = laplacian_matrix(graph_of(s4))
-        assert eigenvalues_symmetric(lap).steps > 1
+        assert solve(lap).steps > 1
         monkeypatch.setattr(latspec.spectral, "MAX_STEPS", 1)
         with pytest.raises(NumericError):
-            eigenvalues_symmetric(lap)
+            solve(lap)
 
     def test_repeat_solves_are_identical(self, s4):
         g = graph_of(s4)
         for matrix in (adjacency_matrix(g), laplacian_matrix(g)):
-            first, second = eigenvalues_symmetric(matrix), eigenvalues_symmetric(matrix)
+            first, second = solve(matrix), solve(matrix)
             assert first.values == second.values
             assert (first.reflections, first.steps, first.width) == (
                 second.reflections, second.steps, second.width)
@@ -164,7 +174,7 @@ class TestRoundRobin:
     @pytest.mark.parametrize("matrix_of", [adjacency_matrix, laplacian_matrix])
     def test_matches_lapack_oracle_on_psl27_top_graph(self, psl27_graph, matrix_of):
         matrix = matrix_of(psl27_graph)
-        ours = eigenvalues_symmetric(matrix).values
+        ours = solve(matrix).values
         reference = sorted(np.linalg.eigvalsh(matrix.data))
         assert len(ours) == 177
         assert max(abs(a - b) for a, b in zip(ours, reference)) < 1e-9
@@ -176,6 +186,11 @@ def tridiagonal(d, e):
 
 def pivmin_of(e):
     return np.finfo(float).tiny * max(1.0, float((e * e).max()))
+
+
+def sturm_counts_alone(d, e, shifts):
+    return _sturm_counts(_stack([d], [e * e]), np.array([d.size]), np.array([pivmin_of(e)]),
+                         shifts, np.zeros(shifts.size, dtype=np.intp))
 
 
 def stated_width(matrix, tol=DEFAULT_TOL):
@@ -199,25 +214,42 @@ class TestSturm:
         reference = np.linalg.eigvalsh(tridiagonal(d, e))
         shifts = np.linspace(reference[0] - 1, reference[-1] + 1, 97)
         shifts = shifts[np.abs(shifts[:, None] - reference).min(axis=1) > 1e-6]
-        counts = _sturm_counts(d, e * e, pivmin_of(e), shifts)
+        counts = sturm_counts_alone(d, e, shifts)
         assert counts.tolist() == [int((reference < x).sum()) for x in shifts]
+
+    def test_counts_of_several_tridiagonals_in_one_pass(self):
+        # largest first, as the solver passes them; each keeps its own shifts
+        rng = np.random.default_rng(3)
+        ds, es, shifts = [], [], []
+        for n in (31, 17, 17, 9, 2):
+            ds.append(rng.integers(-6, 7, size=n).astype(float))
+            es.append(rng.integers(-3, 4, size=n - 1).astype(float))
+            shifts.append(rng.uniform(-12.25, 12.25, size=int(rng.integers(1, 60))))
+        owner = np.repeat(np.arange(len(ds)), [x.size for x in shifts])
+        counts = _sturm_counts(_stack(ds, [e * e for e in es]), np.array([d.size for d in ds]),
+                               np.array([pivmin_of(e) for e in es]), np.concatenate(shifts), owner)
+        expected = []
+        for d, e, x in zip(ds, es, shifts):
+            reference = np.linalg.eigvalsh(tridiagonal(d, e))
+            expected += [int((reference < v).sum()) for v in x]
+        assert counts.tolist() == expected
 
     def test_exactly_zero_pivot_is_guarded(self):
         # q_0 = d_0 - x = 0 exactly; unguarded, the next row divides by zero
         d, e = np.array([2.0, 5.0, 1.0]), np.array([1.0, 1.0])
         reference = np.linalg.eigvalsh(tridiagonal(d, e))
         assert np.abs(reference - 2.0).min() > 0.1
-        counts = _sturm_counts(d, e * e, pivmin_of(e), np.array([2.0]))
+        counts = sturm_counts_alone(d, e, np.array([2.0]))
         assert counts.tolist() == [int((reference < 2.0).sum())]
 
     @pytest.mark.parametrize("n", [2, 3, 12, 40])
     def test_complete_graph_multiplicity(self, n):
-        spec = eigenvalues_symmetric(DenseSymMatrix(np.ones((n, n)) - np.eye(n)))
+        spec = solve(DenseSymMatrix(np.ones((n, n)) - np.eye(n)))
         assert spec.values[-1] == pytest.approx(n - 1, abs=1e-12)
         assert all(abs(v + 1.0) <= 1e-12 for v in spec.values[:-1])
 
     def test_zero_matrix_takes_no_step(self):
-        spec = eigenvalues_symmetric(DenseSymMatrix(np.zeros((6, 6))))
+        spec = solve(DenseSymMatrix(np.zeros((6, 6))))
         assert spec.values == (0.0,) * 6
         assert (spec.reflections, spec.steps, spec.width) == (0, 0, 0.0)
 
@@ -227,35 +259,35 @@ class TestSturm:
         block = np.zeros((2 * n + 3, 2 * n + 3))
         block[:n, :n] = lap
         block[n:2 * n, n:2 * n] = lap
-        spec = eigenvalues_symmetric(DenseSymMatrix(block))
+        spec = solve(DenseSymMatrix(block))
         reference = np.linalg.eigvalsh(block)
         assert max(abs(a - b) for a, b in zip(spec.values, reference)) < 1e-9
         assert sum(1 for v in spec.values if abs(v) < 1e-9) == 5  # one per block, three zero rows
 
     def test_large_random_integer_matrix_matches_lapack(self):
         m = random_symmetric(401, seed=11)
-        spec = eigenvalues_symmetric(DenseSymMatrix(m))
+        spec = solve(DenseSymMatrix(m))
         reference = np.linalg.eigvalsh(m)
         assert max(abs(a - b) for a, b in zip(spec.values, reference)) < 1e-9
         assert spec.width <= stated_width(DenseSymMatrix(m))
 
     def test_looser_tol_never_tightens_the_bracket(self, s4):
         lap = laplacian_matrix(graph_of(s4))
-        tight, loose = eigenvalues_symmetric(lap), eigenvalues_symmetric(lap, tol=1e-6)
+        tight, loose = solve(lap), solve(lap, tol=1e-6)
         assert loose.width >= tight.width
         assert loose.steps < tight.steps
         assert loose.width <= stated_width(lap, tol=1e-6)
-        assert eigenvalues_symmetric(lap, tol=1e-20).width == tight.width
+        assert solve(lap, tol=1e-20).width == tight.width
 
     def test_infinite_entry_rejected(self):
         m = np.zeros((3, 3))
         m[1, 1] = math.inf
         with pytest.raises(InputError):
-            eigenvalues_symmetric(DenseSymMatrix(m))
+            solve(DenseSymMatrix(m))
 
     def test_overflow_raises_numeric_error(self):
         with pytest.raises(NumericError):
-            eigenvalues_symmetric(DenseSymMatrix(np.full((3, 3), 1e200)))
+            solve(DenseSymMatrix(np.full((3, 3), 1e200)))
 
     def test_solver_makes_no_blas_call(self):
         # matrix products, dot products and numpy.linalg all reach BLAS or LAPACK
@@ -267,7 +299,7 @@ class TestSturm:
 
 
 def assert_converged(matrix):
-    spec = eigenvalues_symmetric(matrix)
+    spec = solve(matrix)
     n = matrix.dimension
     assert spec.width <= stated_width(matrix)
     assert spec.reflections <= max(0, n - 2)
@@ -300,7 +332,7 @@ def top_and_class_graphs(name):
 def assert_matches_per_index_reference(matrices):
     for matrix in matrices:
         for tol in (DEFAULT_TOL, 1e-6):
-            ours = eigenvalues_symmetric(matrix, tol)
+            ours = solve(matrix, tol)
             reference = per_index_multisection(np.asarray(matrix.data, dtype=float), tol)
             assert ours.values == reference.values
             assert (ours.reflections, ours.steps, ours.width) == (
@@ -329,8 +361,11 @@ class TestClusterMultisection:
                                                   (laplacian_matrix, 4431)])
     def test_psl27_top_graph_shift_counts(self, psl27_graph, matrix_of, shifts):
         matrix = matrix_of(psl27_graph)
-        spec = eigenvalues_symmetric(matrix)
+        spec = solve(matrix)
         assert (spec.dimension, spec.steps, spec.shifts) == (177, 18, shifts)
+        # solved as one of the pair, the matrix takes the same shifts
+        pair = eigenvalues_symmetric(adjacency_matrix(psl27_graph), laplacian_matrix(psl27_graph))
+        assert pair[[adjacency_matrix, laplacian_matrix].index(matrix_of)].shifts == shifts
         # the per-index multisection evaluates 7 shifts per index and step
         reference = per_index_multisection(matrix.data)
         assert 7 * 177 * reference.steps == 22302
@@ -338,29 +373,176 @@ class TestClusterMultisection:
     def test_falling_counts_raise(self, monkeypatch):
         matrix = DenseSymMatrix(random_symmetric(6, seed=1))
 
-        def falling(d, e2, pivmin, x):
-            counts = np.full(x.size, d.size)
+        def falling(rows, dims, pivmins, x, owner):
+            counts = np.full(x.size, dims[0])
             counts[1::2] = 0
             return counts
 
         monkeypatch.setattr(latspec.spectral, "_sturm_counts", falling)
         with pytest.raises(NumericError):
-            eigenvalues_symmetric(matrix)
+            solve(matrix)
+
+
+def counters(spectrum):
+    return (spectrum.values, spectrum.reflections, spectrum.steps, spectrum.width,
+            spectrum.shifts)
+
+
+def assert_batch_matches_solo_reference(matrices):
+    for tol in (DEFAULT_TOL, 1e-6):
+        batch = eigenvalues_symmetric(*matrices, tol=tol)
+        assert len(batch) == len(matrices)
+        for matrix, ours in zip(matrices, batch):
+            reference = solo_multisection(np.asarray(matrix.data, dtype=float), tol)
+            assert counters(ours) == counters(reference)
+
+
+def verify_batches(name):
+    """The matrices of each solver call that `verify_identities` makes."""
+    lattice = enumerate_subgroups(parse_group_spec(name).group)
+    calls = []
+
+    def recording(*matrices, tol=DEFAULT_TOL):
+        calls.append(matrices)
+        return eigenvalues_symmetric(*matrices, tol=tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(latspec.degrees, "eigenvalues_symmetric", recording)
+        latspec.degrees.verify_identities(lattice)
+    return calls
+
+
+def mixed_matrices(s4):
+    complete = [np.ones((n, n)) - np.eye(n) for n in range(2, 41)]
+    zero = [np.zeros((n, n)) for n in (0, 1, 2, 3, 6)]
+    g = graph_of(s4)
+    graphs = [adjacency_matrix(g).data, laplacian_matrix(g).data]
+    return [DenseSymMatrix(m) for m in complete + zero + graphs + [
+        np.array([[3.5]]), random_symmetric(33, seed=2), np.diag([3.0, -1.0, 2.0])]]
+
+
+class TestBatchedMultisection:
+    """A batched call gives each matrix bit for bit the Spectrum, counters
+    included, of the per-matrix solver (`solo_multisection`)."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_verify_batches_match_the_solo_reference(self, name):
+        calls = verify_batches(name)
+        # the top graph's pair, then every class graph's pair that a split needs
+        assert 1 <= len(calls) <= 2
+        assert len(calls[0]) == 2
+        for matrices in calls:
+            assert_batch_matches_solo_reference(matrices)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_mixed_batches_match_the_solo_reference(self, s4, seed):
+        matrices = mixed_matrices(s4)
+        random.Random(seed).shuffle(matrices)
+        assert_batch_matches_solo_reference(matrices)
+
+    def test_spectrum_is_independent_of_companions_and_position(self, s4):
+        matrices = mixed_matrices(s4)
+        alone = [counters(solve(m)) for m in matrices]
+        rng = random.Random(11)
+        for _ in range(4):
+            order = rng.sample(range(len(matrices)), rng.randint(1, len(matrices)))
+            batch = eigenvalues_symmetric(*(matrices[i] for i in order))
+            assert [counters(spec) for spec in batch] == [alone[i] for i in order]
+        doubled = eigenvalues_symmetric(*matrices, *matrices)
+        assert [counters(spec) for spec in doubled] == alone + alone
+
+    def test_empty_call_returns_no_spectrum(self):
+        assert eigenvalues_symmetric() == ()
+
+    def test_pair_peak_memory_stays_at_the_solo_level(self, psl27_graph):
+        # the Sturm pass gathers one row at a time into shift-length buffers;
+        # a (rows x shifts) gather would hold the whole pair's shifts per row
+        pair = adjacency_matrix(psl27_graph), laplacian_matrix(psl27_graph)
+
+        def peak(solver, *args):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                solver(*args)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        solo = max(peak(solo_multisection, m.data) for m in pair)
+        assert peak(eigenvalues_symmetric, *pair) <= 1.25 * solo
+
+    def test_error_names_the_failing_member(self, monkeypatch):
+        # positions differ from the largest-first order the pass uses
+        matrices = [DenseSymMatrix(random_symmetric(n, seed=n)) for n in (6, 4, 9)]
+        real = latspec.spectral._sturm_counts
+
+        def falling_for_six(rows, dims, pivmins, x, owner):
+            counts = real(rows, dims, pivmins, x, owner)
+            mine = np.flatnonzero(dims[owner] == 6)
+            counts[mine[1::2]] = 0
+            return counts
+
+        monkeypatch.setattr(latspec.spectral, "_sturm_counts", falling_for_six)
+        with pytest.raises(NumericError, match=r"matrix 0 \(dimension 6\): Sturm counts fell"):
+            eigenvalues_symmetric(*matrices)
+        eigenvalues_symmetric(*matrices[1:])  # the others still solve
+
+    def test_overflow_in_the_shared_pass_names_the_matrix(self, monkeypatch):
+        matrices = [DenseSymMatrix(random_symmetric(n, seed=n)) for n in (4, 9, 6)]
+        real = latspec.spectral._sturm_counts
+
+        def overflowing_for_four(rows, dims, pivmins, x, owner):
+            if (dims[owner] == 4).any():
+                raise FloatingPointError("overflow encountered in divide")
+            return real(rows, dims, pivmins, x, owner)
+
+        monkeypatch.setattr(latspec.spectral, "_sturm_counts", overflowing_for_four)
+        with pytest.raises(NumericError, match=r"matrix 0 \(dimension 4\): .*overflowed"):
+            eigenvalues_symmetric(*matrices)
+
+    def test_overflowing_interval_names_the_matrix(self):
+        # the Gershgorin interval [-1e308, 1e308] is too wide for a double
+        wide = DenseSymMatrix(np.diag([1e308, -1e308]))
+        good = DenseSymMatrix(random_symmetric(5, seed=5))
+        with pytest.raises(NumericError, match=r"matrix 1 \(dimension 2\): .*overflowed"):
+            eigenvalues_symmetric(good, wide, good)
+
+    def test_input_error_names_the_failing_member(self):
+        bad = DenseSymMatrix.__new__(DenseSymMatrix)
+        object.__setattr__(bad, "data", np.array([[0.0, 1.0], [2.0, 0.0]]))
+        good = DenseSymMatrix(np.ones((3, 3)))
+        with pytest.raises(InputError, match=r"matrix 1 \(dimension 2\): matrix is not symmetric"):
+            eigenvalues_symmetric(good, bad, good)
+        infinite = np.zeros((4, 4))
+        infinite[2, 2] = math.inf
+        with pytest.raises(InputError, match=r"matrix 2 \(dimension 4\)"):
+            eigenvalues_symmetric(good, good, DenseSymMatrix(infinite))
+
+    def test_step_cap_is_counted_per_matrix(self, monkeypatch, s4):
+        # a multiple of the identity starts closed and takes no step, so with
+        # the cap at 0 only the Laplacian, solved after it, exceeds the cap
+        lap = laplacian_matrix(graph_of(s4))
+        identity = DenseSymMatrix(2.0 * np.eye(30))
+        monkeypatch.setattr(latspec.spectral, "MAX_STEPS", 0)
+        assert solve(identity).steps == 0
+        with pytest.raises(NumericError, match=r"matrix 0 \(dimension 26\): bisection"):
+            eigenvalues_symmetric(lap, identity)
 
 
 class TestSpectralSums:
     def test_a4_laplacian_sum(self, a4):
-        spec = eigenvalues_symmetric(laplacian_matrix(graph_of(a4)))
+        spec = solve(laplacian_matrix(graph_of(a4)))
         total, _ = spectral_sums(spec)
         assert abs(total - 36) < 1e-9
 
     def test_triangle_sum(self, s3):
-        spec = eigenvalues_symmetric(laplacian_matrix(graph_of(s3)))
+        spec = solve(laplacian_matrix(graph_of(s3)))
         assert abs(spectral_sums(spec)[0] - 6) < 1e-9
 
     def test_adjacency_sum_is_zero(self, s4):
         g = graph_of(s4)
-        spec = eigenvalues_symmetric(adjacency_matrix(g))
+        spec = solve(adjacency_matrix(g))
         assert abs(spectral_sums(spec)[0]) <= 1e-8 * max(1, 2 * g.edge_count)
 
     def test_explicit_values(self):
@@ -372,8 +554,8 @@ class TestSpectralSums:
 class TestTraceIdentities:
     def test_a4(self, a4):
         g = graph_of(a4)
-        adj = eigenvalues_symmetric(adjacency_matrix(g))
-        lap = eigenvalues_symmetric(laplacian_matrix(g))
+        adj = solve(adjacency_matrix(g))
+        lap = solve(laplacian_matrix(g))
         checks = verify_trace_identities(g, adj, lap)
         assert all(c.passed for c in checks)
         by_name = {c.name: c for c in checks}
@@ -381,8 +563,8 @@ class TestTraceIdentities:
 
     def test_null_graph_all_zero(self, c6):
         g = graph_of(c6)
-        adj = eigenvalues_symmetric(adjacency_matrix(g))
-        lap = eigenvalues_symmetric(laplacian_matrix(g))
+        adj = solve(adjacency_matrix(g))
+        lap = solve(laplacian_matrix(g))
         checks = verify_trace_identities(g, adj, lap)
         assert all(c.passed for c in checks)
         assert all(c.lhs == 0.0 and c.rhs == 0.0 for c in checks)
@@ -399,7 +581,7 @@ class TestTraceIdentities:
         assert non_permuting == 390
         g = graph_of(s4)
         assert 2 * g.edge_count == non_permuting
-        lap = eigenvalues_symmetric(laplacian_matrix(g))
+        lap = solve(laplacian_matrix(g))
         assert abs(spectral_sums(lap)[0] - non_permuting) < 1e-8 * non_permuting
 
     def test_failure_is_reported_not_raised(self, s3):
@@ -409,7 +591,7 @@ class TestTraceIdentities:
         assert any(not c.passed for c in checks)
 
     def test_csv_has_twelve_significant_digits(self, s3):
-        spec = eigenvalues_symmetric(laplacian_matrix(graph_of(s3)))
+        spec = solve(laplacian_matrix(graph_of(s3)))
         lines = spec.to_csv().splitlines()
         assert len(lines) == 3
         assert all(float(line) is not None for line in lines)
