@@ -16,17 +16,27 @@ Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
 quasihamiltonian flag, the graph's edge count and both spectra. A parent
 lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
-its graph, its sd, its F2, its subgroup F2 sum and its two spectra per tol.
+its graph, the graph's block basis, its sd, its F2, its subgroup F2 sum and
+its two spectra per tol.
 Sums over all subgroups (the subgroup F2 sum, and the rows of `f2_direct`)
 take one term per class, weighted by the class size. The structure dump,
 the trace checks and the split shadows share one eigenvalue solve per class,
-matrix and tol. Matrices that merely coincide are each solved; in the catalog
-those have dimension at most 4 (the 0x0 adjacency and Laplacian matrices of a
-null graph, the graphs of the two classes of S3 in D6 and of D4 in D8).
-The solves are handed to the eigensolver in batches, one call per batch: a
+matrix and tol.
+
+Conjugation also permutes the graph's vertices and commutes with both of its
+matrices, so each matrix is solved in symmetry-adapted blocks (the canonical
+decomposition; Serre, Linear Representations of Finite Groups, 2.6). An
+elementary abelian 2-subgroup E of commuting involutions acts on the
+vertices; each of its 2^r characters, with the E-orbits it admits, spans a
+subspace that the matrix preserves, and the matrix restricted there is one
+block (`_symmetry_blocks`, `_block`). PSL(2,7)'s 177-vertex graph splits into
+blocks of 75, 34, 34 and 34; an odd-order group has no involution, and its
+one block is the matrix itself. A spectrum is its blocks' values merged.
+The blocks are handed to the eigensolver in batches, one call per batch: a
 graph's two matrices together, and, before the first split sums its terms,
 both matrices of every class in the split at DEFAULT_TOL, so a `verify`
 makes at most one call for the top graph and one for all its classes.
+Blocks with the same shape and bytes in one call are solved once.
 """
 
 from __future__ import annotations
@@ -36,16 +46,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .cache import signature_of
 from .catalog import order_histogram_key
 from .errors import ConsistencyError, DomainError
 from .graph import (
+    DenseSymMatrix,
     NonPermutabilityGraph,
     adjacency_matrix,
     build_graph,
     laplacian_matrix,
 )
 from .lattice import SubgroupLattice, enumerate_subgroups
+from .perm import FiniteGroup
 from .spectral import (
     DEFAULT_TOL,
     IdentityCheck,
@@ -117,20 +131,124 @@ def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
     return _memo(lattice, "graph", lambda: build_graph(lattice))
 
 
+def _involutions(group: FiniteGroup) -> list[int]:
+    """Generators of an elementary abelian 2-subgroup E of the group: each
+    involution, by ascending element index, that lies outside E so far and
+    commutes with every generator taken."""
+    table = group.mul_table
+    gens: list[int] = []
+    members = {group.identity_index}
+    for g in range(group.order):
+        if (group.order_of_index(g) == 2 and g not in members
+                and all(table[g][s] == table[s][g] for s in gens)):
+            gens.append(g)
+            members |= {table[g][h] for h in members}
+    return gens
+
+
+def _symmetry_blocks(lattice: SubgroupLattice,
+                     graph: NonPermutabilityGraph) -> list[tuple[np.ndarray, ...]]:
+    """The symmetry-adapted basis of the graph's vertex space, block by block.
+
+    E (`_involutions`) acts on the vertices by conjugation. An E-orbit O with
+    base point o and a character chi of E that is trivial on the stabilizer
+    of o give the unit vector sum over w in O of chi(e_w) delta_w / sqrt|O|,
+    where e_w o = w. The vectors of one chi span a subspace that both graph
+    matrices preserve (Serre, Linear Representations of Finite Groups, 2.6).
+    Each block is (vertex positions in orbit order, their signs chi(e_w),
+    orbit starts, orbit sizes), one per chi with an orbit, chi in index
+    order. E is a vector over GF(2) here: e_w is a bit mask over its
+    generators, and chi(e) = (-1)^|c & e| for the character's mask c.
+    With E trivial there is one block, every vertex its own orbit.
+    """
+    vertex_ids = list(graph.vertex_ids)
+    position = {sid: i for i, sid in enumerate(vertex_ids)}
+    actions = [[position[sid] for sid in lattice.conjugation_map(g)[vertex_ids].tolist()]
+               for g in _involutions(lattice.group)]
+    n = graph.vertex_count
+    mask = [-1] * n
+    orbits: list[tuple[list[int], list[int]]] = []  # (vertices, stabilizer generators)
+    for start in range(n):
+        if mask[start] >= 0:
+            continue
+        mask[start] = 0
+        orbit, stabilizer = [start], []
+        for x in orbit:  # grows while it is walked
+            for k, action in enumerate(actions):
+                y, e = action[x], mask[x] ^ 1 << k
+                if mask[y] < 0:
+                    mask[y] = e
+                    orbit.append(y)
+                elif mask[y] != e:
+                    stabilizer.append(mask[y] ^ e)
+        orbits.append((orbit, stabilizer))
+    blocks = []
+    for c in range(1 << len(actions)):
+        kept = [orbit for orbit, stabilizer in orbits
+                if not any((c & s).bit_count() % 2 for s in stabilizer)]
+        if kept:
+            vertices = [w for orbit in kept for w in orbit]
+            sizes = np.array([len(orbit) for orbit in kept])
+            signs = np.array([-1.0 if (c & mask[w]).bit_count() % 2 else 1.0 for w in vertices])
+            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            blocks.append((np.array(vertices, dtype=np.intp), signs, starts, sizes))
+    return blocks
+
+
+def _block(data: np.ndarray, vertices: np.ndarray, signs: np.ndarray,
+           starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """B[i, j] = sum over u in O_i, w in O_j of chi(u) chi(w) M[u, w], over sqrt(|O_i| |O_j|).
+
+    The sums are of integers, so they are exact and symmetric, and no BLAS
+    call sets their order. With every orbit of size 1 and every sign +1,
+    B is M itself, bit for bit.
+    """
+    part = data[np.ix_(vertices, vertices)]
+    part *= np.multiply.outer(signs, signs)
+    sums = np.add.reduceat(np.add.reduceat(part, starts, axis=0), starts, axis=1)
+    return sums / np.sqrt(np.multiply.outer(sizes, sizes))
+
+
+def _merged(parts: list[Spectrum]) -> Spectrum:
+    """One spectrum from the spectra of a matrix's blocks (see `Spectrum`)."""
+    return Spectrum(tuple(sorted(v for part in parts for v in part.values)),
+                    sum(part.reflections for part in parts),
+                    max((part.steps for part in parts), default=0),
+                    max((part.width for part in parts), default=0.0),
+                    sum(part.shifts for part in parts))
+
+
 def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum, Spectrum]]:
     """The adjacency and Laplacian spectra at tol of each lattice's graph.
 
-    Every spectrum not yet memoized on its lattice is solved in one
-    eigensolver call and memoized there; when none is missing, no call is made.
+    Every spectrum not yet memoized on its lattice is split into its
+    symmetry-adapted blocks (`_symmetry_blocks`), and the blocks of all of
+    them are solved in one eigensolver call; blocks with the same shape and
+    bytes are solved once. Each spectrum is its blocks' values merged, and
+    is memoized on its lattice. When no spectrum is missing, or all of them
+    are of null graphs, which have no block, no call is made.
     """
     keys = [(adjacency_matrix, tol), (laplacian_matrix, tol)]
     missing = [(lat, key) for lat in {id(lat): lat for lat in lattices}.values()
                for key in keys if key not in lat.memo]
     if missing:
-        solved = eigenvalues_symmetric(
-            *(matrix_of(top_graph(lat)) for lat, (matrix_of, _) in missing), tol=tol)
-        for (lat, key), spectrum in zip(missing, solved):
-            lat.memo[key] = spectrum
+        unique: dict[tuple, int] = {}
+        blocks: list[DenseSymMatrix] = []
+        parts: list[list[int]] = []
+        for lat, (matrix_of, _) in missing:
+            graph = top_graph(lat)
+            basis = _memo(lat, "blocks", lambda: _symmetry_blocks(lat, graph))
+            data = matrix_of(graph).data
+            mine = []
+            for block in (_block(data, *spec) for spec in basis):
+                index = unique.setdefault((block.shape, block.tobytes()), len(blocks))
+                if index == len(blocks):
+                    blocks.append(DenseSymMatrix(block))
+                mine.append(index)
+            parts.append(mine)
+        solved = eigenvalues_symmetric(*blocks, tol=tol) if blocks else ()
+        for (lat, key), mine in zip(missing, parts):
+            lat.memo[key] = _merged([solved[i] for i in mine])
     return [(lat.memo[keys[0]], lat.memo[keys[1]]) for lat in lattices]
 
 

@@ -1,15 +1,21 @@
 """Complete subgroup lattices: enumeration, meet/join, Möbius values, permuting core.
 
 A lattice is built once (single writer) and is immutable afterwards; the
-Möbius memo, the conjugacy-class map, the permutability matrix and `memo` are
+Möbius tables, the conjugation walk, the permutability matrix and `memo` are
 filled lazily with deterministic values, so concurrent readers always observe
 a consistent map.
 
+Conjugation by the group permutes the members: `conjugation_map(g)` takes
+each id to the id of g^-1 H g. One orbit walk on ids, over the maps of the
+group's generators, gives the conjugacy classes (`class_reps`).
+
 Two independent pair computations live here. `products_commute` decides
-HK = KH from lattice orders, and `permutability` calls it once per unordered
-pair to fill the one matrix every permutability consumer reads.
-`product_bits` builds the set product HK element by element, as a union of
-right cosets; it never touches joins, meets or the matrix.
+HK = KH from lattice orders. `permutability` calls it on the rows of class
+representatives only, and copies every other row along the orbit walk,
+since conjugation preserves HK = KH; every permutability consumer reads
+that one matrix. `product_bits` builds the set product HK element by
+element, as a union of right cosets; it never touches joins, meets or the
+matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
 `_close_by_cyclic_extension` builds one from the trivial subgroup, and proves
@@ -28,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .closed_forms import is_prime
-from .errors import DomainError, InputError, SizeError
+from .errors import ConsistencyError, DomainError, InputError, SizeError
 from .perm import FiniteGroup, bits_of, iter_bits
 
 DEFAULT_SUBGROUP_CAP = 100_000
@@ -70,14 +76,16 @@ def _closure_bits(table: list[list[int]], start_bits: int, gens: Sequence[int]) 
     return members
 
 
+def _conjugator(group: FiniteGroup, s: int) -> list[int]:
+    """The map h -> s^-1 h s on element indices."""
+    table = group.mul_table
+    row = table[group.inverse_index(s)]
+    return [table[row[h]][s] for h in range(group.order)]
+
+
 def _conjugators(group: FiniteGroup) -> list[list[int]]:
     """One map h -> s^-1 h s per generator s of the group."""
-    table = group.mul_table
-    maps = []
-    for s in map(group.index_of, group.generators):
-        row = table[group.inverse_index(s)]
-        maps.append([table[row[h]][s] for h in range(group.order)])
-    return maps
+    return [_conjugator(group, s) for s in map(group.index_of, group.generators)]
 
 
 def _conjugates(bits: int, conjugators: list[list[int]]) -> list[int]:
@@ -196,11 +204,11 @@ class SubgroupLattice:
                     self._down[i] |= 1 << j
                     self._up[j] |= 1 << i
 
-        self._mobius_memo: dict[tuple[int, int], int] = {}
+        self._mobius_to: dict[int, dict[int, int]] = {}  # upper -> {lower: mu(lower, upper)}
         self._permutes: np.ndarray | None = None
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._class_reps: tuple[int, ...] | None = None
+        self._walk: tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]] | None = None
         # results other modules derive from this lattice (see degrees), freed with it
         self.memo: dict = {}
 
@@ -241,53 +249,79 @@ class SubgroupLattice:
         ids = tuple(iter_bits(self._down[upper] & self._up[lower]))
         return Interval(lower, upper, ids)
 
+    def conjugation_map(self, g: int) -> np.ndarray:
+        """Int array taking each id to the id of g^-1 H g, for the element index g.
+
+        InputError if a conjugate of a member is not a member.
+        """
+        images = _conjugator(self.group, g)
+        out = np.empty(self.size, dtype=np.intp)
+        for sid, members in enumerate(self._member_tuples):
+            image = self._id_of.get(bits_of(images[h] for h in members))
+            if image is None:
+                raise InputError("member sets are not closed under conjugation")
+            out[sid] = image
+        return out
+
+    def _conjugation_walk(self) -> tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]]:
+        """Class representatives and the steps of one orbit walk on ids.
+
+        The walk goes over the conjugation maps of the group's generators,
+        starting each class at its least id. A step (y, x, m) records that
+        id y was first reached as m[x], from an id x reached before it.
+        """
+        if self._walk is None:
+            group = self.group
+            maps = [self.conjugation_map(s) for s in map(group.index_of, group.generators)]
+            images = [m.tolist() for m in maps]
+            reps = [-1] * self.size
+            steps = []
+            for sid in range(self.size):
+                if reps[sid] >= 0:
+                    continue
+                reps[sid] = sid
+                orbit = [sid]
+                for x in orbit:  # grows while it is walked
+                    for m, image in zip(maps, images):
+                        y = image[x]
+                        if reps[y] < 0:
+                            reps[y] = sid
+                            orbit.append(y)
+                            steps.append((y, x, m))
+            self._walk = (tuple(reps), steps)
+        return self._walk
+
     def class_reps(self) -> tuple[int, ...]:
         """For each id, the least id in the conjugacy class of that subgroup.
 
-        One orbit walk under the conjugation maps of the group's generators;
+        One orbit walk on ids under the generators' conjugation maps;
         InputError if a conjugate of a member is not a member.
         """
-        if self._class_reps is None:
-            conjugators = _conjugators(self.group)
-            reps = [-1] * self.size
-            for sid, sub in enumerate(self.subgroups):
-                if reps[sid] >= 0:
-                    continue
-                for bits in _conjugates(sub.members, conjugators):
-                    image = self._id_of.get(bits)
-                    if image is None:
-                        raise InputError("member sets are not closed under conjugation")
-                    reps[image] = sid
-            self._class_reps = tuple(reps)
-        return self._class_reps
+        return self._conjugation_walk()[0]
 
     # -- Möbius function -----------------------------------------------------
 
     def mobius(self, lower: int, upper: int) -> int:
-        """Möbius value of the interval [upper/lower] by the zeta recursion.
+        """Möbius value of the interval [upper/lower], read from upper's table.
 
-        mu(H, H) = 1 and the values on every nontrivial interval sum to zero.
-        Memo writes are idempotent, so concurrent queries stay consistent.
+        The table holds mu(z, upper) for every z <= upper. It is filled once,
+        with ids in descending order: mu(upper, upper) = 1 and
+        mu(z, upper) = -sum of mu(y, upper) over z < y <= upper. A larger
+        subgroup has the larger order, so the larger id, and each sum reads
+        values already filled. Tables are stored whole, so concurrent queries
+        stay consistent.
         """
         if not self.leq(lower, upper):
             raise DomainError(f"subgroup {lower} is not contained in {upper}")
-        return self._mobius(lower, upper)
-
-    def _mobius(self, lower: int, upper: int) -> int:
-        key = (lower, upper)
-        memo = self._mobius_memo
-        if key in memo:
-            return memo[key]
-        if lower == upper:
-            val = 1
-        else:
-            total = 0
-            between = self._down[upper] & self._up[lower] & ~(1 << upper)
-            for z in iter_bits(between):
-                total += self._mobius(lower, z)
-            val = -total
-        memo[key] = val
-        return val
+        table = self._mobius_to.get(upper)
+        if table is None:
+            table = {upper: 1}
+            below = self._down[upper]
+            for z in reversed(self.down_ids(upper)[:-1]):
+                above = self._up[z] & below & ~(1 << z)
+                table[z] = -sum(table[y] for y in iter_bits(above))
+            self._mobius_to[upper] = table
+        return table[lower]
 
     # -- complex products ----------------------------------------------------
 
@@ -325,17 +359,33 @@ class SubgroupLattice:
     def permutability(self) -> np.ndarray:
         """Read-only symmetric boolean matrix: entry (a, b) says whether a and b permute.
 
-        Filled once per lattice by one `products_commute` call per unordered
-        pair a < b; the diagonal is true. The permuting core, the
-        quasihamiltonian flag, sd[direct] and the graph all read it.
+        Filled once per lattice. The rows of class representatives come from
+        `products_commute`, one call per unordered pair with a representative
+        in it; the diagonal is true. Conjugation preserves XY = YX, so every
+        other row is a permuted copy of one filled before it: along the walk
+        of `class_reps`, y = m[x] gets permutes[y, m] = permutes[x].
+        ConsistencyError if the filled matrix is not symmetric, which only a
+        pair test that is not symmetric or not invariant under conjugation
+        can cause. The permuting core, the quasihamiltonian flag, sd[direct]
+        and the graph all read it.
         """
         if self._permutes is None:
             size = self.size
+            reps, steps = self._conjugation_walk()
             permutes = np.ones((size, size), dtype=bool)
-            for a in range(size):
-                for b in range(a + 1, size):
-                    if not self.products_commute(a, b):
-                        permutes[a, b] = permutes[b, a] = False
+            for a in sorted(set(reps)):
+                row = permutes[a]
+                for b in range(size):
+                    if b == a:
+                        continue
+                    if reps[b] == b and b < a:
+                        row[b] = permutes[b, a]
+                    elif not self.products_commute(a, b):
+                        row[b] = False
+            for y, x, m in steps:
+                permutes[y, m] = permutes[x]
+            if not np.array_equal(permutes, permutes.T):
+                raise ConsistencyError("the pair test is not symmetric or not conjugation-invariant")
             permutes.flags.writeable = False
             self._permutes = permutes
         return self._permutes

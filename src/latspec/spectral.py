@@ -42,7 +42,10 @@ class Spectrum:
     `reflections`, `steps`, `width` and `shifts` record the solver's work
     (Householder reflections applied, multisection steps, the final largest
     bracket width and the Sturm shifts evaluated); they take no part in
-    equality and are never printed or cached.
+    equality and are never printed or cached. A graph spectrum solved in
+    symmetry-adapted blocks (see `degrees`) holds the blocks' values merged
+    in ascending order; its `reflections` and `shifts` are the blocks' sums,
+    and its `steps` and `width` their maxima.
     """
 
     values: tuple[float, ...]

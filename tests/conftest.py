@@ -3,7 +3,15 @@ import pytest
 
 from latspec.perm import FiniteGroup, Permutation, bits_of, compose, generate_group, parse_generators
 from latspec.errors import NumericError
-from latspec.spectral import DEFAULT_TOL, MAX_STEPS, _POINTS, Spectrum, _tridiagonalize
+from latspec.graph import adjacency_matrix, laplacian_matrix
+from latspec.spectral import (
+    DEFAULT_TOL,
+    MAX_STEPS,
+    _POINTS,
+    Spectrum,
+    _tridiagonalize,
+    eigenvalues_symmetric,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +75,39 @@ def double_loop_product(lattice, a, b):
     left = lattice.subgroups[a].member_indices()
     right = lattice.subgroups[b].member_indices()
     return bits_of(table[h][k] for h in left for k in right)
+
+
+def pairwise_permutability(lattice):
+    """Reference permutability matrix: one `products_commute` call per
+    unordered pair a < b, true on the diagonal."""
+    n = lattice.size
+    permutes = np.ones((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not lattice.products_commute(a, b):
+                permutes[a, b] = permutes[b, a] = False
+    return permutes
+
+
+def lower_fixed_mobius(lattice):
+    """Reference Möbius values of every interval by the lower-fixed zeta
+    recursion: mu(H, H) = 1 and mu(lower, upper) = -sum of mu(lower, z) over
+    lower <= z < upper, memoized per (lower, upper)."""
+    memo = {}
+
+    def mu(lower, upper):
+        if (lower, upper) not in memo:
+            memo[lower, upper] = 1 if lower == upper else -sum(
+                mu(lower, z) for z in lattice.interval(lower, upper).members if z != upper)
+        return memo[lower, upper]
+
+    return {(a, b): mu(a, b) for b in range(lattice.size) for a in lattice.down_ids(b)}
+
+
+def full_spectra(graph, tol=DEFAULT_TOL):
+    """Reference spectra: the graph's whole adjacency and Laplacian matrices,
+    solved as they are, with no symmetry-adapted blocks."""
+    return eigenvalues_symmetric(adjacency_matrix(graph), laplacian_matrix(graph), tol=tol)
 
 
 def pair_closures(group):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from typing import NamedTuple
 
@@ -468,7 +470,10 @@ class TestSolveOnce:
         top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
         keys = [(data, tol) for _, data, tol in all_solves(eigen_solves)]
         assert len(keys) == len(set(keys))
-        assert [dim for dim, _, _ in all_solves(eigen_solves)].count(top_dim) == 2
+        # the top graph's blocks of dimension 15, 3, 3 and 5 per matrix come
+        # first, and the two coinciding 3 x 3 blocks of each are solved once
+        assert top_dim == 15 + 3 + 3 + 5
+        assert sorted(dim for dim, _, _ in eigen_solves[0].solves) == [3, 3, 5, 5, 15, 15]
 
     def test_psl27_verify_makes_two_solver_calls(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
@@ -476,17 +481,19 @@ class TestSolveOnce:
         report = json.loads(out)["groups"][0]["report"]
         assert len(eigen_solves) == 2
         top, classes = eigen_solves
-        # the top graph's pair first; then, from inside the Laplacian split,
-        # the pairs of the 7 classes below the top whose own lattices do not permute
-        assert [dim for dim, _, _ in top.solves] == [report["vertex_count"]] * 2
+        # the top graph's blocks first, adjacency then Laplacian; then, from
+        # inside the Laplacian split, the 23 distinct blocks of the 7 classes
+        # below the top whose own lattices do not permute
+        assert [dim for dim, _, _ in top.solves] == [75, 34, 34, 34] * 2
+        assert 75 + 3 * 34 == report["vertex_count"]
         assert "f2_split_laplacian" not in top.callers
         assert "f2_split_laplacian" in classes.callers
         assert "f2_split_adjacency" not in classes.callers
-        assert len(classes.solves) == 14
+        assert len(classes.solves) == 23
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
         built = []
-        calls = {}
+        tested = {}
         real_init = SubgroupLattice.__init__
         real_test = SubgroupLattice.products_commute
 
@@ -494,16 +501,23 @@ class TestSolveOnce:
             real_init(self, *args)
             built.append(self)
 
-        def counting_test(self, a, b):
-            calls[id(self)] = calls.get(id(self), 0) + 1
+        def recording_test(self, a, b):
+            tested.setdefault(id(self), []).append((a, b))
             return real_test(self, a, b)
 
         monkeypatch.setattr(SubgroupLattice, "__init__", recording_init)
-        monkeypatch.setattr(SubgroupLattice, "products_commute", counting_test)
+        monkeypatch.setattr(SubgroupLattice, "products_commute", recording_test)
         assert run(capsys, "verify", "S4")[0] == 0
         assert len(built) == 11  # S4 and one lattice per other conjugacy class
-        assert [calls.get(id(lat), 0) for lat in built] == [
-            lat.size * (lat.size - 1) // 2 for lat in built]
+        for lattice in built:
+            # only the rows of class representatives reach the pair test, and
+            # each unordered pair with a representative in it does so once
+            reps = lattice.class_reps()
+            pairs = tested.get(id(lattice), [])
+            r = len(set(reps))
+            assert all(reps[a] == a for a, _ in pairs)
+            assert len({frozenset(pair) for pair in pairs}) == len(pairs) == (
+                r * (lattice.size - 1) - r * (r - 1) // 2)
 
     def test_structure_from_cache_then_verify_matches_cold_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "c")
@@ -523,7 +537,25 @@ class TestSolveOnce:
         loose = json.loads(out)["groups"][0]["report"]
         assert loose["internal_ok"] is True
         assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
-        # structure and trace checks solve at --tol, the split shadows at the default
-        top_tols = sorted(tol for dim, _, tol in all_solves(eigen_solves)
-                          if dim == loose["vertex_count"])
-        assert top_tols == [1e-12, 1e-12, 1e-10, 1e-10]
+        # structure and trace checks solve the top graph's blocks at --tol,
+        # the split shadows at the default
+        top_blocks = {data for _, data, _ in eigen_solves[0].solves}
+        top_tols = sorted(tol for _, data, tol in all_solves(eigen_solves) if data in top_blocks)
+        assert top_tols == [1e-12] * len(top_blocks) + [1e-10] * len(top_blocks)
+
+
+class TestImports:
+    def test_verify_never_imports_numpy_ma(self):
+        # numpy.ma adds about 1.5 MiB of peak RSS; np.unique imports it on first use
+        script = ("import contextlib, io, sys\n"
+                  "from latspec.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['verify', 'PSL(2,7)', '--json'])\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "LATSPEC_CACHE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

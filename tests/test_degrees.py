@@ -3,6 +3,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,11 +33,12 @@ from latspec.degrees import (
 )
 from latspec.closed_forms import _PSL_F2_TABLE
 from latspec.errors import DomainError
-from latspec.graph import build_graph
+from latspec.graph import DenseSymMatrix, adjacency_matrix, build_graph, laplacian_matrix
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
-from latspec.perm import generate_group, parse_permutation
+from latspec.perm import bits_of, generate_group, parse_permutation
+from latspec.spectral import DEFAULT_TOL, eigenvalues_symmetric
 
-from conftest import double_loop_product
+from conftest import build, double_loop_product, full_spectra, naive_closure
 
 
 @pytest.fixture(scope="module")
@@ -405,13 +407,17 @@ class TestIndependentRoutes:
         assert not _check(report, "f2_methods_equal").passed
 
     def test_corrupt_pair_test_is_caught(self, monkeypatch):
+        # the pair test runs on the rows of class representatives only. These
+        # two representatives, <(2,3,4)> and the S3 that normalizes it, have
+        # the same normalizer, so the flip spreads to a symmetric set of entries
         lattice = enumerate_subgroups(symmetric(4))
         group = lattice.group
         pair = {
-            lattice.id_of_members((1 << group.identity_index)
-                                  | (1 << group.index_of(parse_permutation(t, 4))))
-            for t in ("(1,2)", "(1,3)")
+            lattice.id_of_members(bits_of(group.index_of(p) for p in naive_closure(
+                [parse_permutation(t, 4) for t in gens])))
+            for gens in (["(2,3,4)"], ["(2,3,4)", "(3,4)"])
         }
+        assert all(lattice.class_reps()[sid] == sid for sid in pair)
         original = SubgroupLattice.products_commute
 
         def flip_one_pair(self, a, b):
@@ -424,3 +430,96 @@ class TestIndependentRoutes:
         assert not _check(report, "edge_count_vs_f2_sum").passed
         # both sides of this one come from the pair test, so it cannot tell
         assert _check(report, "edge_count_vs_sd").passed
+
+
+def counters(spectrum):
+    return (spectrum.values, spectrum.reflections, spectrum.steps, spectrum.width,
+            spectrum.shifts)
+
+
+def verify_batches(lattice, monkeypatch):
+    """The matrices of each solver call that `verify_identities` makes."""
+    calls = []
+    real = degrees.eigenvalues_symmetric
+
+    def recording(*matrices, tol=DEFAULT_TOL):
+        calls.append(matrices)
+        return real(*matrices, tol=tol)
+
+    monkeypatch.setattr(degrees, "eigenvalues_symmetric", recording)
+    verify_identities(lattice)
+    return calls
+
+
+class TestSymmetryBlocks:
+    """Each graph spectrum is solved in symmetry-adapted blocks; the full
+    matrix, solved as it is (`full_spectra`), is the oracle."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)", "A6"))
+    def test_merged_blocks_match_the_full_solve(self, name):
+        # the golden files' rule: twice the stop bound tol * (1 + ||L||_F),
+        # plus one unit in the 12th significant digit
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        top = enumerate_subgroups(group)
+        lattices = [top] + [enumerate_subgroups(top.standalone_group(rep))
+                            for rep in sorted(set(top.class_reps()) - {top.top_id})]
+        for lattice in lattices:
+            graph, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
+            lap = laplacian_matrix(graph).data
+            ftol = 2 * DEFAULT_TOL * (1 + float(np.sqrt((lap * lap).sum())))
+            for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
+                assert len(ours.values) == len(full.values) == graph.vertex_count
+                for a, b in zip(ours.values, full.values):
+                    assert abs(a - b) <= ftol + 1e-11 * max(abs(a), abs(b)), (name, a, b)
+
+    def test_odd_order_group_gives_the_full_matrix_as_its_one_block(self):
+        # C7 x| C3 has no involution, so E is trivial
+        lattice = enumerate_subgroups(build(7, "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
+        assert lattice.group.order == 21
+        graph = build_graph(lattice)
+        assert graph.vertex_count == 7
+        [basis] = degrees._symmetry_blocks(lattice, graph)
+        for matrix_of in (adjacency_matrix, laplacian_matrix):
+            data = matrix_of(graph).data
+            assert degrees._block(data, *basis).tobytes() == data.tobytes()
+        _, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
+        assert [counters(s) for s in (adjacency, laplacian)] == [
+            counters(s) for s in full_spectra(graph)]
+
+    def test_psl27_splits_into_four_blocks(self):
+        lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+        graph = build_graph(lattice)
+        assert len(degrees._involutions(lattice.group)) == 2
+        dims = [sizes.size for *_, sizes in degrees._symmetry_blocks(lattice, graph)]
+        assert dims == [75, 34, 34, 34]
+        assert sum(dims) == graph.vertex_count
+
+    def test_merged_counters_sum_work_and_take_the_largest_steps_and_width(self):
+        lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+        graph = build_graph(lattice)
+        data = adjacency_matrix(graph).data
+        parts = eigenvalues_symmetric(*(
+            DenseSymMatrix(degrees._block(data, *basis))
+            for basis in degrees._symmetry_blocks(lattice, graph)))
+        merged = degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1]
+        assert merged.values == tuple(sorted(v for part in parts for v in part.values))
+        assert merged.reflections == sum(part.reflections for part in parts)
+        assert merged.shifts == sum(part.shifts for part in parts)
+        assert merged.steps == max(part.steps for part in parts)
+        assert merged.width == max(part.width for part in parts)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_no_verify_batch_holds_two_equal_blocks(self, name, monkeypatch):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        for matrices in verify_batches(lattice, monkeypatch):
+            keys = [(m.data.shape, m.data.tobytes()) for m in matrices]
+            assert len(keys) == len(set(keys))
+
+    def test_coinciding_blocks_share_one_solve(self, monkeypatch):
+        # two characters of S4's E give the same 3 x 3 block of each matrix
+        lattice = enumerate_subgroups(symmetric(4))
+        top, classes = verify_batches(lattice, monkeypatch)
+        assert len(degrees._symmetry_blocks(lattice, build_graph(lattice))) == 4
+        assert sorted(m.dimension for m in top) == [3, 3, 5, 5, 15, 15]
+        graph, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
+        assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26

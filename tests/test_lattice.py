@@ -1,14 +1,21 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
-from latspec.catalog import CATALOG_NAMES, parse_group_spec
-from latspec.errors import DomainError, InputError
+from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec, symmetric
+from latspec.errors import ConsistencyError, DomainError, InputError
 from latspec.lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
-from latspec.perm import bits_of, generate_group, iter_bits, parse_permutation
+from latspec.perm import bits_of, compose, generate_group, iter_bits, parse_permutation
 
-from conftest import build, naive_closure, pair_closures
+from conftest import (
+    build,
+    lower_fixed_mobius,
+    naive_closure,
+    pair_closures,
+    pairwise_permutability,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +190,30 @@ class TestClassReps:
             lattice.class_reps()
 
 
+class TestConjugationMap:
+    @pytest.mark.parametrize("name", ["S4", "A4", "D4", "Q8", "PSL(2,4)"])
+    def test_maps_each_id_to_its_conjugate(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        elements = lattice.group.elements
+        for g, x in enumerate(elements):
+            expected = [
+                lattice.id_of_members(bits_of(
+                    lattice.group.index_of(compose(compose(x.inverse(), elements[h]), x))
+                    for h in s.member_indices()))
+                for s in lattice.subgroups
+            ]
+            assert lattice.conjugation_map(g).tolist() == expected
+
+    def test_non_member_image_rejected(self, s3):
+        transposition = s3.index_of(parse_permutation("(1,2)", 3))
+        family = [1 << s3.identity_index, (1 << s3.identity_index) | (1 << transposition),
+                  bits_of(range(s3.order))]
+        lattice = SubgroupLattice(s3, family)
+        assert lattice.conjugation_map(transposition).tolist() == [0, 1, 2]
+        with pytest.raises(InputError):
+            lattice.conjugation_map(s3.index_of(parse_permutation("(1,3)", 3)))
+
+
 class TestMeetJoin:
     def test_bounded_lattice_laws(self, lat_s4):
         top, bot = lat_s4.top_id, lat_s4.bottom_id
@@ -255,6 +286,12 @@ class TestMobius:
                 assert sum(lat_s4.mobius(lower, z) for z in ids) == 0
                 assert sum(lat_s4.mobius(z, upper) for z in ids) == 0
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_matches_the_lower_fixed_recursion_on_every_interval(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        for (lower, upper), expected in lower_fixed_mobius(lattice).items():
+            assert lattice.mobius(lower, upper) == expected, (name, lower, upper)
+
     def test_incomparable_pair_rejected(self, lat_s3):
         a = id_by_gens(lat_s3, ["(1,2)"])
         b = id_by_gens(lat_s3, ["(1,3)"])
@@ -303,6 +340,47 @@ class TestPermutability:
                 assert permutes[a, b] == lattice.products_commute(a, b), (name, a, b)
             assert lattice.permutability() is permutes
             assert lattice.is_quasihamiltonian() == permutes.all()
+
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)", "A6"))
+    def test_matches_the_pairwise_fill(self, name):
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        assert np.array_equal(lattice.permutability(), pairwise_permutability(lattice))
+
+    def test_pair_test_reaches_representative_rows_only(self, monkeypatch):
+        lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+        reps = lattice.class_reps()
+        tested = []
+        real = SubgroupLattice.products_commute
+
+        def recording(self, a, b):
+            tested.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", recording)
+        lattice.permutability()
+        # each unordered pair that holds one of the 15 representatives, once
+        assert len(set(reps)) == 15
+        assert all(reps[a] == a for a, _ in tested)
+        assert len({frozenset(pair) for pair in tested}) == len(tested) == (
+            15 * (lattice.size - 1) - 15 * 14 // 2)
+
+    def test_asymmetric_fill_raises(self, monkeypatch):
+        # the two classes have 6 and 3 members, so a flip of this one pair
+        # reaches 6 entries in the rows of one class and 3 in the other's
+        lattice = enumerate_subgroups(symmetric(4))
+        pair = {id_by_gens(lattice, ["(3,4)"]), id_by_gens(lattice, ["(1,2)(3,4)"])}
+        assert all(lattice.class_reps()[sid] == sid for sid in pair)
+        real = SubgroupLattice.products_commute
+
+        def flip_one_pair(self, a, b):
+            out = real(self, a, b)
+            return not out if {a, b} == pair else out
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", flip_one_pair)
+        with pytest.raises(ConsistencyError):
+            lattice.permutability()
 
 
 class TestQuasihamiltonian:

@@ -398,7 +398,8 @@ def assert_batch_matches_solo_reference(matrices):
 
 
 def verify_batches(name):
-    """The matrices of each solver call that `verify_identities` makes."""
+    """The top graph and the matrices of each solver call that
+    `verify_identities` makes."""
     lattice = enumerate_subgroups(parse_group_spec(name).group)
     calls = []
 
@@ -409,7 +410,7 @@ def verify_batches(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(latspec.degrees, "eigenvalues_symmetric", recording)
         latspec.degrees.verify_identities(lattice)
-    return calls
+    return build_graph(lattice), calls
 
 
 def mixed_matrices(s4):
@@ -427,10 +428,15 @@ class TestBatchedMultisection:
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
     def test_verify_batches_match_the_solo_reference(self, name):
-        calls = verify_batches(name)
-        # the top graph's pair, then every class graph's pair that a split needs
-        assert 1 <= len(calls) <= 2
-        assert len(calls[0]) == 2
+        graph, calls = verify_batches(name)
+        # the top graph's blocks, then the blocks of every class graph that a
+        # split needs; a null graph has no block, and a quasihamiltonian group
+        # no split
+        if graph.is_null():
+            assert calls == []
+        else:
+            assert 1 <= len(calls) <= 2
+            assert 2 <= len(calls[0]) and max(m.dimension for m in calls[0]) < graph.vertex_count
         for matrices in calls:
             assert_batch_matches_solo_reference(matrices)
 
