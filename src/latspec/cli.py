@@ -36,7 +36,6 @@ from .degrees import (
 from .errors import DomainError, InputError, LatspecError, SizeError
 from .graph import adjacency_matrix, dot_export, laplacian_matrix, vertex_label
 from .lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
-from .perm import format_generators
 
 NOT_APPLICABLE = "not applicable (the split formula requires sd(G) != 1)"
 
@@ -59,7 +58,7 @@ class Pipeline:
     `structure` holds the lattice dump, graph, and spectra; `report` holds the
     identity-verifier output. `save` writes the cache entry once, after the
     command, with every section known, and only if this run computed one;
-    writes are atomic.
+    writes are atomic, and a cache that cannot be written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -88,15 +87,22 @@ class Pipeline:
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
-            cache_store(self.cache_dir, self.group, self._sections, self.tol)
+            try:
+                cache_store(self.cache_dir, self.group, self._sections, self.tol)
+            except OSError as exc:
+                print(f"warning: cannot write cache {self.cache_dir}: {exc}", file=sys.stderr)
+
+    def cache_structure(self) -> None:
+        """Build the structure section only for a cache to store (before the
+        report, which keeps the peak memory lower than after)."""
+        if self.cache_dir:
+            self.structure()
 
     def structure(self) -> dict:
         if "structure" not in self._sections:
             lattice = self.lattice()
             graph, adj, lap = graph_and_spectra(lattice, self.tol)
             self._sections["structure"] = {
-                "signature": signature_of(self.group),
-                "generators": format_generators(self.group.generators),
                 "lattice": lattice.to_json_dict(),
                 "graph": graph.to_json_dict(),
                 "spectra": {
@@ -109,7 +115,7 @@ class Pipeline:
 
     def report(self) -> dict:
         if "report" not in self._sections:
-            self.structure()
+            self.cache_structure()
             self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
             self._computed = True
         return self._sections["report"]
@@ -129,7 +135,7 @@ def _print_notes(spec: GroupSpec) -> None:
 
 def cmd_info(pipeline: Pipeline, args) -> int:
     group = pipeline.group
-    pipeline.structure()
+    pipeline.cache_structure()
     lattice = pipeline.lattice()
     payload = {
         "name": pipeline.spec.name,

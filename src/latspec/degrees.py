@@ -18,8 +18,9 @@ lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
 its graph, the graph's block basis, its sd, its F2, its subgroup F2 sum and
 its two spectra per tol.
-Sums over all subgroups (the subgroup F2 sum, and the rows of `f2_direct`)
-take one term per class, weighted by the class size. The structure dump,
+Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
+Möbius inversion and both splits) take one term per class, weighted by the
+class size (`_classes`). The structure dump,
 the trace checks and the split shadows share one eigenvalue solve per class,
 matrix and tol.
 
@@ -108,6 +109,20 @@ def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
                  lambda: enumerate_subgroups(lattice.standalone_group(rep)))
 
 
+def _classes(lattice: SubgroupLattice) -> list[tuple[int, int, int]]:
+    """(representative, class size, mu(representative, G)) per conjugacy class.
+
+    Conjugation is a lattice automorphism that fixes G, so mu(T, G), sd(T),
+    |L(T)| and 2|E_T| are the same on a whole class; a class's own lattice
+    is `_own(lattice, representative)`, built on first use.
+    """
+    top = lattice.top_id
+    return _memo(lattice, "classes", lambda: [
+        (rep, size, lattice.mobius(rep, top))
+        for rep, size in Counter(lattice.class_reps()).items()
+    ])
+
+
 def _f2(lattice: SubgroupLattice) -> int:
     """f2_direct of the lattice, counted once."""
     return _memo(lattice, "f2", lambda: f2_direct(lattice))
@@ -116,8 +131,7 @@ def _f2(lattice: SubgroupLattice) -> int:
 def _f2_sum(lattice: SubgroupLattice) -> int:
     """Sum of F2 over all subgroups: one F2 per conjugacy class times the class size."""
     return _memo(lattice, "f2_sum", lambda: sum(
-        size * _f2(_own(lattice, rep))
-        for rep, size in Counter(lattice.class_reps()).items()
+        size * _f2(_own(lattice, rep)) for rep, size, _ in _classes(lattice)
     ))
 
 
@@ -318,47 +332,48 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     """Möbius inversion of the subgroup-sum identity for sd.
 
     Each term is sd(T) * |L(T)|^2 * mu(T, G); the exact rational total must be
-    an integer, anything else signals a Möbius or sd defect. Terms with
-    mu(T, G) = 0 are skipped, and sd is counted once per conjugacy class.
+    an integer, anything else signals a Möbius or sd defect. There is one
+    term per conjugacy class, times the class size, and classes with
+    mu(T, G) = 0 are skipped.
     """
-    top = lattice.top_id
     total = Fraction(0)
-    for sid in range(lattice.size):
-        mu = lattice.mobius(sid, top)
+    for rep, size, mu in _classes(lattice):
         if mu:
-            sub = _own(lattice, sid)
-            total += _sd(sub) * sub.size ** 2 * mu
+            sub = _own(lattice, rep)
+            total += size * _sd(sub) * sub.size ** 2 * mu
     if total.denominator != 1:
         raise ConsistencyError(f"Möbius inversion total {total} is not an integer")
     return int(total)
 
 
 def partition_hk(lattice: SubgroupLattice) -> HKPartition:
-    """Classify every subgroup by whether all of its own subgroup pairs permute."""
-    h_ids = []
-    k_ids = []
-    for sid in range(lattice.size):
-        if _own(lattice, sid).is_quasihamiltonian():
-            k_ids.append(sid)
-        else:
-            h_ids.append(sid)
-    return HKPartition(tuple(h_ids), tuple(k_ids))
+    """Classify every subgroup by whether all of its own subgroup pairs permute,
+    one test per conjugacy class."""
+    quasi = {rep: _own(lattice, rep).is_quasihamiltonian() for rep, _, _ in _classes(lattice)}
+    reps = lattice.class_reps()
+    return HKPartition(tuple(sid for sid, rep in enumerate(reps) if not quasi[rep]),
+                       tuple(sid for sid, rep in enumerate(reps) if quasi[rep]))
 
 
 def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
+    """Sum over classes of size * mu(T, G) * (|L(T)|^2, less 2|E_T| in H),
+    checking each H class's floating spectrum shadow once."""
     if lattice.is_quasihamiltonian():
         raise DomainError(
             "the spectral split formula requires sd(G) != 1; "
             "this group is quasihamiltonian"
         )
-    top = lattice.top_id
-    part = partition_hk(lattice)
     total = 0
-    for k in part.k_ids:
-        total += _own(lattice, k).size ** 2 * lattice.mobius(k, top)
-    owns = [_own(lattice, h) for h in part.h_ids]
+    h_classes = []
+    for rep, size, mu in _classes(lattice):
+        own = _own(lattice, rep)
+        if own.is_quasihamiltonian():
+            total += size * own.size ** 2 * mu
+        else:
+            h_classes.append((size, mu, own))
+    owns = [own for _, _, own in h_classes]
     # every class's pair in one call, so that both splits read them from the memo
-    for h, own, (adjacency, laplacian) in zip(part.h_ids, owns, _spectra(owns, DEFAULT_TOL)):
+    for (size, mu, own), (adjacency, laplacian) in zip(h_classes, _spectra(owns, DEFAULT_TOL)):
         s_exact = 2 * top_graph(own).edge_count
         if use_adjacency:
             shadow = spectral_sums(adjacency)[1]
@@ -368,7 +383,7 @@ def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
             raise ConsistencyError(
                 f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
             )
-        total += (own.size ** 2 - s_exact) * lattice.mobius(h, top)
+        total += size * (own.size ** 2 - s_exact) * mu
     return total
 
 

@@ -50,16 +50,40 @@ class TestRoundTrip:
         cache_store(cache_dir, group, {"structure": {"v": 1}})
         cache_store(cache_dir, group, {"structure": {"v": 2}})
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
-        data = json.loads(next(cache_dir.glob("*.json")).read_text())
-        assert len(data["entries"]) == 1
+        [path] = cache_dir.glob("*.json")
+        assert json.loads(path.read_text())["sections"] == {"structure": {"v": 2}}
+
+    def test_file_holds_one_entry_named_by_its_key(self, cache_dir):
+        group = cyclic(6)
+        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
+        [path] = cache_dir.glob("*.json")
+        assert path.name == f"6-{table_hash(group)}-0.3.json"
+        data = json.loads(path.read_text())
+        assert sorted(data) == ["degree", "elements", "schema", "sections", "tol"]
+        assert (data["schema"], data["tol"]) == (cache.CACHE_SCHEMA, 0.3)
+
+    def test_store_never_reads_a_file(self, cache_dir, monkeypatch):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"structure": {"v": 1}})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cache_store opened a file to read it")
+
+        monkeypatch.setattr(cache, "open", refuse, raising=False)
+        cache_store(cache_dir, group, {"structure": {"v": 2}})
+        cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
+        monkeypatch.undo()
+        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
+        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
 
 
 class TestVersioning:
-    def test_version_bump_misses(self, cache_dir, monkeypatch):
+    def test_version_bump_misses(self, cache_dir, monkeypatch, capsys):
         group = symmetric(3)
         cache_store(cache_dir, group, {"report": {"ok": True}})
-        monkeypatch.setattr(cache, "TOOL_VERSION", "999.0.0")
+        monkeypatch.setattr(cache, "CACHE_SCHEMA", cache.CACHE_SCHEMA + 1)
         assert cache_lookup(cache_dir, group) is None
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_file_warns_and_recomputes(self, cache_dir, capsys):
         group = symmetric(3)
@@ -74,17 +98,20 @@ class TestVersioning:
 
 
 class TestHashCollision:
-    def test_colliding_groups_stored_separately(self, cache_dir, monkeypatch):
-        # force every group into the same cache file: the full element-table
-        # comparison must still keep the entries apart
+    def test_colliding_groups_never_read_each_others_entry(self, cache_dir, monkeypatch,
+                                                            capsys):
+        # force every group of one order onto the same file name: the full
+        # element-table comparison must turn the collision into a miss
         monkeypatch.setattr(cache, "table_hash", lambda group: "0" * 64)
         g1 = cyclic(4)
         g2 = parse_group_spec("C2xC2").group  # same order, different table
         cache_store(cache_dir, g1, {"report": {"who": "C4"}})
+        assert cache_lookup(cache_dir, g2) is None
         cache_store(cache_dir, g2, {"report": {"who": "V4"}})
         assert len(list(cache_dir.glob("*.json"))) == 1
-        assert cache_lookup(cache_dir, g1) == {"report": {"who": "C4"}}
+        assert cache_lookup(cache_dir, g1) is None
         assert cache_lookup(cache_dir, g2) == {"report": {"who": "V4"}}
+        assert capsys.readouterr().err == ""
 
 
 class TestTolerance:
@@ -101,19 +128,30 @@ class TestTolerance:
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
         assert cache_lookup(cache_dir, group, tol=1e-10) is None
-        data = json.loads(next(cache_dir.glob("*.json")).read_text())
-        assert sorted(e["tol"] for e in data["entries"]) == [1e-12, 0.3]
-        # a second store at one tol replaces only that tol's entry
+        files = sorted(cache_dir.glob("*.json"))
+        assert sorted(json.loads(path.read_text())["tol"] for path in files) == [1e-12, 0.3]
+        # a second store at one tol replaces only that tol's file
         cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
-        assert len(json.loads(next(cache_dir.glob("*.json")).read_text())["entries"]) == 2
+        assert sorted(cache_dir.glob("*.json")) == files
 
     def test_entry_without_tol_misses(self, cache_dir):
         group = symmetric(3)
         cache_store(cache_dir, group, {"report": {"ok": True}})
         path = next(cache_dir.glob("*.json"))
         data = json.loads(path.read_text())
-        del data["entries"][0]["tol"]
+        del data["tol"]
         path.write_text(json.dumps(data))
         assert cache_lookup(cache_dir, group) is None
+
+    def test_a_file_copied_to_another_tols_name_misses(self, cache_dir, capsys):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}}, tol=0.3)
+        cache_store(cache_dir, group, {"report": {"ok": False}})
+        [loose] = cache_dir.glob("*-0.3.json")
+        [default] = cache_dir.glob("*-1e-12.json")
+        default.write_bytes(loose.read_bytes())
+        assert cache_lookup(cache_dir, group) is None
+        assert cache_lookup(cache_dir, group, tol=0.3) == {"report": {"ok": True}}
+        assert capsys.readouterr().err == ""

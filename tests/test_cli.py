@@ -240,6 +240,13 @@ class TestCache:
         assert code == 0
         assert list(cache_dir.glob("*.json"))
 
+    def test_warm_catalog_verify_is_byte_identical_to_the_cold_run(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "c")
+        cold = run(capsys, "--cache", cache_dir, "verify", "--catalog", "--json")
+        assert cold[0] == 0 and cold[2] == ""
+        assert run(capsys, "--cache", cache_dir, "verify", "--catalog", "--json") == cold
+        assert run(capsys, "verify", "--catalog", "--json") == cold
+
     def test_verify_uses_cached_report(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "c")
         run(capsys, "--cache", cache_dir, "verify", "A4", "--json")
@@ -284,7 +291,7 @@ class TestTruncatedCache:
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")[0] == 0
         path = next(cache_dir.glob("*.json"))
         data = json.loads(path.read_text())
-        lattice = data["entries"][0]["sections"]["structure"]["lattice"]
+        lattice = data["sections"]["structure"]["lattice"]
         lattice["subgroups"] = [s for s in lattice["subgroups"] if s["order"] != 12]
         path.write_text(json.dumps(data))
         return str(cache_dir)
@@ -335,7 +342,7 @@ class TestMalformedCache:
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
         path = next(cache_dir.glob("*.json"))
         data = json.loads(path.read_text())
-        corrupt(data["entries"][0]["sections"]["structure"]["lattice"])
+        corrupt(data["sections"]["structure"]["lattice"])
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "--cache", str(cache_dir), "sd", "S3", "--method", "all")
         assert code == 0
@@ -343,20 +350,34 @@ class TestMalformedCache:
         assert (code, out) == run(capsys, "sd", "S3", "--method", "all")[:2]
 
 
-    def test_a_non_object_entry_makes_the_file_malformed(self, capsys, tmp_path):
+    def test_a_non_object_file_is_malformed(self, capsys, tmp_path):
         cache_dir = tmp_path / "c"
         assert run(capsys, "--cache", str(cache_dir), "info", "S3")[0] == 0
         path = next(cache_dir.glob("*.json"))
-        data = json.loads(path.read_text())
-        data["entries"].insert(0, 5)
-        path.write_text(json.dumps(data))
+        path.write_text("[5]")
         code, out, err = run(capsys, "--cache", str(cache_dir), "sd", "S3")
         assert code == 0
         assert "ignoring malformed cache file" in err
         assert out == run(capsys, "sd", "S3")[1]
         # the next store rewrites the file
         assert run(capsys, "--cache", str(cache_dir), "info", "S3")[0] == 0
-        assert all(isinstance(e, dict) for e in json.loads(path.read_text())["entries"])
+        assert isinstance(json.loads(path.read_text())["sections"], dict)
+        assert run(capsys, "--cache", str(cache_dir), "sd", "S3")[2] == ""
+
+
+class TestUnwritableCache:
+    """A cache path that is a regular file costs a warning, never the output."""
+
+    @pytest.mark.parametrize("argv", [("info", "S3"), ("verify", "S3", "--json")])
+    def test_output_and_status_are_those_of_a_cache_less_run(self, capsys, tmp_path, argv):
+        path = tmp_path / "f"
+        path.touch()
+        code, out, err = run(capsys, "--cache", str(path), *argv)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == 0
+        assert err.startswith(f"warning: cannot write cache {path}")
+        assert err.count("\n") == 1
+        assert path.read_bytes() == b""
 
 
 class TestStoreOnce:
@@ -384,6 +405,34 @@ class TestStoreOnce:
     def test_a_cold_info_stores_once(self, capsys, tmp_path, stores):
         assert run(capsys, "--cache", str(tmp_path / "c"), "info", "S4")[0] == 0
         assert stores == [["structure"]]
+
+
+class TestStructureOnDemand:
+    """The structure section is built only when a command prints it or a cache stores it."""
+
+    @pytest.fixture
+    def structures(self, monkeypatch):
+        calls = []
+        real = cli.Pipeline.structure
+
+        def counting(pipeline):
+            calls.append(pipeline.spec.name)
+            return real(pipeline)
+
+        monkeypatch.setattr(cli.Pipeline, "structure", counting)
+        return calls
+
+    def test_a_cache_less_verify_never_builds_it(self, capsys, structures):
+        assert run(capsys, "verify", "S4", "--json")[0] == 0
+        assert structures == []
+
+    def test_a_caching_verify_builds_it_once(self, capsys, tmp_path, structures):
+        assert run(capsys, "--cache", str(tmp_path / "c"), "verify", "S4", "--json")[0] == 0
+        assert structures == ["S4"]
+
+    def test_a_cache_less_info_never_builds_it(self, capsys, structures):
+        assert run(capsys, "info", "S4")[0] == 0
+        assert structures == []
 
 
 class TestParserOnce:
