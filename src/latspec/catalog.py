@@ -24,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .cache import signature_of
 from .closed_forms import PrimePower
 from .errors import InputError
 from .perm import FiniteGroup, Permutation, generate_group, parse_generators
@@ -178,10 +177,6 @@ class GroupSpec:
     name: str
     group: FiniteGroup
     notes: tuple[str, ...] = field(default=())
-
-    @property
-    def signature(self) -> dict:
-        return signature_of(self.group)
 
 
 def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:

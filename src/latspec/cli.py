@@ -3,6 +3,10 @@
 Every output is deterministic across runs: canonical orderings everywhere,
 spectra rendered at 12 significant digits, JSON dumped with sorted keys.
 
+A command asks its `Pipeline` only for what it prints and never mentions the
+cache; `Pipeline.save`, run after the command, alone decides what the cache
+holds.
+
 Exit codes: 2 for input errors, 1 when `verify` finds an internal identity
 failure (published-value discrepancy notes are informational only), 0
 otherwise.
@@ -19,7 +23,8 @@ import sys
 
 from . import __version__
 from .cache import cache_lookup, cache_store, signature_of
-from .catalog import CATALOG_NAMES, GroupSpec, parse_group_spec, psl2, recognize_projective
+from .catalog import (CATALOG_NAMES, PSL_SUPPORTED, GroupSpec, parse_group_spec, psl2,
+                      recognize_projective)
 from .closed_forms import census_comparison, dickson_census, f2_pgl_closed, f2_psl_closed
 from .degrees import (
     f2_direct,
@@ -53,12 +58,16 @@ def _member_lists(structure) -> list:
 
 
 class Pipeline:
-    """Computes and caches the per-group artifact sections.
+    """One group's artifact sections, computed on request and cached.
 
-    `structure` holds the lattice dump, graph, and spectra; `report` holds the
-    identity-verifier output. `save` writes the cache entry once, after the
-    command, with every section known, and only if this run computed one;
-    writes are atomic, and a cache that cannot be written costs a warning.
+    `structure(part)` gives one part of the structure section: the lattice
+    dump ("lattice"), the graph ("graph") or the spectra ("spectra");
+    `report()` gives the identity-verifier output. Each builds only what was
+    asked for, or replays it from the loaded cache entry. `save()` alone
+    decides what the cache holds: if this run computed anything, an
+    enumerated lattice included, it completes the structure section and
+    writes the entry once. Writes are atomic, and a cache that cannot be
+    written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -72,6 +81,8 @@ class Pipeline:
 
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
+            # a structure section here was loaded: structure() calls this
+            # before it writes one
             if "structure" in self._sections:
                 try:
                     self._lattice = SubgroupLattice.from_member_lists(
@@ -83,42 +94,40 @@ class Pipeline:
                     self._sections = {}
             if self._lattice is None:
                 self._lattice = enumerate_subgroups(self.group)
+                self._computed = True
         return self._lattice
+
+    def structure(self, part: str):
+        cached = self._sections.get("structure")
+        if isinstance(cached, dict) and part in cached:
+            return cached[part]
+        lattice = self.lattice()  # first: rejecting an entry replaces self._sections
+        if part == "lattice":
+            value = lattice.to_json_dict()
+        elif part == "graph":
+            value = top_graph(lattice).to_json_dict()
+        else:
+            _, adj, lap = graph_and_spectra(lattice, self.tol)
+            value = {"adjacency": [_fixed(v) for v in adj.values],
+                     "laplacian": [_fixed(v) for v in lap.values]}
+        self._sections.setdefault("structure", {})[part] = value
+        self._computed = True
+        return value
+
+    def report(self) -> dict:
+        if "report" not in self._sections:
+            self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
+            self._computed = True
+        return self._sections["report"]
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
+            for part in ("lattice", "graph", "spectra"):
+                self.structure(part)
             try:
                 cache_store(self.cache_dir, self.group, self._sections, self.tol)
             except OSError as exc:
                 print(f"warning: cannot write cache {self.cache_dir}: {exc}", file=sys.stderr)
-
-    def cache_structure(self) -> None:
-        """Build the structure section only for a cache to store (before the
-        report, which keeps the peak memory lower than after)."""
-        if self.cache_dir:
-            self.structure()
-
-    def structure(self) -> dict:
-        if "structure" not in self._sections:
-            lattice = self.lattice()
-            graph, adj, lap = graph_and_spectra(lattice, self.tol)
-            self._sections["structure"] = {
-                "lattice": lattice.to_json_dict(),
-                "graph": graph.to_json_dict(),
-                "spectra": {
-                    "adjacency": [_fixed(v) for v in adj.values],
-                    "laplacian": [_fixed(v) for v in lap.values],
-                },
-            }
-            self._computed = True
-        return self._sections["structure"]
-
-    def report(self) -> dict:
-        if "report" not in self._sections:
-            self.cache_structure()
-            self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
-            self._computed = True
-        return self._sections["report"]
 
 
 def _print_json(payload) -> None:
@@ -135,7 +144,6 @@ def _print_notes(spec: GroupSpec) -> None:
 
 def cmd_info(pipeline: Pipeline, args) -> int:
     group = pipeline.group
-    pipeline.cache_structure()
     lattice = pipeline.lattice()
     payload = {
         "name": pipeline.spec.name,
@@ -162,11 +170,11 @@ def cmd_info(pipeline: Pipeline, args) -> int:
 
 def cmd_lattice(pipeline: Pipeline, args) -> int:
     if args.json:
-        _print_json(pipeline.structure()["lattice"])
+        _print_json(pipeline.structure("lattice"))
         return 0
     _print_notes(pipeline.spec)
-    lattice = pipeline.lattice()  # first, so a rejected cache entry is recomputed
-    core = set(pipeline.structure()["lattice"]["core"])
+    lattice = pipeline.lattice()
+    core = lattice.permuting_core()
     print(f"{lattice.size} subgroups of a group of order {pipeline.group.order}")
     for sub in lattice.subgroups:
         tag = " (core)" if sub.id in core else ""
@@ -175,7 +183,6 @@ def cmd_lattice(pipeline: Pipeline, args) -> int:
 
 
 def cmd_graph(pipeline: Pipeline, args) -> int:
-    structure = pipeline.structure()
     if args.dot:
         text = dot_export(top_graph(pipeline.lattice()))
         if args.dot == "-":
@@ -193,11 +200,11 @@ def cmd_graph(pipeline: Pipeline, args) -> int:
         else:
             print(matrix.to_csv())
         return 0
+    g = pipeline.structure("graph")
     if args.json:
-        _print_json(structure["graph"])
+        _print_json(g)
         return 0
     _print_notes(pipeline.spec)
-    g = structure["graph"]
     print(f"non-permutability graph: {len(g['vertices'])} vertices, {g['edge_count']} edges")
     for pair in g["edges"]:
         print(f"  {pair[0]} -- {pair[1]}")
@@ -205,8 +212,7 @@ def cmd_graph(pipeline: Pipeline, args) -> int:
 
 
 def cmd_spectrum(pipeline: Pipeline, args) -> int:
-    structure = pipeline.structure()
-    values = structure["spectra"][args.matrix]
+    values = pipeline.structure("spectra")[args.matrix]
     if args.csv:
         for v in values:
             print(f"{v:.12g}")
@@ -328,7 +334,7 @@ def cmd_hughes(pipeline: Pipeline, args) -> int:
 
 def cmd_census(args) -> int:
     q = args.q
-    if q in (4, 5, 7):
+    if q >= 4 and q in PSL_SUPPORTED:
         lattice = enumerate_subgroups(psl2(q))
         payload = census_comparison(lattice, q)
         payload["lattice_size"] = lattice.size

@@ -18,7 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, SizeError
+
+# The largest q accepted as a prime power: `PrimePower.from_value`
+# trial-divides up to sqrt(q), about 0.3 s at this bound.
+Q_LIMIT = 10**12
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class PrimePower:
     def from_value(cls, q: int) -> "PrimePower":
         if q < 2:
             raise InputError(f"{q} is not a prime power")
+        if q > Q_LIMIT:
+            raise SizeError(f"q = {q} exceeds the bound {Q_LIMIT} on q")
         p = 2
         while p * p <= q:
             if q % p == 0:
@@ -153,7 +159,9 @@ class CensusEntry:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n, ascending, found in pairs (d, n // d) with d <= sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _integral(value: Fraction, family: str, label: str, param,

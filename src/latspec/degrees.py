@@ -84,14 +84,6 @@ _S4_PUBLISHED = {
 }
 
 
-@dataclass(frozen=True)
-class HKPartition:
-    """Subgroup ids split by whether the subgroup's own lattice fully permutes."""
-
-    h_ids: tuple[int, ...]  # sd != 1
-    k_ids: tuple[int, ...]  # sd == 1
-
-
 def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
     """`compute()`, stored on the lattice under `key` on first use."""
     memo = lattice.memo
@@ -344,15 +336,6 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     if total.denominator != 1:
         raise ConsistencyError(f"Möbius inversion total {total} is not an integer")
     return int(total)
-
-
-def partition_hk(lattice: SubgroupLattice) -> HKPartition:
-    """Classify every subgroup by whether all of its own subgroup pairs permute,
-    one test per conjugacy class."""
-    quasi = {rep: _own(lattice, rep).is_quasihamiltonian() for rep, _, _ in _classes(lattice)}
-    reps = lattice.class_reps()
-    return HKPartition(tuple(sid for sid, rep in enumerate(reps) if not quasi[rep]),
-                       tuple(sid for sid, rep in enumerate(reps) if quasi[rep]))
 
 
 def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:

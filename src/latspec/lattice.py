@@ -29,6 +29,8 @@ makes every id, dump, and downstream artifact deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -194,15 +196,21 @@ class SubgroupLattice:
         self.bottom_id: int = self._id_of[triv]
         self.top_id: int = self._id_of[whole]
 
+        # containment from element incidence: holders[x] is the ids of the
+        # subgroups holding element x, and z contains i iff it holds every
+        # member of i
+        holders = [0] * group.order
+        for sid, members in enumerate(self._member_tuples):
+            for x in members:
+                holders[x] |= 1 << sid
         n = len(self.subgroups)
-        self._down = [0] * n   # ids z with z <= i
-        self._up = [0] * n     # ids z with i <= z
-        for i, si in enumerate(self.subgroups):
-            mi = si.members
-            for j, sj in enumerate(self.subgroups):
-                if sj.members & mi == sj.members:
-                    self._down[i] |= 1 << j
-                    self._up[j] |= 1 << i
+        everyone = (1 << n) - 1
+        self._up = [reduce(and_, map(holders.__getitem__, members), everyone)  # ids z with i <= z
+                    for members in self._member_tuples]
+        self._down = [0] * n  # ids z with z <= i
+        for sid, up in enumerate(self._up):
+            for z in iter_bits(up):
+                self._down[z] |= 1 << sid
 
         self._mobius_to: dict[int, dict[int, int]] = {}  # upper -> {lower: mu(lower, upper)}
         self._permutes: np.ndarray | None = None

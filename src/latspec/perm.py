@@ -209,12 +209,6 @@ class FiniteGroup:
         except KeyError:
             raise InputError(f"{p!r} is not an element of this group") from None
 
-    def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] composed after elements[j]."""
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        return self._index[compose(self.elements[i], self.elements[j]).images]
-
     @property
     def mul_table(self) -> list[list[int]]:
         """Full index-level multiplication table (built on first use).

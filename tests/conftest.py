@@ -77,6 +77,19 @@ def double_loop_product(lattice, a, b):
     return bits_of(table[h][k] for h in left for k in right)
 
 
+def pairwise_containment(lattice):
+    """Reference containment rows (down, up): one member-bitset test per
+    ordered pair of ids, down[i] the ids inside i and up[j] the ids over j."""
+    n = lattice.size
+    down, up = [0] * n, [0] * n
+    for i, si in enumerate(lattice.subgroups):
+        for j, sj in enumerate(lattice.subgroups):
+            if sj.members & si.members == sj.members:
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+    return down, up
+
+
 def pairwise_permutability(lattice):
     """Reference permutability matrix: one `products_commute` call per
     unordered pair a < b, true on the diagonal."""

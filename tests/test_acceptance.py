@@ -107,9 +107,9 @@ def test_criterion_04_s4_structure_and_mobius_table():
         elif sub_.order == 4 and orders[-1] == 4:
             kind = "c4"
         elif sub_.order == 4:
+            table = group.mul_table
             normal = all(
-                lattice.group.mul(lattice.group.inverse_index(g), lattice.group.mul(m, g))
-                in members
+                table[group.inverse_index(g)][table[m][g]] in members
                 for g in range(group.order) for m in members
             )
             kind = "v4_normal" if normal else "v4_other"

@@ -1,5 +1,6 @@
 import pytest
 
+from latspec.cache import signature_of
 from latspec.catalog import (
     CATALOG_NAMES,
     alternating,
@@ -103,8 +104,8 @@ class TestParseGroupSpec:
         assert any("order 8" in n for n in spec.notes)
 
     def test_signature_is_stable(self):
-        a = parse_group_spec("S4").signature
-        b = parse_group_spec("S4").signature
+        a = signature_of(parse_group_spec("S4").group)
+        b = signature_of(parse_group_spec("S4").group)
         assert a == b
         assert a["order"] == 24
         assert len(a["table_hash"]) == 64

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """`latspec argv` in a child process with a 20 s timeout, so that a hang
+    fails one test instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "latspec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
 class TestBasics:
     def test_info(self, capsys):
         code, out, _ = run(capsys, "info", "S4")
@@ -194,6 +204,17 @@ class TestCensus:
         code, _, err = run(capsys, "census", "-q", "3")
         assert code == 2
 
+    def test_census_of_a_large_prime_is_quick(self):
+        done = run_child("census", "-q", "1000000007", "--json")
+        assert done.returncode == 0, done.stderr
+        labels = {row["label"] for row in json.loads(done.stdout)["entries"]}
+        assert {"C2", "C500000004"} <= labels
+
+    def test_census_past_the_q_bound_exits_2(self):
+        done = run_child("census", "-q", str(10**12 + 39), "--json")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "exceeds the bound 1000000000000 on q" in done.stderr
+
 
 class TestVerify:
     def test_single_group_ok(self, capsys):
@@ -326,6 +347,23 @@ class TestTruncatedCache:
         assert "rejecting the cached entry for S4" in err
         assert out.startswith("30 subgroups")
 
+    @pytest.mark.parametrize("argv", [
+        ("info", "S4"), ("sd", "S4"), ("mobius", "S4"), ("hughes", "S4", "-p", "2"),
+        ("f2", "S4", "--method", "direct"),
+    ])
+    def test_one_run_repairs_the_entry_and_the_next_is_silent(self, capsys, tmp_path,
+                                                               cache_dir, argv):
+        fresh = tmp_path / "fresh"
+        assert run(capsys, "--cache", str(fresh), "lattice", "S4", "--json")[0] == 0
+        [path] = (tmp_path / "c").glob("*.json")
+        expected = run(capsys, *argv)[:2]
+        code, out, err = run(capsys, "--cache", cache_dir, *argv)
+        assert (code, out) == expected
+        assert err.startswith("warning: rejecting the cached entry for S4")
+        assert err.count("\n") == 1
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+        assert run(capsys, "--cache", cache_dir, *argv) == (*expected, "")
+
 
 class TestMalformedCache:
     """A cached lattice section of the wrong shape is rejected, not a traceback."""
@@ -406,6 +444,17 @@ class TestStoreOnce:
         assert run(capsys, "--cache", str(tmp_path / "c"), "info", "S4")[0] == 0
         assert stores == [["structure"]]
 
+    def test_a_cold_sd_stores_the_structure_that_verify_stores(self, capsys, tmp_path, stores):
+        assert run(capsys, "--cache", str(tmp_path / "sd"), "sd", "S4")[0] == 0
+        assert run(capsys, "--cache", str(tmp_path / "verify"), "verify", "S4")[0] == 0
+        assert stores == [["structure"], ["report", "structure"]]
+        [sd_file] = (tmp_path / "sd").glob("*.json")
+        [verify_file] = (tmp_path / "verify").glob("*.json")
+        assert sd_file.name == verify_file.name
+        by_sd, by_verify = json.loads(sd_file.read_text()), json.loads(verify_file.read_text())
+        del by_verify["sections"]["report"]
+        assert by_sd == by_verify
+
 
 class TestStructureOnDemand:
     """The structure section is built only when a command prints it or a cache stores it."""
@@ -415,9 +464,9 @@ class TestStructureOnDemand:
         calls = []
         real = cli.Pipeline.structure
 
-        def counting(pipeline):
-            calls.append(pipeline.spec.name)
-            return real(pipeline)
+        def counting(pipeline, part):
+            calls.append((pipeline.spec.name, part))
+            return real(pipeline, part)
 
         monkeypatch.setattr(cli.Pipeline, "structure", counting)
         return calls
@@ -428,11 +477,43 @@ class TestStructureOnDemand:
 
     def test_a_caching_verify_builds_it_once(self, capsys, tmp_path, structures):
         assert run(capsys, "--cache", str(tmp_path / "c"), "verify", "S4", "--json")[0] == 0
-        assert structures == ["S4"]
+        assert structures == [("S4", "lattice"), ("S4", "graph"), ("S4", "spectra")]
 
     def test_a_cache_less_info_never_builds_it(self, capsys, structures):
         assert run(capsys, "info", "S4")[0] == 0
         assert structures == []
+
+    @pytest.mark.parametrize("argv", [("lattice", "S4"), ("graph", "S4", "--dot", "-"),
+                                      ("graph", "S4", "--matrix", "laplacian")])
+    def test_a_cache_less_command_that_prints_no_part_never_builds_one(self, capsys,
+                                                                     structures, argv):
+        assert run(capsys, *argv)[0] == 0
+        assert structures == []
+
+    @pytest.mark.parametrize("argv, part", [(("lattice", "S4", "--json"), "lattice"),
+                                            (("graph", "S4", "--json"), "graph"),
+                                            (("graph", "S4"), "graph"),
+                                            (("spectrum", "S4"), "spectra")])
+    def test_a_cache_less_command_builds_only_the_part_it_prints(self, capsys, structures,
+                                                                argv, part):
+        assert run(capsys, *argv)[0] == 0
+        assert structures == [("S4", part)]
+
+
+class TestSolverCallsPerCommand:
+    """A cache-less command solves a spectrum only when it prints one."""
+
+    @pytest.mark.parametrize("argv", [
+        ("lattice", "S4", "--json"), ("lattice", "S4"), ("graph", "S4", "--json"),
+        ("graph", "S4", "--dot", "-"), ("graph", "S4", "--matrix", "laplacian"),
+    ])
+    def test_lattice_and_graph_never_solve(self, capsys, eigen_solves, argv):
+        assert run(capsys, *argv)[0] == 0
+        assert eigen_solves == []
+
+    def test_spectrum_solves_once(self, capsys, eigen_solves):
+        assert run(capsys, "spectrum", "S4")[0] == 0
+        assert len(eigen_solves) == 1
 
 
 class TestParserOnce:

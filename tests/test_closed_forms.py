@@ -3,8 +3,10 @@ import pytest
 from latspec.catalog import alternating, cyclic, dihedral, elementary_abelian, psl2, quaternion, symmetric
 from latspec.closed_forms import (
     NOT_STATED,
+    Q_LIMIT,
     STATED_UNVERIFIED,
     PrimePower,
+    _divisors,
     census_comparison,
     dickson_census,
     f2_pgl_closed,
@@ -13,7 +15,7 @@ from latspec.closed_forms import (
     mobius_symmetric,
 )
 from latspec.degrees import f2_direct
-from latspec.errors import DomainError, InputError
+from latspec.errors import DomainError, InputError, SizeError
 from latspec.lattice import enumerate_subgroups
 
 
@@ -30,6 +32,16 @@ class TestPrimePower:
     def test_direct_construction_validates(self):
         with pytest.raises(InputError):
             PrimePower(4, 2)
+
+    def test_a_value_past_the_bound_is_refused_before_trial_division(self):
+        assert PrimePower.from_value(999_999_999_989).q == 999_999_999_989 <= Q_LIMIT
+        with pytest.raises(SizeError, match=str(Q_LIMIT)):
+            PrimePower.from_value(Q_LIMIT + 39)
+
+
+def test_divisors_match_the_range_definition():
+    for n in range(2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 class TestF2PslClosed:

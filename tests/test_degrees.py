@@ -25,7 +25,6 @@ from latspec.degrees import (
     f2_mobius,
     f2_split_adjacency,
     f2_split_laplacian,
-    partition_hk,
     sd_direct,
     sd_spectral,
     sd_via_f2,
@@ -202,6 +201,16 @@ class TestF2Mobius:
         assert len(orders) == 8
 
 
+def own_lattices(lattice):
+    """Each subgroup's own lattice, enumerated from its standalone group."""
+    return [enumerate_subgroups(lattice.standalone_group(sid)) for sid in range(lattice.size)]
+
+
+def non_permuting_ids(own):
+    """The ids whose own lattice has a pair of subgroups that do not permute."""
+    return [sid for sid, lat in enumerate(own) if not lat.is_quasihamiltonian()]
+
+
 class TestF2Splits:
     def test_a4_both_variants(self, lat_a4):
         assert f2_split_laplacian(lat_a4) == 27
@@ -209,12 +218,11 @@ class TestF2Splits:
 
     def test_a4_term_structure(self, lat_a4):
         # the split reduces to 4 - 16 - 25 + (100 - 36) for this group
-        part = partition_hk(lat_a4)
-        assert part.h_ids == (lat_a4.top_id,)
+        own = own_lattices(lat_a4)
+        assert non_permuting_ids(own) == [lat_a4.top_id]
         k_total = sum(
-            enumerate_subgroups(lat_a4.standalone_group(k)).size ** 2
-            * lat_a4.mobius(k, lat_a4.top_id)
-            for k in part.k_ids
+            own[k].size ** 2 * lat_a4.mobius(k, lat_a4.top_id)
+            for k in range(lat_a4.size) if own[k].is_quasihamiltonian()
         )
         assert k_total == 4 - 16 - 25
         graph = build_graph(lat_a4)
@@ -225,9 +233,7 @@ class TestF2Splits:
         assert f2_split_adjacency(lat_s4) == 177
 
     def test_minimal_nonabelian_partition(self, lat_s3):
-        part = partition_hk(lat_s3)
-        assert part.h_ids == (lat_s3.top_id,)
-        assert len(part.k_ids) == lat_s3.size - 1
+        assert non_permuting_ids(own_lattices(lat_s3)) == [lat_s3.top_id]
         assert f2_split_laplacian(lat_s3) == f2_direct(lat_s3) == 17
 
     def test_quasihamiltonian_rejected(self, lat_q8):
@@ -240,23 +246,6 @@ class TestF2Splits:
         lattice = enumerate_subgroups(cyclic(6))
         with pytest.raises(DomainError):
             f2_split_laplacian(lattice)
-
-
-class TestPartition:
-    def test_a4(self, lat_a4):
-        part = partition_hk(lat_a4)
-        assert part.h_ids == (lat_a4.top_id,)
-        assert set(part.k_ids) | set(part.h_ids) == set(range(lat_a4.size))
-        assert not set(part.k_ids) & set(part.h_ids)
-
-    def test_s4_h_members(self, lat_s4):
-        part = partition_hk(lat_s4)
-        orders = sorted(lat_s4.subgroup(h).order for h in part.h_ids)
-        assert orders == [6, 6, 6, 6, 8, 8, 8, 12, 24]
-
-    def test_abelian_has_empty_h(self):
-        part = partition_hk(enumerate_subgroups(elementary_abelian(2, 3)))
-        assert part.h_ids == ()
 
 
 class TestRandomGroups:

@@ -14,6 +14,7 @@ from conftest import (
     lower_fixed_mobius,
     naive_closure,
     pair_closures,
+    pairwise_containment,
     pairwise_permutability,
 )
 
@@ -165,6 +166,14 @@ def id_by_gens(lattice, gen_texts):
     perms = [parse_permutation(t, group.degree) for t in gen_texts]
     members = bits_of(group.index_of(p) for p in naive_closure(perms))
     return lattice.id_of_members(members)
+
+
+class TestContainment:
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)", "A6"))
+    def test_matches_the_pairwise_rows(self, name):
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        assert (lattice._down, lattice._up) == pairwise_containment(lattice)
 
 
 class TestClassReps:
@@ -522,6 +531,13 @@ class TestSerialization:
         members[3] = [0, three_cycle]
         with pytest.raises(InputError):
             SubgroupLattice.from_member_lists(lat_a4.group, members)
+
+    def test_rehydration_rejects_an_empty_member_list(self, lat_a4):
+        # the empty set sits below every id in the containment rows; only the
+        # subgroup check rejects it
+        members = [s.member_indices() for s in lat_a4.subgroups]
+        with pytest.raises(InputError, match="not subgroups"):
+            SubgroupLattice.from_member_lists(lat_a4.group, [[]] + members)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_rehydration_accepts_complete_families_only(self, name):

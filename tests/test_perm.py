@@ -147,9 +147,8 @@ class TestMulTable:
     def test_matches_composition(self, name):
         parsed = parse_group_spec(name).group
         group = FiniteGroup(parsed.degree, parsed.generators)
-        n = group.order
-        # mul() composes the permutations while no table exists
-        by_compose = [[group.mul(i, j) for j in range(n)] for i in range(n)]
+        by_compose = [[group.index_of(compose(a, b)) for b in group.elements]
+                      for a in group.elements]
         assert group.mul_table == by_compose
 
     def test_size_limit(self, monkeypatch, s4):
