@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -49,12 +50,29 @@ def _fixed(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _member_lists(structure) -> list:
-    """The member lists of a cached structure section; InputError if it is malformed."""
-    try:
-        return [s["members"] for s in structure["lattice"]["subgroups"]]
-    except (KeyError, TypeError):
-        raise InputError("the lattice section is malformed") from None
+# The keys of each cached part and the types its readers index: a shape is a
+# type, a dict of required keys, or a one-item list giving every item's shape.
+_CHECK = {"name": object, "passed": bool, "lhs": object, "rhs": object}
+_PART_SHAPES = {
+    "lattice": {"group_order": int, "degree": int, "size": int,
+                "subgroups": [{"members": list}], "leq_pairs": list, "core": list},
+    "graph": {"vertices": list, "edge_count": int, "edges": [list], "degrees": list},
+    "spectra": {"adjacency": [float], "laplacian": [float]},
+    "report": {"signature": dict, "group_order": int, "lattice_size": int,
+               "vertex_count": int, "edge_count": int, "quasihamiltonian": bool,
+               "sd": {"direct": str}, "f2": {"direct": object}, "checks": [_CHECK],
+               "trace_checks": [_CHECK], "notes": [str], "internal_ok": bool},
+}
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(k in value and _fits(value[k], s)
+                                               for k, s in shape.items())
+    if isinstance(shape, list):  # a plain item type costs no call per item
+        fits = isinstance if isinstance(shape[0], type) else _fits
+        return isinstance(value, list) and all(map(fits, value, itertools.repeat(shape[0])))
+    return isinstance(value, shape)
 
 
 class Pipeline:
@@ -63,11 +81,12 @@ class Pipeline:
     `structure(part)` gives one part of the structure section: the lattice
     dump ("lattice"), the graph ("graph") or the spectra ("spectra");
     `report()` gives the identity-verifier output. Each builds only what was
-    asked for, or replays it from the loaded cache entry. `save()` alone
-    decides what the cache holds: if this run computed anything, an
-    enumerated lattice included, it completes the structure section and
-    writes the entry once. Writes are atomic, and a cache that cannot be
-    written costs a warning.
+    asked for, or replays it from the loaded cache entry if it has its shape
+    in `_PART_SHAPES` (a malformed part is warned of and recomputed; a bad
+    lattice part rejects the whole entry). `save()` alone decides what the
+    cache holds: if this run computed anything, an enumerated lattice
+    included, it completes the structure section and writes the entry once.
+    Writes are atomic, and a cache that cannot be written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -84,9 +103,12 @@ class Pipeline:
             # a structure section here was loaded: structure() calls this
             # before it writes one
             if "structure" in self._sections:
+                structure = self._sections["structure"]
                 try:
+                    if not _fits(structure, {"lattice": _PART_SHAPES["lattice"]}):
+                        raise InputError("the lattice section is malformed")
                     self._lattice = SubgroupLattice.from_member_lists(
-                        self.group, _member_lists(self._sections["structure"]))
+                        self.group, [s["members"] for s in structure["lattice"]["subgroups"]])
                 except InputError as exc:
                     # every cached section derives from this lattice
                     print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "
@@ -99,7 +121,7 @@ class Pipeline:
 
     def structure(self, part: str):
         cached = self._sections.get("structure")
-        if isinstance(cached, dict) and part in cached:
+        if isinstance(cached, dict) and self._replayable(cached, part):
             return cached[part]
         lattice = self.lattice()  # first: rejecting an entry replaces self._sections
         if part == "lattice":
@@ -115,10 +137,22 @@ class Pipeline:
         return value
 
     def report(self) -> dict:
-        if "report" not in self._sections:
+        if not self._replayable(self._sections, "report"):
             self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
             self._computed = True
         return self._sections["report"]
+
+    def _replayable(self, holder: dict, part: str) -> bool:
+        """Whether `holder` holds `part` in its shape. A malformed part is dropped with
+        a warning, so it is recomputed and rewritten; for a malformed lattice part
+        `lattice()` rejects the whole entry instead."""
+        if part not in holder or _fits(holder[part], _PART_SHAPES[part]):
+            return part in holder
+        if part != "lattice":
+            print(f"warning: rejecting the cached {part} part for {self.spec.name}: "
+                  "it is malformed; recomputing", file=sys.stderr)
+            del holder[part]
+        return False
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
@@ -262,15 +296,18 @@ def _sd_values(pipeline: Pipeline, method: str) -> dict[str, str]:
     return out
 
 
-def cmd_sd(pipeline: Pipeline, args) -> int:
-    values = _sd_values(pipeline, args.method)
+def _print_values(pipeline: Pipeline, args, label: str, values: dict) -> int:
     if args.json:
         _print_json(values)
         return 0
     _print_notes(pipeline.spec)
     for name, value in values.items():
-        print(f"sd[{name}] = {value}")
+        print(f"{label}[{name}] = {value}")
     return 0
+
+
+def cmd_sd(pipeline: Pipeline, args) -> int:
+    return _print_values(pipeline, args, "sd", _sd_values(pipeline, args.method))
 
 
 def _closed_form_f2(pipeline: Pipeline) -> int | str:
@@ -303,14 +340,7 @@ def _f2_values(pipeline: Pipeline, method: str) -> dict:
 
 
 def cmd_f2(pipeline: Pipeline, args) -> int:
-    values = _f2_values(pipeline, args.method)
-    if args.json:
-        _print_json(values)
-        return 0
-    _print_notes(pipeline.spec)
-    for name, value in values.items():
-        print(f"f2[{name}] = {value}")
-    return 0
+    return _print_values(pipeline, args, "f2", _f2_values(pipeline, args.method))
 
 
 def cmd_hughes(pipeline: Pipeline, args) -> int:
@@ -365,22 +395,17 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _verify_one(name: str, tol: float, cache_dir: str | None) -> tuple[dict, bool]:
-    spec = parse_group_spec(name)
-    pipeline = Pipeline(spec, tol, cache_dir)
+def _verify_one(name: str, tol: float, cache_dir: str | None) -> dict:
+    pipeline = Pipeline(parse_group_spec(name), tol, cache_dir)
     report = pipeline.report()
     pipeline.save()
-    return {"name": name, "report": report}, bool(report["internal_ok"])
+    return {"name": name, "report": report}
 
 
 def cmd_verify(args, tol: float, cache_dir: str | None) -> int:
     names = list(CATALOG_NAMES) if args.catalog else [args.group]
-    results = []
-    all_ok = True
-    for name in names:
-        entry, ok = _verify_one(name, tol, cache_dir)
-        results.append(entry)
-        all_ok = all_ok and ok
+    results = [_verify_one(name, tol, cache_dir) for name in names]
+    all_ok = all(entry["report"]["internal_ok"] for entry in results)
     if args.json:
         _print_json({"tool_version": __version__, "groups": results})
     else:

@@ -341,7 +341,8 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
 def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
     """Sum over classes of size * mu(T, G) * (|L(T)|^2, less 2|E_T| in H),
     checking each H class's floating spectrum shadow once."""
-    if lattice.is_quasihamiltonian():
+    # the whole matrix, not is_quasihamiltonian's early-stopping scan: a graph needs it
+    if lattice.permutability().all():
         raise DomainError(
             "the spectral split formula requires sd(G) != 1; "
             "this group is quasihamiltonian"
@@ -350,7 +351,7 @@ def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
     h_classes = []
     for rep, size, mu in _classes(lattice):
         own = _own(lattice, rep)
-        if own.is_quasihamiltonian():
+        if own.permutability().all():
             total += size * own.size ** 2 * mu
         else:
             h_classes.append((size, mu, own))

@@ -18,8 +18,8 @@ element, as a union of right cosets; it never touches joins, meets or the
 matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
-`_close_by_cyclic_extension` builds one from the trivial subgroup, and proves
-a dumped one complete: closing it must add nothing.
+`_close_by_cyclic_extension` finds them from the trivial subgroup, and
+`from_member_lists` accepts a dumped family only when it equals what that finds.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,18 +120,14 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> dict[int, tuple[int, int]]:
     return cyclic
 
 
-def _close_by_cyclic_extension(group: FiniteGroup, found: set[int],
-                               reps: list[tuple[int, tuple[int, ...]]],
-                               subgroup_cap: int) -> set[int]:
-    """Add every subgroup of the group to `found` by Neubüser's cyclic extension.
+def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int]:
+    """Member bitsets of every subgroup of the group, by Neubüser's cyclic extension.
 
-    `found` must be a family of subgroups, closed under conjugation, holding
-    the trivial subgroup; `reps` holds one (member bits, generators) pair per
-    conjugacy class in it. Each representative R is extended by every cyclic
-    p-subgroup <g> with g outside R and g^p inside R. <R, g> is the union of
-    the left cosets of R that the generators reach from R, read from one
-    coset table per representative. A new <R, g> brings in its whole
-    conjugacy class and becomes that class's representative.
+    From the trivial subgroup on, each class representative R is extended by
+    every cyclic p-subgroup <g> with g outside R and g^p inside R. <R, g> is
+    the union of the left cosets of R that the generators reach from R, read
+    from one coset table per representative. A new <R, g> brings in its
+    whole conjugacy class and becomes that class's representative.
 
     The result holds every subgroup. Let K be a missing subgroup of least
     order and R a maximal subgroup of K. R is present, and after conjugating
@@ -142,6 +138,8 @@ def _close_by_cyclic_extension(group: FiniteGroup, found: set[int],
     joins, which `meet` and `join` rely on. Raises SizeError once the family
     would exceed `subgroup_cap`.
     """
+    trivial = 1 << group.identity_index
+    found, reps = {trivial}, [(trivial, ())]
     table = group.mul_table
     conjugators = _conjugators(group)
     cyclic = _cyclic_p_subgroups(group).values()
@@ -258,18 +256,11 @@ class SubgroupLattice:
         return Interval(lower, upper, ids)
 
     def conjugation_map(self, g: int) -> np.ndarray:
-        """Int array taking each id to the id of g^-1 H g, for the element index g.
-
-        InputError if a conjugate of a member is not a member.
-        """
+        """Int array taking each id to the id of g^-1 H g, for the element index g."""
         images = _conjugator(self.group, g)
-        out = np.empty(self.size, dtype=np.intp)
-        for sid, members in enumerate(self._member_tuples):
-            image = self._id_of.get(bits_of(images[h] for h in members))
-            if image is None:
-                raise InputError("member sets are not closed under conjugation")
-            out[sid] = image
-        return out
+        id_of = self._id_of
+        return np.array([id_of[bits_of(images[h] for h in members)]
+                         for members in self._member_tuples], dtype=np.intp)
 
     def _conjugation_walk(self) -> tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]]:
         """Class representatives and the steps of one orbit walk on ids.
@@ -302,8 +293,7 @@ class SubgroupLattice:
     def class_reps(self) -> tuple[int, ...]:
         """For each id, the least id in the conjugacy class of that subgroup.
 
-        One orbit walk on ids under the generators' conjugation maps;
-        InputError if a conjugate of a member is not a member.
+        One orbit walk on ids under the generators' conjugation maps.
         """
         return self._conjugation_walk()[0]
 
@@ -355,14 +345,20 @@ class SubgroupLattice:
         |AB| = |A||B|/|A meet B| and AB lies inside A join B, and AB = BA
         exactly when AB is a subgroup, i.e. AB = A join B. So the pair
         permutes iff |A join B| * |A meet B| = |A| * |B|. Exact only while
-        `join` is, that is on a complete family, which both constructors
-        prove with `_close_by_cyclic_extension`.
+        `join` is, that is on a complete family, which every family is: it
+        comes from `_close_by_cyclic_extension`, or equals what it finds.
         """
         subs = self.subgroups
         return (subs[self.join(a, b)].order * subs[self.meet(a, b)].order
                 == subs[a].order * subs[b].order)
 
     # -- permuting core and derived predicates --------------------------------
+
+    def _rep_pairs(self) -> Iterator[tuple[int, int]]:
+        """(a, b) for each class representative a, once per unordered pair of ids."""
+        reps = self.class_reps()
+        return ((a, b) for a in sorted(set(reps))
+                for b in range(self.size) if reps[b] != b or b > a)
 
     def permutability(self) -> np.ndarray:
         """Read-only symmetric boolean matrix: entry (a, b) says whether a and b permute.
@@ -378,19 +374,12 @@ class SubgroupLattice:
         and the graph all read it.
         """
         if self._permutes is None:
-            size = self.size
-            reps, steps = self._conjugation_walk()
-            permutes = np.ones((size, size), dtype=bool)
-            for a in sorted(set(reps)):
-                row = permutes[a]
-                for b in range(size):
-                    if b == a:
-                        continue
-                    if reps[b] == b and b < a:
-                        row[b] = permutes[b, a]
-                    elif not self.products_commute(a, b):
-                        row[b] = False
-            for y, x, m in steps:
+            permutes = np.ones((self.size, self.size), dtype=bool)
+            for a, b in self._rep_pairs():
+                if not self.products_commute(a, b):
+                    permutes[a, b] = False
+            permutes &= permutes.T  # each pair was tested from one side
+            for y, x, m in self._conjugation_walk()[1]:  # overwrites every other row
                 permutes[y, m] = permutes[x]
             if not np.array_equal(permutes, permutes.T):
                 raise ConsistencyError("the pair test is not symmetric or not conjugation-invariant")
@@ -422,8 +411,15 @@ class SubgroupLattice:
         return self._core
 
     def is_quasihamiltonian(self) -> bool:
-        """True iff every pair of subgroups permutes (the whole lattice is the core)."""
-        return bool(self.permutability().all())
+        """True iff every pair of subgroups permutes (the whole lattice is the core).
+
+        Reads the permutability matrix once filled. Otherwise it tests the
+        rows of class representatives (every other row is a conjugate copy
+        of one), each unordered pair once, up to the first that fails.
+        """
+        if self._permutes is not None:
+            return bool(self._permutes.all())
+        return all(self.products_commute(a, b) for a, b in self._rep_pairs())
 
     # -- materializing members as standalone groups ---------------------------
 
@@ -431,27 +427,18 @@ class SubgroupLattice:
         """A small generating set of element indices for the subgroup (greedy, deterministic).
 
         Each member outside the closure so far becomes a generator, so every
-        member ends inside the final closure, which equals the member set
-        exactly when that set is a subgroup. InputError otherwise, which only
-        a family rebuilt by `from_member_lists` can hit.
+        member ends inside the final closure, which is the subgroup.
         """
         cached = self._min_gens.get(sid)
         if cached is not None:
             return cached
-        target = self.subgroups[sid].members
         table = self.group.mul_table
-        ident_bits = 1 << self.group.identity_index
         gens: list[int] = []
-        closure = ident_bits
+        closure = 1 << self.group.identity_index
         for idx in self._member_tuples[sid]:
-            if closure == target:
-                break
-            if closure & (1 << idx):
-                continue
-            gens.append(idx)
-            closure = _closure_bits(table, closure | (1 << idx), gens)
-        if closure != target:
-            raise InputError("dumped member sets are not subgroups")
+            if not closure >> idx & 1:
+                gens.append(idx)
+                closure = _closure_bits(table, closure | (1 << idx), gens)
         self._min_gens[sid] = tuple(gens)
         return self._min_gens[sid]
 
@@ -493,27 +480,26 @@ class SubgroupLattice:
                           member_lists: Iterable[Sequence[int]]) -> "SubgroupLattice":
         """Rebuild a lattice from dumped member index arrays (e.g. a cache entry).
 
-        InputError unless the lists hold element indices, the family is
-        closed under conjugation, each class representative (so each member)
-        is a subgroup, and `_close_by_cyclic_extension` adds nothing to it.
-        The greedy closure of `minimal_generators` is the subgroup check, and
-        the family's own size is the extension's cap, so a truncated family
-        is rejected at the first subgroup it lacks.
+        InputError unless the lists hold element indices and their sets are
+        exactly the subgroups `_close_by_cyclic_extension` finds, which is
+        capped at the family's size: a forged family buys no longer walk
+        than a fresh enumeration. The result is the enumerated lattice.
         """
-        family = []
+        family = set()
         for members in member_lists:
             if not isinstance(members, (list, tuple)) or not all(
                     type(h) is int and 0 <= h < group.order for h in members):
                 raise InputError("dumped member lists are not lists of element indices")
-            family.append(bits_of(members))
-        lattice = cls(group, family)
-        reps = [(lattice.subgroups[sid].members, lattice.minimal_generators(sid))
-                for sid in sorted(set(lattice.class_reps()))]
+            family.add(bits_of(members))
         try:
-            _close_by_cyclic_extension(group, set(lattice._id_of), reps, lattice.size)
+            found = _close_by_cyclic_extension(group, min(len(family), DEFAULT_SUBGROUP_CAP))
         except SizeError:
-            raise InputError("dumped member sets are not every subgroup") from None
-        return lattice
+            found = None
+        if found is None or not found <= family:
+            raise InputError("dumped member sets are not every subgroup")
+        if found != family:
+            raise InputError("dumped member sets are not subgroups")
+        return cls(group, found)
 
     def __repr__(self) -> str:
         return f"SubgroupLattice(group_order={self.group.order}, size={self.size})"
@@ -526,9 +512,7 @@ def enumerate_subgroups(group: FiniteGroup,
     See `_close_by_cyclic_extension`. Raises SizeError if more than
     `subgroup_cap` subgroups appear.
     """
-    trivial = 1 << group.identity_index
-    found = _close_by_cyclic_extension(group, {trivial}, [(trivial, ())], subgroup_cap)
-    return SubgroupLattice(group, found)
+    return SubgroupLattice(group, _close_by_cyclic_extension(group, subgroup_cap))
 
 
 def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:

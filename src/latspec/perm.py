@@ -16,10 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, SizeError
 
-DEFAULT_ELEMENT_CAP = 10_000
-
-# Full multiplication tables are quadratic in the group order; refuse to
-# materialize one past this order (lattice work never needs groups that big).
+# Every command reads the full multiplication table, which is quadratic in
+# the group order; the closure refuses a group past this order.
 MUL_TABLE_LIMIT = 4_096
 
 
@@ -59,9 +57,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
@@ -158,15 +153,14 @@ class FiniteGroup:
     from the identity, and sorts the elements lexicographically by image
     tuple. That order fixes the element index of every permutation, and all
     subgroup identifiers downstream derive from those indices. Raises
-    SizeError once the closure grows past `element_cap`.
+    SizeError once the closure grows past `MUL_TABLE_LIMIT`.
 
     Observably immutable: the multiplication table, inverse list, and element
     orders are filled lazily, but the values are deterministic functions of
     the element list, so a racing double-computation writes identical data.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 element_cap: int = DEFAULT_ELEMENT_CAP) -> None:
+    def __init__(self, degree: int, generators: Sequence[Permutation]) -> None:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(generators)
         found = [tuple(range(degree))]
@@ -177,8 +171,8 @@ class FiniteGroup:
                 y = tuple(map(g.images.__getitem__, x))
                 i = seen.get(y)
                 if i is None:
-                    if len(found) >= element_cap:
-                        raise SizeError(f"closure exceeded element cap {element_cap}")
+                    if len(found) >= MUL_TABLE_LIMIT:
+                        raise SizeError(f"group order exceeds table limit {MUL_TABLE_LIMIT}")
                     i = seen[y] = len(found)
                     found.append(y)
                 row.append(i)
@@ -200,9 +194,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def index_of(self, p: Permutation) -> int:
         try:
             return self._index[p.images]
@@ -220,8 +211,6 @@ class FiniteGroup:
         """
         if self._mul_table is None:
             n = len(self.elements)
-            if n > MUL_TABLE_LIMIT:
-                raise SizeError(f"group order {n} exceeds table limit {MUL_TABLE_LIMIT}")
             table: list[list[int] | None] = [None] * n
             table[self.identity_index] = list(range(n))
             queue = [self.identity_index]
@@ -262,18 +251,17 @@ class FiniteGroup:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
-def generate_group(degree: int, gens: Sequence[Permutation],
-                   element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def generate_group(degree: int, gens: Sequence[Permutation]) -> FiniteGroup:
     """The FiniteGroup generated by `gens` (the trivial group for no gens).
 
     Inverses come for free in a finite closure, since every element has finite
     order. Raises InputError for a generator of another degree and SizeError
-    once the closure grows past `element_cap`.
+    once the closure grows past `MUL_TABLE_LIMIT`.
     """
     for g in gens:
         if g.degree != degree:
             raise InputError(f"generator degree {g.degree} does not match {degree}")
-    return FiniteGroup(degree, gens, element_cap)
+    return FiniteGroup(degree, gens)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -403,6 +403,56 @@ class TestMalformedCache:
         assert run(capsys, "--cache", str(cache_dir), "sd", "S3")[2] == ""
 
 
+class TestMalformedPart:
+    """A cached part of the wrong shape is recomputed and rewritten, not a traceback."""
+
+    # one item of another type in a list the readers index
+    WRONG_ITEMS = {"spectra": {"adjacency": ["0"]}, "graph": {"edges": [3]},
+                   "report": {"checks": [{}]}}
+
+    @pytest.mark.parametrize("part, argv", [
+        ("spectra", ("spectrum", "S3")),
+        ("spectra", ("spectrum", "S3", "--matrix", "adjacency", "--csv")),
+        ("graph", ("graph", "S3", "--json")),
+        ("graph", ("graph", "S3")),
+        ("report", ("verify", "S3", "--json")),
+        ("report", ("verify", "S3")),
+    ])
+    @pytest.mark.parametrize("bad", [{}, None, [], "wrong_items"],
+                             ids=["empty", "null", "list", "wrong_items"])
+    def test_one_warning_then_a_cold_run_rewrite_then_silence(self, capsys, tmp_path,
+                                                              part, argv, bad):
+        cache_dir, fresh = tmp_path / "c", tmp_path / "fresh"
+        assert run(capsys, "--cache", str(cache_dir), *argv)[0] == 0
+        assert run(capsys, "--cache", str(fresh), *argv)[0] == 0
+        [path] = cache_dir.glob("*.json")
+        data = json.loads(path.read_text())
+        holder = data["sections"] if part == "report" else data["sections"]["structure"]
+        holder[part] = {**holder[part], **self.WRONG_ITEMS[part]} if bad == "wrong_items" else bad
+        path.write_text(json.dumps(data))
+        expected = run(capsys, *argv)[:2]
+        code, out, err = run(capsys, "--cache", str(cache_dir), *argv)
+        assert (code, out) == expected
+        assert err == (f"warning: rejecting the cached {part} part for S3: "
+                       "it is malformed; recomputing\n")
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+        assert run(capsys, "--cache", str(cache_dir), *argv) == (*expected, "")
+
+    def test_a_malformed_lattice_part_rejects_the_entry(self, capsys, tmp_path):
+        cache_dir = tmp_path / "c"
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
+        [path] = cache_dir.glob("*.json")
+        data = json.loads(path.read_text())
+        del data["sections"]["structure"]["lattice"]["core"]
+        path.write_text(json.dumps(data))
+        expected = run(capsys, "lattice", "S3", "--json")[:2]
+        code, out, err = run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")
+        assert (code, out) == expected
+        assert err.startswith("warning: rejecting the cached entry for S3")
+        assert err.count("\n") == 1
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json") == (*expected, "")
+
+
 class TestUnwritableCache:
     """A cache path that is a regular file costs a warning, never the output."""
 

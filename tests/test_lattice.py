@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import time
 
 import numpy as np
 import pytest
@@ -189,15 +191,6 @@ class TestClassReps:
         ]
         assert list(lattice.class_reps()) == expected
 
-    def test_family_not_closed_under_conjugation_rejected(self, s3):
-        # {e, <(1,2)>, S3} is meet-closed, but <(1,3)> and <(2,3)> are missing
-        transposition = s3.index_of(parse_permutation("(1,2)", 3))
-        family = [1 << s3.identity_index, (1 << s3.identity_index) | (1 << transposition),
-                  bits_of(range(s3.order))]
-        lattice = SubgroupLattice(s3, family)
-        with pytest.raises(InputError):
-            lattice.class_reps()
-
 
 class TestConjugationMap:
     @pytest.mark.parametrize("name", ["S4", "A4", "D4", "Q8", "PSL(2,4)"])
@@ -212,15 +205,6 @@ class TestConjugationMap:
                 for s in lattice.subgroups
             ]
             assert lattice.conjugation_map(g).tolist() == expected
-
-    def test_non_member_image_rejected(self, s3):
-        transposition = s3.index_of(parse_permutation("(1,2)", 3))
-        family = [1 << s3.identity_index, (1 << s3.identity_index) | (1 << transposition),
-                  bits_of(range(s3.order))]
-        lattice = SubgroupLattice(s3, family)
-        assert lattice.conjugation_map(transposition).tolist() == [0, 1, 2]
-        with pytest.raises(InputError):
-            lattice.conjugation_map(s3.index_of(parse_permutation("(1,3)", 3)))
 
 
 class TestMeetJoin:
@@ -400,6 +384,38 @@ class TestQuasihamiltonian:
     def test_a4_is_not(self, lat_a4):
         assert not lat_a4.is_quasihamiltonian()
 
+    @pytest.mark.parametrize("name, tests", [("S4", 30), ("A5", 61), ("PSL(2,7)", 179),
+                                             ("Q8", 15), ("C6", 6)])
+    def test_an_unfilled_lattice_scans_representative_rows_until_a_pair_fails(
+            self, name, tests, monkeypatch):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        reps = lattice.class_reps()
+        real = SubgroupLattice.products_commute
+        tested = []
+
+        def recording(self, a, b):
+            tested.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", recording)
+        answer = lattice.is_quasihamiltonian()
+        assert len(tested) == tests
+        assert all(reps[a] == a for a, _ in tested)
+        assert len({frozenset(pair) for pair in tested}) == len(tested)
+        outcomes = [real(lattice, a, b) for a, b in tested]
+        assert outcomes == [True] * len(tested) if answer else [True] * (len(tested) - 1) + [False]
+        monkeypatch.undo()
+        assert answer == lattice.permutability().all()
+
+    def test_a_filled_matrix_is_read(self, lat_s4, monkeypatch):
+        lat_s4.permutability()
+
+        def refuse(self, a, b):
+            raise AssertionError("the filled matrix was not read")
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", refuse)
+        assert not lat_s4.is_quasihamiltonian()
+
 
 class TestHughes:
     def test_exponent_p_group_gives_trivial(self, e8):
@@ -481,15 +497,17 @@ class TestSerialization:
         )
         assert rebuilt.to_json_dict() == dump
 
-    @pytest.mark.parametrize("name", ["S5", "PSL(2,7)"])
+    @pytest.mark.parametrize("name", ["S5", "PSL(2,7)", "A6"])
     def test_enumeration_passes_the_completeness_proof(self, name):
-        # from_member_lists re-runs the cyclic extension that enumeration ran,
-        # seeded with the whole family, so this is a consistency check; the
-        # independent oracle is test_matches_the_closures_of_all_pairs
-        lattice = enumerate_subgroups(parse_group_spec(name).group)
-        rebuilt = SubgroupLattice.from_member_lists(
-            lattice.group, [s.member_indices() for s in lattice.subgroups])
-        assert [s.members for s in rebuilt.subgroups] == [s.members for s in lattice.subgroups]
+        # from_member_lists compares the family with the enumeration, so this
+        # is a consistency check; the independent oracle is
+        # test_matches_the_closures_of_all_pairs
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        members = [s.member_indices() for s in lattice.subgroups]
+        for family in (members, members[::-1]):
+            rebuilt = SubgroupLattice.from_member_lists(group, family)
+            assert [s.members for s in rebuilt.subgroups] == [s.members for s in lattice.subgroups]
 
     def test_rehydration_rejects_a_conjugation_closed_non_subgroup(self, lat_s4):
         # {e, the 9 involutions, the 8 3-cycles} is a union of conjugacy
@@ -560,6 +578,42 @@ class TestSerialization:
                         if s.members not in dropped]
                 with pytest.raises(InputError):
                     SubgroupLattice.from_member_lists(group, kept)
+
+    def test_a_non_subgroup_in_place_of_a_missing_subgroup_is_rejected(self, lat_s4):
+        # the family has the right count, so only the comparison catches it
+        group = lat_s4.group
+        members = [s.members for s in lat_s4.subgroups]
+        for sid in range(lat_s4.size):
+            if sid in (lat_s4.bottom_id, lat_s4.top_id):
+                continue
+            top = members[sid].bit_length() - 1
+            forged = next(bits for x in range(group.order)
+                          if not members[sid] >> x & 1
+                          and (bits := members[sid] ^ (1 << top) | (1 << x)) not in members)
+            family = [list(iter_bits(forged if m == members[sid] else m)) for m in members]
+            assert len({bits_of(m) for m in family}) == lat_s4.size
+            with pytest.raises(InputError, match="not every subgroup"):
+                SubgroupLattice.from_member_lists(group, family)
+
+    def test_a_forged_oversized_family_is_rejected_quickly(self, s4, monkeypatch):
+        # with the real trivial and whole subgroups in it, only the proof can reject it
+        rng = random.Random(16)
+        forged = {1 << s4.identity_index, (1 << s4.order) - 1}
+        while len(forged) < 20_000:
+            forged.add(rng.getrandbits(s4.order) | 1 << s4.identity_index)
+        built = []
+        real = SubgroupLattice.__init__
+
+        def recording(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(SubgroupLattice, "__init__", recording)
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            SubgroupLattice.from_member_lists(s4, [list(iter_bits(m)) for m in forged])
+        assert time.perf_counter() - start < 1.0
+        assert built == []
 
     def test_leq_pairs_consistent(self, lat_a4):
         dump = lat_a4.to_json_dict()

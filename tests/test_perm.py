@@ -132,10 +132,13 @@ class TestGenerateGroup:
         images = [p.images for p in s3.elements]
         assert images == sorted(images)
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
+        import latspec.perm
+
+        monkeypatch.setattr(latspec.perm, "MUL_TABLE_LIMIT", 10)
         gens = parse_generators("(1,2);(1,2,3,4,5)", 5)
         with pytest.raises(SizeError):
-            generate_group(5, gens, element_cap=10)
+            generate_group(5, gens)
 
     def test_degree_mismatch(self):
         with pytest.raises(InputError):
@@ -154,10 +157,13 @@ class TestMulTable:
     def test_size_limit(self, monkeypatch, s4):
         import latspec.perm
 
+        # the closure refuses an order past the limit, so no table is ever
+        # asked of such a group; an order at the limit gets its table
         monkeypatch.setattr(latspec.perm, "MUL_TABLE_LIMIT", 23)
-        group = FiniteGroup(s4.degree, s4.generators)
         with pytest.raises(SizeError):
-            group.mul_table
+            FiniteGroup(s4.degree, s4.generators)
+        monkeypatch.setattr(latspec.perm, "MUL_TABLE_LIMIT", 24)
+        assert len(FiniteGroup(s4.degree, s4.generators).mul_table) == 24
 
 
 def subgroup_indices(group, gen_texts):
