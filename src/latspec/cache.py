@@ -2,12 +2,21 @@
 
 One file holds the sections of one group at one eigensolver tolerance. It is
 named by the group order, the full hash of the canonical element table and
-repr(tol), and holds one object, {schema, tol, degree, elements, sections}.
-A lookup opens only the file its key names and answers only when the schema,
-the tol, the degree and the full element table all match, so a hash
-collision or a renamed file is a miss, never a wrong answer. A store writes
-the whole object by temp file and rename, and never reads the file it
-replaces, so two writers cannot lose each other's entry.
+repr(tol). Its first line is the key object {schema, tol, degree, elements};
+each further line is one section: its name, a tab, and its value as compact
+JSON with sorted keys, the lines in name order.
+
+A lookup opens only the file its key names, decodes only the key line, and
+answers only when the schema, the tol, the degree and the full element table
+all match, so a hash collision, a renamed file or another schema is a miss,
+never a wrong answer. It returns a read-only mapping that decodes a section
+the first time it is read: a command decodes only what it uses (the graph
+section is most of a file, and few commands read it). A section line that
+does not decode reads as None, which the reader rejects like any other value
+of the wrong shape.
+
+A store writes the whole file by temp file and rename, and never reads the
+file it replaces, so two writers cannot lose each other's entry.
 """
 
 from __future__ import annotations
@@ -17,13 +26,18 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 from .perm import FiniteGroup
 from .spectral import DEFAULT_TOL
 
 # The layout of a cache file; a file written under another schema is a miss.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def table_hash(group: FiniteGroup) -> str:
@@ -46,7 +60,7 @@ def signature_of(group: FiniteGroup) -> dict:
 
 
 def _key(group: FiniteGroup, tol: float) -> dict:
-    """Every field of a cache file but its sections; a lookup must match them all."""
+    """The first line of a cache file; a lookup must match every field."""
     return {
         "schema": CACHE_SCHEMA,
         "tol": tol,
@@ -59,34 +73,65 @@ def _cache_file(cache_dir: str | Path, group: FiniteGroup, tol: float) -> Path:
     return Path(cache_dir) / f"{group.order}-{table_hash(group)}-{tol!r}.json"
 
 
+class Sections(Mapping):
+    """The sections of one cache file, each decoded from its line on first read.
+
+    A line that does not decode reads as None.
+    """
+
+    def __init__(self, lines: dict[str, str]) -> None:
+        self._lines = lines
+        self._values: dict = {}
+
+    def __getitem__(self, name: str):
+        if name not in self._values:
+            line = self._lines[name]
+            try:
+                self._values[name] = json.loads(line)
+            except ValueError:
+                self._values[name] = None
+        return self._values[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._lines
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+
 def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
-                 tol: float = DEFAULT_TOL) -> dict | None:
+                 tol: float = DEFAULT_TOL) -> Sections | None:
     """Return the sections stored for this exact group at this tol, or None."""
     path = _cache_file(cache_dir, group, tol)
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            key_line, *section_lines = fh.read().split("\n")
+        key = json.loads(key_line)
     except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring unreadable or corrupt cache file {path}: {exc}",
               file=sys.stderr)
         return None
-    if isinstance(data, dict) and any(data.get(k) != v for k, v in _key(group, tol).items()):
+    if isinstance(key, dict) and key != _key(group, tol):
         return None
-    if not isinstance(data, dict) or not isinstance(data.get("sections"), dict):
+    lines = dict(line.split("\t", 1) for line in section_lines if "\t" in line)
+    if not isinstance(key, dict) or len(lines) != sum(map(bool, section_lines)):
         print(f"warning: ignoring malformed cache file {path}", file=sys.stderr)
         return None
-    return data["sections"]
+    return Sections(lines)
 
 
-def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: dict,
+def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: Mapping,
                 tol: float = DEFAULT_TOL) -> None:
-    """Write this group's entry at this tol whole, atomically (temp file + rename)."""
+    """Write this group's file at this tol whole, atomically (temp file + rename)."""
     path = _cache_file(cache_dir, group, tol)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {**_key(group, tol), "sections": sections}
-    text = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+    text = "".join([_compact(_key(group, tol)) + "\n"]
+                   + [f"{name}\t{_compact(sections[name])}\n" for name in sorted(sections)])
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cache import cache_lookup, cache_store, signature_of
@@ -76,17 +77,22 @@ def _fits(value, shape) -> bool:
 
 
 class Pipeline:
-    """One group's artifact sections, computed on request and cached.
+    """One group's cached parts, computed on request.
 
-    `structure(part)` gives one part of the structure section: the lattice
-    dump ("lattice"), the graph ("graph") or the spectra ("spectra");
-    `report()` gives the identity-verifier output. Each builds only what was
-    asked for, or replays it from the loaded cache entry if it has its shape
-    in `_PART_SHAPES` (a malformed part is warned of and recomputed; a bad
-    lattice part rejects the whole entry). `save()` alone decides what the
+    A cache file holds up to four parts, each its own section: the lattice
+    dump ("lattice"), the graph ("graph"), the spectra ("spectra") and the
+    identity-verifier output ("report"). `structure(part)` gives one of the
+    first three and `report()` the last. Each builds only what was asked
+    for, or replays it from the loaded cache file if it has its shape in
+    `_PART_SHAPES`. A part is decoded from the file only when it is first
+    read, so a command decodes only the parts it prints. A malformed part,
+    one that does not decode included, is warned of and recomputed; a bad
+    lattice part rejects the whole file. `save()` alone decides what the
     cache holds: if this run computed anything, an enumerated lattice
-    included, it completes the structure section and writes the entry once.
-    Writes are atomic, and a cache that cannot be written costs a warning.
+    included, it completes the three structure parts, checks a loaded
+    report it has not read (recomputing it if malformed), and writes the
+    file once. Writes are atomic, and a cache that cannot be written costs
+    a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -94,78 +100,155 @@ class Pipeline:
         self.group = spec.group
         self.tol = tol
         self.cache_dir = cache_dir
-        self._sections = (cache_lookup(cache_dir, self.group, tol) or {}) if cache_dir else {}
+        # read-only, decodes a part on first read
+        self._loaded = (cache_lookup(cache_dir, self.group, tol) if cache_dir else None) or {}
+        self._unread = set(self._loaded)  # loaded parts not yet checked
+        self._parts: dict = {}  # parts replayed or computed by this run; save() writes them
         self._lattice: SubgroupLattice | None = None
         self._computed = False
 
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
-            # a structure section here was loaded: structure() calls this
-            # before it writes one
-            if "structure" in self._sections:
-                structure = self._sections["structure"]
+            if "lattice" in self._loaded:
+                value = self._replay("lattice")
                 try:
-                    if not _fits(structure, {"lattice": _PART_SHAPES["lattice"]}):
+                    if value is None:
                         raise InputError("the lattice section is malformed")
                     self._lattice = SubgroupLattice.from_member_lists(
-                        self.group, [s["members"] for s in structure["lattice"]["subgroups"]])
+                        self.group, [s["members"] for s in value["subgroups"]])
                 except InputError as exc:
-                    # every cached section derives from this lattice
+                    # every cached part derives from this lattice
                     print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "
                           "recomputing", file=sys.stderr)
-                    self._sections = {}
+                    self._loaded, self._unread, self._parts = {}, set(), {}
             if self._lattice is None:
                 self._lattice = enumerate_subgroups(self.group)
                 self._computed = True
         return self._lattice
 
     def structure(self, part: str):
-        cached = self._sections.get("structure")
-        if isinstance(cached, dict) and self._replayable(cached, part):
-            return cached[part]
-        lattice = self.lattice()  # first: rejecting an entry replaces self._sections
-        if part == "lattice":
-            value = lattice.to_json_dict()
-        elif part == "graph":
-            value = top_graph(lattice).to_json_dict()
-        else:
-            _, adj, lap = graph_and_spectra(lattice, self.tol)
-            value = {"adjacency": [_fixed(v) for v in adj.values],
-                     "laplacian": [_fixed(v) for v in lap.values]}
-        self._sections.setdefault("structure", {})[part] = value
-        self._computed = True
+        value = self._replay(part)
+        if value is None:
+            lattice = self.lattice()  # first: rejecting an entry drops every loaded part
+            if part == "lattice":
+                value = lattice.to_json_dict()
+            elif part == "graph":
+                value = top_graph(lattice).to_json_dict()
+            else:
+                _, adj, lap = graph_and_spectra(lattice, self.tol)
+                value = {"adjacency": [_fixed(v) for v in adj.values],
+                         "laplacian": [_fixed(v) for v in lap.values]}
+            self._parts[part] = value
+            self._computed = True
         return value
 
     def report(self) -> dict:
-        if not self._replayable(self._sections, "report"):
-            self._sections["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
+        value = self._replay("report")
+        if value is None:
+            value = self._parts["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
             self._computed = True
-        return self._sections["report"]
+        return value
 
-    def _replayable(self, holder: dict, part: str) -> bool:
-        """Whether `holder` holds `part` in its shape. A malformed part is dropped with
-        a warning, so it is recomputed and rewritten; for a malformed lattice part
+    def _replay(self, part: str):
+        """`part` as this run holds it, or None.
+
+        A loaded part is decoded and checked on its first read and kept only
+        if it has its shape. A malformed one is dropped with a warning, so
+        it is recomputed and rewritten; for a malformed lattice part
         `lattice()` rejects the whole entry instead."""
-        if part not in holder or _fits(holder[part], _PART_SHAPES[part]):
-            return part in holder
-        if part != "lattice":
-            print(f"warning: rejecting the cached {part} part for {self.spec.name}: "
-                  "it is malformed; recomputing", file=sys.stderr)
-            del holder[part]
-        return False
+        if part in self._unread:
+            self._unread.discard(part)
+            value = self._loaded[part]
+            if _fits(value, _PART_SHAPES[part]):
+                self._parts[part] = value
+            elif part != "lattice":
+                print(f"warning: rejecting the cached {part} part for {self.spec.name}: "
+                      "it is malformed; recomputing", file=sys.stderr)
+        return self._parts.get(part)
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
             for part in ("lattice", "graph", "spectra"):
                 self.structure(part)
+            if "report" in self._loaded:  # kept if it has its shape, else recomputed
+                self.report()
             try:
-                cache_store(self.cache_dir, self.group, self._sections, self.tol)
+                cache_store(self.cache_dir, self.group, self._parts, self.tol)
             except OSError as exc:
                 print(f"warning: cannot write cache {self.cache_dir}: {exc}", file=sys.stderr)
 
 
+class _NotPlain(Exception):
+    """A value `_json_text` leaves to `json.dumps`."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# exact type -> its JSON text, as json.dumps spells it (bool is not int here)
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_text(value, pad: str) -> str:
+    """`value` as json.dumps(indent=2, sort_keys=True) renders it at the
+    indentation `pad` (a newline and spaces). A list of one scalar type is
+    one str.join, and a list of nonempty int lists is two str.replace calls
+    on its str()."""
+    render = _SCALARS.get(type(value))
+    if render is not None:
+        return render(value)
+    inner = pad + "  "
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if (type(value) is list and kinds == {list} and all(value)
+                and set(map(type, itertools.chain.from_iterable(value))) == {int}):
+            # str() gives "[[1, 2], [3]]"; an int's text holds no ",", " " or "]"
+            deeper = inner + "  "
+            body = (str(value)[2:-2].replace(", ", "," + deeper)
+                    .replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper))
+            return "[" + inner + "[" + deeper + body + inner + "]" + pad + "]"
+        render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if render is not None:
+            items = map(render, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            raise _NotPlain
+        return ("{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json_text(value[k], inner) for k in sorted(value))
+            + pad + "}")
+    raise _NotPlain
+
+
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print `payload` byte for byte as json.dumps(payload, indent=2, sort_keys=True).
+
+    That call never uses the C encoder when it indents, so plain values
+    (dicts with str keys, lists, tuples, str, int, float, bool, None) are
+    rendered here in bulk, and anything else goes to json.dumps.
+    """
+    try:
+        text = _json_text(payload, "\n")
+    except _NotPlain:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
 
 
 def _print_notes(spec: GroupSpec) -> None:

@@ -104,10 +104,12 @@ def _conjugates(bits: int, conjugators: list[list[int]]) -> list[int]:
     return orbit
 
 
-def _cyclic_p_subgroups(group: FiniteGroup) -> dict[int, tuple[int, int]]:
-    """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1."""
+def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1,
+    and for each element index g the bits of <g> (0 unless g is a p-element, g != e)."""
     table = group.mul_table
     cyclic: dict[int, tuple[int, int]] = {}
+    key_of = [0] * group.order
     for g in range(group.order):
         n = group.order_of_index(g)
         p = next((d for d in range(2, n + 1) if n % d == 0), None)
@@ -116,8 +118,9 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> dict[int, tuple[int, int]]:
         powers = [group.identity_index]
         for _ in range(n - 1):
             powers.append(table[powers[-1]][g])
-        cyclic.setdefault(bits_of(powers), (g, powers[p % n]))
-    return cyclic
+        key_of[g] = bits_of(powers)
+        cyclic.setdefault(key_of[g], (g, powers[p % n]))
+    return cyclic, key_of
 
 
 def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int]:
@@ -137,14 +140,23 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
     which the walk over R adds. A complete family is closed under meets and
     joins, which `meet` and `join` rely on. Raises SizeError once the family
     would exceed `subgroup_cap`.
+
+    One join walk serves each R-orbit of cyclic p-subgroups. For r in R,
+    <R, g^r> = <R, g>^r = <R, g>, since r lies in <R, g>, and g^r lies
+    outside R with (g^r)^p inside R exactly when g does. So once <g> is
+    walked, its orbit under conjugation by R's generators is skipped, and
+    the proof above still holds: if <g> was skipped, the walk for some
+    g' = g^r found the same K.
     """
     trivial = 1 << group.identity_index
     found, reps = {trivial}, [(trivial, ())]
     table = group.mul_table
     conjugators = _conjugators(group)
-    cyclic = _cyclic_p_subgroups(group).values()
+    cyclic, key_of = _cyclic_p_subgroups(group)
     for r_bits, r_gens in reps:  # grows while it is walked
         r_members = tuple(iter_bits(r_bits))
+        by_r = [(table[group.inverse_index(r)], r) for r in r_gens]  # h -> r^-1 h r
+        walked = set()  # the R-orbits of the cyclic subgroups walked from R
         coset = [0] * group.order  # x -> bits of its left coset xR
         for x in range(group.order):
             if not coset[x]:
@@ -153,9 +165,17 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
                 bits = bits_of(xr)
                 for y in xr:
                     coset[y] = bits
-        for g, gp in cyclic:
-            if r_bits >> g & 1 or not r_bits >> gp & 1:
+        for c_bits, (g, gp) in cyclic.items():
+            if c_bits in walked or r_bits >> g & 1 or not r_bits >> gp & 1:
                 continue
+            walked.add(c_bits)
+            orbit = [g]
+            for h in orbit:  # grows while it is walked
+                for inv_row, r in by_r:
+                    y = table[inv_row[h]][r]
+                    if key_of[y] not in walked:
+                        walked.add(key_of[y])
+                        orbit.append(y)
             gens = r_gens + (g,)
             joined, frontier = r_bits, [group.identity_index]
             while frontier:
@@ -180,12 +200,14 @@ class SubgroupLattice:
 
     def __init__(self, group: FiniteGroup, member_bits: Iterable[int]) -> None:
         self.group = group
-        uniq = sorted(set(member_bits), key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+        # (order, member tuple, bits): each member tuple is built once, for
+        # the sort and for the lattice
+        ordered = sorted((m.bit_count(), tuple(iter_bits(m)), m) for m in set(member_bits))
         self.subgroups: tuple[Subgroup, ...] = tuple(
-            Subgroup(i, m, m.bit_count()) for i, m in enumerate(uniq)
+            Subgroup(i, m, order) for i, (order, _, m) in enumerate(ordered)
         )
         self._id_of: dict[int, int] = {s.members: s.id for s in self.subgroups}
-        self._member_tuples: list[tuple[int, ...]] = [s.member_indices() for s in self.subgroups]
+        self._member_tuples: list[tuple[int, ...]] = [members for _, members, _ in ordered]
 
         triv = 1 << group.identity_index
         whole = bits_of(range(group.order))
@@ -524,9 +546,11 @@ def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     group = lattice.group
-    gens = [
-        i for i in range(group.order)
-        if group.order_of_index(i) not in (1, p)
-    ]
-    bits = _closure_bits(group.mul_table, 1 << group.identity_index, gens)
+    table = group.mul_table
+    gens: list[int] = []
+    bits = 1 << group.identity_index
+    for i in range(group.order):  # only elements outside the closure so far add to it
+        if not bits >> i & 1 and group.order_of_index(i) not in (1, p):
+            gens.append(i)
+            bits = _closure_bits(table, bits | (1 << i), gens)
     return lattice.subgroup(lattice.id_of_members(bits))

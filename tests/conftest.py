@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,23 @@ from latspec.spectral import (
 @pytest.fixture(autouse=True)
 def _no_ambient_cache(monkeypatch):
     monkeypatch.delenv("LATSPEC_CACHE", raising=False)
+
+
+def read_cache_file(path):
+    """(key, sections) of a cache file, read line by line: the key object on
+    the first line, then one `name<TAB>json` line per section."""
+    key_line, *lines = path.read_text().split("\n")
+    sections = {}
+    for line in filter(None, lines):
+        name, text = line.split("\t", 1)
+        sections[name] = json.loads(text)
+    return json.loads(key_line), sections
+
+
+def write_cache_file(path, key, sections):
+    """Write a cache file in the layout `read_cache_file` reads."""
+    lines = [json.dumps(key)] + [f"{name}\t{json.dumps(sections[name])}" for name in sorted(sections)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def build(degree: int, gens: str) -> FiniteGroup:
@@ -139,6 +158,62 @@ def pair_closures(group):
                         members.add(y)
                         frontier.append(y)
             found.add(frozenset(members))
+    return found
+
+
+def cyclic_extension_oracle(group):
+    """Reference subgroup enumeration: cyclic extension with one join walk per
+    eligible cyclic p-subgroup and class representative, no orbit cut.
+    Returns the set of member bitsets."""
+    table = group.mul_table
+    conjugators = []
+    for s in map(group.index_of, group.generators):
+        row = table[group.inverse_index(s)]
+        conjugators.append([table[row[h]][s] for h in range(group.order)])
+    cyclic = {}
+    for g in range(group.order):
+        n = group.order_of_index(g)
+        p = next((d for d in range(2, n + 1) if n % d == 0), None)
+        if p is None or p ** n.bit_length() % n:
+            continue
+        powers = [group.identity_index]
+        for _ in range(n - 1):
+            powers.append(table[powers[-1]][g])
+        cyclic.setdefault(bits_of(powers), (g, powers[p % n]))
+    trivial = 1 << group.identity_index
+    found, reps = {trivial}, [(trivial, ())]
+    for r_bits, r_gens in reps:
+        r_members = [h for h in range(group.order) if r_bits >> h & 1]
+        coset = [0] * group.order
+        for x in range(group.order):
+            if not coset[x]:
+                xr = [table[x][h] for h in r_members]
+                for y in xr:
+                    coset[y] = bits_of(xr)
+        for g, gp in cyclic.values():
+            if r_bits >> g & 1 or not r_bits >> gp & 1:
+                continue
+            gens = r_gens + (g,)
+            joined, frontier = r_bits, [group.identity_index]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = table[s][x]
+                    if not joined >> y & 1:
+                        joined |= coset[y]
+                        frontier.append(y)
+            if joined in found:
+                continue
+            orbit = [joined]
+            for x in orbit:
+                members = [h for h in range(group.order) if x >> h & 1]
+                for images in conjugators:
+                    y = bits_of(images[h] for h in members)
+                    if y not in found:
+                        found.add(y)
+                        orbit.append(y)
+            found.add(joined)
+            reps.append((joined, gens))
     return found
 
 

@@ -6,6 +6,8 @@ import latspec.cache as cache
 from latspec.cache import cache_lookup, cache_store, signature_of, table_hash
 from latspec.catalog import cyclic, parse_group_spec, symmetric
 
+from conftest import read_cache_file, write_cache_file
+
 
 @pytest.fixture
 def cache_dir(tmp_path):
@@ -51,16 +53,17 @@ class TestRoundTrip:
         cache_store(cache_dir, group, {"structure": {"v": 2}})
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
         [path] = cache_dir.glob("*.json")
-        assert json.loads(path.read_text())["sections"] == {"structure": {"v": 2}}
+        assert read_cache_file(path)[1] == {"structure": {"v": 2}}
 
     def test_file_holds_one_entry_named_by_its_key(self, cache_dir):
         group = cyclic(6)
         cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
         [path] = cache_dir.glob("*.json")
         assert path.name == f"6-{table_hash(group)}-0.3.json"
-        data = json.loads(path.read_text())
-        assert sorted(data) == ["degree", "elements", "schema", "sections", "tol"]
-        assert (data["schema"], data["tol"]) == (cache.CACHE_SCHEMA, 0.3)
+        key, sections = read_cache_file(path)
+        assert sorted(key) == ["degree", "elements", "schema", "tol"]
+        assert (key["schema"], key["tol"]) == (cache.CACHE_SCHEMA, 0.3)
+        assert sections == {"structure": {"v": 1}}
 
     def test_store_never_reads_a_file(self, cache_dir, monkeypatch):
         group = symmetric(3)
@@ -75,6 +78,79 @@ class TestRoundTrip:
         monkeypatch.undo()
         assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
+
+
+class TestSectionLines:
+    def test_layout_is_a_key_line_then_one_sorted_line_per_section(self, cache_dir):
+        group = cyclic(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}, "graph": [1, {"b": 2, "a": 1}]})
+        [path] = cache_dir.glob("*.json")
+        assert path.read_text().split("\n") == [
+            '{"degree":3,"elements":[[0,1,2],[1,2,0],[2,0,1]],"schema":%d,"tol":1e-12}'
+            % cache.CACHE_SCHEMA,
+            'graph\t[1,{"a":1,"b":2}]',
+            'report\t{"ok":true}',
+            "",
+        ]
+
+    def test_lookup_decodes_the_key_line_and_each_section_on_first_read(self, cache_dir,
+                                                                        monkeypatch):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"graph": {"v": 1}, "report": {"ok": True}})
+        decoded = []
+        real = json.loads
+
+        def recording(text, *args, **kwargs):
+            decoded.append(text.partition(",")[0])
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(cache.json, "loads", recording)
+        sections = cache_lookup(cache_dir, group)
+        assert decoded == ['{"degree":3']
+        assert "graph" in sections and sorted(sections) == ["graph", "report"]
+        assert len(decoded) == 1
+        assert sections["report"] == {"ok": True}
+        assert sections["report"] == {"ok": True}
+        assert decoded == ['{"degree":3', '{"ok":true}']
+
+    def test_a_line_that_does_not_decode_reads_as_none(self, cache_dir, capsys):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"graph": {"v": 1}, "report": {"ok": True}})
+        [path] = cache_dir.glob("*.json")
+        path.write_text(path.read_text().replace('graph\t{"v":1}', "graph\t{not json"))
+        sections = cache_lookup(cache_dir, group)
+        assert (sections["graph"], sections["report"]) == (None, {"ok": True})
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("line", ["graph", 'report\t{"ok":false}'],
+                             ids=["no_tab", "repeated_name"])
+    def test_a_section_line_without_a_name_or_a_repeated_name_is_malformed(
+            self, cache_dir, capsys, line):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}})
+        [path] = cache_dir.glob("*.json")
+        path.write_text(path.read_text() + line + "\n")
+        assert cache_lookup(cache_dir, group) is None
+        assert "ignoring malformed cache file" in capsys.readouterr().err
+
+    def test_a_schema_2_file_is_a_silent_miss(self, cache_dir, capsys):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}})
+        [path] = cache_dir.glob("*.json")
+        key, sections = read_cache_file(path)
+        path.write_text(json.dumps({**key, "schema": 2, "sections": sections}) + "\n")
+        assert cache_lookup(cache_dir, group) is None
+        assert capsys.readouterr().err == ""
+
+    def test_a_wrong_key_line_is_a_silent_miss(self, cache_dir, capsys):
+        group = symmetric(3)
+        cache_store(cache_dir, group, {"report": {"ok": True}})
+        [path] = cache_dir.glob("*.json")
+        key, sections = read_cache_file(path)
+        key["elements"][1], key["elements"][2] = key["elements"][2], key["elements"][1]
+        write_cache_file(path, key, sections)
+        assert cache_lookup(cache_dir, group) is None
+        assert capsys.readouterr().err == ""
 
 
 class TestVersioning:
@@ -129,7 +205,7 @@ class TestTolerance:
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
         assert cache_lookup(cache_dir, group, tol=1e-10) is None
         files = sorted(cache_dir.glob("*.json"))
-        assert sorted(json.loads(path.read_text())["tol"] for path in files) == [1e-12, 0.3]
+        assert sorted(read_cache_file(path)[0]["tol"] for path in files) == [1e-12, 0.3]
         # a second store at one tol replaces only that tol's file
         cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
         assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
@@ -140,9 +216,9 @@ class TestTolerance:
         group = symmetric(3)
         cache_store(cache_dir, group, {"report": {"ok": True}})
         path = next(cache_dir.glob("*.json"))
-        data = json.loads(path.read_text())
-        del data["tol"]
-        path.write_text(json.dumps(data))
+        key, sections = read_cache_file(path)
+        del key["tol"]
+        write_cache_file(path, key, sections)
         assert cache_lookup(cache_dir, group) is None
 
     def test_a_file_copied_to_another_tols_name_misses(self, cache_dir, capsys):

@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from typing import NamedTuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latspec.cli as cli
 import latspec.degrees as degrees
 import latspec.spectral as spectral
 from latspec.cli import main
 from latspec.lattice import SubgroupLattice
+
+from conftest import read_cache_file, write_cache_file
 
 
 def run(capsys, *argv):
@@ -311,10 +317,10 @@ class TestTruncatedCache:
         cache_dir = tmp_path / "c"
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")[0] == 0
         path = next(cache_dir.glob("*.json"))
-        data = json.loads(path.read_text())
-        lattice = data["sections"]["structure"]["lattice"]
+        key, sections = read_cache_file(path)
+        lattice = sections["lattice"]
         lattice["subgroups"] = [s for s in lattice["subgroups"] if s["order"] != 12]
-        path.write_text(json.dumps(data))
+        write_cache_file(path, key, sections)
         return str(cache_dir)
 
     def test_verify_rejects_the_entry_and_recomputes(self, capsys, cache_dir):
@@ -379,9 +385,9 @@ class TestMalformedCache:
         cache_dir = tmp_path / "c"
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
         path = next(cache_dir.glob("*.json"))
-        data = json.loads(path.read_text())
-        corrupt(data["sections"]["structure"]["lattice"])
-        path.write_text(json.dumps(data))
+        key, sections = read_cache_file(path)
+        corrupt(sections["lattice"])
+        write_cache_file(path, key, sections)
         code, out, err = run(capsys, "--cache", str(cache_dir), "sd", "S3", "--method", "all")
         assert code == 0
         assert "rejecting the cached entry for S3" in err
@@ -399,7 +405,7 @@ class TestMalformedCache:
         assert out == run(capsys, "sd", "S3")[1]
         # the next store rewrites the file
         assert run(capsys, "--cache", str(cache_dir), "info", "S3")[0] == 0
-        assert isinstance(json.loads(path.read_text())["sections"], dict)
+        assert read_cache_file(path)[1]
         assert run(capsys, "--cache", str(cache_dir), "sd", "S3")[2] == ""
 
 
@@ -426,10 +432,10 @@ class TestMalformedPart:
         assert run(capsys, "--cache", str(cache_dir), *argv)[0] == 0
         assert run(capsys, "--cache", str(fresh), *argv)[0] == 0
         [path] = cache_dir.glob("*.json")
-        data = json.loads(path.read_text())
-        holder = data["sections"] if part == "report" else data["sections"]["structure"]
-        holder[part] = {**holder[part], **self.WRONG_ITEMS[part]} if bad == "wrong_items" else bad
-        path.write_text(json.dumps(data))
+        key, sections = read_cache_file(path)
+        sections[part] = ({**sections[part], **self.WRONG_ITEMS[part]} if bad == "wrong_items"
+                          else bad)
+        write_cache_file(path, key, sections)
         expected = run(capsys, *argv)[:2]
         code, out, err = run(capsys, "--cache", str(cache_dir), *argv)
         assert (code, out) == expected
@@ -442,15 +448,101 @@ class TestMalformedPart:
         cache_dir = tmp_path / "c"
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
         [path] = cache_dir.glob("*.json")
-        data = json.loads(path.read_text())
-        del data["sections"]["structure"]["lattice"]["core"]
-        path.write_text(json.dumps(data))
+        key, sections = read_cache_file(path)
+        del sections["lattice"]["core"]
+        write_cache_file(path, key, sections)
         expected = run(capsys, "lattice", "S3", "--json")[:2]
         code, out, err = run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")
         assert (code, out) == expected
         assert err.startswith("warning: rejecting the cached entry for S3")
         assert err.count("\n") == 1
         assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json") == (*expected, "")
+
+
+class TestSectionLines:
+    """Each cached part is one line of its file, decoded only by a command that reads it."""
+
+    @pytest.fixture
+    def broken_graph(self, capsys, tmp_path):
+        """S4's file after `verify`, its graph line replaced by text that is not JSON."""
+        cache_dir = tmp_path / "c"
+        assert run(capsys, "--cache", str(cache_dir), "verify", "S4")[0] == 0
+        [path] = cache_dir.glob("*.json")
+        lines = path.read_text().split("\n")
+        assert sum(line.startswith("graph\t") for line in lines) == 1
+        path.write_text("\n".join("graph\t{not json" if line.startswith("graph\t") else line
+                                  for line in lines))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ("info", "S4"), ("sd", "S4"), ("mobius", "S4"), ("hughes", "S4", "-p", "2"),
+        ("f2", "S4"), ("spectrum", "S4"),
+    ])
+    def test_a_command_that_does_not_read_the_graph_is_silent_and_correct(
+            self, capsys, broken_graph, argv):
+        before = broken_graph.read_bytes()
+        assert run(capsys, "--cache", str(broken_graph.parent), *argv) == run(capsys, *argv)
+        assert broken_graph.read_bytes() == before
+
+    def test_graph_json_warns_once_rewrites_the_file_and_the_next_run_is_silent(
+            self, capsys, tmp_path, broken_graph):
+        fresh = tmp_path / "fresh"
+        assert run(capsys, "--cache", str(fresh), "verify", "S4")[0] == 0
+        expected = run(capsys, "graph", "S4", "--json")[:2]
+        code, out, err = run(capsys, "--cache", str(broken_graph.parent), "graph", "S4", "--json")
+        assert (code, out) == expected
+        assert err == "warning: rejecting the cached graph part for S4: it is malformed; recomputing\n"
+        assert broken_graph.read_bytes() == (fresh / broken_graph.name).read_bytes()
+        again = run(capsys, "--cache", str(broken_graph.parent), "graph", "S4", "--json")
+        assert again == (*expected, "")
+
+    def test_a_rewrite_recomputes_a_malformed_report_it_did_not_read(self, capsys, tmp_path,
+                                                                     broken_graph):
+        fresh = tmp_path / "fresh"
+        assert run(capsys, "--cache", str(fresh), "verify", "S4")[0] == 0
+        lines = broken_graph.read_text().split("\n")
+        broken_graph.write_text("\n".join("report\t[]" if line.startswith("report\t") else line
+                                          for line in lines))
+        code, _, err = run(capsys, "--cache", str(broken_graph.parent), "graph", "S4", "--json")
+        assert code == 0
+        assert err == ("warning: rejecting the cached graph part for S4: it is malformed; "
+                       "recomputing\n"
+                       "warning: rejecting the cached report part for S4: it is malformed; "
+                       "recomputing\n")
+        assert broken_graph.read_bytes() == (fresh / broken_graph.name).read_bytes()
+        assert run(capsys, "--cache", str(broken_graph.parent), "verify", "S4") == run(
+            capsys, "verify", "S4")
+
+    @pytest.fixture
+    def fresh_file(self, capsys, tmp_path):
+        fresh = tmp_path / "fresh"
+        assert run(capsys, "--cache", str(fresh), "verify", "S4")[0] == 0
+        [path] = fresh.glob("*.json")
+        return path
+
+    def test_a_schema_2_file_is_a_silent_miss_and_is_rewritten(self, capsys, tmp_path,
+                                                                 fresh_file):
+        key, sections = read_cache_file(fresh_file)
+        sections["report"]["f2"]["direct"] = 178  # replayed, this would print
+        # the schema-2 layout: one object, the structure parts nested under "structure"
+        old = {**key, "schema": 2, "sections": {
+            "report": sections["report"],
+            "structure": {part: sections[part] for part in ("lattice", "graph", "spectra")}}}
+        path = tmp_path / "c" / fresh_file.name
+        path.parent.mkdir()
+        path.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
+        assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
+        assert path.read_bytes() == fresh_file.read_bytes()
+
+    def test_a_wrong_key_line_is_a_miss(self, capsys, tmp_path, fresh_file):
+        key, sections = read_cache_file(fresh_file)
+        sections["report"]["f2"]["direct"] = 178
+        key["elements"][1], key["elements"][2] = key["elements"][2], key["elements"][1]
+        path = tmp_path / "c" / fresh_file.name
+        path.parent.mkdir()
+        write_cache_file(path, key, sections)
+        assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
+        assert path.read_bytes() == fresh_file.read_bytes()
 
 
 class TestUnwritableCache:
@@ -486,23 +578,23 @@ class TestStoreOnce:
     def test_verify_stores_once_and_a_warm_verify_stores_nothing(self, capsys, tmp_path, stores):
         cache_dir = str(tmp_path / "c")
         first = run(capsys, "--cache", cache_dir, "verify", "S4")
-        assert stores == [["report", "structure"]]
+        assert stores == [["graph", "lattice", "report", "spectra"]]
         assert run(capsys, "--cache", cache_dir, "verify", "S4") == first
         assert len(stores) == 1
 
     def test_a_cold_info_stores_once(self, capsys, tmp_path, stores):
         assert run(capsys, "--cache", str(tmp_path / "c"), "info", "S4")[0] == 0
-        assert stores == [["structure"]]
+        assert stores == [["graph", "lattice", "spectra"]]
 
     def test_a_cold_sd_stores_the_structure_that_verify_stores(self, capsys, tmp_path, stores):
         assert run(capsys, "--cache", str(tmp_path / "sd"), "sd", "S4")[0] == 0
         assert run(capsys, "--cache", str(tmp_path / "verify"), "verify", "S4")[0] == 0
-        assert stores == [["structure"], ["report", "structure"]]
+        assert stores == [["graph", "lattice", "spectra"], ["graph", "lattice", "report", "spectra"]]
         [sd_file] = (tmp_path / "sd").glob("*.json")
         [verify_file] = (tmp_path / "verify").glob("*.json")
         assert sd_file.name == verify_file.name
-        by_sd, by_verify = json.loads(sd_file.read_text()), json.loads(verify_file.read_text())
-        del by_verify["sections"]["report"]
+        by_sd, by_verify = read_cache_file(sd_file), read_cache_file(verify_file)
+        del by_verify[1]["report"]
         assert by_sd == by_verify
 
 
@@ -595,6 +687,51 @@ class TestParserOnce:
         cli._build_parser.cache_clear()
         assert [run(capsys, *argv) for argv in self.COMMANDS] == fresh
         assert builds == ["latspec"]
+
+
+_SCALAR_VALUES = (st.none() | st.booleans() | st.integers()
+                  | st.floats() | st.sampled_from([-0.0, 1e-300, 0.1, 1e16])
+                  | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u2028é😀", "\ud800"]))
+_JSON_VALUES = st.recursive(
+    _SCALAR_VALUES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.lists(st.lists(st.integers(), min_size=1))),
+    max_leaves=30)
+
+
+class TestPrintJson:
+    """`_print_json` prints exactly what json.dumps(indent=2, sort_keys=True) prints."""
+
+    @staticmethod
+    def printed(value) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._print_json(value)
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert self.printed(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {10: "a", 9: "b"}, {None: 1}, [float("nan"), float("-inf")], [[1, True]],
+        [[1], []], {"x": [[0, 2**70]]}, [np.float64(0.5)], ([1, 2],),
+    ])
+    def test_matches_json_dumps_on_edge_cases(self, value):
+        assert self.printed(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_plain_payloads_never_reach_json_dumps(self, monkeypatch):
+        payload = {"edges": [[0, 1], [2, 3]], "values": [0.5, -0.0], "name": "S4",
+                   "rows": [{"id": 1, "ok": True, "none": None}], "empty": [], "map": {}}
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps was called")
+
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        assert self.printed(payload) == expected
 
 
 class TestDeterminism:

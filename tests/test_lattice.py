@@ -13,6 +13,7 @@ from latspec.perm import bits_of, compose, generate_group, iter_bits, parse_perm
 
 from conftest import (
     build,
+    cyclic_extension_oracle,
     lower_fixed_mobius,
     naive_closure,
     pair_closures,
@@ -113,6 +114,14 @@ class TestEnumeration:
         lattice = enumerate_subgroups(group)
         assert lattice.size == size
         assert member_sets(lattice) == pair_closures(group)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + (
+        "S5", "PSL(2,7)", "perm6:(1,2,3);(2,3,4,5,6)", "perm6:(1,2);(1,2,3,4,5,6)"))
+    def test_one_walk_per_orbit_finds_what_a_walk_per_cyclic_subgroup_finds(self, name):
+        # the perm6 groups are A6 (501 subgroups) and S6 (1455)
+        group = parse_group_spec(name).group
+        assert member_sets(enumerate_subgroups(group)) == {
+            frozenset(iter_bits(bits)) for bits in cyclic_extension_oracle(group)}
 
     def test_every_order_divides_group_order(self, lat_s4):
         for s in lat_s4.subgroups:
@@ -431,6 +440,16 @@ class TestHughes:
     def test_non_prime_rejected(self, lat_s3):
         with pytest.raises(InputError):
             hughes_subgroup(lat_s3, 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_equals_the_closure_of_every_element_of_order_other_than_p(self, name, p):
+        group = parse_group_spec(name).group
+        gens = [x for i, x in enumerate(group.elements) if group.order_of_index(i) not in (1, p)]
+        expected = (frozenset(map(group.index_of, naive_closure(gens))) if gens
+                    else {group.identity_index})
+        sub = hughes_subgroup(enumerate_subgroups(group), p)
+        assert frozenset(sub.member_indices()) == expected
 
 
 class TestIntervalsAndStandalone:
