@@ -87,12 +87,14 @@ class Pipeline:
     `_PART_SHAPES`. A part is decoded from the file only when it is first
     read, so a command decodes only the parts it prints. A malformed part,
     one that does not decode included, is warned of and recomputed; a bad
-    lattice part rejects the whole file. `save()` alone decides what the
-    cache holds: if this run computed anything, an enumerated lattice
-    included, it completes the three structure parts, checks a loaded
-    report it has not read (recomputing it if malformed), and writes the
-    file once. Writes are atomic, and a cache that cannot be written costs
-    a warning.
+    lattice part rejects the whole file. The lattice dump is never replayed
+    unproved: `lattice()` proves its member sets, and the dump is printed
+    only when it equals the proved lattice's (`_lattice_part`). `save()`
+    alone decides what the cache holds: if this run computed anything, an
+    enumerated lattice included, it completes the three structure parts,
+    checks a loaded report it has not read (recomputing it if malformed),
+    and writes the file once. Writes are atomic, and a cache that cannot be
+    written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -110,9 +112,9 @@ class Pipeline:
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
             if "lattice" in self._loaded:
-                value = self._replay("lattice")
+                value = self._loaded["lattice"]
                 try:
-                    if value is None:
+                    if not _fits(value, _PART_SHAPES["lattice"]):
                         raise InputError("the lattice section is malformed")
                     self._lattice = SubgroupLattice.from_member_lists(
                         self.group, [s["members"] for s in value["subgroups"]])
@@ -127,12 +129,12 @@ class Pipeline:
         return self._lattice
 
     def structure(self, part: str):
+        if part == "lattice":
+            return self._lattice_part()
         value = self._replay(part)
         if value is None:
             lattice = self.lattice()  # first: rejecting an entry drops every loaded part
-            if part == "lattice":
-                value = lattice.to_json_dict()
-            elif part == "graph":
+            if part == "graph":
                 value = top_graph(lattice).to_json_dict()
             else:
                 _, adj, lap = graph_and_spectra(lattice, self.tol)
@@ -141,6 +143,23 @@ class Pipeline:
             self._parts[part] = value
             self._computed = True
         return value
+
+    def _lattice_part(self) -> dict:
+        """The lattice dump, always the proved lattice's own.
+
+        `lattice()` proves a loaded lattice part's member sets or rejects
+        the entry; a loaded dump whose member sets pass is then compared
+        with the proved lattice's dump as a whole (order, containment pairs,
+        core), and one that differs is warned of and rewritten."""
+        if "lattice" not in self._parts:
+            lattice = self.lattice()
+            value = lattice.to_json_dict()
+            if self._loaded.get("lattice", value) != value:
+                print(f"warning: rejecting the cached lattice part for {self.spec.name}: "
+                      "it differs from the proved lattice; recomputing", file=sys.stderr)
+                self._computed = True
+            self._parts["lattice"] = value
+        return self._parts["lattice"]
 
     def report(self) -> dict:
         value = self._replay("report")
@@ -152,16 +171,15 @@ class Pipeline:
     def _replay(self, part: str):
         """`part` as this run holds it, or None.
 
-        A loaded part is decoded and checked on its first read and kept only
-        if it has its shape. A malformed one is dropped with a warning, so
-        it is recomputed and rewritten; for a malformed lattice part
-        `lattice()` rejects the whole entry instead."""
+        A loaded part other than the lattice is decoded and checked on its
+        first read and kept only if it has its shape. A malformed one is
+        dropped with a warning, so it is recomputed and rewritten."""
         if part in self._unread:
             self._unread.discard(part)
             value = self._loaded[part]
             if _fits(value, _PART_SHAPES[part]):
                 self._parts[part] = value
-            elif part != "lattice":
+            else:
                 print(f"warning: rejecting the cached {part} part for {self.spec.name}: "
                       "it is malformed; recomputing", file=sys.stderr)
         return self._parts.get(part)

@@ -27,21 +27,29 @@ matrix and tol.
 Conjugation also permutes the graph's vertices and commutes with both of its
 matrices, so each matrix is solved in symmetry-adapted blocks (the canonical
 decomposition; Serre, Linear Representations of Finite Groups, 2.6). An
-elementary abelian 2-subgroup E of commuting involutions acts on the
-vertices; each of its 2^r characters, with the E-orbits it admits, spans a
-subspace that the matrix preserves, and the matrix restricted there is one
-block (`_symmetry_blocks`, `_block`). PSL(2,7)'s 177-vertex graph splits into
-blocks of 75, 34, 34 and 34; an odd-order group has no involution, and its
-one block is the matrix itself. A spectrum is its blocks' values merged.
+abelian group A of elements acts on the vertices; each character of A, with
+the A-orbits it admits, spans a subspace that the matrix preserves, and the
+matrix restricted there is one block (`_symmetry_blocks`, `_block`). A is
+<c>, c the least-index element of the largest order k, when k exceeds the
+order of E, an elementary abelian 2-subgroup of commuting involutions, and E
+otherwise. E's characters are real. <c>'s characters chi_j(c^a) = omega^(ja)
+are complex except for j = 0 and j = k/2, and give Hermitian blocks; blocks
+whose j differ by a unit u with c^u conjugate to c, or by a sign, are
+similar, so one block is solved per such class of j and its values count
+once per class member. PSL(2,7)'s 177-vertex graph splits under its element
+of order 7 into one block of 27 and six of 25, of which two are solved (E
+gives 75, 34, 34 and 34); S4, whose largest order 4 is the order of E, keeps
+E's blocks 15, 3, 3 and 5. A spectrum is its blocks' values merged.
 The blocks are handed to the eigensolver in batches, one call per batch: a
 graph's two matrices together, and, before the first split sums its terms,
 both matrices of every class in the split at DEFAULT_TOL, so a `verify`
 makes at most one call for the top graph and one for all its classes.
-Blocks with the same shape and bytes in one call are solved once.
+Blocks with the same shape, type and bytes in one call are solved once.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +67,7 @@ from .graph import (
     build_graph,
     laplacian_matrix,
 )
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .lattice import SubgroupLattice, _conjugators, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import (
     DEFAULT_TOL,
@@ -152,25 +160,115 @@ def _involutions(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def _symmetry_blocks(lattice: SubgroupLattice,
-                     graph: NonPermutabilityGraph) -> list[tuple[np.ndarray, ...]]:
-    """The symmetry-adapted basis of the graph's vertex space, block by block.
+def _largest_cyclic(group: FiniteGroup) -> tuple[int, int]:
+    """(c, k): c the least element index of the largest element order k."""
+    orders = [group.order_of_index(g) for g in range(group.order)]
+    k = max(orders)
+    return orders.index(k), k
 
-    E (`_involutions`) acts on the vertices by conjugation. An E-orbit O with
-    base point o and a character chi of E that is trivial on the stabilizer
-    of o give the unit vector sum over w in O of chi(e_w) delta_w / sqrt|O|,
-    where e_w o = w. The vectors of one chi span a subspace that both graph
-    matrices preserve (Serre, Linear Representations of Finite Groups, 2.6).
-    Each block is (vertex positions in orbit order, their signs chi(e_w),
-    orbit starts, orbit sizes), one per chi with an orbit, chi in index
-    order. E is a vector over GF(2) here: e_w is a bit mask over its
-    generators, and chi(e) = (-1)^|c & e| for the character's mask c.
-    With E trivial there is one block, every vertex its own orbit.
+
+def _conjugate_powers(group: FiniteGroup, c: int, k: int) -> list[int]:
+    """The units u modulo k, c's order, for which c^u is conjugate to c in the group."""
+    conjugators = _conjugators(group)
+    conjugates = {c}
+    frontier = [c]
+    for x in frontier:  # grows while it is walked
+        for images in conjugators:
+            y = images[x]
+            if y not in conjugates:
+                conjugates.add(y)
+                frontier.append(y)
+    table = group.mul_table
+    powers = [group.identity_index]
+    for _ in range(k - 1):
+        powers.append(table[powers[-1]][c])
+    return [u for u in range(1, k) if math.gcd(u, k) == 1 and powers[u] in conjugates]
+
+
+def _character_classes(group: FiniteGroup, c: int, k: int) -> list[list[int]]:
+    """The characters chi_j of <c>, j modulo k, in classes under j -> +-u j
+    for the units u of `_conjugate_powers`, each class ascending, the
+    classes by their least j.
+
+    If g^-1 c g = c^u, conjugation by g takes the chi_j part of the vertex
+    space onto the chi_(uj) part (up to u -> 1/u, which is in the same unit
+    group) and commutes with both graph matrices, so the two blocks are
+    similar; chi_-j's block is chi_j's complex conjugate, which has the same
+    real eigenvalues. So one block per class gives them all.
     """
+    units = [sign * u for u in _conjugate_powers(group, c, k) for sign in (1, -1)]
+    classes, seen = [], set()
+    for j in range(k):
+        if j not in seen:
+            members = sorted({u * j % k for u in units})
+            seen.update(members)
+            classes.append(members)
+    return classes
+
+
+def _vertex_action(lattice: SubgroupLattice, graph: NonPermutabilityGraph,
+                   g: int) -> list[int]:
+    """Conjugation by element g as a permutation of the graph's vertex positions."""
     vertex_ids = list(graph.vertex_ids)
     position = {sid: i for i, sid in enumerate(vertex_ids)}
-    actions = [[position[sid] for sid in lattice.conjugation_map(g)[vertex_ids].tolist()]
-               for g in _involutions(lattice.group)]
+    return [position[sid] for sid in lattice.conjugation_map(g)[vertex_ids].tolist()]
+
+
+def _basis(orbits: list[list[int]], weights: list[float | complex]) -> tuple[np.ndarray, ...]:
+    """(vertex positions in orbit order, their weights, orbit starts, orbit
+    sizes) of one block (see `_block`); `weights` is indexed by vertex position."""
+    vertices = [w for orbit in orbits for w in orbit]
+    sizes = np.array([len(orbit) for orbit in orbits])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return (np.array(vertices, dtype=np.intp), np.array([weights[w] for w in vertices]),
+            starts, sizes)
+
+
+def _cyclic_orbits(action: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The orbits of <c> on the vertex positions, each as o, c o, c^2 o, ...
+    from its least position o, and each position's exponent a in w = c^a o."""
+    exponent = [-1] * len(action)
+    orbits = []
+    for start in range(len(action)):
+        if exponent[start] < 0:
+            orbit, w = [], start
+            while exponent[w] < 0:
+                exponent[w] = len(orbit)
+                orbit.append(w)
+                w = action[w]
+            orbits.append(orbit)
+    return orbits, exponent
+
+
+def _cyclic_character(orbits: list[list[int]], exponent: list[int], k: int,
+                      j: int) -> tuple[np.ndarray, ...] | None:
+    """The basis of chi_j's block, chi_j(c^a) = omega^(ja) with omega = e^(2 pi i/k),
+    or None when no orbit admits chi_j. An orbit of size s admits chi_j when
+    chi_j is trivial on its stabilizer <c^s>, that is when k divides js. The
+    real characters (2j = 0 modulo k) get real weights +-1, so their block
+    sums stay exact integers."""
+    kept = [orbit for orbit in orbits if j * len(orbit) % k == 0]
+    if not kept:
+        return None
+    if 2 * j % k == 0:
+        weights = [-1.0 if j and a % 2 else 1.0 for a in exponent]
+    else:
+        weights = [complex(np.exp(2j * np.pi * (j * a % k) / k)) for a in exponent]
+    return _basis(kept, weights)
+
+
+def _involution_blocks(lattice: SubgroupLattice, graph: NonPermutabilityGraph,
+                       involutions: list[int]) -> list[tuple]:
+    """The blocks of the characters of E, generated by `involutions`, each
+    with multiplicity 1 (see `_symmetry_blocks`).
+
+    An E-orbit O with base point o and a character chi of E that is trivial
+    on the stabilizer of o give the unit vector sum over w in O of
+    chi(e_w) delta_w / sqrt|O|, where e_w o = w. E is a vector over GF(2)
+    here: e_w is a bit mask over its generators, and chi(e) = (-1)^|c & e|
+    for the character's mask c, chi in index order.
+    """
+    actions = [_vertex_action(lattice, graph, g) for g in involutions]
     n = graph.vertex_count
     mask = [-1] * n
     orbits: list[tuple[list[int], list[int]]] = []  # (vertices, stabilizer generators)
@@ -193,35 +291,76 @@ def _symmetry_blocks(lattice: SubgroupLattice,
         kept = [orbit for orbit, stabilizer in orbits
                 if not any((c & s).bit_count() % 2 for s in stabilizer)]
         if kept:
-            vertices = [w for orbit in kept for w in orbit]
-            sizes = np.array([len(orbit) for orbit in kept])
-            signs = np.array([-1.0 if (c & mask[w]).bit_count() % 2 else 1.0 for w in vertices])
-            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            blocks.append((np.array(vertices, dtype=np.intp), signs, starts, sizes))
+            signs = [-1.0 if (c & m).bit_count() % 2 else 1.0 for m in mask]
+            blocks.append(_basis(kept, signs) + (1,))
     return blocks
 
 
-def _block(data: np.ndarray, vertices: np.ndarray, signs: np.ndarray,
-           starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """B[i, j] = sum over u in O_i, w in O_j of chi(u) chi(w) M[u, w], over sqrt(|O_i| |O_j|).
+def _symmetry_blocks(lattice: SubgroupLattice,
+                     graph: NonPermutabilityGraph) -> list[tuple]:
+    """The symmetry-adapted basis of the graph's vertex space, block by block.
 
-    The sums are of integers, so they are exact and symmetric, and no BLAS
-    call sets their order. With every orbit of size 1 and every sign +1,
-    B is M itself, bit for bit.
+    An abelian group A of elements acts on the vertices by conjugation; an
+    A-orbit and a character of A trivial on the orbit's stabilizer give one
+    basis vector, and the vectors of one character span a subspace that
+    both graph matrices preserve (Serre, Linear Representations of Finite
+    Groups, 2.6). A is <c> for c the least-index element of largest order k
+    when k > |E|, E the elementary abelian 2-subgroup of `_involutions`, and
+    E otherwise: the larger group cuts the space into more, smaller blocks.
+    Each block is (vertex positions in orbit order, their weights, orbit
+    starts, orbit sizes, multiplicity). Under <c> there is one block per
+    class of `_character_classes`, its multiplicity the class size; the
+    weights are complex unless the character is real. Under E
+    (`_involution_blocks`) each character with an orbit has its own block.
+    With A trivial there is one block, every vertex its own orbit.
+    """
+    group = lattice.group
+    involutions = _involutions(group)
+    c, k = _largest_cyclic(group)
+    if k <= 1 << len(involutions):
+        return _involution_blocks(lattice, graph, involutions)
+    orbits, exponent = _cyclic_orbits(_vertex_action(lattice, graph, c))
+    blocks = []
+    for members in _character_classes(group, c, k):
+        basis = _cyclic_character(orbits, exponent, k, members[0])
+        if basis is not None:
+            blocks.append(basis + (len(members),))
+    return blocks
+
+
+def _block(data: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
+           starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """B[i, j] = sum over u in O_i, w in O_j of conj(chi(u)) chi(w) M[u, w],
+    over sqrt(|O_i| |O_j|), with chi(w) the vertex weights.
+
+    With real weights +-1 the sums are of integers, so they are exact and
+    symmetric, and no BLAS call sets their order; with every orbit of size 1
+    and every weight +1, B is M itself, bit for bit. Complex weights are
+    summed over columns first, the real and imaginary parts apart, so no
+    complex array as large as M is formed. They round, so B is then made
+    exactly Hermitian from its upper triangle and the real part of its
+    diagonal.
     """
     part = data[np.ix_(vertices, vertices)]
-    part *= np.multiply.outer(signs, signs)
-    sums = np.add.reduceat(np.add.reduceat(part, starts, axis=0), starts, axis=1)
-    return sums / np.sqrt(np.multiply.outer(sizes, sizes))
+    root = np.sqrt(np.multiply.outer(sizes, sizes))
+    if not np.iscomplexobj(weights):
+        part *= np.multiply.outer(weights, weights)
+        return np.add.reduceat(np.add.reduceat(part, starts, axis=0), starts, axis=1) / root
+    columns = (np.add.reduceat(part * weights.real, starts, axis=1)
+               + 1j * np.add.reduceat(part * weights.imag, starts, axis=1))
+    block = np.add.reduceat(columns * weights.conj()[:, None], starts, axis=0) / root
+    upper = np.triu(block, 1)
+    return upper + upper.T.conj() + np.diag(block.diagonal().real)
 
 
-def _merged(parts: list[Spectrum]) -> Spectrum:
-    """One spectrum from the spectra of a matrix's blocks (see `Spectrum`)."""
-    return Spectrum(tuple(sorted(v for part in parts for v in part.values)),
-                    sum(part.reflections for part in parts),
-                    max((part.steps for part in parts), default=0),
-                    max((part.width for part in parts), default=0.0),
-                    sum(part.shifts for part in parts))
+def _merged(parts: list[tuple[Spectrum, int]]) -> Spectrum:
+    """One spectrum from the spectra of a matrix's blocks, each block's
+    values repeated its multiplicity times (see `Spectrum`)."""
+    return Spectrum(tuple(sorted(v for part, count in parts for v in part.values * count)),
+                    sum(part.reflections for part, _ in parts),
+                    max((part.steps for part, _ in parts), default=0),
+                    max((part.width for part, _ in parts), default=0.0),
+                    sum(part.shifts for part, _ in parts))
 
 
 def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum, Spectrum]]:
@@ -229,9 +368,9 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
 
     Every spectrum not yet memoized on its lattice is split into its
     symmetry-adapted blocks (`_symmetry_blocks`), and the blocks of all of
-    them are solved in one eigensolver call; blocks with the same shape and
-    bytes are solved once. Each spectrum is its blocks' values merged, and
-    is memoized on its lattice. When no spectrum is missing, or all of them
+    them are solved in one eigensolver call; blocks with the same shape,
+    type and bytes are solved once. Each spectrum is its blocks' values
+    merged, and is memoized on its lattice. When no spectrum is missing, or all of them
     are of null graphs, which have no block, no call is made.
     """
     keys = [(adjacency_matrix, tol), (laplacian_matrix, tol)]
@@ -246,15 +385,16 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
             basis = _memo(lat, "blocks", lambda: _symmetry_blocks(lat, graph))
             data = matrix_of(graph).data
             mine = []
-            for block in (_block(data, *spec) for spec in basis):
-                index = unique.setdefault((block.shape, block.tobytes()), len(blocks))
+            for *spec, count in basis:
+                block = _block(data, *spec)
+                index = unique.setdefault((block.shape, block.dtype, block.tobytes()), len(blocks))
                 if index == len(blocks):
                     blocks.append(DenseSymMatrix(block))
-                mine.append(index)
+                mine.append((index, count))
             parts.append(mine)
         solved = eigenvalues_symmetric(*blocks, tol=tol) if blocks else ()
         for (lat, key), mine in zip(missing, parts):
-            lat.memo[key] = _merged([solved[i] for i in mine])
+            lat.memo[key] = _merged([(solved[i], count) for i, count in mine])
     return [(lat.memo[keys[0]], lat.memo[keys[1]]) for lat in lattices]
 
 

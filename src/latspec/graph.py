@@ -24,7 +24,9 @@ from .lattice import SubgroupLattice
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A real symmetric matrix stored dense; adjacency/Laplacian entries are integers."""
+    """A real symmetric or complex Hermitian matrix stored dense;
+    adjacency/Laplacian entries are integers, and a symmetry-adapted block
+    of one (see `degrees`) may be complex."""
 
     data: np.ndarray = field(repr=False)
 
@@ -32,8 +34,8 @@ class DenseSymMatrix:
         a = self.data
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"matrix must be square, got shape {a.shape}")
-        if a.size and not np.array_equal(a, a.T):
-            raise InputError("matrix is not symmetric")
+        if a.size and not np.array_equal(a, a.T.conj()):
+            raise InputError(f"matrix is not {'Hermitian' if np.iscomplexobj(a) else 'symmetric'}")
 
     @property
     def dimension(self) -> int:

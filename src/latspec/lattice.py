@@ -14,8 +14,8 @@ HK = KH from lattice orders. `permutability` calls it on the rows of class
 representatives only, and copies every other row along the orbit walk,
 since conjugation preserves HK = KH; every permutability consumer reads
 that one matrix. `product_bits` builds the set product HK element by
-element, as a union of right cosets; it never touches joins, meets or the
-matrix.
+element, as a union of right cosets Hk from a table of H's cosets built once
+per H; it never touches joins, meets or the matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
 `_close_by_cyclic_extension` finds them from the trivial subgroup, and
@@ -237,6 +237,7 @@ class SubgroupLattice:
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
         self._walk: tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]] | None = None
+        self._cosets: dict[int, list[int]] = {}  # subgroup id -> `_right_cosets`
         # results other modules derive from this lattice (see degrees), freed with it
         self.memo: dict = {}
 
@@ -345,20 +346,35 @@ class SubgroupLattice:
 
     # -- complex products ----------------------------------------------------
 
+    def _right_cosets(self, a: int) -> list[int]:
+        """For each element index x, the bitset of the right coset Ax of
+        subgroup a; built once per a, with one table read per element."""
+        cosets = self._cosets.get(a)
+        if cosets is None:
+            table = self.group.mul_table
+            left = self._member_tuples[a]
+            cosets = [0] * self.group.order
+            for x in range(self.group.order):
+                if not cosets[x]:
+                    coset = [table[h][x] for h in left]
+                    bits = bits_of(coset)
+                    for y in coset:
+                        cosets[y] = bits
+            self._cosets[a] = cosets
+        return cosets
+
     def product_bits(self, a: int, b: int) -> int:
         """Bitset of the complex product (members of a) * (members of b).
 
-        AB is the union of the right cosets Ak, k in B. A k already in the
-        union is some h*k' with k' walked before, so Ak = Ak' is held and is
-        skipped: |B| + |AB| table reads instead of |A| * |B|.
+        AB is the union of the right cosets Ak, k in B, read from a's coset
+        table (`_right_cosets`). A k already in the union lies in some Ak'
+        with k' walked before, so Ak = Ak' is held and is skipped.
         """
-        table = self.group.mul_table
-        left = self._member_tuples[a]
+        cosets = self._right_cosets(a)
         out = 0
         for k in self._member_tuples[b]:
             if not out >> k & 1:
-                for h in left:
-                    out |= 1 << table[h][k]
+                out |= cosets[k]
         return out
 
     def products_commute(self, a: int, b: int) -> bool:

@@ -1,21 +1,26 @@
-"""Symmetric eigenvalues by Householder tridiagonalization and Sturm multisection,
-plus trace-identity checks.
+"""Symmetric and Hermitian eigenvalues by Householder tridiagonalization and
+Sturm multisection, plus trace-identity checks.
 
-The matrices are small dense integer matrices and eigenvectors are never
-needed, so the solver reduces each matrix once to tridiagonal form T with
-n - 2 Householder reflections (Golub & Van Loan, *Matrix Computations*,
-section 8.3) and then locates every eigenvalue of T by Sturm counts (section
-8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). The counts are taken
-per distinct bracket, as in LAPACK dstebz, so a cluster of equal eigenvalues
-is bisected once: each step splits every bracket at seven interior points
-(multisection). One call solves a batch of matrices: every bracket carries
-its matrix, and each step makes one pass over the rows for the shifts of all
-brackets together, each shift against its own matrix's rows, so a small
-matrix does not pay a pass of numpy calls per row on its own. Every
-operation is elementwise numpy (no BLAS call) in a fixed order, and each
-shift sees exactly the floats of a solve of its matrix alone, so a spectrum
-does not depend on the batch it was solved in and repeat solves are
-bit-identical."""
+The matrices are small and dense, real symmetric or complex Hermitian, and
+eigenvectors are never needed, so the solver reduces each matrix once to
+tridiagonal form T with n - 2 Householder reflections (Golub & Van Loan,
+*Matrix Computations*, section 8.3) and then locates every eigenvalue of T by
+Sturm counts (section 8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+A Hermitian T is diagonally unitarily similar to the real symmetric
+tridiagonal matrix with the same diagonal and off-diagonal |e_i|, and the
+Sturm counts read only d_i and |e_i|^2, so from there on both kinds of
+input take the same path.
+
+The counts are taken per distinct bracket, as in LAPACK dstebz, so a
+cluster of equal eigenvalues is bisected once: each step splits every
+bracket at seven interior points (multisection). One call solves a batch of
+matrices: every bracket carries its matrix, and each step makes one pass
+over the rows for the shifts of all brackets together, each shift against
+its own matrix's rows, so a small matrix does not pay a pass of numpy calls
+per row on its own. Every operation is elementwise numpy (no BLAS call) in
+a fixed order, and each shift sees exactly the floats of a solve of its
+matrix alone, so a spectrum does not depend on the batch it was solved in
+and repeat solves are bit-identical."""
 
 from __future__ import annotations
 
@@ -44,8 +49,9 @@ class Spectrum:
     bracket width and the Sturm shifts evaluated); they take no part in
     equality and are never printed or cached. A graph spectrum solved in
     symmetry-adapted blocks (see `degrees`) holds the blocks' values merged
-    in ascending order; its `reflections` and `shifts` are the blocks' sums,
-    and its `steps` and `width` their maxima.
+    in ascending order, each block's repeated its multiplicity times; its
+    `reflections` and `shifts` are sums over the blocks solved, and its
+    `steps` and `width` their maxima.
     """
 
     values: tuple[float, ...]
@@ -73,8 +79,11 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     zero below the subdiagonal. The trailing block is updated as
     A - v w^T - w v^T with p = beta A v, w = p - (beta/2)(p.v) v, and the
     rank-2 term is summed as one symmetric matrix, so the block stays
-    exactly symmetric.
+    exactly symmetric. A complex Hermitian matrix takes
+    `_tridiagonalize_hermitian`, and its d and e come out real too.
     """
+    if np.iscomplexobj(data):
+        return _tridiagonalize_hermitian(data)
     n = data.shape[0]
     a = data.copy()
     e = np.empty(n - 1)
@@ -106,6 +115,53 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         reflections += 1
     e[n - 2] = a[n - 1, n - 2]
     return np.diag(a).copy(), e, reflections
+
+
+def _tridiagonalize_hermitian(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Real diagonal d, off-diagonal moduli |e| and reflection count of
+    T = Q^H A Q for a complex Hermitian A.
+
+    As `_tridiagonalize`, with alpha = -(x0/|x0|)*||x|| (-||x|| when x0 = 0),
+    beta = 2/(v^H v), p = beta A v, w = p - (beta/2)(v^H p) v and the update
+    A - v w^H - w v^H, summed as one matrix plus its conjugate transpose, so
+    the block stays exactly Hermitian and its diagonal real. The moduli
+    |alpha| = ||x|| are kept: T is similar, by a diagonal unitary matrix,
+    to the real symmetric tridiagonal matrix with off-diagonal |e|, which
+    has T's eigenvalues.
+    """
+    n = data.shape[0]
+    a = data.copy()
+    e = np.empty(n - 1)
+    scratch = np.empty(2 * (n - 1) ** 2, dtype=complex)
+    reflections = 0
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        tail = x[1:]
+        sigma = float((tail.real * tail.real + tail.imag * tail.imag).sum())
+        x0 = complex(x[0])
+        if sigma == 0.0:
+            e[k] = abs(x0)
+            continue
+        m = n - 1 - k
+        outer = scratch[:m * m].reshape(m, m)
+        twice = scratch[m * m:2 * m * m].reshape(m, m)
+        norm = math.sqrt(x0.real * x0.real + x0.imag * x0.imag + sigma)
+        phase = x0 / abs(x0) if x0 else 1.0
+        v = x.copy()
+        v[0] = x0 + phase * norm
+        beta = 2.0 / float((v.real * v.real + v.imag * v.imag).sum())
+        block = a[k + 1:, k + 1:]
+        np.multiply(block, v, out=outer)
+        p = outer.sum(axis=1)
+        p *= beta
+        w = p - (0.5 * beta * float((v.conj() * p).sum().real)) * v
+        np.multiply.outer(v, w.conj(), out=outer)
+        np.add(outer, outer.conj().T, out=twice)
+        block -= twice
+        e[k] = norm
+        reflections += 1
+    e[n - 2] = abs(complex(a[n - 1, n - 2]))
+    return np.diag(a).real.copy(), e, reflections
 
 
 def _stack(ds: list[np.ndarray], e2s: list[np.ndarray]) -> np.ndarray:
@@ -269,10 +325,14 @@ def _overflows_alone(t: _Tridiagonal) -> bool:
 
 def eigenvalues_symmetric(*matrices: DenseSymMatrix,
                           tol: float = DEFAULT_TOL) -> tuple[Spectrum, ...]:
-    """All eigenvalues of each real symmetric matrix, ascending, one Spectrum per matrix.
+    """All eigenvalues of each real symmetric or complex Hermitian matrix,
+    ascending, one Spectrum per matrix.
 
     Householder reflections reduce each matrix in turn to tridiagonal T,
-    keeping only its diagonal and off-diagonal. One bracket, T's Gershgorin
+    keeping only its diagonal and off-diagonal, both real (for a Hermitian
+    matrix the off-diagonal moduli; see `_tridiagonalize_hermitian`). A
+    real matrix takes the real reduction, so its Spectrum does not depend
+    on whether complex matrices share its call. One bracket, T's Gershgorin
     interval, starts out holding all n eigenvalue indices. Each multisection
     step splits every bracket into eight equal parts and keeps the parts
     whose end Sturm counts differ; a part holds the indices from its left
@@ -294,10 +354,10 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
     is bit-identical to the one a call with that matrix alone returns,
     whatever the other matrices or their order.
 
-    InputError for a non-finite or non-positive tol and for a non-finite or
-    non-symmetric matrix; NumericError when the arithmetic overflows, when
-    the Sturm counts fall as the shift rises, or when a matrix's brackets
-    have not closed after MAX_STEPS steps. An error about one matrix names
+    InputError for a non-finite or non-positive tol and for a non-finite,
+    non-symmetric real or non-Hermitian complex matrix; NumericError when
+    the arithmetic overflows, when the Sturm counts fall as the shift rises,
+    or when a matrix's brackets have not closed after MAX_STEPS steps. An error about one matrix names
     its position among the arguments and its dimension.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -306,14 +366,16 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
     batch = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for position, matrix in enumerate(matrices):
-            data = np.asarray(matrix.data, dtype=float)
+            hermitian = np.iscomplexobj(matrix.data)
+            data = np.asarray(matrix.data, dtype=complex if hermitian else float)
             where = _label(position, data.shape[0])
             if not np.isfinite(data).all():
                 raise InputError(f"{where}: matrix entries must be finite")
-            if data.size and not np.array_equal(data, data.T):
-                raise InputError(f"{where}: matrix is not symmetric")
+            if data.size and not np.array_equal(data, data.T.conj()):
+                kind = "Hermitian" if hermitian else "symmetric"
+                raise InputError(f"{where}: matrix is not {kind}")
             if data.shape[0] <= 1:
-                spectra[position] = Spectrum(tuple(float(v) for v in np.diag(data)))
+                spectra[position] = Spectrum(tuple(float(v) for v in np.diag(data).real))
                 continue
             try:
                 batch.append(_reduce(position, data, tol))

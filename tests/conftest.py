@@ -96,6 +96,20 @@ def double_loop_product(lattice, a, b):
     return bits_of(table[h][k] for h in left for k in right)
 
 
+def coset_union_product(lattice, a, b):
+    """Reference set product of subgroups a and b as a union of right cosets
+    Ak, k in B, each coset built by |A| table reads and skipped when k is
+    already in the union."""
+    table = lattice.group.mul_table
+    left = lattice.subgroups[a].member_indices()
+    out = 0
+    for k in lattice.subgroups[b].member_indices():
+        if not out >> k & 1:
+            for h in left:
+                out |= 1 << table[h][k]
+    return out
+
+
 def pairwise_containment(lattice):
     """Reference containment rows (down, up): one member-bitset test per
     ordered pair of ids, down[i] the ids inside i and up[j] the ids over j."""
@@ -240,7 +254,7 @@ def solo_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     solve must give each matrix exactly this Spectrum, counters included."""
     n = data.shape[0]
     if n <= 1:
-        return Spectrum(tuple(float(v) for v in np.diag(data)))
+        return Spectrum(tuple(float(v) for v in np.diag(data).real))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         d, e, reflections = _tridiagonalize(data)
         e2 = e * e

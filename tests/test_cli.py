@@ -355,7 +355,7 @@ class TestTruncatedCache:
 
     @pytest.mark.parametrize("argv", [
         ("info", "S4"), ("sd", "S4"), ("mobius", "S4"), ("hughes", "S4", "-p", "2"),
-        ("f2", "S4", "--method", "direct"),
+        ("f2", "S4", "--method", "direct"), ("lattice", "S4", "--json"),
     ])
     def test_one_run_repairs_the_entry_and_the_next_is_silent(self, capsys, tmp_path,
                                                                cache_dir, argv):
@@ -369,6 +369,77 @@ class TestTruncatedCache:
         assert err.count("\n") == 1
         assert path.read_bytes() == (fresh / path.name).read_bytes()
         assert run(capsys, "--cache", cache_dir, *argv) == (*expected, "")
+
+
+def _drop_first_core_id(lattice):
+    lattice["core"] = lattice["core"][1:]
+
+
+def _drop_last_leq_pair(lattice):
+    lattice["leq_pairs"] = lattice["leq_pairs"][:-1]
+
+
+def _add_a_leq_pair(lattice):
+    lattice["leq_pairs"] = sorted(lattice["leq_pairs"] + [[1, 2]])
+
+
+def _swap_two_subgroups(lattice):
+    subs = lattice["subgroups"]
+    subs[1], subs[2] = subs[2], subs[1]
+
+
+class TestEditedLatticePart:
+    """A cached S4 lattice part whose member sets are every subgroup, so the
+    proof passes, but whose other values were edited: `lattice --json`
+    compares the whole dump with the proved lattice's."""
+
+    @pytest.fixture
+    def fresh(self, capsys, tmp_path):
+        cache_dir = tmp_path / "fresh"
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")[0] == 0
+        [path] = cache_dir.glob("*.json")
+        return path
+
+    @pytest.mark.parametrize("edit", [_drop_first_core_id, _drop_last_leq_pair,
+                                      _add_a_leq_pair, _swap_two_subgroups])
+    def test_one_run_warns_prints_the_proved_dump_and_repairs_the_file(
+            self, capsys, tmp_path, fresh, edit):
+        cache_dir = tmp_path / "c"
+        expected = run(capsys, "lattice", "S4", "--json")[:2]
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")[:2] == expected
+        [path] = cache_dir.glob("*.json")
+        key, sections = read_cache_file(path)
+        edit(sections["lattice"])
+        write_cache_file(path, key, sections)
+        code, out, err = run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json")
+        assert (code, out) == expected
+        assert err == ("warning: rejecting the cached lattice part for S4: it differs "
+                       "from the proved lattice; recomputing\n")
+        assert path.read_bytes() == fresh.read_bytes()
+        assert run(capsys, "--cache", str(cache_dir), "lattice", "S4", "--json") == (*expected, "")
+
+    def test_an_unedited_part_is_printed_and_nothing_is_written(self, capsys, fresh, monkeypatch):
+        before = fresh.stat()
+        stores = []
+        monkeypatch.setattr(cli, "cache_store", lambda *args, **kwargs: stores.append(args))
+        code, out, err = run(capsys, "--cache", str(fresh.parent), "lattice", "S4", "--json")
+        assert (code, out, err) == (0, run(capsys, "lattice", "S4", "--json")[1], "")
+        assert stores == []
+        after = fresh.stat()
+        assert (after.st_mtime_ns, after.st_size, after.st_ino) == (
+            before.st_mtime_ns, before.st_size, before.st_ino)
+
+    def test_the_dump_is_proved_before_it_is_printed(self, capsys, fresh, monkeypatch):
+        proofs = []
+        real = SubgroupLattice.from_member_lists.__func__
+
+        def recording(cls, group, member_lists):
+            proofs.append(group.order)
+            return real(cls, group, member_lists)
+
+        monkeypatch.setattr(SubgroupLattice, "from_member_lists", classmethod(recording))
+        assert run(capsys, "--cache", str(fresh.parent), "lattice", "S4", "--json")[0] == 0
+        assert proofs == [24]
 
 
 class TestMalformedCache:
@@ -798,15 +869,20 @@ class TestSolveOnce:
         report = json.loads(out)["groups"][0]["report"]
         assert len(eigen_solves) == 2
         top, classes = eigen_solves
-        # the top graph's blocks first, adjacency then Laplacian; then, from
-        # inside the Laplacian split, the 23 distinct blocks of the 7 classes
-        # below the top whose own lattices do not permute
-        assert [dim for dim, _, _ in top.solves] == [75, 34, 34, 34] * 2
-        assert 75 + 3 * 34 == report["vertex_count"]
+        # the top graph's blocks first, adjacency then Laplacian: one of 27
+        # and one for the six of 25 under the element of order 7; then, from
+        # inside the Laplacian split, the distinct blocks of the 7 classes
+        # below the top whose own lattices do not permute. S3 and 7:3 give
+        # 1 x 1 blocks only, which need no solve; rounding decides which of
+        # the complex ones coincide byte for byte
+        assert [dim for dim, _, _ in top.solves] == [27, 25] * 2
+        assert 27 + 6 * 25 == report["vertex_count"]
         assert "f2_split_laplacian" not in top.callers
         assert "f2_split_laplacian" in classes.callers
         assert "f2_split_adjacency" not in classes.callers
-        assert len(classes.solves) == 23
+        dims = sorted(dim for dim, _, _ in classes.solves)
+        assert [dim for dim in dims if dim > 1] == [3] * 6 + [4] * 2 + [5] * 2 + [15] * 4
+        assert 6 <= dims.count(1) <= 8
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
         built = []

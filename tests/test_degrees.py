@@ -461,37 +461,107 @@ class TestSymmetryBlocks:
                 for a, b in zip(ours.values, full.values):
                     assert abs(a - b) <= ftol + 1e-11 * max(abs(a), abs(b)), (name, a, b)
 
-    def test_odd_order_group_gives_the_full_matrix_as_its_one_block(self):
+    def test_trivial_e_gives_the_full_matrix_as_its_one_block(self):
         # C7 x| C3 has no involution, so E is trivial
+        lattice = enumerate_subgroups(build(7, "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
+        graph = build_graph(lattice)
+        assert degrees._involutions(lattice.group) == []
+        [(*basis, count)] = degrees._involution_blocks(lattice, graph, [])
+        assert count == 1
+        for matrix_of in (adjacency_matrix, laplacian_matrix):
+            data = matrix_of(graph).data
+            assert degrees._block(data, *basis).tobytes() == data.tobytes()
+
+    def test_odd_order_group_splits_into_one_by_one_blocks(self):
+        # the element of order 7 moves the 7 vertices in one orbit; c^2 and
+        # c^4 are conjugate to c, so chi_1 ... chi_6 form one class
         lattice = enumerate_subgroups(build(7, "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
         assert lattice.group.order == 21
         graph = build_graph(lattice)
         assert graph.vertex_count == 7
-        [basis] = degrees._symmetry_blocks(lattice, graph)
-        for matrix_of in (adjacency_matrix, laplacian_matrix):
-            data = matrix_of(graph).data
-            assert degrees._block(data, *basis).tobytes() == data.tobytes()
+        blocks = degrees._symmetry_blocks(lattice, graph)
+        assert [(sizes.size, count) for *_, sizes, count in blocks] == [(1, 1), (1, 6)]
         _, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
-        assert [counters(s) for s in (adjacency, laplacian)] == [
-            counters(s) for s in full_spectra(graph)]
+        for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
+            assert max(abs(a - b) for a, b in zip(ours.values, full.values)) < 1e-12
 
-    def test_psl27_splits_into_four_blocks(self):
+    def test_psl27_splits_into_blocks_of_27_and_25(self):
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
         graph = build_graph(lattice)
-        assert len(degrees._involutions(lattice.group)) == 2
-        dims = [sizes.size for *_, sizes in degrees._symmetry_blocks(lattice, graph)]
+        involutions = degrees._involutions(lattice.group)
+        assert len(involutions) == 2
+        assert degrees._largest_cyclic(lattice.group)[1] == 7 > 1 << len(involutions)
+        blocks = degrees._symmetry_blocks(lattice, graph)
+        assert [(sizes.size, count) for *_, sizes, count in blocks] == [(27, 1), (25, 6)]
+        assert 27 + 6 * 25 == graph.vertex_count
+        # E alone would give the four blocks of its characters
+        dims = [sizes.size for *_, sizes, _ in degrees._involution_blocks(lattice, graph, involutions)]
         assert dims == [75, 34, 34, 34]
-        assert sum(dims) == graph.vertex_count
+
+    @pytest.mark.parametrize("name, powers, classes", [
+        # c^2 is not conjugate to c in A5 or D8; in PSL(2,7) the squares are
+        ("A5", [1, 4], [[0], [1, 4], [2, 3]]),
+        ("PSL(2,7)", [1, 2, 4], [[0], [1, 2, 3, 4, 5, 6]]),
+        ("D8", [1, 7], [[0], [1, 7], [2, 6], [3, 5], [4]]),
+        ("M16", [1, 5], [[0], [1, 3, 5, 7], [2, 6], [4]]),
+    ])
+    def test_character_classes_follow_the_conjugate_powers(self, name, powers, classes):
+        group = parse_group_spec(name).group
+        c, k = degrees._largest_cyclic(group)
+        assert degrees._conjugate_powers(group, c, k) == powers
+        assert degrees._character_classes(group, c, k) == classes
+        # by raw conjugation: c^u is some g^-1 c g exactly for the listed u
+        table = group.mul_table
+        conjugates = {table[table[group.inverse_index(g)][c]][g] for g in range(group.order)}
+        power, found = c, []
+        for u in range(1, k):
+            if power in conjugates:
+                found.append(u)
+            power = table[power][c]
+        assert found == powers
+
+    @pytest.mark.parametrize("name", ["PSL(2,7)", "A5", "D5", "D6"])
+    def test_every_character_in_a_class_gives_the_spectrum_of_its_representative(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        graph = build_graph(lattice)
+        group = lattice.group
+        c, k = degrees._largest_cyclic(group)
+        assert k > 1 << len(degrees._involutions(group))
+        orbits, exponent = degrees._cyclic_orbits(degrees._vertex_action(lattice, graph, c))
+        classes = degrees._character_classes(group, c, k)
+        assert sorted(j for members in classes for j in members) == list(range(k))
+        lap = laplacian_matrix(graph).data
+        ftol = 2 * DEFAULT_TOL * (1 + float(np.sqrt((lap * lap).sum())))
+        for matrix_of in (adjacency_matrix, laplacian_matrix):
+            data = matrix_of(graph).data
+            dimension = 0
+            for members in classes:
+                bases = [degrees._cyclic_character(orbits, exponent, k, j) for j in members]
+                if bases[0] is None:
+                    assert bases == [None] * len(members)
+                    continue
+                blocks = [degrees._block(data, *basis) for basis in bases]
+                for j, block in zip(members, blocks):
+                    # real characters keep exact integer sums, as E's do
+                    assert np.iscomplexobj(block) == (2 * j % k != 0)
+                    assert np.array_equal(block, block.T.conj())
+                dimension += sum(block.shape[0] for block in blocks)
+                first, *rest = eigenvalues_symmetric(*map(DenseSymMatrix, blocks))
+                for spectrum in rest:
+                    for a, b in zip(first.values, spectrum.values):
+                        assert abs(a - b) <= ftol + 1e-11 * max(abs(a), abs(b)), (name, members)
+            assert dimension == graph.vertex_count
 
     def test_merged_counters_sum_work_and_take_the_largest_steps_and_width(self):
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
         graph = build_graph(lattice)
         data = adjacency_matrix(graph).data
+        blocks = degrees._symmetry_blocks(lattice, graph)
         parts = eigenvalues_symmetric(*(
-            DenseSymMatrix(degrees._block(data, *basis))
-            for basis in degrees._symmetry_blocks(lattice, graph)))
+            DenseSymMatrix(degrees._block(data, *basis)) for *basis, _ in blocks))
         merged = degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1]
-        assert merged.values == tuple(sorted(v for part in parts for v in part.values))
+        assert merged.values == tuple(sorted(
+            v for part, (*_, count) in zip(parts, blocks) for v in part.values * count))
         assert merged.reflections == sum(part.reflections for part in parts)
         assert merged.shifts == sum(part.shifts for part in parts)
         assert merged.steps == max(part.steps for part in parts)

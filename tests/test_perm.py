@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from latspec.catalog import CATALOG_NAMES, parse_group_spec
+from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec
 from latspec.errors import InputError, SizeError
 from latspec.lattice import enumerate_subgroups
 from latspec.perm import (
@@ -19,7 +19,7 @@ from latspec.perm import (
     parse_permutation,
 )
 
-from conftest import build, double_loop_product, naive_closure
+from conftest import build, coset_union_product, double_loop_product, naive_closure
 
 
 def pointwise_compose(a, b):
@@ -206,6 +206,15 @@ class TestProductSet:
             lattice = enumerate_subgroups(parse_group_spec(name).group)
             for a, b in itertools.product(range(lattice.size), repeat=2):
                 assert lattice.product_bits(a, b) == double_loop_product(lattice, a, b), (name, a, b)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_coset_table_matches_the_coset_union_loop(self, name):
+        # f2_direct's pairs: a class representative on the left, any b
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        for a in sorted(set(lattice.class_reps())):
+            for b in range(lattice.size):
+                assert lattice.product_bits(a, b) == coset_union_product(lattice, a, b), (name, a, b)
 
     def test_v4_times_c3_covers_a4(self, a4):
         lattice = enumerate_subgroups(a4)

@@ -197,7 +197,7 @@ def stated_width(matrix, tol=DEFAULT_TOL):
     """The docstring's bracket bound, from the tridiagonal form of `matrix`."""
     if matrix.dimension < 2:
         return 0.0  # a 0x0 or 1x1 matrix is returned as is, without brackets
-    d, e, _ = _tridiagonalize(np.asarray(matrix.data, dtype=float))
+    d, e, _ = _tridiagonalize(np.asarray(matrix.data, dtype=complex if np.iscomplexobj(matrix.data) else float))
     t = np.abs(tridiagonal(d, e)).sum(axis=1).max()
     eps = np.finfo(float).eps
     return 2 * eps * t * max(1.0, tol / DEFAULT_TOL) + 4 * pivmin_of(e)
@@ -289,13 +289,27 @@ class TestSturm:
         with pytest.raises(NumericError):
             solve(DenseSymMatrix(np.full((3, 3), 1e200)))
 
-    def test_solver_makes_no_blas_call(self):
+    def test_solver_makes_no_blas_call(self, monkeypatch):
         # matrix products, dot products and numpy.linalg all reach BLAS or LAPACK
         tree = ast.parse(inspect.getsource(latspec.spectral))
         banned = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
         assert not [node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr in banned]
+        # and a real and a complex solve run with every one of them gone
+        real, hermitian = random_symmetric(12, seed=12), random_hermitian(12, seed=12)
+        expected = [np.linalg.eigvalsh(m) for m in (real, hermitian)]
+
+        def banned_call(*args, **kwargs):
+            raise AssertionError("the solver reached BLAS or LAPACK")
+
+        for name in banned - {"linalg"}:
+            monkeypatch.setattr(np, name, banned_call)
+        monkeypatch.setattr(np, "linalg", None)
+        solved = eigenvalues_symmetric(DenseSymMatrix(real), DenseSymMatrix(hermitian))
+        monkeypatch.undo()
+        for spec, reference in zip(solved, expected):
+            assert max(abs(a - b) for a, b in zip(spec.values, reference)) < 1e-9
 
 
 def assert_converged(matrix):
@@ -393,7 +407,7 @@ def assert_batch_matches_solo_reference(matrices):
         batch = eigenvalues_symmetric(*matrices, tol=tol)
         assert len(batch) == len(matrices)
         for matrix, ours in zip(matrices, batch):
-            reference = solo_multisection(np.asarray(matrix.data, dtype=float), tol)
+            reference = solo_multisection(np.asarray(matrix.data), tol)
             assert counters(ours) == counters(reference)
 
 
@@ -420,6 +434,71 @@ def mixed_matrices(s4):
     graphs = [adjacency_matrix(g).data, laplacian_matrix(g).data]
     return [DenseSymMatrix(m) for m in complete + zero + graphs + [
         np.array([[3.5]]), random_symmetric(33, seed=2), np.diag([3.0, -1.0, 2.0])]]
+
+
+def random_hermitian(n, seed):
+    """A random complex Hermitian matrix with small integer parts and a real diagonal."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-5, 6, size=(n, n)) + 1j * rng.integers(-5, 6, size=(n, n))
+    m = m + m.conj().T
+    m[np.diag_indices(n)] = m.diagonal().real
+    return m
+
+
+class TestHermitian:
+    """Complex Hermitian input: numpy.linalg.eigvalsh is the oracle here only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 25, 40])
+    def test_random_hermitian_matrices_match_lapack(self, n):
+        m = random_hermitian(n, seed=n)
+        spec = solve(DenseSymMatrix(m))
+        assert spec.dimension == n
+        assert spec.reflections <= max(0, n - 2)
+        assert spec.width <= stated_width(DenseSymMatrix(m))
+        reference = np.linalg.eigvalsh(m)
+        assert max(abs(a - b) for a, b in zip(spec.values, reference)) < 1e-9
+
+    def test_phases_of_a_real_matrix_keep_its_spectrum(self):
+        # D^H A D for a diagonal unitary D has A's eigenvalues
+        real = random_symmetric(9, seed=4)
+        phases = np.exp(2j * np.pi * np.arange(9) / 7)
+        upper = np.triu(real * np.multiply.outer(phases.conj(), phases), 1)
+        rotated = upper + upper.conj().T + np.diag(real.diagonal())
+        ours = solve(DenseSymMatrix(rotated)).values
+        assert max(abs(a - b) for a, b in zip(ours, solve(DenseSymMatrix(real)).values)) < 1e-12
+
+    def test_columns_already_reduced_are_skipped(self):
+        # complex tridiagonal input needs no reflection
+        m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        m[[0, 1, 2], [1, 2, 3]] = [1j, 2 - 1j, -3.0]
+        m[[1, 2, 3], [0, 1, 2]] = [-1j, 2 + 1j, -3.0]
+        spec = solve(DenseSymMatrix(m))
+        assert spec.reflections == 0
+        assert max(abs(a - b) for a, b in zip(spec.values, np.linalg.eigvalsh(m))) < 1e-12
+
+    def test_solo_and_batched_solves_are_bit_identical(self, s4):
+        matrices = mixed_matrices(s4) + [DenseSymMatrix(random_hermitian(n, seed=n))
+                                         for n in (1, 2, 5, 25, 33)]
+        random.Random(3).shuffle(matrices)
+        alone = [counters(solve(m)) for m in matrices]
+        assert [counters(spec) for spec in eigenvalues_symmetric(*matrices)] == alone
+        assert_batch_matches_solo_reference(matrices)
+
+    def test_a_real_matrix_is_unchanged_by_complex_companions(self, s4):
+        real = mixed_matrices(s4)
+        alone = [counters(solve(m)) for m in real]
+        complex_ = [DenseSymMatrix(random_hermitian(n, seed=n)) for n in (3, 30)]
+        batch = eigenvalues_symmetric(*complex_, *real)
+        assert [counters(spec) for spec in batch[2:]] == alone
+
+    def test_non_hermitian_input_names_its_position(self):
+        bad = DenseSymMatrix.__new__(DenseSymMatrix)
+        object.__setattr__(bad, "data", np.array([[0.0, 1j], [1j, 0.0]]))
+        good = DenseSymMatrix(random_hermitian(3, seed=3))
+        with pytest.raises(InputError, match=r"matrix 1 \(dimension 2\): matrix is not Hermitian"):
+            eigenvalues_symmetric(good, bad, good)
+        with pytest.raises(InputError, match="not Hermitian"):
+            DenseSymMatrix(np.array([[1j]]))
 
 
 class TestBatchedMultisection:
