@@ -26,20 +26,19 @@ matrix and tol.
 
 Conjugation also permutes the graph's vertices and commutes with both of its
 matrices, so each matrix is solved in symmetry-adapted blocks (the canonical
-decomposition; Serre, Linear Representations of Finite Groups, 2.6). An
-abelian group A of elements acts on the vertices; each character of A, with
-the A-orbits it admits, spans a subspace that the matrix preserves, and the
-matrix restricted there is one block (`_symmetry_blocks`, `_block`). A is
-<c>, c the least-index element of the largest order k, when k exceeds the
-order of E, an elementary abelian 2-subgroup of commuting involutions, and E
-otherwise. E's characters are real. <c>'s characters chi_j(c^a) = omega^(ja)
-are complex except for j = 0 and j = k/2, and give Hermitian blocks; blocks
-whose j differ by a unit u with c^u conjugate to c, or by a sign, are
-similar, so one block is solved per such class of j and its values count
-once per class member. PSL(2,7)'s 177-vertex graph splits under its element
-of order 7 into one block of 27 and six of 25, of which two are solved (E
-gives 75, 34, 34 and 34); S4, whose largest order 4 is the order of E, keeps
-E's blocks 15, 3, 3 and 5. A spectrum is its blocks' values merged.
+decomposition; Serre, Linear Representations of Finite Groups, 2.6). The
+cyclic group <c>, c the least-index element of the largest order k, acts on
+the vertices; each character chi_j(c^a) = omega^(ja) of <c>, with the
+<c>-orbits it admits, spans a subspace that the matrix preserves, and the
+matrix restricted there is one block (`_symmetry_blocks`, `_block`). The
+characters are complex except for j = 0 and j = k/2, and give Hermitian
+blocks; blocks whose j differ by a unit u with c^u conjugate to c, or by a
+sign, are similar, so one block is solved per such class of j and its
+values count once per class member. PSL(2,7)'s 177-vertex graph splits under
+its element of order 7 into one block of 27 and six of 25, of which two are
+solved; S4's 26 vertices split under a 4-cycle into 12, 8 and two complex
+blocks of 3, of which three are solved. A null graph has no block. A
+spectrum is its blocks' values merged.
 The blocks are handed to the eigensolver in batches, one call per batch: a
 graph's two matrices together, and, before the first split sums its terms,
 both matrices of every class in the split at DEFAULT_TOL, so a `verify`
@@ -67,7 +66,7 @@ from .graph import (
     build_graph,
     laplacian_matrix,
 )
-from .lattice import SubgroupLattice, _conjugators, enumerate_subgroups
+from .lattice import SubgroupLattice, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import (
     DEFAULT_TOL,
@@ -145,21 +144,6 @@ def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
     return _memo(lattice, "graph", lambda: build_graph(lattice))
 
 
-def _involutions(group: FiniteGroup) -> list[int]:
-    """Generators of an elementary abelian 2-subgroup E of the group: each
-    involution, by ascending element index, that lies outside E so far and
-    commutes with every generator taken."""
-    table = group.mul_table
-    gens: list[int] = []
-    members = {group.identity_index}
-    for g in range(group.order):
-        if (group.order_of_index(g) == 2 and g not in members
-                and all(table[g][s] == table[s][g] for s in gens)):
-            gens.append(g)
-            members |= {table[g][h] for h in members}
-    return gens
-
-
 def _largest_cyclic(group: FiniteGroup) -> tuple[int, int]:
     """(c, k): c the least element index of the largest element order k."""
     orders = [group.order_of_index(g) for g in range(group.order)]
@@ -178,10 +162,7 @@ def _conjugate_powers(group: FiniteGroup, c: int, k: int) -> list[int]:
             if y not in conjugates:
                 conjugates.add(y)
                 frontier.append(y)
-    table = group.mul_table
-    powers = [group.identity_index]
-    for _ in range(k - 1):
-        powers.append(table[powers[-1]][c])
+    powers = _powers(group, c)
     return [u for u in range(1, k) if math.gcd(u, k) == 1 and powers[u] in conjugates]
 
 
@@ -214,16 +195,6 @@ def _vertex_action(lattice: SubgroupLattice, graph: NonPermutabilityGraph,
     return [position[sid] for sid in lattice.conjugation_map(g)[vertex_ids].tolist()]
 
 
-def _basis(orbits: list[list[int]], weights: list[float | complex]) -> tuple[np.ndarray, ...]:
-    """(vertex positions in orbit order, their weights, orbit starts, orbit
-    sizes) of one block (see `_block`); `weights` is indexed by vertex position."""
-    vertices = [w for orbit in orbits for w in orbit]
-    sizes = np.array([len(orbit) for orbit in orbits])
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return (np.array(vertices, dtype=np.intp), np.array([weights[w] for w in vertices]),
-            starts, sizes)
-
-
 def _cyclic_orbits(action: list[int]) -> tuple[list[list[int]], list[int]]:
     """The orbits of <c> on the vertex positions, each as o, c o, c^2 o, ...
     from its least position o, and each position's exponent a in w = c^a o."""
@@ -242,83 +213,44 @@ def _cyclic_orbits(action: list[int]) -> tuple[list[list[int]], list[int]]:
 
 def _cyclic_character(orbits: list[list[int]], exponent: list[int], k: int,
                       j: int) -> tuple[np.ndarray, ...] | None:
-    """The basis of chi_j's block, chi_j(c^a) = omega^(ja) with omega = e^(2 pi i/k),
-    or None when no orbit admits chi_j. An orbit of size s admits chi_j when
-    chi_j is trivial on its stabilizer <c^s>, that is when k divides js. The
-    real characters (2j = 0 modulo k) get real weights +-1, so their block
-    sums stay exact integers."""
+    """The basis of chi_j's block, chi_j(c^a) = omega^(ja) with omega = e^(2 pi i/k):
+    (vertex positions in orbit order, their weights, orbit starts, orbit
+    sizes), see `_block`; None when no orbit admits chi_j. An orbit of size s
+    admits chi_j when chi_j is trivial on its stabilizer <c^s>, that is when
+    k divides js. The real characters (2j = 0 modulo k) get real weights
+    +-1, so their block sums stay exact integers."""
     kept = [orbit for orbit in orbits if j * len(orbit) % k == 0]
     if not kept:
         return None
+    vertices = [w for orbit in kept for w in orbit]
     if 2 * j % k == 0:
-        weights = [-1.0 if j and a % 2 else 1.0 for a in exponent]
+        weights = [-1.0 if j and exponent[w] % 2 else 1.0 for w in vertices]
     else:
-        weights = [complex(np.exp(2j * np.pi * (j * a % k) / k)) for a in exponent]
-    return _basis(kept, weights)
-
-
-def _involution_blocks(lattice: SubgroupLattice, graph: NonPermutabilityGraph,
-                       involutions: list[int]) -> list[tuple]:
-    """The blocks of the characters of E, generated by `involutions`, each
-    with multiplicity 1 (see `_symmetry_blocks`).
-
-    An E-orbit O with base point o and a character chi of E that is trivial
-    on the stabilizer of o give the unit vector sum over w in O of
-    chi(e_w) delta_w / sqrt|O|, where e_w o = w. E is a vector over GF(2)
-    here: e_w is a bit mask over its generators, and chi(e) = (-1)^|c & e|
-    for the character's mask c, chi in index order.
-    """
-    actions = [_vertex_action(lattice, graph, g) for g in involutions]
-    n = graph.vertex_count
-    mask = [-1] * n
-    orbits: list[tuple[list[int], list[int]]] = []  # (vertices, stabilizer generators)
-    for start in range(n):
-        if mask[start] >= 0:
-            continue
-        mask[start] = 0
-        orbit, stabilizer = [start], []
-        for x in orbit:  # grows while it is walked
-            for k, action in enumerate(actions):
-                y, e = action[x], mask[x] ^ 1 << k
-                if mask[y] < 0:
-                    mask[y] = e
-                    orbit.append(y)
-                elif mask[y] != e:
-                    stabilizer.append(mask[y] ^ e)
-        orbits.append((orbit, stabilizer))
-    blocks = []
-    for c in range(1 << len(actions)):
-        kept = [orbit for orbit, stabilizer in orbits
-                if not any((c & s).bit_count() % 2 for s in stabilizer)]
-        if kept:
-            signs = [-1.0 if (c & m).bit_count() % 2 else 1.0 for m in mask]
-            blocks.append(_basis(kept, signs) + (1,))
-    return blocks
+        weights = [complex(np.exp(2j * np.pi * (j * exponent[w] % k) / k)) for w in vertices]
+    sizes = np.array([len(orbit) for orbit in kept])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return np.array(vertices, dtype=np.intp), np.array(weights), starts, sizes
 
 
 def _symmetry_blocks(lattice: SubgroupLattice,
                      graph: NonPermutabilityGraph) -> list[tuple]:
     """The symmetry-adapted basis of the graph's vertex space, block by block.
 
-    An abelian group A of elements acts on the vertices by conjugation; an
-    A-orbit and a character of A trivial on the orbit's stabilizer give one
-    basis vector, and the vectors of one character span a subspace that
-    both graph matrices preserve (Serre, Linear Representations of Finite
-    Groups, 2.6). A is <c> for c the least-index element of largest order k
-    when k > |E|, E the elementary abelian 2-subgroup of `_involutions`, and
-    E otherwise: the larger group cuts the space into more, smaller blocks.
-    Each block is (vertex positions in orbit order, their weights, orbit
-    starts, orbit sizes, multiplicity). Under <c> there is one block per
-    class of `_character_classes`, its multiplicity the class size; the
-    weights are complex unless the character is real. Under E
-    (`_involution_blocks`) each character with an orbit has its own block.
-    With A trivial there is one block, every vertex its own orbit.
+    The cyclic group <c>, c the least-index element of the largest order k,
+    acts on the vertices by conjugation; a <c>-orbit and a character of <c>
+    trivial on the orbit's stabilizer give one basis vector, and the vectors
+    of one character span a subspace that both graph matrices preserve
+    (Serre, Linear Representations of Finite Groups, 2.6). Each block is
+    (vertex positions in orbit order, their weights, orbit starts, orbit
+    sizes, multiplicity): one block per class of `_character_classes` that
+    some orbit admits, its multiplicity the class size, its weights complex
+    unless the character is real. A null graph has no block; every group
+    with k <= 2 is abelian, so its graph is null.
     """
+    if graph.is_null():
+        return []
     group = lattice.group
-    involutions = _involutions(group)
     c, k = _largest_cyclic(group)
-    if k <= 1 << len(involutions):
-        return _involution_blocks(lattice, graph, involutions)
     orbits, exponent = _cyclic_orbits(_vertex_action(lattice, graph, c))
     blocks = []
     for members in _character_classes(group, c, k):

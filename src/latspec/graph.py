@@ -109,9 +109,10 @@ class NonPermutabilityGraph:
 
 def build_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
     """The complement of the permutability matrix on the non-core subgroups."""
+    permutes = lattice.permutability()  # filled first, so the core tests no pair again
     core = lattice.permuting_core()
     vertex_ids = tuple(i for i in range(lattice.size) if i not in core)
-    adj = ~lattice.permutability()[np.ix_(vertex_ids, vertex_ids)]
+    adj = ~permutes[np.ix_(vertex_ids, vertex_ids)]
     adj.flags.writeable = False
     return NonPermutabilityGraph(lattice, vertex_ids, adj)
 

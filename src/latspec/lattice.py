@@ -13,7 +13,9 @@ Two independent pair computations live here. `products_commute` decides
 HK = KH from lattice orders. `permutability` calls it on the rows of class
 representatives only, and copies every other row along the orbit walk,
 since conjugation preserves HK = KH; every permutability consumer reads
-that one matrix. `product_bits` builds the set product HK element by
+that one matrix, except that the permuting core and the quasihamiltonian
+flag scan the representatives' rows up to a failing pair while it is
+unfilled. `product_bits` builds the set product HK element by
 element, as a union of right cosets Hk from a table of H's cosets built once
 per H; it never touches joins, meets or the matrix.
 
@@ -78,6 +80,20 @@ def _closure_bits(table: list[list[int]], start_bits: int, gens: Sequence[int]) 
     return members
 
 
+def _greedy_closure(group: FiniteGroup, candidates: Iterable[int]) -> tuple[list[int], int]:
+    """(generators, closure bits): each candidate element index outside the
+    closure so far becomes a generator, so every candidate ends inside the
+    closure."""
+    table = group.mul_table
+    gens: list[int] = []
+    bits = 1 << group.identity_index
+    for g in candidates:
+        if not bits >> g & 1:
+            gens.append(g)
+            bits = _closure_bits(table, bits | (1 << g), gens)
+    return gens, bits
+
+
 def _conjugator(group: FiniteGroup, s: int) -> list[int]:
     """The map h -> s^-1 h s on element indices."""
     table = group.mul_table
@@ -104,10 +120,18 @@ def _conjugates(bits: int, conjugators: list[list[int]]) -> list[int]:
     return orbit
 
 
+def _powers(group: FiniteGroup, g: int) -> list[int]:
+    """Element indices of e, g, g^2, ..., g^(n-1), n the order of element g."""
+    table = group.mul_table
+    powers = [group.identity_index]
+    for _ in range(group.order_of_index(g) - 1):
+        powers.append(table[powers[-1]][g])
+    return powers
+
+
 def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1,
     and for each element index g the bits of <g> (0 unless g is a p-element, g != e)."""
-    table = group.mul_table
     cyclic: dict[int, tuple[int, int]] = {}
     key_of = [0] * group.order
     for g in range(group.order):
@@ -115,9 +139,7 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]],
         p = next((d for d in range(2, n + 1) if n % d == 0), None)
         if p is None or p ** n.bit_length() % n:  # skip e and non-prime-power orders
             continue
-        powers = [group.identity_index]
-        for _ in range(n - 1):
-            powers.append(table[powers[-1]][g])
+        powers = _powers(group, g)
         key_of[g] = bits_of(powers)
         cyclic.setdefault(key_of[g], (g, powers[p % n]))
     return cyclic, key_of
@@ -425,16 +447,31 @@ class SubgroupLattice:
             self._permutes = permutes
         return self._permutes
 
+    def _permute_with_all(self) -> list[int]:
+        """Ids of {Y : YX = XY for every X}, the all-true rows of the
+        permutability matrix.
+
+        Read from the matrix once it is filled. Otherwise each class
+        representative's row is scanned with `products_commute` up to its
+        first failing pair, and a class is taken whole or not at all: a
+        conjugate's row is a permuted copy of its representative's.
+        """
+        if self._permutes is not None:
+            return np.flatnonzero(self._permutes.all(axis=1)).tolist()
+        reps = self.class_reps()
+        full = {a for a in set(reps)
+                if all(self.products_commute(a, b) for b in range(self.size) if b != a)}
+        return [sid for sid in range(self.size) if reps[sid] in full]
+
     def permuting_core(self) -> frozenset[int]:
         """Ids of the sublattice closure of the permute-with-all subgroup set.
 
-        Starts from {Y : YX = XY for every X}, the all-true rows of the
-        permutability matrix, which need not be a sublattice, and alternates
-        meet- and join-closure passes until a fixpoint.
+        Starts from `_permute_with_all`, which need not be a sublattice, and
+        alternates meet- and join-closure passes until a fixpoint.
         """
         if self._core is not None:
             return self._core
-        core = set(np.flatnonzero(self.permutability().all(axis=1)).tolist())
+        core = set(self._permute_with_all())
         changed = True
         while changed:
             changed = False
@@ -470,13 +507,7 @@ class SubgroupLattice:
         cached = self._min_gens.get(sid)
         if cached is not None:
             return cached
-        table = self.group.mul_table
-        gens: list[int] = []
-        closure = 1 << self.group.identity_index
-        for idx in self._member_tuples[sid]:
-            if not closure >> idx & 1:
-                gens.append(idx)
-                closure = _closure_bits(table, closure | (1 << idx), gens)
+        gens, _ = _greedy_closure(self.group, self._member_tuples[sid])
         self._min_gens[sid] = tuple(gens)
         return self._min_gens[sid]
 
@@ -562,11 +593,6 @@ def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     group = lattice.group
-    table = group.mul_table
-    gens: list[int] = []
-    bits = 1 << group.identity_index
-    for i in range(group.order):  # only elements outside the closure so far add to it
-        if not bits >> i & 1 and group.order_of_index(i) not in (1, p):
-            gens.append(i)
-            bits = _closure_bits(table, bits | (1 << i), gens)
+    _, bits = _greedy_closure(group, (i for i in range(group.order)
+                                      if group.order_of_index(i) not in (1, p)))
     return lattice.subgroup(lattice.id_of_members(bits))

@@ -6,10 +6,11 @@ eigenvectors are never needed, so the solver reduces each matrix once to
 tridiagonal form T with n - 2 Householder reflections (Golub & Van Loan,
 *Matrix Computations*, section 8.3) and then locates every eigenvalue of T by
 Sturm counts (section 8.4; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
-A Hermitian T is diagonally unitarily similar to the real symmetric
-tridiagonal matrix with the same diagonal and off-diagonal |e_i|, and the
-Sturm counts read only d_i and |e_i|^2, so from there on both kinds of
-input take the same path.
+One reduction serves both kinds of input; it conjugates only complex ones.
+T is diagonally unitarily similar to the real symmetric tridiagonal matrix
+with the same diagonal and off-diagonal |e_i|, and the Sturm counts read
+only d_i and |e_i|^2, so the reduction keeps those and from there on both
+kinds of input take the same path.
 
 The counts are taken per distinct bracket, as in LAPACK dstebz, so a
 cluster of equal eigenvalues is bisected once: each step splits every
@@ -71,74 +72,43 @@ class Spectrum:
         return tuple(int(round(v)) for v in self.values)
 
 
+def _squared_norm(x: np.ndarray, hermitian: bool) -> float:
+    """sum |x_i|^2 of a complex x, or of a real x squared as it is, with no
+    imaginary part formed."""
+    if hermitian:
+        return float((x.real * x.real + x.imag * x.imag).sum())
+    return float((x * x).sum())
+
+
 def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Diagonal d, off-diagonal e and reflection count of T = Q^T A Q.
-
-    Reflection k maps column k below the diagonal onto its first entry
-    alpha = -sign(x0)*||x||; it is skipped when that column is already
-    zero below the subdiagonal. The trailing block is updated as
-    A - v w^T - w v^T with p = beta A v, w = p - (beta/2)(p.v) v, and the
-    rank-2 term is summed as one symmetric matrix, so the block stays
-    exactly symmetric. A complex Hermitian matrix takes
-    `_tridiagonalize_hermitian`, and its d and e come out real too.
-    """
-    if np.iscomplexobj(data):
-        return _tridiagonalize_hermitian(data)
-    n = data.shape[0]
-    a = data.copy()
-    e = np.empty(n - 1)
-    scratch = np.empty(2 * (n - 1) ** 2)
-    reflections = 0
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        sigma = float((x[1:] * x[1:]).sum())
-        if sigma == 0.0:
-            e[k] = x[0]
-            continue
-        m = n - 1 - k
-        outer = scratch[:m * m].reshape(m, m)
-        twice = scratch[m * m:2 * m * m].reshape(m, m)
-        x0 = float(x[0])
-        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
-        v = x.copy()
-        v[0] = x0 - alpha
-        beta = 2.0 / float((v * v).sum())
-        block = a[k + 1:, k + 1:]
-        np.multiply(block, v, out=outer)
-        p = outer.sum(axis=1)
-        p *= beta
-        w = p - (0.5 * beta * float((p * v).sum())) * v
-        np.multiply.outer(v, w, out=outer)
-        np.add(outer, outer.T, out=twice)
-        block -= twice
-        e[k] = alpha
-        reflections += 1
-    e[n - 2] = a[n - 1, n - 2]
-    return np.diag(a).copy(), e, reflections
-
-
-def _tridiagonalize_hermitian(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Real diagonal d, off-diagonal moduli |e| and reflection count of
-    T = Q^H A Q for a complex Hermitian A.
+    T = Q^H A Q, for A real symmetric or complex Hermitian.
 
-    As `_tridiagonalize`, with alpha = -(x0/|x0|)*||x|| (-||x|| when x0 = 0),
-    beta = 2/(v^H v), p = beta A v, w = p - (beta/2)(v^H p) v and the update
-    A - v w^H - w v^H, summed as one matrix plus its conjugate transpose, so
-    the block stays exactly Hermitian and its diagonal real. The moduli
-    |alpha| = ||x|| are kept: T is similar, by a diagonal unitary matrix,
-    to the real symmetric tridiagonal matrix with off-diagonal |e|, which
-    has T's eigenvalues.
+    Reflection k maps column x, below the diagonal of column k, onto its
+    first entry alpha = -phase(x0)*||x||, with phase(x0) = sign(x0) (copysign,
+    so -0.0 counts as negative) for real A and x0/|x0| (1 when x0 = 0) for
+    complex A; it is skipped when x is already zero below x0. With
+    v = x - alpha e_1, beta = 2/(v^H v), p = beta A v and
+    w = p - (beta/2)(v^H p) v, the trailing block is updated as
+    A - v w^H - w v^H, the rank-2 term summed as one matrix plus its
+    conjugate transpose, so the block stays exactly symmetric or Hermitian
+    and its diagonal real. Complex conjugates are taken only for complex A,
+    so a real A runs the real arithmetic alone. T is similar, by a diagonal
+    unitary matrix, to the real symmetric tridiagonal matrix with
+    off-diagonal |e|, which has A's eigenvalues, so only the moduli
+    |alpha| = ||x|| are kept.
     """
+    hermitian = np.iscomplexobj(data)
+    scalar = complex if hermitian else float
     n = data.shape[0]
     a = data.copy()
     e = np.empty(n - 1)
-    scratch = np.empty(2 * (n - 1) ** 2, dtype=complex)
+    scratch = np.empty(2 * (n - 1) ** 2, dtype=a.dtype)
     reflections = 0
     for k in range(n - 2):
         x = a[k + 1:, k]
-        tail = x[1:]
-        sigma = float((tail.real * tail.real + tail.imag * tail.imag).sum())
-        x0 = complex(x[0])
+        sigma = _squared_norm(x[1:], hermitian)
+        x0 = scalar(x[0])
         if sigma == 0.0:
             e[k] = abs(x0)
             continue
@@ -146,21 +116,22 @@ def _tridiagonalize_hermitian(data: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         outer = scratch[:m * m].reshape(m, m)
         twice = scratch[m * m:2 * m * m].reshape(m, m)
         norm = math.sqrt(x0.real * x0.real + x0.imag * x0.imag + sigma)
-        phase = x0 / abs(x0) if x0 else 1.0
+        phase = (x0 / abs(x0) if x0 else 1.0) if hermitian else math.copysign(1.0, x0)
         v = x.copy()
         v[0] = x0 + phase * norm
-        beta = 2.0 / float((v.real * v.real + v.imag * v.imag).sum())
+        beta = 2.0 / _squared_norm(v, hermitian)
         block = a[k + 1:, k + 1:]
         np.multiply(block, v, out=outer)
         p = outer.sum(axis=1)
         p *= beta
-        w = p - (0.5 * beta * float((v.conj() * p).sum().real)) * v
-        np.multiply.outer(v, w.conj(), out=outer)
-        np.add(outer, outer.conj().T, out=twice)
+        vp = (v.conj() * p).sum().real if hermitian else (v * p).sum()
+        w = p - (0.5 * beta * float(vp)) * v
+        np.multiply.outer(v, w.conj() if hermitian else w, out=outer)
+        np.add(outer, outer.conj().T if hermitian else outer.T, out=twice)
         block -= twice
         e[k] = norm
         reflections += 1
-    e[n - 2] = abs(complex(a[n - 1, n - 2]))
+    e[n - 2] = abs(scalar(a[n - 1, n - 2]))
     return np.diag(a).real.copy(), e, reflections
 
 
@@ -329,10 +300,10 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
     ascending, one Spectrum per matrix.
 
     Householder reflections reduce each matrix in turn to tridiagonal T,
-    keeping only its diagonal and off-diagonal, both real (for a Hermitian
-    matrix the off-diagonal moduli; see `_tridiagonalize_hermitian`). A
-    real matrix takes the real reduction, so its Spectrum does not depend
-    on whether complex matrices share its call. One bracket, T's Gershgorin
+    keeping only its real diagonal and off-diagonal moduli (see
+    `_tridiagonalize`). A real matrix is reduced in real arithmetic, so its
+    Spectrum does not depend on whether complex matrices share its call.
+    One bracket, T's Gershgorin
     interval, starts out holding all n eigenvalue indices. Each multisection
     step splits every bracket into eight equal parts and keeps the parts
     whose end Sturm counts differ; a part holds the indices from its left

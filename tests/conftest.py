@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -229,6 +230,72 @@ def cyclic_extension_oracle(group):
             found.add(joined)
             reps.append((joined, gens))
     return found
+
+
+def real_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference Householder reduction of a real symmetric matrix: (d, e,
+    reflection count), alpha = -copysign(||x||, x0), the rank-2 update summed
+    as one symmetric matrix. The merged `_tridiagonalize` must give the same
+    d, |e| and count bit for bit."""
+    n = data.shape[0]
+    a = data.copy()
+    e = np.empty(n - 1)
+    reflections = 0
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        sigma = float((x[1:] * x[1:]).sum())
+        if sigma == 0.0:
+            e[k] = x[0]
+            continue
+        x0 = float(x[0])
+        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
+        v = x.copy()
+        v[0] = x0 - alpha
+        beta = 2.0 / float((v * v).sum())
+        block = a[k + 1:, k + 1:]
+        p = (block * v).sum(axis=1)
+        p *= beta
+        w = p - (0.5 * beta * float((p * v).sum())) * v
+        outer = np.multiply.outer(v, w)
+        block -= outer + outer.T
+        e[k] = alpha
+        reflections += 1
+    e[n - 2] = a[n - 1, n - 2]
+    return np.diag(a).copy(), e, reflections
+
+
+def hermitian_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference Householder reduction of a complex Hermitian matrix: (real d,
+    off-diagonal moduli |e|, reflection count), alpha = -(x0/|x0|) ||x|| and
+    -||x|| when x0 = 0, the update summed as one matrix plus its conjugate
+    transpose. The merged `_tridiagonalize` must give the same bit for bit."""
+    n = data.shape[0]
+    a = data.copy()
+    e = np.empty(n - 1)
+    reflections = 0
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        tail = x[1:]
+        sigma = float((tail.real * tail.real + tail.imag * tail.imag).sum())
+        x0 = complex(x[0])
+        if sigma == 0.0:
+            e[k] = abs(x0)
+            continue
+        norm = math.sqrt(x0.real * x0.real + x0.imag * x0.imag + sigma)
+        phase = x0 / abs(x0) if x0 else 1.0
+        v = x.copy()
+        v[0] = x0 + phase * norm
+        beta = 2.0 / float((v.real * v.real + v.imag * v.imag).sum())
+        block = a[k + 1:, k + 1:]
+        p = (block * v).sum(axis=1)
+        p *= beta
+        w = p - (0.5 * beta * float((v.conj() * p).sum().real)) * v
+        outer = np.multiply.outer(v, w.conj())
+        block -= outer + outer.conj().T
+        e[k] = norm
+        reflections += 1
+    e[n - 2] = abs(complex(a[n - 1, n - 2]))
+    return np.diag(a).real.copy(), e, reflections
 
 
 def solo_sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray) -> np.ndarray:

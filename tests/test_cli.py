@@ -245,6 +245,16 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
+    @pytest.mark.parametrize("argv", [("verify", "C1"), ("verify", "C1", "--json"),
+                                      ("spectrum", "C1")])
+    def test_trivial_group_exits_0(self, capsys, argv):
+        # its largest element order is 1 and its graph is null: no block
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        if "--json" in argv:
+            assert json.loads(out)["groups"][0]["report"]["internal_ok"] is True
+
     def test_verify_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "A4", "--json")
         payload = json.loads(out)
@@ -858,10 +868,10 @@ class TestSolveOnce:
         top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
         keys = [(data, tol) for _, data, tol in all_solves(eigen_solves)]
         assert len(keys) == len(set(keys))
-        # the top graph's blocks of dimension 15, 3, 3 and 5 per matrix come
-        # first, and the two coinciding 3 x 3 blocks of each are solved once
-        assert top_dim == 15 + 3 + 3 + 5
-        assert sorted(dim for dim, _, _ in eigen_solves[0].solves) == [3, 3, 5, 5, 15, 15]
+        # the top graph's blocks come first: 12, 8 and one complex 3 x 3
+        # block for the two characters of order 4 under the 4-cycle, per matrix
+        assert top_dim == 12 + 8 + 2 * 3
+        assert sorted(dim for dim, _, _ in eigen_solves[0].solves) == [3, 3, 8, 8, 12, 12]
 
     def test_psl27_verify_makes_two_solver_calls(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
@@ -872,16 +882,18 @@ class TestSolveOnce:
         # the top graph's blocks first, adjacency then Laplacian: one of 27
         # and one for the six of 25 under the element of order 7; then, from
         # inside the Laplacian split, the distinct blocks of the 7 classes
-        # below the top whose own lattices do not permute. S3 and 7:3 give
-        # 1 x 1 blocks only, which need no solve; rounding decides which of
-        # the complex ones coincide byte for byte
+        # below the top whose own lattices do not permute: D8 gives 2, 2;
+        # each A4 class 3 and a complex 2, the same bytes for both classes;
+        # each S4 class 12, 8 and a complex 3, the complex one the same for
+        # both. S3 and 7:3 give 1 x 1 blocks only, which need no solve;
+        # rounding decides which of the complex ones coincide byte for byte
         assert [dim for dim, _, _ in top.solves] == [27, 25] * 2
         assert 27 + 6 * 25 == report["vertex_count"]
         assert "f2_split_laplacian" not in top.callers
         assert "f2_split_laplacian" in classes.callers
         assert "f2_split_adjacency" not in classes.callers
         dims = sorted(dim for dim, _, _ in classes.solves)
-        assert [dim for dim in dims if dim > 1] == [3] * 6 + [4] * 2 + [5] * 2 + [15] * 4
+        assert [dim for dim in dims if dim > 1] == [2] * 6 + [3] * 4 + [8] * 4 + [12] * 4
         assert 6 <= dims.count(1) <= 8
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):

@@ -461,13 +461,13 @@ class TestSymmetryBlocks:
                 for a, b in zip(ours.values, full.values):
                     assert abs(a - b) <= ftol + 1e-11 * max(abs(a), abs(b)), (name, a, b)
 
-    def test_trivial_e_gives_the_full_matrix_as_its_one_block(self):
-        # C7 x| C3 has no involution, so E is trivial
+    def test_singleton_orbits_give_the_full_matrix_as_its_one_block(self):
+        # the identity's action: every vertex its own orbit, one character
         lattice = enumerate_subgroups(build(7, "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
         graph = build_graph(lattice)
-        assert degrees._involutions(lattice.group) == []
-        [(*basis, count)] = degrees._involution_blocks(lattice, graph, [])
-        assert count == 1
+        orbits, exponent = degrees._cyclic_orbits(list(range(graph.vertex_count)))
+        assert orbits == [[w] for w in range(graph.vertex_count)]
+        basis = degrees._cyclic_character(orbits, exponent, 1, 0)
         for matrix_of in (adjacency_matrix, laplacian_matrix):
             data = matrix_of(graph).data
             assert degrees._block(data, *basis).tobytes() == data.tobytes()
@@ -488,15 +488,35 @@ class TestSymmetryBlocks:
     def test_psl27_splits_into_blocks_of_27_and_25(self):
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
         graph = build_graph(lattice)
-        involutions = degrees._involutions(lattice.group)
-        assert len(involutions) == 2
-        assert degrees._largest_cyclic(lattice.group)[1] == 7 > 1 << len(involutions)
+        assert degrees._largest_cyclic(lattice.group)[1] == 7
         blocks = degrees._symmetry_blocks(lattice, graph)
         assert [(sizes.size, count) for *_, sizes, count in blocks] == [(27, 1), (25, 6)]
         assert 27 + 6 * 25 == graph.vertex_count
-        # E alone would give the four blocks of its characters
-        dims = [sizes.size for *_, sizes, _ in degrees._involution_blocks(lattice, graph, involutions)]
-        assert dims == [75, 34, 34, 34]
+
+    @pytest.mark.parametrize("name, blocks", [
+        # the groups whose largest element order k is at most the order of an
+        # elementary abelian 2-subgroup: the complex block is one class of two
+        ("S4", [(12, False, 1), (3, True, 2), (8, False, 1)]),
+        ("PGL(2,3)", [(12, False, 1), (3, True, 2), (8, False, 1)]),
+        ("A4", [(3, False, 1), (2, True, 2)]),
+        ("D4", [(2, False, 1), (2, False, 1)]),
+    ])
+    def test_small_exponent_groups_split_under_their_largest_cyclic_subgroup(self, name, blocks):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        graph = build_graph(lattice)
+        got = degrees._symmetry_blocks(lattice, graph)
+        assert [(sizes.size, np.iscomplexobj(weights), count)
+                for _, weights, _, sizes, count in got] == blocks
+        assert sum(size * count for size, _, count in blocks) == graph.vertex_count
+
+    @pytest.mark.parametrize("name", ["C1", "C2", "E8", "Q8"])
+    def test_null_graphs_have_no_block(self, name):
+        # quasihamiltonian, C1 included, whose largest order is 1
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        graph = build_graph(lattice)
+        assert graph.is_null()
+        assert degrees._symmetry_blocks(lattice, graph) == []
+        assert degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1].values == ()
 
     @pytest.mark.parametrize("name, powers, classes", [
         # c^2 is not conjugate to c in A5 or D8; in PSL(2,7) the squares are
@@ -526,7 +546,6 @@ class TestSymmetryBlocks:
         graph = build_graph(lattice)
         group = lattice.group
         c, k = degrees._largest_cyclic(group)
-        assert k > 1 << len(degrees._involutions(group))
         orbits, exponent = degrees._cyclic_orbits(degrees._vertex_action(lattice, graph, c))
         classes = degrees._character_classes(group, c, k)
         assert sorted(j for members in classes for j in members) == list(range(k))
@@ -542,7 +561,7 @@ class TestSymmetryBlocks:
                     continue
                 blocks = [degrees._block(data, *basis) for basis in bases]
                 for j, block in zip(members, blocks):
-                    # real characters keep exact integer sums, as E's do
+                    # real characters keep exact integer sums
                     assert np.iscomplexobj(block) == (2 * j % k != 0)
                     assert np.array_equal(block, block.T.conj())
                 dimension += sum(block.shape[0] for block in blocks)
@@ -575,10 +594,24 @@ class TestSymmetryBlocks:
             assert len(keys) == len(set(keys))
 
     def test_coinciding_blocks_share_one_solve(self, monkeypatch):
-        # two characters of S4's E give the same 3 x 3 block of each matrix
-        lattice = enumerate_subgroups(symmetric(4))
-        top, classes = verify_batches(lattice, monkeypatch)
-        assert len(degrees._symmetry_blocks(lattice, build_graph(lattice))) == 4
-        assert sorted(m.dimension for m in top) == [3, 3, 5, 5, 15, 15]
-        graph, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
-        assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26
+        # PSL(2,7)'s two classes of S4 give the same complex 3 x 3 block of
+        # each matrix, which the class call solves once
+        lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+        _, classes = verify_batches(lattice, monkeypatch)
+        s4s = [degrees._own(lattice, rep) for rep in sorted(set(lattice.class_reps()))
+               if lattice.subgroups[rep].order == 24]
+        assert len(s4s) == 2
+        made = []  # per class, per matrix, the blocks
+        for own in s4s:
+            graph = degrees.top_graph(own)
+            blocks = degrees._symmetry_blocks(own, graph)
+            assert [(sizes.size, count) for *_, sizes, count in blocks] == [(12, 1), (3, 2), (8, 1)]
+            made.append([[degrees._block(matrix_of(graph).data, *basis) for *basis, _ in blocks]
+                         for matrix_of in (adjacency_matrix, laplacian_matrix)])
+        solved = [m.data.tobytes() for m in classes]
+        for first, second in zip(*made):
+            assert first[1].tobytes() == second[1].tobytes()
+            assert solved.count(first[1].tobytes()) == 1
+        for own in s4s:
+            graph, adjacency, laplacian = degrees.graph_and_spectra(own, DEFAULT_TOL)
+            assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26

@@ -330,6 +330,39 @@ class TestPermutingCore:
             assert lat_s4.join(a, b) in core
 
 
+    @pytest.mark.parametrize("name, tests", [("PSL(2,7)", 406), ("A5", 139), ("S4", 140)])
+    def test_core_without_the_matrix_stops_each_row_at_its_first_failure(
+            self, name, tests, monkeypatch):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        pairs = []
+        real = SubgroupLattice.products_commute
+
+        def counting(self, a, b):
+            pairs.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", counting)
+        core = lattice.permuting_core()
+        assert len(pairs) == tests
+        assert lattice._permutes is None  # the matrix stays unfilled
+        reps = lattice.class_reps()
+        assert all(reps[a] == a for a, _ in pairs)
+        monkeypatch.undo()
+        reference = pairwise_permutability(lattice)
+        assert lattice._permute_with_all() == np.flatnonzero(reference.all(axis=1)).tolist()
+        filled = enumerate_subgroups(lattice.group)
+        filled.permutability()
+        assert core == filled.permuting_core()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_scanned_core_equals_the_core_of_the_filled_matrix(self, name):
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        scanned, filled = enumerate_subgroups(group), enumerate_subgroups(group)
+        permutes = filled.permutability()
+        assert scanned._permute_with_all() == np.flatnonzero(permutes.all(axis=1)).tolist()
+        assert scanned.permuting_core() == filled.permuting_core()
+
+
 class TestPermutability:
     def test_symmetric_with_true_diagonal_and_one_call_per_pair(self):
         for name in CATALOG_NAMES:

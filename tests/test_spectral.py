@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import latspec.degrees
 import latspec.spectral
-from latspec.catalog import CATALOG_NAMES, parse_group_spec
+from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec
 from latspec.errors import InputError, NumericError
 from latspec.graph import DenseSymMatrix, adjacency_matrix, build_graph, laplacian_matrix
 from latspec.lattice import enumerate_subgroups
@@ -25,7 +25,13 @@ from latspec.spectral import (
     verify_trace_identities,
 )
 
-from conftest import build, per_index_multisection, solo_multisection
+from conftest import (
+    build,
+    hermitian_householder,
+    per_index_multisection,
+    real_householder,
+    solo_multisection,
+)
 
 
 def graph_of(group):
@@ -499,6 +505,68 @@ class TestHermitian:
             eigenvalues_symmetric(good, bad, good)
         with pytest.raises(InputError, match="not Hermitian"):
             DenseSymMatrix(np.array([[1j]]))
+
+
+def graph_matrices_and_blocks(group):
+    """Both matrices of the group's graph and of one class graph per
+    conjugacy class, each whole and in its symmetry-adapted blocks."""
+    top = enumerate_subgroups(group)
+    lattices = [top] + [enumerate_subgroups(top.standalone_group(rep))
+                        for rep in sorted(set(top.class_reps()) - {top.top_id})]
+    for lattice in lattices:
+        graph = build_graph(lattice)
+        blocks = latspec.degrees._symmetry_blocks(lattice, graph)
+        for matrix_of in (adjacency_matrix, laplacian_matrix):
+            data = matrix_of(graph).data
+            yield data
+            for *basis, _ in blocks:
+                yield latspec.degrees._block(data, *basis)
+
+
+class TestOneReduction:
+    """`_tridiagonalize` reduces real symmetric and complex Hermitian input
+    alike; for each it gives bit for bit the d, |e| and reflection count of
+    the kind's own reference reduction (`real_householder`,
+    `hermitian_householder`)."""
+
+    @staticmethod
+    def assert_matches_reference(data):
+        reference = hermitian_householder if np.iscomplexobj(data) else real_householder
+        d, e, reflections = _tridiagonalize(data)
+        d_ref, e_ref, reflections_ref = reference(data)
+        assert d.dtype == e.dtype == np.float64
+        assert reflections == reflections_ref
+        assert d.tobytes() == d_ref.tobytes()
+        assert np.abs(e).tobytes() == np.abs(e_ref).tobytes()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_graph_matrices_and_blocks_match_the_references(self, name):
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        kinds = set()
+        for data in graph_matrices_and_blocks(group):
+            if data.shape[0] >= 2:
+                kinds.add(np.iscomplexobj(data))
+                self.assert_matches_reference(data)
+        if name in ("PSL(2,7)", "A6", "S4"):
+            assert kinds == {False, True}
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33])
+    def test_random_matrices_match_the_references(self, n):
+        for seed in range(3):
+            self.assert_matches_reference(random_symmetric(n, seed=seed))
+            self.assert_matches_reference(random_hermitian(n, seed=seed))
+
+    def test_zero_pivots_keep_their_sign_rule(self):
+        # real -0.0 and +0.0 pivots reflect to opposite signs, a complex zero
+        # pivot to -||x||; an already reduced column is skipped
+        for x0 in (0.0, -0.0):
+            m = random_symmetric(6, seed=5)
+            m[1, 0] = m[0, 1] = x0
+            m[4, 3] = m[5, 3] = m[3, 4] = m[3, 5] = 0.0
+            self.assert_matches_reference(m)
+        h = random_hermitian(6, seed=5)
+        h[1, 0] = h[0, 1] = 0.0
+        self.assert_matches_reference(h)
 
 
 class TestBatchedMultisection:
