@@ -21,7 +21,6 @@ file it replaces, so two writers cannot lose each other's entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -32,6 +31,16 @@ from pathlib import Path
 from .perm import FiniteGroup
 from .spectral import DEFAULT_TOL
 
+# CPython's built-in SHA-256, which hashlib falls back to without OpenSSL;
+# importing hashlib loads OpenSSL's libcrypto (about 3.5 MiB of peak RSS).
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 # The layout of a cache file; a file written under another schema is a miss.
 CACHE_SCHEMA = 3
 
@@ -41,8 +50,10 @@ def _compact(value) -> str:
 
 
 def table_hash(group: FiniteGroup) -> str:
-    """Hash of the canonical element table (degree plus sorted image tuples)."""
-    h = hashlib.sha256()
+    """SHA-256 of the canonical element table (degree plus sorted image
+    tuples), from the built-in module: equal to `hashlib.sha256` over the
+    same bytes, without loading OpenSSL."""
+    h = sha256()
     h.update(str(group.degree).encode())
     for p in group.elements:
         h.update(b"|")

@@ -15,7 +15,9 @@ joins, meets or that matrix.
 Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
 quasihamiltonian flag, the graph's edge count and both spectra. A parent
 lattice therefore holds one standalone lattice per conjugacy class (`_own`,
-keyed by `SubgroupLattice.class_reps`), and every lattice memoizes on itself
+keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
+once the parent's matrix is filled, reading it restricted to the class
+representative's down-set; every lattice memoizes on itself
 its graph, the graph's block basis, its sd, its F2, its subgroup F2 sum and
 its two spectra per tol.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
@@ -41,8 +43,10 @@ blocks of 3, of which three are solved. A null graph has no block. A
 spectrum is its blocks' values merged.
 The blocks are handed to the eigensolver in batches, one call per batch: a
 graph's two matrices together, and, before the first split sums its terms,
-both matrices of every class in the split at DEFAULT_TOL, so a `verify`
-makes at most one call for the top graph and one for all its classes.
+both matrices of every class in the split at DEFAULT_TOL, the top graph
+among them. `verify_identities` runs the splits before it reads the top
+graph's spectra, so a `verify` at DEFAULT_TOL makes one call; at another
+tol it makes a second, for the top graph at that tol.
 Blocks with the same shape, type and bytes in one call are solved once.
 """
 
@@ -100,12 +104,22 @@ def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
 
 
 def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
-    """The standalone lattice of subgroup `sid`, built once per conjugacy class."""
+    """The standalone lattice of subgroup `sid`, built once per conjugacy class.
+
+    It is enumerated on the group cut from the parent's tables, which stays
+    an independent check: `share_down_set` requires it to be the class
+    representative's down-set and gives it the parent's matrix restricted.
+    """
     if sid == lattice.top_id:
         return lattice
     rep = lattice.class_reps()[sid]
-    return _memo(lattice, ("own", rep),
-                 lambda: enumerate_subgroups(lattice.standalone_group(rep)))
+
+    def cut() -> SubgroupLattice:
+        own = enumerate_subgroups(lattice.standalone_group(rep))
+        lattice.share_down_set(own, rep)
+        return own
+
+    return _memo(lattice, ("own", rep), cut)
 
 
 def _classes(lattice: SubgroupLattice) -> list[tuple[int, int, int]]:
@@ -400,6 +414,9 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     term per conjugacy class, times the class size, and classes with
     mu(T, G) = 0 are skipped.
     """
+    # the top's term (mu(G, G) = 1) reads the whole matrix: filled first,
+    # every class lattice takes its restriction instead of testing pairs
+    lattice.permutability()
     total = Fraction(0)
     for rep, size, mu in _classes(lattice):
         if mu:
@@ -559,11 +576,19 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
     edge_count_vs_f2_sum, sd_methods_equal and f2_methods_equal each compare
     two independent computations.
 
+    The order pays for each pass once. The permutability matrix is filled
+    first, so the quasihamiltonian flag and the core read it and every class
+    lattice takes it restricted instead of testing pairs. The F2 routes run
+    next: the Laplacian split solves the top graph with its classes in one
+    call at DEFAULT_TOL, and the top's spectra at tol are read last, from
+    the memo when tol is DEFAULT_TOL.
+
     Published-value disagreements are reported as notes and never fail the run.
     """
     n = lattice.size
-    graph, adj_spec, lap_spec = graph_and_spectra(lattice, tol)
-    quasihamiltonian = lattice.is_quasihamiltonian()
+    permutes = lattice.permutability()
+    quasihamiltonian = lattice.is_quasihamiltonian()  # read from the filled matrix
+    graph = top_graph(lattice)
 
     f2_d = _f2(lattice)  # counted once: sd_via_f2 reads the top term from the memo
     sd_d = _sd(lattice)
@@ -579,11 +604,12 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
     else:
         f2_values["split_laplacian"] = f2_split_laplacian(lattice)
         f2_values["split_adjacency"] = f2_split_adjacency(lattice)
+    # at DEFAULT_TOL, the Laplacian split's call solved the top with its classes
+    _, adj_spec, lap_spec = graph_and_spectra(lattice, tol)
 
     two_e = 2 * graph.edge_count
     checks: list[CheckResult] = []
 
-    permutes = lattice.permutability()
     trimmed = [
         (c, x)
         for c in sorted(lattice.permuting_core())

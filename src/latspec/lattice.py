@@ -15,7 +15,9 @@ representatives only, and copies every other row along the orbit walk,
 since conjugation preserves HK = KH; every permutability consumer reads
 that one matrix, except that the permuting core and the quasihamiltonian
 flag scan the representatives' rows up to a failing pair while it is
-unfilled. `product_bits` builds the set product HK element by
+unfilled. A subgroup's own lattice, enumerated on `standalone_group`, reads
+the matrix restricted to the subgroup's down-set once it is filled
+(`share_down_set`). `product_bits` builds the set product HK element by
 element, as a union of right cosets Hk from a table of H's cosets built once
 per H; it never touches joins, meets or the matrix.
 
@@ -512,15 +514,41 @@ class SubgroupLattice:
         return self._min_gens[sid]
 
     def standalone_group(self, sid: int) -> FiniteGroup:
-        """The subgroup as its own FiniteGroup, closed from its minimal generators.
+        """The subgroup as its own FiniteGroup, cut from the parent's tables.
 
-        Its element list is the subgroup's members in the parent's index order,
-        since both are sorted the same way.
+        Its element list is the subgroup's members in the parent's index
+        order, its multiplication table, inverses and element orders are the
+        parent's restricted to them (`FiniteGroup.restricted`), and its
+        generators are `minimal_generators(sid)`; no permutation is closed.
         """
         if sid == self.top_id:
             return self.group
-        gens = [self.group.elements[i] for i in self.minimal_generators(sid)]
-        return FiniteGroup(self.group.degree, gens)
+        return self.group.restricted(self._member_tuples[sid], self.minimal_generators(sid))
+
+    def share_down_set(self, own: "SubgroupLattice", sid: int) -> None:
+        """Tie `own`, the lattice enumerated on `standalone_group(sid)`, to
+        sid's down-set in this lattice.
+
+        Its ids must be `down_ids(sid)` in the same order, which holds since
+        both order subgroups by (order, members) and the standalone group
+        lists the members in this group's order: each of its member sets,
+        read back as this group's element indices, is mapped to its id here,
+        and a mismatch is a ConsistencyError. Once this lattice's
+        permutability matrix is filled, `own` takes its restriction to the
+        down-set as its own, read-only: XY = YX is a property of the two
+        sets, so no pair is tested again. Otherwise `own` fills its own
+        matrix on first use.
+        """
+        members = self._member_tuples[sid]
+        down = self.down_ids(sid)
+        if own.group.order != len(members) or [
+                self._id_of.get(bits_of(map(members.__getitem__, sub)))
+                for sub in own._member_tuples] != list(down):
+            raise ConsistencyError(f"the lattice of subgroup {sid} is not its down-set")
+        if self._permutes is not None and own._permutes is None:
+            permutes = self._permutes[np.ix_(down, down)]
+            permutes.flags.writeable = False
+            own._permutes = permutes
 
     # -- serialization ---------------------------------------------------------
 

@@ -4,7 +4,8 @@ Everything here is immutable after construction and safe to share between
 threads. A group closes its generators once; that one closure yields the
 complete element list, kept in a canonical (lexicographic) order so every
 identifier derived from element indices is deterministic, and the generator
-rows the multiplication table is built from.
+rows the multiplication table is built from. A subgroup of a tabulated group
+is cut from its tables instead (`FiniteGroup.restricted`), with no closure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, SizeError
+from .errors import ConsistencyError, InputError, SizeError
 
 # Every command reads the full multiplication table, which is quadratic in
 # the group order; the closure refuses a group past this order.
@@ -189,6 +190,38 @@ class FiniteGroup:
         self._mul_table: list[list[int]] | None = None
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
+
+    def restricted(self, members: Sequence[int], generators: Sequence[int]) -> "FiniteGroup":
+        """The subgroup on the ascending element indices `members`, as its own
+        group, cut from this group's tables with no closure.
+
+        Its elements are the members in this group's order, which is already
+        lexicographic, so they are what closing `generators` (element indices
+        of members) would list. Its multiplication table is this table's
+        member rows and columns, relabelled to positions among the members;
+        its inverses and element orders are sliced from this group's.
+        ConsistencyError if the members do not hold the identity and the
+        generators, or a product of two of them falls outside them.
+        """
+        position = [-1] * self.order
+        for i, x in enumerate(members):
+            position[x] = i
+        table = self.mul_table
+        mul = [[position[y] for y in map(table[x].__getitem__, members)] for x in members]
+        if (position[self.identity_index] != 0 or any(-1 in row for row in mul)
+                or -1 in map(position.__getitem__, generators)):
+            raise ConsistencyError("the members are not a subgroup holding the generators")
+        sub = FiniteGroup.__new__(FiniteGroup)
+        sub.degree = self.degree
+        sub.generators = tuple(self.elements[g] for g in generators)
+        sub.elements = tuple(self.elements[x] for x in members)
+        sub._index = {p.images: i for i, p in enumerate(sub.elements)}
+        sub.identity_index = 0
+        sub._generator_rows = [mul[position[g]] for g in generators]
+        sub._mul_table = mul
+        sub._inverse = [position[self.inverse_index(x)] for x in members]
+        sub._orders = [self.order_of_index(x) for x in members]
+        return sub
 
     @property
     def order(self) -> int:

@@ -97,6 +97,14 @@ def double_loop_product(lattice, a, b):
     return bits_of(table[h][k] for h in left for k in right)
 
 
+def closure_standalone_group(lattice, sid):
+    """Subgroup sid as its own FiniteGroup, closed as permutations from its
+    minimal generators: the oracle for the group `standalone_group` cuts
+    from the parent's tables."""
+    group = lattice.group
+    return FiniteGroup(group.degree, [group.elements[i] for i in lattice.minimal_generators(sid)])
+
+
 def coset_union_product(lattice, a, b):
     """Reference set product of subgroups a and b as a union of right cosets
     Ak, k in B, each coset built by |A| table reads and skipped when k is

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 import latspec.cache as cache
 from latspec.cache import cache_lookup, cache_store, signature_of, table_hash
-from latspec.catalog import cyclic, parse_group_spec, symmetric
+from latspec.catalog import CATALOG_NAMES, cyclic, parse_group_spec, symmetric
 
 from conftest import read_cache_file, write_cache_file
 
@@ -26,6 +27,24 @@ class TestSignature:
 
     def test_same_group_same_hash(self):
         assert table_hash(symmetric(3)) == table_hash(parse_group_spec("S3").group)
+
+
+class TestDigest:
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)",))
+    def test_table_hash_is_hashlib_sha256_of_the_element_table(self, name):
+        group = parse_group_spec(name).group
+        text = str(group.degree) + "".join(
+            "|" + ",".join(map(str, p.images)) for p in group.elements)
+        assert table_hash(group) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_digest_comes_from_the_built_in_module(self):
+        # hashlib's OpenSSL-backed sha256 lives in _hashlib
+        assert cache.sha256.__module__ in ("_sha2", "_sha256")
+
+    def test_s4_digest_is_pinned(self):
+        # part of every S4 cache file name; a new digest would orphan old files
+        assert table_hash(parse_group_spec("S4").group) == (
+            "3693d4bf0d32f8edcef8788290d94bb58707f0d40829eb7efb5469ff68cb25aa")
 
 
 class TestRoundTrip:

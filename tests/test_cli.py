@@ -14,8 +14,11 @@ from hypothesis import given, settings, strategies as st
 import latspec.cli as cli
 import latspec.degrees as degrees
 import latspec.spectral as spectral
+from latspec.catalog import parse_group_spec
 from latspec.cli import main
-from latspec.lattice import SubgroupLattice
+from latspec.graph import adjacency_matrix, laplacian_matrix
+from latspec.lattice import SubgroupLattice, enumerate_subgroups
+from latspec.perm import FiniteGroup
 
 from conftest import read_cache_file, write_cache_file
 
@@ -861,39 +864,72 @@ def all_solves(calls):
     return [solve for call in calls for solve in call.solves]
 
 
+def verify_blocks(name):
+    """Per lattice whose blocks a cold `verify` solves at the default tol (the
+    top first, then each class below it whose lattice does not permute), the
+    (dimension, bytes) of every block of its adjacency and Laplacian matrices."""
+    top = enumerate_subgroups(parse_group_spec(name).group)
+    lattices = [top] + [degrees._own(top, rep) for rep in sorted(set(top.class_reps()))
+                        if rep != top.top_id]
+    out = []
+    for lattice in lattices:
+        graph = degrees.top_graph(lattice)
+        if graph.is_null():
+            continue
+        bases = degrees._symmetry_blocks(lattice, graph)
+        out.append([(block.shape[0], block.tobytes())
+                    for matrix_of in (adjacency_matrix, laplacian_matrix)
+                    for block in (degrees._block(matrix_of(graph).data, *basis)
+                                  for *basis, _ in bases)])
+    return out
+
+
 class TestSolveOnce:
     def test_each_matrix_is_solved_once_per_verify(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "S4", "--json")
         assert code == 0
         top_dim = json.loads(out)["groups"][0]["report"]["vertex_count"]
-        keys = [(data, tol) for _, data, tol in all_solves(eigen_solves)]
+        # one call, made inside the Laplacian split, solves every block of
+        # the top and its classes once
+        [call] = eigen_solves
+        assert "f2_split_laplacian" in call.callers
+        keys = [(data, tol) for _, data, tol in call.solves]
         assert len(keys) == len(set(keys))
-        # the top graph's blocks come first: 12, 8 and one complex 3 x 3
-        # block for the two characters of order 4 under the 4-cycle, per matrix
+        assert {tol for _, tol in keys} == {spectral.DEFAULT_TOL}
+        top, *classes = verify_blocks("S4")
+        assert {(dim, data) for dim, data, _ in call.solves} == set().union(top, *classes)
+        # the top graph's blocks: 12, 8 and one complex 3 x 3 block for the
+        # two characters of order 4 under the 4-cycle, per matrix
         assert top_dim == 12 + 8 + 2 * 3
-        assert sorted(dim for dim, _, _ in eigen_solves[0].solves) == [3, 3, 8, 8, 12, 12]
+        assert sorted(dim for dim, _ in top) == [3, 3, 8, 8, 12, 12]
+        # A4, D8 and S3 are the classes whose lattices do not permute
+        assert len(classes) == 3
 
-    def test_psl27_verify_makes_two_solver_calls(self, capsys, eigen_solves):
+    def test_psl27_verify_makes_one_solver_call(self, capsys, eigen_solves):
         code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
         assert code == 0
         report = json.loads(out)["groups"][0]["report"]
-        assert len(eigen_solves) == 2
-        top, classes = eigen_solves
-        # the top graph's blocks first, adjacency then Laplacian: one of 27
-        # and one for the six of 25 under the element of order 7; then, from
-        # inside the Laplacian split, the distinct blocks of the 7 classes
-        # below the top whose own lattices do not permute: D8 gives 2, 2;
-        # each A4 class 3 and a complex 2, the same bytes for both classes;
-        # each S4 class 12, 8 and a complex 3, the complex one the same for
-        # both. S3 and 7:3 give 1 x 1 blocks only, which need no solve;
-        # rounding decides which of the complex ones coincide byte for byte
-        assert [dim for dim, _, _ in top.solves] == [27, 25] * 2
+        [call] = eigen_solves
+        # made from inside the Laplacian split; the adjacency split and the
+        # structure read its spectra from the memo
+        assert "f2_split_laplacian" in call.callers
+        assert "f2_split_adjacency" not in call.callers
+        # the top graph's blocks, adjacency then Laplacian: one of 27 and one
+        # for the six of 25 under the element of order 7
+        top, *_ = verify_blocks("PSL(2,7)")
+        assert [dim for dim, _ in top] == [27, 25] * 2
         assert 27 + 6 * 25 == report["vertex_count"]
-        assert "f2_split_laplacian" not in top.callers
-        assert "f2_split_laplacian" in classes.callers
-        assert "f2_split_adjacency" not in classes.callers
-        dims = sorted(dim for dim, _, _ in classes.solves)
-        assert [dim for dim in dims if dim > 1] == [2] * 6 + [3] * 4 + [8] * 4 + [12] * 4
+        solved = {(dim, data) for dim, data, _ in call.solves}
+        assert set(top) <= solved
+        # then the distinct blocks of the 7 classes below the top whose own
+        # lattices do not permute: D8 gives 2, 2; each A4 class 3 and a
+        # complex 2, the same bytes for both classes; each S4 class 12, 8
+        # and a complex 3, the complex one the same for both. S3 and 7:3
+        # give 1 x 1 blocks only; rounding decides which of the complex ones
+        # coincide byte for byte
+        dims = sorted(dim for dim, _, _ in call.solves)
+        assert [dim for dim in dims if dim > 1] == (
+            [2] * 6 + [3] * 4 + [8] * 4 + [12] * 4 + [25] * 2 + [27] * 2)
         assert 6 <= dims.count(1) <= 8
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
@@ -914,15 +950,18 @@ class TestSolveOnce:
         monkeypatch.setattr(SubgroupLattice, "products_commute", recording_test)
         assert run(capsys, "verify", "S4")[0] == 0
         assert len(built) == 11  # S4 and one lattice per other conjugacy class
-        for lattice in built:
-            # only the rows of class representatives reach the pair test, and
-            # each unordered pair with a representative in it does so once
-            reps = lattice.class_reps()
-            pairs = tested.get(id(lattice), [])
-            r = len(set(reps))
-            assert all(reps[a] == a for a, _ in pairs)
-            assert len({frozenset(pair) for pair in pairs}) == len(pairs) == (
-                r * (lattice.size - 1) - r * (r - 1) // 2)
+        top, *classes = built
+        assert top.group.order == 24
+        # only the rows of the top's class representatives reach the pair
+        # test, and each unordered pair with a representative in it does so once
+        reps = top.class_reps()
+        pairs = tested[id(top)]
+        r = len(set(reps))
+        assert all(reps[a] == a for a, _ in pairs)
+        assert len({frozenset(pair) for pair in pairs}) == len(pairs) == (
+            r * (top.size - 1) - r * (r - 1) // 2) == 264
+        # the class lattices read the top's matrix restricted, testing no pair
+        assert set(tested) == {id(top)}
 
     def test_structure_from_cache_then_verify_matches_cold_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "c")
@@ -942,25 +981,118 @@ class TestSolveOnce:
         loose = json.loads(out)["groups"][0]["report"]
         assert loose["internal_ok"] is True
         assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
-        # structure and trace checks solve the top graph's blocks at --tol,
-        # the split shadows at the default
-        top_blocks = {data for _, data, _ in eigen_solves[0].solves}
+        # the split shadows solve the top graph's blocks at the default tol,
+        # in the split's call with the classes; structure and trace checks
+        # solve them again at --tol, alone, after the splits
+        split_call, top_call = eigen_solves
+        assert "f2_split_laplacian" in split_call.callers
+        assert not {"f2_split_laplacian", "f2_split_adjacency"} & top_call.callers
+        top_blocks = {data for _, data, _ in top_call.solves}
+        assert len(top_blocks) == len(top_call.solves) == 6
+        assert {tol for _, _, tol in top_call.solves} == {1e-10}
         top_tols = sorted(tol for _, data, tol in all_solves(eigen_solves) if data in top_blocks)
         assert top_tols == [1e-12] * len(top_blocks) + [1e-10] * len(top_blocks)
 
 
+def child_modules(*commands):
+    """The names in sys.modules after running each command's `main(argv)` in
+    one fresh interpreter, asserting that each exits 0."""
+    script = ("import contextlib, io, json, sys\n"
+              "from latspec.cli import main\n"
+              f"for argv in {[list(argv) for argv in commands]!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(argv)\n"
+              "    assert code == 0, (argv, code)\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "LATSPEC_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of FiniteGroup closures and pair tests, reset by the test."""
+    counts = {"closures": 0, "pairs": 0}
+    real_init = FiniteGroup.__init__
+    real_test = SubgroupLattice.products_commute
+
+    def counting_init(self, *args):
+        counts["closures"] += 1
+        real_init(self, *args)
+
+    def counting_test(self, a, b):
+        counts["pairs"] += 1
+        return real_test(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(SubgroupLattice, "products_commute", counting_test)
+    return counts
+
+
+WARM_COMMANDS = (
+    ("verify", "--json"), ("lattice", "--json"), ("graph", "--json"), ("spectrum",),
+    ("mobius",), ("info",), ("sd", "--method", "direct"), ("f2", "--method", "direct"),
+    ("hughes", "-p", "2"),
+)
+# Per group, per command, (closures, pair tests) as measured when every class
+# group was closed from permutations and every class lattice filled its own
+# matrix; no command may do more. The warm commands read a cache filled by
+# `verify`; the last two run without a cache.
+COUNTS_BEFORE = {
+    "S4": {"lattice": (1, 140), "info": (1, 30), "sd": (1, 264),
+           "f2 --method mobius": (8, 369), "sd --method f2": (11, 0)},
+    "A5": {"lattice": (1, 139), "info": (1, 61), "sd": (1, 486),
+           "f2 --method mobius": (7, 559), "sd --method f2": (9, 0)},
+    "PSL(2,7)": {"lattice": (1, 406), "info": (1, 179), "sd": (1, 2565),
+                 "f2 --method mobius": (8, 3183), "sd --method f2": (15, 0)},
+}
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("name, pairs", [("S4", 264), ("A5", 486), ("PSL(2,7)", 2565)])
+    def test_verify_closes_one_group_and_tests_only_the_top_pairs(
+            self, capsys, work, eigen_solves, name, pairs):
+        assert run(capsys, "verify", name, "--json")[0] == 0
+        assert work == {"closures": 1, "pairs": pairs}
+        assert len(eigen_solves) == 1
+        # the Möbius route fills the top's matrix before its class lattices
+        work.update(closures=0, pairs=0)
+        assert run(capsys, "f2", name, "--method", "mobius")[0] == 0
+        assert work == {"closures": 1, "pairs": pairs}
+        assert len(eigen_solves) == 1
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+    def test_no_command_does_more_work_than_before(self, capsys, tmp_path, work, name):
+        before = COUNTS_BEFORE[name]
+        cache_dir = str(tmp_path / "c")
+        assert run(capsys, "--cache", cache_dir, "verify", name)[0] == 0
+        for command, *rest in WARM_COMMANDS:
+            work.update(closures=0, pairs=0)
+            assert run(capsys, "--cache", cache_dir, command, name, *rest)[0] == 0
+            closures, pairs = before.get(command, (1, 0))
+            assert work["closures"] <= closures and work["pairs"] <= pairs, (command, work)
+        for command, method in (("f2", "mobius"), ("sd", "f2")):
+            work.update(closures=0, pairs=0)
+            assert run(capsys, command, name, "--method", method)[0] == 0
+            closures, pairs = before[f"{command} --method {method}"]
+            assert work["closures"] <= closures and work["pairs"] <= pairs, (command, work)
+            assert work["closures"] == 1
+
+
 class TestImports:
+    def test_verify_never_imports_hashlib(self, tmp_path):
+        # hashlib's import loads OpenSSL's libcrypto (about 3.5 MiB of peak
+        # RSS); the table digest comes from CPython's built-in module
+        modules = child_modules(["verify", "PSL(2,7)", "--json"],
+                                ["--cache", str(tmp_path / "c"), "verify", "S4"],
+                                ["--cache", str(tmp_path / "c"), "verify", "S4"])
+        assert "_hashlib" not in modules
+        assert len(list((tmp_path / "c").iterdir())) == 1
+
     def test_verify_never_imports_numpy_ma(self):
         # numpy.ma adds about 1.5 MiB of peak RSS; np.unique imports it on first use
-        script = ("import contextlib, io, sys\n"
-                  "from latspec.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = main(['verify', 'PSL(2,7)', '--json'])\n"
-                  "assert code == 0, code\n"
-                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {k: v for k, v in os.environ.items() if k != "LATSPEC_CACHE"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        assert "numpy.ma" not in child_modules(["verify", "PSL(2,7)", "--json"])

@@ -595,9 +595,9 @@ class TestSymmetryBlocks:
 
     def test_coinciding_blocks_share_one_solve(self, monkeypatch):
         # PSL(2,7)'s two classes of S4 give the same complex 3 x 3 block of
-        # each matrix, which the class call solves once
+        # each matrix, which verify's one call solves once
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
-        _, classes = verify_batches(lattice, monkeypatch)
+        [call] = verify_batches(lattice, monkeypatch)
         s4s = [degrees._own(lattice, rep) for rep in sorted(set(lattice.class_reps()))
                if lattice.subgroups[rep].order == 24]
         assert len(s4s) == 2
@@ -608,7 +608,7 @@ class TestSymmetryBlocks:
             assert [(sizes.size, count) for *_, sizes, count in blocks] == [(12, 1), (3, 2), (8, 1)]
             made.append([[degrees._block(matrix_of(graph).data, *basis) for *basis, _ in blocks]
                          for matrix_of in (adjacency_matrix, laplacian_matrix)])
-        solved = [m.data.tobytes() for m in classes]
+        solved = [m.data.tobytes() for m in call]
         for first, second in zip(*made):
             assert first[1].tobytes() == second[1].tobytes()
             assert solved.count(first[1].tobytes()) == 1

@@ -13,6 +13,7 @@ from latspec.perm import bits_of, compose, generate_group, iter_bits, parse_perm
 
 from conftest import (
     build,
+    closure_standalone_group,
     cyclic_extension_oracle,
     lower_fixed_mobius,
     naive_closure,
@@ -534,6 +535,99 @@ class TestIntervalsAndStandalone:
             closure = naive_closure(gens or [Permutation.identity(group.degree)])
             got = bits_of(group.index_of(p) for p in closure)
             assert got == lat_s4.subgroup(sid).members
+
+
+def class_lattices(name):
+    """(parent lattice, [(class representative, cut group)]) for every class
+    below the top."""
+    group = alternating(6) if name == "A6" else parse_group_spec(name).group
+    lattice = enumerate_subgroups(group)
+    return lattice, [(rep, lattice.standalone_group(rep))
+                     for rep in sorted(set(lattice.class_reps())) if rep != lattice.top_id]
+
+
+class TestCutClassLattices:
+    """A class group is cut from its parent's tables and its lattice reads the
+    parent's matrix restricted; closing the generators as permutations and the
+    class lattice's own fill are the oracles."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_cut_group_equals_the_closure(self, name):
+        lattice, cuts = class_lattices(name)
+        for rep, cut in cuts:
+            closed = closure_standalone_group(lattice, rep)
+            assert (cut.degree, cut.elements, cut.identity_index, cut.generators) == (
+                closed.degree, closed.elements, closed.identity_index, closed.generators)
+            assert cut.mul_table == closed.mul_table
+            n = closed.order
+            assert ([cut.inverse_index(i) for i in range(n)]
+                    == [closed.inverse_index(i) for i in range(n)])
+            assert ([cut.order_of_index(i) for i in range(n)]
+                    == [closed.order_of_index(i) for i in range(n)])
+            assert [cut.index_of(p) for p in closed.elements] == list(range(n))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_class_lattice_ids_are_the_down_set(self, name):
+        lattice, cuts = class_lattices(name)
+        for rep, cut in cuts:
+            own = enumerate_subgroups(cut)
+            members = lattice.subgroup(rep).member_indices()
+            ids = [lattice.id_of_members(bits_of(members[i] for i in s.member_indices()))
+                   for s in own.subgroups]
+            assert ids == list(lattice.down_ids(rep))
+            lattice.share_down_set(own, rep)  # the same check, raising on a mismatch
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_sliced_matrix_equals_the_own_fill(self, name, monkeypatch):
+        lattice, cuts = class_lattices(name)
+        lattice.permutability()
+        tested = []
+        real_test = SubgroupLattice.products_commute
+
+        def recording_test(self, a, b):
+            tested.append(self)
+            return real_test(self, a, b)
+
+        for rep, cut in cuts:
+            shared, filled = enumerate_subgroups(cut), enumerate_subgroups(cut)
+            lattice.share_down_set(shared, rep)
+            monkeypatch.setattr(SubgroupLattice, "products_commute", recording_test)
+            sliced = shared.permutability()
+            monkeypatch.undo()
+            assert not tested
+            assert not sliced.flags.writeable
+            assert np.array_equal(sliced, filled.permutability())
+            assert shared.is_quasihamiltonian() == filled.is_quasihamiltonian()
+            assert shared.permuting_core() == filled.permuting_core()
+
+    def test_an_unfilled_parent_leaves_the_class_lattice_its_own_fill(self):
+        lattice, cuts = class_lattices("S4")
+        for rep, cut in cuts:
+            own = enumerate_subgroups(cut)
+            lattice.share_down_set(own, rep)
+            assert own._permutes is None
+            assert np.array_equal(own.permutability(), pairwise_permutability(own))
+
+    def test_a_set_that_is_not_closed_cannot_be_cut(self, s4):
+        transpositions = [i for i in range(s4.order) if s4.order_of_index(i) == 2][:2]
+        with pytest.raises(ConsistencyError):
+            s4.restricted([s4.identity_index] + transpositions, transpositions)
+        with pytest.raises(ConsistencyError):
+            s4.restricted([s4.identity_index], transpositions[:1])
+        with pytest.raises(ConsistencyError):
+            s4.restricted(transpositions, [])
+
+    def test_a_lattice_of_another_subgroup_is_not_the_down_set(self, lat_s4):
+        # a C4 and a Klein four-group: the same order, not the same lattice
+        fours = [sid for sid in sorted(set(lat_s4.class_reps()))
+                 if lat_s4.subgroup(sid).order == 4]
+        c4 = next(sid for sid in fours if len(lat_s4.down_ids(sid)) == 3)
+        v4 = next(sid for sid in fours if len(lat_s4.down_ids(sid)) == 5)
+        for sid, other in ((c4, v4), (v4, c4)):
+            with pytest.raises(ConsistencyError):
+                lat_s4.share_down_set(enumerate_subgroups(lat_s4.standalone_group(other)), sid)
+        with pytest.raises(ConsistencyError):
+            lat_s4.share_down_set(enumerate_subgroups(lat_s4.group), v4)
 
 
 class TestSerialization:
