@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .closed_forms import PrimePower
 from .errors import InputError
@@ -284,7 +285,10 @@ def order_histogram_key(group: FiniteGroup) -> tuple:
     return (group.order, tuple(sorted(group.element_order_histogram().items())))
 
 
-_RECOGNITION: dict[tuple, tuple[str, int]] = {}
+# (order, builder, name) per model, built only for a group of its order; at 60, q = 5 names A5
+_MODELS = ([(order, partial(psl2, q), ("psl", q)) for q, (order, _) in _PSL_TABLES.items()]
+           + [(24, partial(pgl2, 3), ("pgl", 3)), (120, partial(symmetric, 5), ("pgl", 5))])
+_RECOGNITION: dict[int, dict[tuple, tuple[str, int]]] = {}  # order -> {model's key: name}
 
 
 def recognize_projective(group: FiniteGroup) -> tuple[str, int] | None:
@@ -294,9 +298,7 @@ def recognize_projective(group: FiniteGroup) -> tuple[str, int] | None:
     groups from everything else of the same order. PGL(2,5) is matched through
     its symmetric-group model on five points.
     """
-    if not _RECOGNITION:
-        for q in PSL_SUPPORTED:
-            _RECOGNITION[order_histogram_key(psl2(q))] = ("psl", q)
-        _RECOGNITION[order_histogram_key(pgl2(3))] = ("pgl", 3)
-        _RECOGNITION[order_histogram_key(symmetric(5))] = ("pgl", 5)
-    return _RECOGNITION.get(order_histogram_key(group))
+    if group.order not in _RECOGNITION:
+        _RECOGNITION[group.order] = {order_histogram_key(build()): name
+                                     for order, build, name in _MODELS if order == group.order}
+    return _RECOGNITION[group.order].get(order_histogram_key(group))

@@ -34,9 +34,12 @@ the vertices; each character chi_j(c^a) = omega^(ja) of <c>, with the
 <c>-orbits it admits, spans a subspace that the matrix preserves, and the
 matrix restricted there is one block (`_symmetry_blocks`, `_block`). The
 characters are complex except for j = 0 and j = k/2, and give Hermitian
-blocks; blocks whose j differ by a unit u with c^u conjugate to c, or by a
-sign, are similar, so one block is solved per such class of j and its
-values count once per class member. PSL(2,7)'s 177-vertex graph splits under
+blocks, each read off the orbit representatives' rows of the graph's
+boolean adjacency, B[i, j] = s_i * sum over w in O_j of chi(w) M[o_i, w] /
+sqrt(s_i s_j), so no dense |V| x |V| matrix is formed. Blocks whose j
+differ by a unit u with c^u conjugate to c, or by a sign, are similar, so
+one block is solved per such class of j and its values count once per
+class member. PSL(2,7)'s 177-vertex graph splits under
 its element of order 7 into one block of 27 and six of 25, of which two are
 solved; S4's 26 vertices split under a 4-cycle into 12, 8 and two complex
 blocks of 3, of which three are solved. A null graph has no block. A
@@ -63,13 +66,7 @@ import numpy as np
 from .cache import signature_of
 from .catalog import order_histogram_key
 from .errors import ConsistencyError, DomainError
-from .graph import (
-    DenseSymMatrix,
-    NonPermutabilityGraph,
-    adjacency_matrix,
-    build_graph,
-    laplacian_matrix,
-)
+from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import (
@@ -274,27 +271,28 @@ def _symmetry_blocks(lattice: SubgroupLattice,
     return blocks
 
 
-def _block(data: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
+def _block(adjacency: np.ndarray, laplacian: bool, vertices: np.ndarray, weights: np.ndarray,
            starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """B[i, j] = sum over u in O_i, w in O_j of conj(chi(u)) chi(w) M[u, w],
-    over sqrt(|O_i| |O_j|), with chi(w) the vertex weights.
+    """B[i, j] = s_i * sum over w in O_j of chi(w) M[o_i, w] / sqrt(s_i s_j),
+    M the adjacency or Laplacian, o_i the representative of orbit O_i (size
+    s_i, at `starts[i]`) and chi(w) the vertex weights, chi(o_i) = 1.
 
-    With real weights +-1 the sums are of integers, so they are exact and
-    symmetric, and no BLAS call sets their order; with every orbit of size 1
-    and every weight +1, B is M itself, bit for bit. Complex weights are
-    summed over columns first, the real and imaginary parts apart, so no
-    complex array as large as M is formed. They round, so B is then made
-    exactly Hermitian from its upper triangle and the real part of its
-    diagonal.
+    M[c^a o_i, w] = M[o_i, c^-a w], so every u in O_i weighs in as o_i's
+    row: only the representatives' rows of the boolean adjacency are read.
+    A Laplacian row is 0.0 - rows (-rows would give -0.0) with deg(o_i) at
+    o_i. Real weights +-1 give exact integer numerators, and singleton
+    orbits give M itself, bit for bit; complex blocks round, so they are
+    made exactly Hermitian from the upper triangle and the real diagonal.
     """
-    part = data[np.ix_(vertices, vertices)]
+    reps = vertices[starts]
+    rows = adjacency[np.ix_(reps, vertices)]
+    if laplacian:
+        rows = 0.0 - rows
+        rows[np.arange(starts.size), starts] = adjacency[reps].sum(axis=1)
     root = np.sqrt(np.multiply.outer(sizes, sizes))
-    if not np.iscomplexobj(weights):
-        part *= np.multiply.outer(weights, weights)
-        return np.add.reduceat(np.add.reduceat(part, starts, axis=0), starts, axis=1) / root
-    columns = (np.add.reduceat(part * weights.real, starts, axis=1)
-               + 1j * np.add.reduceat(part * weights.imag, starts, axis=1))
-    block = np.add.reduceat(columns * weights.conj()[:, None], starts, axis=0) / root
+    block = sizes[:, None] * np.add.reduceat(rows * weights, starts, axis=1) / root
+    if not np.iscomplexobj(block):
+        return block
     upper = np.triu(block, 1)
     return upper + upper.T.conj() + np.diag(block.diagonal().real)
 
@@ -319,20 +317,19 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
     merged, and is memoized on its lattice. When no spectrum is missing, or all of them
     are of null graphs, which have no block, no call is made.
     """
-    keys = [(adjacency_matrix, tol), (laplacian_matrix, tol)]
+    keys = [("adjacency", tol), ("laplacian", tol)]
     missing = [(lat, key) for lat in {id(lat): lat for lat in lattices}.values()
                for key in keys if key not in lat.memo]
     if missing:
         unique: dict[tuple, int] = {}
         blocks: list[DenseSymMatrix] = []
         parts: list[list[int]] = []
-        for lat, (matrix_of, _) in missing:
+        for lat, (kind, _) in missing:
             graph = top_graph(lat)
             basis = _memo(lat, "blocks", lambda: _symmetry_blocks(lat, graph))
-            data = matrix_of(graph).data
             mine = []
             for *spec, count in basis:
-                block = _block(data, *spec)
+                block = _block(graph._adj, kind == "laplacian", *spec)
                 index = unique.setdefault((block.shape, block.dtype, block.tobytes()), len(blocks))
                 if index == len(blocks):
                     blocks.append(DenseSymMatrix(block))

@@ -6,10 +6,10 @@ adjacency is the complement of the lattice's permutability matrix
 (`SubgroupLattice.permutability`, the lattice-order test
 |H join K| * |H meet K| = |H| * |K|, exact on a join-closed lattice) with
 the core rows and columns taken off. The graph stores it as a read-only
-boolean array; the dense adjacency and Laplacian matrices are read from that
-array, and the edge list walks it row by row. Quasihamiltonian groups give
-the null graph. Isolated vertices are kept: lying outside the core does not
-force a vertex to have an edge.
+boolean array: the edge list walks it, the spectra's blocks are read off its
+rows (`degrees`), and only `graph --matrix` forms the dense float matrices.
+Quasihamiltonian groups give the null graph. Isolated vertices are kept:
+lying outside the core does not force a vertex to have an edge.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .lattice import SubgroupLattice
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A real symmetric or complex Hermitian matrix stored dense;
-    adjacency/Laplacian entries are integers, and a symmetry-adapted block
-    of one (see `degrees`) may be complex."""
+    """A real symmetric or complex Hermitian matrix stored dense: a graph's
+    integer adjacency or Laplacian for `graph --matrix`, or a symmetry-adapted
+    block of either (see `degrees`), possibly complex, for the eigensolver."""
 
     data: np.ndarray = field(repr=False)
 

@@ -165,6 +165,25 @@ def full_spectra(graph, tol=DEFAULT_TOL):
     return eigenvalues_symmetric(adjacency_matrix(graph), laplacian_matrix(graph), tol=tol)
 
 
+def dense_block(data, vertices, weights, starts, sizes):
+    """Reference symmetry-adapted block of a dense matrix M: B[i, j] = sum
+    over u in O_i, w in O_j of conj(chi(u)) chi(w) M[u, w], over
+    sqrt(|O_i| |O_j|), with chi(w) the vertex weights, gathered as a
+    |kept| x |kept| slice of M and summed over both axes. Real weights +-1
+    give exact integer sums; complex blocks are made exactly Hermitian from
+    the upper triangle and the real part of the diagonal."""
+    part = data[np.ix_(vertices, vertices)]
+    root = np.sqrt(np.multiply.outer(sizes, sizes))
+    if not np.iscomplexobj(weights):
+        part *= np.multiply.outer(weights, weights)
+        return np.add.reduceat(np.add.reduceat(part, starts, axis=0), starts, axis=1) / root
+    columns = (np.add.reduceat(part * weights.real, starts, axis=1)
+               + 1j * np.add.reduceat(part * weights.imag, starts, axis=1))
+    block = np.add.reduceat(columns * weights.conj()[:, None], starts, axis=0) / root
+    upper = np.triu(block, 1)
+    return upper + upper.T.conj() + np.diag(block.diagonal().real)
+
+
 def pair_closures(group):
     """Member sets of <a, b> for every pair of elements, each closed by a
     breadth-first search over the mul table. Every subgroup of a group whose

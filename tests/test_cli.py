@@ -11,16 +11,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latspec.catalog as catalog
 import latspec.cli as cli
 import latspec.degrees as degrees
 import latspec.spectral as spectral
-from latspec.catalog import parse_group_spec
+from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.cli import main
 from latspec.graph import adjacency_matrix, laplacian_matrix
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
 from latspec.perm import FiniteGroup
 
 from conftest import read_cache_file, write_cache_file
+from test_golden import FTOL, GOLDEN, assert_matches
+
+# stdout of pinned commands, keyed by their space-joined argv, recorded when
+# every block was still gathered from the dense graph matrices
+PINNED = json.loads((GOLDEN / "commands.json").read_text())
 
 
 def run(capsys, *argv):
@@ -878,8 +884,8 @@ def verify_blocks(name):
             continue
         bases = degrees._symmetry_blocks(lattice, graph)
         out.append([(block.shape[0], block.tobytes())
-                    for matrix_of in (adjacency_matrix, laplacian_matrix)
-                    for block in (degrees._block(matrix_of(graph).data, *basis)
+                    for laplacian in (False, True)
+                    for block in (degrees._block(graph._adj, laplacian, *basis)
                                   for *basis, _ in bases)])
     return out
 
@@ -1096,3 +1102,75 @@ class TestImports:
     def test_verify_never_imports_numpy_ma(self):
         # numpy.ma adds about 1.5 MiB of peak RSS; np.unique imports it on first use
         assert "numpy.ma" not in child_modules(["verify", "PSL(2,7)", "--json"])
+
+
+def refuse_dense_matrices(monkeypatch):
+    """Make `adjacency_matrix` and `laplacian_matrix` raise, at every latspec binding."""
+    originals = (adjacency_matrix, laplacian_matrix)
+
+    def refuse(graph):
+        raise AssertionError("a dense graph matrix was formed")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("latspec")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, refuse)
+
+
+class TestNoDenseMatrix:
+    """The solve path reads each symmetry block off the graph's boolean rows;
+    only `graph --matrix` forms a dense matrix."""
+
+    @pytest.mark.parametrize("argv", ["spectrum S4", "f2 A5 --method laplacian",
+                                      "sd S4 --method all"])
+    def test_solving_commands_print_the_pinned_bytes(self, capsys, monkeypatch, argv):
+        refuse_dense_matrices(monkeypatch)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert out == PINNED[argv]
+
+    def test_verify_prints_what_it_prints_with_dense_matrices(self, capsys, monkeypatch):
+        code, plain, _ = run(capsys, "verify", "PSL(2,7)", "--json")
+        assert code == 0
+        refuse_dense_matrices(monkeypatch)
+        code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
+        assert code == 0
+        assert out == plain
+        [got] = json.loads(out)["groups"]
+        [want] = json.loads((GOLDEN / "verify_psl27.json").read_text())["groups"]
+        assert_matches(want, got, FTOL["PSL(2,7)"], "PSL(2,7)")
+
+    def test_graph_matrix_still_prints_the_dense_laplacian(self, capsys):
+        argv = "graph S4 --matrix laplacian --json"
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert out == PINNED[argv]
+
+
+class TestProjectiveModels:
+    """`recognize_projective` builds only the models of the group's own order."""
+
+    @pytest.mark.parametrize("argv, closures", [
+        # the group itself, then: no model of order 5; PGL(2,3), and PSL(2,3)
+        # for the closed form's lattice; PSL(2,7)
+        ("f2 C5 --method closed-form", 1),
+        ("f2 S4 --method all", 3),
+        ("f2 PSL(2,7) --method closed-form", 2),
+    ])
+    def test_closures(self, capsys, monkeypatch, work, argv, closures):
+        monkeypatch.setattr(catalog, "_RECOGNITION", {})
+        assert run(capsys, *argv.split())[0] == 0
+        assert work["closures"] == closures
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
+    def test_closed_form_prints_the_pinned_bytes(self, capsys, monkeypatch, name):
+        monkeypatch.setattr(catalog, "_RECOGNITION", {})
+        argv = ["f2", name, "--method", "closed-form"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == PINNED[" ".join(argv)]
+
+    def test_order_60_is_named_by_q_5(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_RECOGNITION", {})
+        assert catalog.recognize_projective(catalog.psl2(4)) == ("psl", 5)
+        assert list(catalog._RECOGNITION) == [60]

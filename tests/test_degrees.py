@@ -37,7 +37,7 @@ from latspec.lattice import SubgroupLattice, enumerate_subgroups
 from latspec.perm import bits_of, generate_group, parse_permutation
 from latspec.spectral import DEFAULT_TOL, eigenvalues_symmetric
 
-from conftest import build, double_loop_product, full_spectra, naive_closure
+from conftest import build, dense_block, double_loop_product, full_spectra, naive_closure
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +461,29 @@ class TestSymmetryBlocks:
                 for a, b in zip(ours.values, full.values):
                     assert abs(a - b) <= ftol + 1e-11 * max(abs(a), abs(b)), (name, a, b)
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
+    def test_blocks_read_off_representative_rows_match_the_dense_blocks(self, name):
+        # the oracle gathers each block from the whole dense matrix; real
+        # blocks are the same exact integers over the same roots, complex
+        # ones differ in summation order only
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        top = enumerate_subgroups(group)
+        lattices = [top] + [enumerate_subgroups(top.standalone_group(rep))
+                            for rep in sorted(set(top.class_reps()) - {top.top_id})]
+        for lattice in lattices:
+            graph = build_graph(lattice)
+            for *basis, _ in degrees._symmetry_blocks(lattice, graph):
+                for laplacian, matrix_of in ((False, adjacency_matrix), (True, laplacian_matrix)):
+                    ours = degrees._block(graph._adj, laplacian, *basis)
+                    ref = dense_block(matrix_of(graph).data, *basis)
+                    assert (ours.shape, ours.dtype) == (ref.shape, ref.dtype)
+                    if np.iscomplexobj(ref):
+                        bound = 1e-13 * max(1.0, float(np.abs(ref).max()))
+                        assert float(np.abs(ours - ref).max()) <= bound, (name, laplacian)
+                        assert np.array_equal(ours, ours.T.conj())
+                    else:
+                        assert ours.tobytes() == ref.tobytes(), (name, laplacian)
+
     def test_singleton_orbits_give_the_full_matrix_as_its_one_block(self):
         # the identity's action: every vertex its own orbit, one character
         lattice = enumerate_subgroups(build(7, "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
@@ -468,9 +491,9 @@ class TestSymmetryBlocks:
         orbits, exponent = degrees._cyclic_orbits(list(range(graph.vertex_count)))
         assert orbits == [[w] for w in range(graph.vertex_count)]
         basis = degrees._cyclic_character(orbits, exponent, 1, 0)
-        for matrix_of in (adjacency_matrix, laplacian_matrix):
+        for laplacian, matrix_of in ((False, adjacency_matrix), (True, laplacian_matrix)):
             data = matrix_of(graph).data
-            assert degrees._block(data, *basis).tobytes() == data.tobytes()
+            assert degrees._block(graph._adj, laplacian, *basis).tobytes() == data.tobytes()
 
     def test_odd_order_group_splits_into_one_by_one_blocks(self):
         # the element of order 7 moves the 7 vertices in one orbit; c^2 and
@@ -551,15 +574,14 @@ class TestSymmetryBlocks:
         assert sorted(j for members in classes for j in members) == list(range(k))
         lap = laplacian_matrix(graph).data
         ftol = 2 * DEFAULT_TOL * (1 + float(np.sqrt((lap * lap).sum())))
-        for matrix_of in (adjacency_matrix, laplacian_matrix):
-            data = matrix_of(graph).data
+        for laplacian in (False, True):
             dimension = 0
             for members in classes:
                 bases = [degrees._cyclic_character(orbits, exponent, k, j) for j in members]
                 if bases[0] is None:
                     assert bases == [None] * len(members)
                     continue
-                blocks = [degrees._block(data, *basis) for basis in bases]
+                blocks = [degrees._block(graph._adj, laplacian, *basis) for basis in bases]
                 for j, block in zip(members, blocks):
                     # real characters keep exact integer sums
                     assert np.iscomplexobj(block) == (2 * j % k != 0)
@@ -574,10 +596,9 @@ class TestSymmetryBlocks:
     def test_merged_counters_sum_work_and_take_the_largest_steps_and_width(self):
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
         graph = build_graph(lattice)
-        data = adjacency_matrix(graph).data
         blocks = degrees._symmetry_blocks(lattice, graph)
         parts = eigenvalues_symmetric(*(
-            DenseSymMatrix(degrees._block(data, *basis)) for *basis, _ in blocks))
+            DenseSymMatrix(degrees._block(graph._adj, False, *basis)) for *basis, _ in blocks))
         merged = degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1]
         assert merged.values == tuple(sorted(
             v for part, (*_, count) in zip(parts, blocks) for v in part.values * count))
@@ -606,8 +627,8 @@ class TestSymmetryBlocks:
             graph = degrees.top_graph(own)
             blocks = degrees._symmetry_blocks(own, graph)
             assert [(sizes.size, count) for *_, sizes, count in blocks] == [(12, 1), (3, 2), (8, 1)]
-            made.append([[degrees._block(matrix_of(graph).data, *basis) for *basis, _ in blocks]
-                         for matrix_of in (adjacency_matrix, laplacian_matrix)])
+            made.append([[degrees._block(graph._adj, laplacian, *basis) for *basis, _ in blocks]
+                         for laplacian in (False, True)])
         solved = [m.data.tobytes() for m in call]
         for first, second in zip(*made):
             assert first[1].tobytes() == second[1].tobytes()

@@ -516,11 +516,10 @@ def graph_matrices_and_blocks(group):
     for lattice in lattices:
         graph = build_graph(lattice)
         blocks = latspec.degrees._symmetry_blocks(lattice, graph)
-        for matrix_of in (adjacency_matrix, laplacian_matrix):
-            data = matrix_of(graph).data
-            yield data
+        for laplacian, matrix_of in ((False, adjacency_matrix), (True, laplacian_matrix)):
+            yield matrix_of(graph).data
             for *basis, _ in blocks:
-                yield latspec.degrees._block(data, *basis)
+                yield latspec.degrees._block(graph._adj, laplacian, *basis)
 
 
 class TestOneReduction:
