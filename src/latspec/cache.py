@@ -42,7 +42,7 @@ except ImportError:
         from hashlib import sha256
 
 # The layout of a cache file; a file written under another schema is a miss.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def _compact(value) -> str:

@@ -51,12 +51,11 @@ def _fixed(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-# The keys of each cached part and the types its readers index: a shape is a
+# The keys of each replayed part and the types its readers index: a shape is a
 # type, a dict of required keys, or a one-item list giving every item's shape.
+# The lattice part is checked by the proof that reads it.
 _CHECK = {"name": object, "passed": bool, "lhs": object, "rhs": object}
 _PART_SHAPES = {
-    "lattice": {"group_order": int, "degree": int, "size": int,
-                "subgroups": [{"members": list}], "leq_pairs": list, "core": list},
     "graph": {"vertices": list, "edge_count": int, "edges": [list], "degrees": list},
     "spectra": {"adjacency": [float], "laplacian": [float]},
     "report": {"signature": dict, "group_order": int, "lattice_size": int,
@@ -79,22 +78,22 @@ def _fits(value, shape) -> bool:
 class Pipeline:
     """One group's cached parts, computed on request.
 
-    A cache file holds up to four parts, each its own section: the lattice
-    dump ("lattice"), the graph ("graph"), the spectra ("spectra") and the
-    identity-verifier output ("report"). `structure(part)` gives one of the
-    first three and `report()` the last. Each builds only what was asked
+    A cache file holds up to four parts, each its own section: the lattice's
+    member lists ("lattice"), the graph ("graph"), the spectra ("spectra")
+    and the identity-verifier output ("report"). `lattice()` proves the
+    member lists with `SubgroupLattice.from_member_lists`, or enumerates the
+    lattice; a family the proof rejects, a section of the wrong shape
+    included, rejects the whole file. `structure(part)` gives the graph or
+    the spectra and `report()` the report. Each builds only what was asked
     for, or replays it from the loaded cache file if it has its shape in
     `_PART_SHAPES`. A part is decoded from the file only when it is first
     read, so a command decodes only the parts it prints. A malformed part,
-    one that does not decode included, is warned of and recomputed; a bad
-    lattice part rejects the whole file. The lattice dump is never replayed
-    unproved: `lattice()` proves its member sets, and the dump is printed
-    only when it equals the proved lattice's (`_lattice_part`). `save()`
+    one that does not decode included, is warned of and recomputed. `save()`
     alone decides what the cache holds: if this run computed anything, an
-    enumerated lattice included, it completes the three structure parts,
-    checks a loaded report it has not read (recomputing it if malformed),
-    and writes the file once. Writes are atomic, and a cache that cannot be
-    written costs a warning.
+    enumerated lattice included, it stores the proved lattice's member
+    lists, completes the graph and spectra, checks a loaded report it has
+    not read (recomputing it if malformed), and writes the file once. Writes
+    are atomic, and a cache that cannot be written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -112,12 +111,9 @@ class Pipeline:
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
             if "lattice" in self._loaded:
-                value = self._loaded["lattice"]
                 try:
-                    if not _fits(value, _PART_SHAPES["lattice"]):
-                        raise InputError("the lattice section is malformed")
                     self._lattice = SubgroupLattice.from_member_lists(
-                        self.group, [s["members"] for s in value["subgroups"]])
+                        self.group, self._loaded["lattice"])
                 except InputError as exc:
                     # every cached part derives from this lattice
                     print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "
@@ -129,8 +125,6 @@ class Pipeline:
         return self._lattice
 
     def structure(self, part: str):
-        if part == "lattice":
-            return self._lattice_part()
         value = self._replay(part)
         if value is None:
             lattice = self.lattice()  # first: rejecting an entry drops every loaded part
@@ -144,23 +138,6 @@ class Pipeline:
             self._computed = True
         return value
 
-    def _lattice_part(self) -> dict:
-        """The lattice dump, always the proved lattice's own.
-
-        `lattice()` proves a loaded lattice part's member sets or rejects
-        the entry; a loaded dump whose member sets pass is then compared
-        with the proved lattice's dump as a whole (order, containment pairs,
-        core), and one that differs is warned of and rewritten."""
-        if "lattice" not in self._parts:
-            lattice = self.lattice()
-            value = lattice.to_json_dict()
-            if self._loaded.get("lattice", value) != value:
-                print(f"warning: rejecting the cached lattice part for {self.spec.name}: "
-                      "it differs from the proved lattice; recomputing", file=sys.stderr)
-                self._computed = True
-            self._parts["lattice"] = value
-        return self._parts["lattice"]
-
     def report(self) -> dict:
         value = self._replay("report")
         if value is None:
@@ -171,7 +148,7 @@ class Pipeline:
     def _replay(self, part: str):
         """`part` as this run holds it, or None.
 
-        A loaded part other than the lattice is decoded and checked on its
+        A loaded graph, spectra or report part is decoded and checked on its
         first read and kept only if it has its shape. A malformed one is
         dropped with a warning, so it is recomputed and rewritten."""
         if part in self._unread:
@@ -186,7 +163,8 @@ class Pipeline:
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
-            for part in ("lattice", "graph", "spectra"):
+            self._parts["lattice"] = [list(s.member_indices()) for s in self.lattice().subgroups]
+            for part in ("graph", "spectra"):
                 self.structure(part)
             if "report" in self._loaded:  # kept if it has its shape, else recomputed
                 self.report()
@@ -305,7 +283,7 @@ def cmd_info(pipeline: Pipeline, args) -> int:
 
 def cmd_lattice(pipeline: Pipeline, args) -> int:
     if args.json:
-        _print_json(pipeline.structure("lattice"))
+        _print_json(pipeline.lattice().to_json_dict())
         return 0
     _print_notes(pipeline.spec)
     lattice = pipeline.lattice()
@@ -416,10 +394,12 @@ def _closed_form_f2(pipeline: Pipeline) -> int | str:
     if recognized is None:
         return "not applicable (group is not a recognized PSL(2,q) or PGL(2,3))"
     family, q = recognized
+    lattice = pipeline.lattice()
     if family == "psl":
-        return f2_psl_closed(q, pipeline.lattice().size)
-    sub_size = enumerate_subgroups(psl2(q)).size
-    return f2_pgl_closed(q, pipeline.lattice().size, sub_size)
+        return f2_psl_closed(q, lattice.size)
+    # PSL(2,q) is the one subgroup of index 2: it is simple for q >= 4, and in S4 it is A4
+    [sid] = (s.id for s in lattice.subgroups if 2 * s.order == pipeline.group.order)
+    return f2_pgl_closed(q, lattice.size, len(lattice.down_ids(sid)))
 
 
 def _f2_values(pipeline: Pipeline, method: str) -> dict:

@@ -67,7 +67,7 @@ from .cache import signature_of
 from .catalog import order_histogram_key
 from .errors import ConsistencyError, DomainError
 from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
-from .lattice import SubgroupLattice, _conjugators, _powers, enumerate_subgroups
+from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import (
     DEFAULT_TOL,
@@ -164,17 +164,9 @@ def _largest_cyclic(group: FiniteGroup) -> tuple[int, int]:
 
 def _conjugate_powers(group: FiniteGroup, c: int, k: int) -> list[int]:
     """The units u modulo k, c's order, for which c^u is conjugate to c in the group."""
-    conjugators = _conjugators(group)
-    conjugates = {c}
-    frontier = [c]
-    for x in frontier:  # grows while it is walked
-        for images in conjugators:
-            y = images[x]
-            if y not in conjugates:
-                conjugates.add(y)
-                frontier.append(y)
+    conjugates = set(_conjugates(1 << c, _conjugators(group)))  # c's class, one bit each
     powers = _powers(group, c)
-    return [u for u in range(1, k) if math.gcd(u, k) == 1 and powers[u] in conjugates]
+    return [u for u in range(1, k) if math.gcd(u, k) == 1 and 1 << powers[u] in conjugates]
 
 
 def _character_classes(group: FiniteGroup, c: int, k: int) -> list[list[int]]:

@@ -23,7 +23,8 @@ per H; it never touches joins, meets or the matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
 `_close_by_cyclic_extension` finds them from the trivial subgroup, and
-`from_member_lists` accepts a dumped family only when it equals what that finds.
+`from_member_lists` accepts a dumped family (a cache file's lattice section,
+a plain list of member-index lists) only when its sets equal what that finds.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
@@ -574,14 +575,17 @@ class SubgroupLattice:
 
     @classmethod
     def from_member_lists(cls, group: FiniteGroup,
-                          member_lists: Iterable[Sequence[int]]) -> "SubgroupLattice":
+                          member_lists: Sequence[Sequence[int]]) -> "SubgroupLattice":
         """Rebuild a lattice from dumped member index arrays (e.g. a cache entry).
 
-        InputError unless the lists hold element indices and their sets are
-        exactly the subgroups `_close_by_cyclic_extension` finds, which is
-        capped at the family's size: a forged family buys no longer walk
-        than a fresh enumeration. The result is the enumerated lattice.
+        InputError unless `member_lists` is a list of lists of element
+        indices whose sets are exactly the subgroups
+        `_close_by_cyclic_extension` finds, which is capped at the family's
+        size: a forged family buys no longer walk than a fresh enumeration.
+        Order and repeats do not matter. The result is the enumerated lattice.
         """
+        if not isinstance(member_lists, (list, tuple)):
+            raise InputError("dumped member lists are not a list")
         family = set()
         for members in member_lists:
             if not isinstance(members, (list, tuple)) or not all(
