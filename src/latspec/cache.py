@@ -9,11 +9,10 @@ JSON with sorted keys, the lines in name order.
 A lookup opens only the file its key names, decodes only the key line, and
 answers only when the schema, the tol, the degree and the full element table
 all match, so a hash collision, a renamed file or another schema is a miss,
-never a wrong answer. It returns a read-only mapping that decodes a section
-the first time it is read: a command decodes only what it uses (the graph
-section is most of a file, and few commands read it). A section line that
-does not decode reads as None, which the reader rejects like any other value
-of the wrong shape.
+never a wrong answer. It returns each section's line undecoded; the reader
+decodes a line with `decode_section` when it first needs that section, so a
+command decodes only what it uses (the graph section is most of a file, and
+few commands read it).
 
 A store writes the whole file by temp file and rename, and never reads the
 file it replaces, so two writers cannot lose each other's entry.
@@ -47,6 +46,14 @@ CACHE_SCHEMA = 4
 
 def _compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def decode_section(line: str):
+    """The value of a section line from `cache_lookup`, or None if it does not decode."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
 
 
 def table_hash(group: FiniteGroup) -> str:
@@ -84,38 +91,10 @@ def _cache_file(cache_dir: str | Path, group: FiniteGroup, tol: float) -> Path:
     return Path(cache_dir) / f"{group.order}-{table_hash(group)}-{tol!r}.json"
 
 
-class Sections(Mapping):
-    """The sections of one cache file, each decoded from its line on first read.
-
-    A line that does not decode reads as None.
-    """
-
-    def __init__(self, lines: dict[str, str]) -> None:
-        self._lines = lines
-        self._values: dict = {}
-
-    def __getitem__(self, name: str):
-        if name not in self._values:
-            line = self._lines[name]
-            try:
-                self._values[name] = json.loads(line)
-            except ValueError:
-                self._values[name] = None
-        return self._values[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._lines
-
-    def __iter__(self):
-        return iter(self._lines)
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-
 def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
-                 tol: float = DEFAULT_TOL) -> Sections | None:
-    """Return the sections stored for this exact group at this tol, or None."""
+                 tol: float = DEFAULT_TOL) -> dict[str, str] | None:
+    """The section lines stored for this exact group at this tol, by section
+    name and undecoded (see `decode_section`), or None."""
     path = _cache_file(cache_dir, group, tol)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -133,7 +112,7 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
     if not isinstance(key, dict) or len(lines) != sum(map(bool, section_lines)):
         print(f"warning: ignoring malformed cache file {path}", file=sys.stderr)
         return None
-    return Sections(lines)
+    return lines
 
 
 def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: Mapping,

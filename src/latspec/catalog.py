@@ -172,9 +172,8 @@ def direct_product(groups: list[FiniteGroup]) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A parsed group request: source text, the group, and any display notes."""
+    """A parsed group request: its name, the group, and any display notes."""
 
-    text: str
     name: str
     group: FiniteGroup
     notes: tuple[str, ...] = field(default=())
@@ -264,7 +263,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         factors.append(group)
         notes.extend(token_notes)
     group = factors[0] if len(factors) == 1 else direct_product(factors)
-    return GroupSpec(text=text, name=cleaned, group=group, notes=tuple(notes))
+    return GroupSpec(name=cleaned, group=group, notes=tuple(notes))
 
 
 # Groups covered by `verify --catalog`; everything of order <= 60 plus the

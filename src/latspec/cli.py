@@ -24,7 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .cache import cache_lookup, cache_store, signature_of
+from .cache import cache_lookup, cache_store, decode_section, signature_of
 from .catalog import (CATALOG_NAMES, PSL_SUPPORTED, GroupSpec, parse_group_spec, psl2,
                       recognize_projective)
 from .closed_forms import census_comparison, dickson_census, f2_pgl_closed, f2_psl_closed
@@ -51,11 +51,11 @@ def _fixed(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-# The keys of each replayed part and the types its readers index: a shape is a
+# The keys of each cached part and the types its readers index: a shape is a
 # type, a dict of required keys, or a one-item list giving every item's shape.
-# The lattice part is checked by the proof that reads it.
 _CHECK = {"name": object, "passed": bool, "lhs": object, "rhs": object}
 _PART_SHAPES = {
+    "lattice": [[int]],
     "graph": {"vertices": list, "edge_count": int, "edges": [list], "degrees": list},
     "spectra": {"adjacency": [float], "laplacian": [float]},
     "report": {"signature": dict, "group_order": int, "lattice_size": int,
@@ -82,18 +82,21 @@ class Pipeline:
     member lists ("lattice"), the graph ("graph"), the spectra ("spectra")
     and the identity-verifier output ("report"). `lattice()` proves the
     member lists with `SubgroupLattice.from_member_lists`, or enumerates the
-    lattice; a family the proof rejects, a section of the wrong shape
-    included, rejects the whole file. `structure(part)` gives the graph or
-    the spectra and `report()` the report. Each builds only what was asked
-    for, or replays it from the loaded cache file if it has its shape in
-    `_PART_SHAPES`. A part is decoded from the file only when it is first
-    read, so a command decodes only the parts it prints. A malformed part,
-    one that does not decode included, is warned of and recomputed. `save()`
-    alone decides what the cache holds: if this run computed anything, an
-    enumerated lattice included, it stores the proved lattice's member
-    lists, completes the graph and spectra, checks a loaded report it has
-    not read (recomputing it if malformed), and writes the file once. Writes
-    are atomic, and a cache that cannot be written costs a warning.
+    lattice. `structure(part)` gives the graph or the spectra and `report()`
+    the report; each builds only what was asked for, or replays it.
+
+    `_unread` holds the loaded lines that no part has read yet. `_replay`
+    pops a part's line on its first read, after the lattice line (every part
+    derives from the lattice), decodes it and checks it against
+    `_PART_SHAPES`. A lattice line of the wrong shape or a family the proof
+    rejects rejects the whole entry (`_reject`); any other malformed part,
+    one that does not decode included, is warned of and recomputed alone.
+
+    `save()` alone decides what the cache holds: if this run computed
+    anything, an enumerated lattice included, it stores the proved lattice's
+    member lists, completes the graph and spectra, checks a loaded report it
+    has not read, and writes the file once, atomically; a cache that cannot
+    be written costs a warning.
     """
 
     def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
@@ -101,24 +104,19 @@ class Pipeline:
         self.group = spec.group
         self.tol = tol
         self.cache_dir = cache_dir
-        # read-only, decodes a part on first read
-        self._loaded = (cache_lookup(cache_dir, self.group, tol) if cache_dir else None) or {}
-        self._unread = set(self._loaded)  # loaded parts not yet checked
+        self._unread = (cache_lookup(cache_dir, self.group, tol) if cache_dir else None) or {}
         self._parts: dict = {}  # parts replayed or computed by this run; save() writes them
         self._lattice: SubgroupLattice | None = None
         self._computed = False
 
     def lattice(self) -> SubgroupLattice:
         if self._lattice is None:
-            if "lattice" in self._loaded:
+            member_lists = self._replay("lattice")
+            if member_lists is not None:
                 try:
-                    self._lattice = SubgroupLattice.from_member_lists(
-                        self.group, self._loaded["lattice"])
+                    self._lattice = SubgroupLattice.from_member_lists(self.group, member_lists)
                 except InputError as exc:
-                    # every cached part derives from this lattice
-                    print(f"warning: rejecting the cached entry for {self.spec.name}: {exc}; "
-                          "recomputing", file=sys.stderr)
-                    self._loaded, self._unread, self._parts = {}, set(), {}
+                    self._reject(exc)
             if self._lattice is None:
                 self._lattice = enumerate_subgroups(self.group)
                 self._computed = True
@@ -146,27 +144,33 @@ class Pipeline:
         return value
 
     def _replay(self, part: str):
-        """`part` as this run holds it, or None.
-
-        A loaded graph, spectra or report part is decoded and checked on its
-        first read and kept only if it has its shape. A malformed one is
-        dropped with a warning, so it is recomputed and rewritten."""
-        if part in self._unread:
-            self._unread.discard(part)
-            value = self._loaded[part]
-            if _fits(value, _PART_SHAPES[part]):
-                self._parts[part] = value
+        """`part` as this run holds it, or None; a loaded part is kept only if it has its shape."""
+        for name in ("lattice", part):  # the lattice first: every other part derives from it
+            line = self._unread.pop(name, None)
+            if line is None:
+                continue
+            value = decode_section(line)
+            if _fits(value, _PART_SHAPES[name]):
+                self._parts[name] = value
+            elif name == "lattice":
+                self._reject("its lattice part is malformed")
             else:
-                print(f"warning: rejecting the cached {part} part for {self.spec.name}: "
+                print(f"warning: rejecting the cached {name} part for {self.spec.name}: "
                       "it is malformed; recomputing", file=sys.stderr)
         return self._parts.get(part)
+
+    def _reject(self, why) -> None:
+        """Drop every loaded and replayed part: each derives from the cached lattice."""
+        print(f"warning: rejecting the cached entry for {self.spec.name}: {why}; recomputing",
+              file=sys.stderr)
+        self._unread, self._parts = {}, {}
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
             self._parts["lattice"] = [list(s.member_indices()) for s in self.lattice().subgroups]
             for part in ("graph", "spectra"):
                 self.structure(part)
-            if "report" in self._loaded:  # kept if it has its shape, else recomputed
+            if "report" in self._unread:  # kept if it has its shape, else recomputed
                 self.report()
             try:
                 cache_store(self.cache_dir, self.group, self._parts, self.tol)

@@ -148,13 +148,27 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]],
     return cyclic, key_of
 
 
+def _coset_table(table: list[list[int]], members: Sequence[int]) -> list[int]:
+    """For each element index x, the bitset of the right coset Hx of the
+    subgroup H with these member indices, one table read per element."""
+    rows = [table[h] for h in members]
+    cosets = [0] * len(table)
+    for x in range(len(table)):
+        if not cosets[x]:
+            coset = [row[x] for row in rows]
+            bits = bits_of(coset)
+            for y in coset:
+                cosets[y] = bits
+    return cosets
+
+
 def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int]:
     """Member bitsets of every subgroup of the group, by Neubüser's cyclic extension.
 
     From the trivial subgroup on, each class representative R is extended by
     every cyclic p-subgroup <g> with g outside R and g^p inside R. <R, g> is
-    the union of the left cosets of R that the generators reach from R, read
-    from one coset table per representative. A new <R, g> brings in its
+    the union of the right cosets Rx that right multiplication by the
+    generators reaches from R, read from one coset table per representative. A new <R, g> brings in its
     whole conjugacy class and becomes that class's representative.
 
     The result holds every subgroup. Let K be a missing subgroup of least
@@ -179,17 +193,9 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
     conjugators = _conjugators(group)
     cyclic, key_of = _cyclic_p_subgroups(group)
     for r_bits, r_gens in reps:  # grows while it is walked
-        r_members = tuple(iter_bits(r_bits))
         by_r = [(table[group.inverse_index(r)], r) for r in r_gens]  # h -> r^-1 h r
         walked = set()  # the R-orbits of the cyclic subgroups walked from R
-        coset = [0] * group.order  # x -> bits of its left coset xR
-        for x in range(group.order):
-            if not coset[x]:
-                row = table[x]
-                xr = [row[h] for h in r_members]
-                bits = bits_of(xr)
-                for y in xr:
-                    coset[y] = bits
+        coset = _coset_table(table, tuple(iter_bits(r_bits)))  # x -> bits of Rx
         for c_bits, (g, gp) in cyclic.items():
             if c_bits in walked or r_bits >> g & 1 or not r_bits >> gp & 1:
                 continue
@@ -206,7 +212,7 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
             while frontier:
                 x = frontier.pop()
                 for s in gens:
-                    y = table[s][x]
+                    y = table[x][s]
                     if not joined >> y & 1:
                         joined |= coset[y]
                         frontier.append(y)
@@ -372,20 +378,10 @@ class SubgroupLattice:
     # -- complex products ----------------------------------------------------
 
     def _right_cosets(self, a: int) -> list[int]:
-        """For each element index x, the bitset of the right coset Ax of
-        subgroup a; built once per a, with one table read per element."""
+        """`_coset_table` of subgroup a (x -> bits of Ax), built once per a."""
         cosets = self._cosets.get(a)
         if cosets is None:
-            table = self.group.mul_table
-            left = self._member_tuples[a]
-            cosets = [0] * self.group.order
-            for x in range(self.group.order):
-                if not cosets[x]:
-                    coset = [table[h][x] for h in left]
-                    bits = bits_of(coset)
-                    for y in coset:
-                        cosets[y] = bits
-            self._cosets[a] = cosets
+            cosets = self._cosets[a] = _coset_table(self.group.mul_table, self._member_tuples[a])
         return cosets
 
     def product_bits(self, a: int, b: int) -> int:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latspec.cache import decode_section
 from latspec.perm import FiniteGroup, Permutation, bits_of, compose, generate_group, parse_generators
 from latspec.errors import NumericError
 from latspec.graph import adjacency_matrix, laplacian_matrix
@@ -31,6 +32,11 @@ def read_cache_file(path):
         name, text = line.split("\t", 1)
         sections[name] = json.loads(text)
     return json.loads(key_line), sections
+
+
+def decode_lookup(lines):
+    """A `cache_lookup` result with each section line decoded, or None for a miss."""
+    return None if lines is None else {name: decode_section(line) for name, line in lines.items()}
 
 
 def write_cache_file(path, key, sections):

@@ -4,10 +4,10 @@ import json
 import pytest
 
 import latspec.cache as cache
-from latspec.cache import cache_lookup, cache_store, signature_of, table_hash
+from latspec.cache import cache_lookup, cache_store, decode_section, signature_of, table_hash
 from latspec.catalog import CATALOG_NAMES, cyclic, parse_group_spec, symmetric
 
-from conftest import read_cache_file, write_cache_file
+from conftest import decode_lookup, read_cache_file, write_cache_file
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ class TestRoundTrip:
         group = symmetric(3)
         sections = {"structure": {"lattice": {"size": 6}}, "report": {"ok": True}}
         cache_store(cache_dir, group, sections)
-        assert cache_lookup(cache_dir, group) == sections
+        assert decode_lookup(cache_lookup(cache_dir, group)) == sections
 
     def test_lookup_miss(self, cache_dir):
         assert cache_lookup(cache_dir, symmetric(3)) is None
@@ -70,7 +70,7 @@ class TestRoundTrip:
         group = cyclic(6)
         cache_store(cache_dir, group, {"structure": {"v": 1}})
         cache_store(cache_dir, group, {"structure": {"v": 2}})
-        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
         [path] = cache_dir.glob("*.json")
         assert read_cache_file(path)[1] == {"structure": {"v": 2}}
 
@@ -95,8 +95,8 @@ class TestRoundTrip:
         cache_store(cache_dir, group, {"structure": {"v": 2}})
         cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
         monkeypatch.undo()
-        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
-        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
+        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 3}}
 
 
 class TestSectionLines:
@@ -126,10 +126,8 @@ class TestSectionLines:
         monkeypatch.setattr(cache.json, "loads", recording)
         sections = cache_lookup(cache_dir, group)
         assert decoded == ['{"degree":3']
-        assert "graph" in sections and sorted(sections) == ["graph", "report"]
-        assert len(decoded) == 1
-        assert sections["report"] == {"ok": True}
-        assert sections["report"] == {"ok": True}
+        assert sections == {"graph": '{"v":1}', "report": '{"ok":true}'}
+        assert decode_section(sections["report"]) == {"ok": True}
         assert decoded == ['{"degree":3', '{"ok":true}']
 
     def test_a_line_that_does_not_decode_reads_as_none(self, cache_dir, capsys):
@@ -137,8 +135,7 @@ class TestSectionLines:
         cache_store(cache_dir, group, {"graph": {"v": 1}, "report": {"ok": True}})
         [path] = cache_dir.glob("*.json")
         path.write_text(path.read_text().replace('graph\t{"v":1}', "graph\t{not json"))
-        sections = cache_lookup(cache_dir, group)
-        assert (sections["graph"], sections["report"]) == (None, {"ok": True})
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"graph": None, "report": {"ok": True}}
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("line", ["graph", 'report\t{"ok":false}'],
@@ -189,7 +186,7 @@ class TestVersioning:
         assert "corrupt" in capsys.readouterr().err
         # a fresh store repairs the file
         cache_store(cache_dir, group, {"report": {"ok": True}})
-        assert cache_lookup(cache_dir, group) == {"report": {"ok": True}}
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"report": {"ok": True}}
 
 
 class TestHashCollision:
@@ -205,7 +202,7 @@ class TestHashCollision:
         cache_store(cache_dir, g2, {"report": {"who": "V4"}})
         assert len(list(cache_dir.glob("*.json"))) == 1
         assert cache_lookup(cache_dir, g1) is None
-        assert cache_lookup(cache_dir, g2) == {"report": {"who": "V4"}}
+        assert decode_lookup(cache_lookup(cache_dir, g2)) == {"report": {"who": "V4"}}
         assert capsys.readouterr().err == ""
 
 
@@ -213,22 +210,22 @@ class TestTolerance:
     def test_entry_answers_only_its_own_tol(self, cache_dir):
         group = symmetric(3)
         cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
-        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
+        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 1}}
         assert cache_lookup(cache_dir, group) is None
 
     def test_store_at_another_tol_keeps_both_entries(self, cache_dir):
         group = symmetric(3)
         cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
         cache_store(cache_dir, group, {"structure": {"v": 2}})
-        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
-        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 1}}
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
+        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 1}}
         assert cache_lookup(cache_dir, group, tol=1e-10) is None
         files = sorted(cache_dir.glob("*.json"))
         assert sorted(read_cache_file(path)[0]["tol"] for path in files) == [1e-12, 0.3]
         # a second store at one tol replaces only that tol's file
         cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
-        assert cache_lookup(cache_dir, group, tol=0.3) == {"structure": {"v": 3}}
-        assert cache_lookup(cache_dir, group) == {"structure": {"v": 2}}
+        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 3}}
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
         assert sorted(cache_dir.glob("*.json")) == files
 
     def test_entry_without_tol_misses(self, cache_dir):
@@ -248,5 +245,5 @@ class TestTolerance:
         [default] = cache_dir.glob("*-1e-12.json")
         default.write_bytes(loose.read_bytes())
         assert cache_lookup(cache_dir, group) is None
-        assert cache_lookup(cache_dir, group, tol=0.3) == {"report": {"ok": True}}
+        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"report": {"ok": True}}
         assert capsys.readouterr().err == ""

@@ -516,22 +516,28 @@ class TestMalformedPart:
         assert path.read_bytes() == (fresh / path.name).read_bytes()
         assert run(capsys, "--cache", str(cache_dir), *argv) == (*expected, "")
 
-    @pytest.mark.parametrize("bad", [True, None, {}, 5], ids=["true", "null", "object", "int"])
-    def test_a_malformed_lattice_part_rejects_the_entry(self, capsys, tmp_path, bad):
+    # verify, spectrum and graph --json replay parts that derive from the lattice
+    # without reading the lattice itself
+    @pytest.mark.parametrize("argv", [("lattice", "S3", "--json"), ("verify", "S3", "--json"),
+                                      ("spectrum", "S3"), ("graph", "S3", "--json")],
+                             ids=["lattice_json", "verify_json", "spectrum", "graph_json"])
+    @pytest.mark.parametrize("bad", [True, None, {}, 5, [[0], 5]],
+                             ids=["true", "null", "object", "int", "item_not_a_list"])
+    def test_a_malformed_lattice_part_rejects_the_entry(self, capsys, tmp_path, bad, argv):
         cache_dir, fresh = tmp_path / "c", tmp_path / "fresh"
-        assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")[0] == 0
-        assert run(capsys, "--cache", str(fresh), "lattice", "S3", "--json")[0] == 0
+        assert run(capsys, "--cache", str(cache_dir), *argv)[0] == 0
+        assert run(capsys, "--cache", str(fresh), *argv)[0] == 0
         [path] = cache_dir.glob("*.json")
         key, sections = read_cache_file(path)
         sections["lattice"] = bad
         write_cache_file(path, key, sections)
-        expected = run(capsys, "lattice", "S3", "--json")[:2]
-        code, out, err = run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json")
+        expected = run(capsys, *argv)[:2]
+        code, out, err = run(capsys, "--cache", str(cache_dir), *argv)
         assert (code, out) == expected
         assert err.startswith("warning: rejecting the cached entry for S3")
         assert err.count("\n") == 1
         assert path.read_bytes() == (fresh / path.name).read_bytes()
-        assert run(capsys, "--cache", str(cache_dir), "lattice", "S3", "--json") == (*expected, "")
+        assert run(capsys, "--cache", str(cache_dir), *argv) == (*expected, "")
 
 
 class TestSectionLines:
@@ -594,6 +600,22 @@ class TestSectionLines:
         assert run(capsys, "--cache", str(fresh), "verify", "S4")[0] == 0
         [path] = fresh.glob("*.json")
         return path
+
+    def test_a_warm_graph_json_decodes_the_key_lattice_and_graph_lines_once_each(
+            self, capsys, fresh_file, monkeypatch):
+        key_line, *lines = fresh_file.read_text().split("\n")
+        text = dict(line.split("\t", 1) for line in lines if line)
+        expected = run(capsys, "graph", "S4", "--json")
+        decoded = []
+        real = json.loads
+
+        def recording(s, *args, **kwargs):
+            decoded.append(s)
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", recording)
+        assert run(capsys, "--cache", str(fresh_file.parent), "graph", "S4", "--json") == expected
+        assert decoded == [key_line, text["lattice"], text["graph"]]
 
     def test_a_schema_2_file_is_a_silent_miss_and_is_rewritten(self, capsys, tmp_path,
                                                                  fresh_file):
