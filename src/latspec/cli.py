@@ -43,6 +43,7 @@ from .degrees import (
 from .errors import DomainError, InputError, LatspecError, SizeError
 from .graph import adjacency_matrix, dot_export, laplacian_matrix, vertex_label
 from .lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
+from .spectral import DEFAULT_TOL
 
 NOT_APPLICABLE = "not applicable (the split formula requires sd(G) != 1)"
 
@@ -139,7 +140,7 @@ class Pipeline:
     def report(self) -> dict:
         value = self._replay("report")
         if value is None:
-            value = self._parts["report"] = verify_identities(self.lattice(), self.tol).to_json_dict()
+            value = self._parts["report"] = verify_identities(self.lattice(), self.tol)
             self._computed = True
         return value
 
@@ -300,13 +301,16 @@ def cmd_lattice(pipeline: Pipeline, args) -> int:
 
 
 def cmd_graph(pipeline: Pipeline, args) -> int:
-    if args.dot:
+    if args.dot is not None:
         text = dot_export(top_graph(pipeline.lattice()))
         if args.dot == "-":
             sys.stdout.write(text)
         else:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.dot}: {exc.strerror or exc}") from None
             print(f"wrote {args.dot}")
         return 0
     if args.matrix:
@@ -522,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", metavar="DIR", default=argparse.SUPPRESS,
                         help="cache directory (default: $LATSPEC_CACHE)")
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="eigensolver tolerance (default 1e-12)")
+                        help=f"eigensolver tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON")
 
@@ -587,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "cache"):
         args.cache = os.environ.get("LATSPEC_CACHE") or None
     if not hasattr(args, "tol"):
-        args.tol = 1e-12
+        args.tol = DEFAULT_TOL
     if not hasattr(args, "json"):
         args.json = False
     if not (math.isfinite(args.tol) and args.tol > 0):

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -71,7 +70,6 @@ from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumer
 from .perm import FiniteGroup
 from .spectral import (
     DEFAULT_TOL,
-    IdentityCheck,
     Spectrum,
     eigenvalues_symmetric,
     spectral_sums,
@@ -462,56 +460,13 @@ def f2_split_adjacency(lattice: SubgroupLattice) -> int:
 # -- the verifier ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    lhs: str
-    rhs: str
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed, "lhs": self.lhs, "rhs": self.rhs}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
-class DegreeReport:
-    """Everything the identity verifier produces for one group."""
-
-    signature: dict
-    group_order: int
-    lattice_size: int
-    vertex_count: int
-    edge_count: int
-    quasihamiltonian: bool
-    sd: dict[str, Fraction]
-    f2: dict[str, int | None]
-    checks: list[CheckResult]
-    trace_checks: list[IdentityCheck]
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def internal_ok(self) -> bool:
-        return all(c.passed for c in self.checks) and all(c.passed for c in self.trace_checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "group_order": self.group_order,
-            "lattice_size": self.lattice_size,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "quasihamiltonian": self.quasihamiltonian,
-            "sd": {k: str(v) for k, v in self.sd.items()},
-            "f2": {k: v for k, v in self.f2.items()},
-            "checks": [c.to_json_dict() for c in self.checks],
-            "trace_checks": [c.to_json_dict() for c in self.trace_checks],
-            "notes": list(self.notes),
-            "internal_ok": self.internal_ok,
-        }
+def _check(name: str, passed: bool, lhs, rhs, detail: str = "") -> dict:
+    """One exact check as the report holds it: lhs and rhs as text, and a
+    detail only when there is one."""
+    check = {"name": name, "passed": passed, "lhs": str(lhs), "rhs": str(rhs)}
+    if detail:
+        check["detail"] = detail
+    return check
 
 
 def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> list[str]:
@@ -548,16 +503,25 @@ def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> 
     return notes
 
 
-def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> DegreeReport:
-    """Run every exact identity and cross-method comparison for one lattice.
+def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dict:
+    """Run every exact identity and cross-method comparison for one lattice,
+    and give the report as the plain dict that `verify --json` prints and
+    the cache stores.
 
-    Internal checks (counted in `internal_ok`):
+    The report holds the group's signature, order and lattice size, the
+    graph's vertex and edge counts, the quasihamiltonian flag, sd by each
+    route as str(Fraction), F2 by each route as an int (None for the splits
+    of a quasihamiltonian group), the exact checks and the trace checks
+    (`verify_trace_identities`), the notes and `internal_ok`, true when
+    every check passed. Internal checks:
       edge_count_vs_sd        2|E| = |L|^2 (1 - sd)
       edge_count_vs_f2_sum    2|E| = |L|^2 - sum of subgroup factorization numbers
       sd_methods_equal        direct / spectral / via-F2 agree exactly
       f2_methods_equal        direct / Möbius / both splits agree exactly
       no_trimmed_edges        no non-permuting pair has an endpoint inside the core
       trace identities        floating spectra vs exact 2|E|
+    An exact check is {name, passed, lhs, rhs} with lhs and rhs as text,
+    plus a detail when it has one.
 
     The graph, the core, sd[direct] and the Möbius and split F2 routes rest
     on the lattice-order pair test; f2[direct] and, through the subgroup F2
@@ -583,10 +547,8 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
     sd_d = _sd(lattice)
     sd_s = sd_spectral(lattice, graph)
     sd_f = sd_via_f2(lattice)
-    sd_values = {"direct": sd_d, "spectral": sd_s, "via_f2": sd_f}
 
-    f2_m = f2_mobius(lattice)
-    f2_values: dict[str, int | None] = {"direct": f2_d, "mobius": f2_m}
+    f2_values: dict[str, int | None] = {"direct": f2_d, "mobius": f2_mobius(lattice)}
     if quasihamiltonian:
         f2_values["split_laplacian"] = None
         f2_values["split_adjacency"] = None
@@ -597,59 +559,37 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> Deg
     _, adj_spec, lap_spec = graph_and_spectra(lattice, tol)
 
     two_e = 2 * graph.edge_count
-    checks: list[CheckResult] = []
-
     trimmed = [
         (c, x)
         for c in sorted(lattice.permuting_core())
         for x in range(n)
         if not permutes[c, x]
     ]
-    checks.append(CheckResult(
-        "no_trimmed_edges",
-        not trimmed,
-        f"{len(trimmed)} lost pairs",
-        "0 lost pairs",
-        detail="" if not trimmed else f"pairs with a core endpoint that fail to permute: {trimmed}",
-    ))
-
     sd_rhs = n * n * (1 - sd_d)
-    checks.append(CheckResult(
-        "edge_count_vs_sd", Fraction(two_e) == sd_rhs, str(two_e), str(sd_rhs),
-    ))
-
-    f2_sum = _f2_sum(lattice)
-    checks.append(CheckResult(
-        "edge_count_vs_f2_sum", two_e == n * n - f2_sum, str(two_e), str(n * n - f2_sum),
-    ))
-
-    checks.append(CheckResult(
-        "sd_methods_equal",
-        sd_d == sd_s == sd_f,
-        str(sd_d),
-        f"spectral={sd_s}, via_f2={sd_f}",
-    ))
-
+    f2_rhs = n * n - _f2_sum(lattice)
     f2_known = [v for v in f2_values.values() if v is not None]
-    checks.append(CheckResult(
-        "f2_methods_equal",
-        all(v == f2_known[0] for v in f2_known),
-        str(f2_known[0]),
-        ", ".join(f"{k}={v}" for k, v in f2_values.items()),
-    ))
+    checks = [
+        _check("no_trimmed_edges", not trimmed, f"{len(trimmed)} lost pairs", "0 lost pairs",
+               "" if not trimmed else f"pairs with a core endpoint that fail to permute: {trimmed}"),
+        _check("edge_count_vs_sd", Fraction(two_e) == sd_rhs, two_e, sd_rhs),
+        _check("edge_count_vs_f2_sum", two_e == f2_rhs, two_e, f2_rhs),
+        _check("sd_methods_equal", sd_d == sd_s == sd_f, sd_d, f"spectral={sd_s}, via_f2={sd_f}"),
+        _check("f2_methods_equal", all(v == f2_known[0] for v in f2_known), f2_known[0],
+               ", ".join(f"{k}={v}" for k, v in f2_values.items())),
+    ]
+    trace_checks = verify_trace_identities(two_e, adj_spec, lap_spec)
 
-    trace_checks = verify_trace_identities(graph, adj_spec, lap_spec)
-
-    return DegreeReport(
-        signature=signature_of(lattice.group),
-        group_order=lattice.group.order,
-        lattice_size=n,
-        vertex_count=graph.vertex_count,
-        edge_count=graph.edge_count,
-        quasihamiltonian=quasihamiltonian,
-        sd=sd_values,
-        f2=f2_values,
-        checks=checks,
-        trace_checks=trace_checks,
-        notes=_published_notes(lattice, graph),
-    )
+    return {
+        "signature": signature_of(lattice.group),
+        "group_order": lattice.group.order,
+        "lattice_size": n,
+        "vertex_count": graph.vertex_count,
+        "edge_count": graph.edge_count,
+        "quasihamiltonian": quasihamiltonian,
+        "sd": {"direct": str(sd_d), "spectral": str(sd_s), "via_f2": str(sd_f)},
+        "f2": f2_values,
+        "checks": checks,
+        "trace_checks": trace_checks,
+        "notes": _published_notes(lattice, graph),
+        "internal_ok": all(check["passed"] for check in checks + trace_checks),
+    }

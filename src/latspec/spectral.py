@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .graph import DenseSymMatrix, NonPermutabilityGraph
+from .graph import DenseSymMatrix
 
 DEFAULT_TOL = 1e-12
 MAX_STEPS = 64  # far above need: each step shrinks a bracket eightfold
@@ -87,7 +87,10 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     Reflection k maps column x, below the diagonal of column k, onto its
     first entry alpha = -phase(x0)*||x||, with phase(x0) = sign(x0) (copysign,
     so -0.0 counts as negative) for real A and x0/|x0| (1 when x0 = 0) for
-    complex A; it is skipped when x is already zero below x0. With
+    complex A. It is skipped when sigma, the squared norm of x below x0, is
+    below the smallest normal double: x is then zero below x0 to within
+    sqrt(tiny) ~ 1.5e-154 per entry, and were x0 as small, v^H v would
+    underflow and beta overflow. With
     v = x - alpha e_1, beta = 2/(v^H v), p = beta A v and
     w = p - (beta/2)(v^H p) v, the trailing block is updated as
     A - v w^H - w v^H, the rank-2 term summed as one matrix plus its
@@ -109,7 +112,7 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         x = a[k + 1:, k]
         sigma = _squared_norm(x[1:], hermitian)
         x0 = scalar(x[0])
-        if sigma == 0.0:
+        if sigma < _TINY:
             e[k] = abs(x0)
             continue
         m = n - 1 - k
@@ -372,46 +375,27 @@ def spectral_sums(spectrum: Spectrum) -> tuple[float, float]:
     return total, squares
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    lhs: float
-    rhs: float
-    tolerance: float
-    passed: bool
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": float(f"{self.lhs:.12g}"),
-            "rhs": float(f"{self.rhs:.12g}"),
-            "residual": float(f"{self.residual:.6g}"),
-            "tolerance": float(f"{self.tolerance:.6g}"),
-            "passed": self.passed,
-        }
-
-
-def verify_trace_identities(graph: NonPermutabilityGraph, adj_spectrum: Spectrum,
-                            lap_spectrum: Spectrum) -> list[IdentityCheck]:
-    """Compare the floating spectra against the exact doubled edge count.
+def verify_trace_identities(two_e: int, adjacency: Spectrum, laplacian: Spectrum) -> list[dict]:
+    """Compare the floating spectra of a graph with the exact doubled edge
+    count two_e, one dict per check as the verifier reports it.
 
     The Laplacian eigenvalue sum and the squared adjacency eigenvalue sum both
-    equal 2|E| exactly; the raw adjacency sum is the zero trace.
+    equal 2|E| exactly; the raw adjacency sum is the zero trace. A check
+    passes when its residual |lhs - rhs| is at most 1e-8 * max(1, 2|E|);
+    lhs and rhs are reported at 12 significant digits, the residual and the
+    tolerance at 6.
     """
-    two_e = 2 * graph.edge_count
     tol = 1e-8 * max(1, two_e)
-    lap_sum, _ = spectral_sums(lap_spectrum)
-    adj_sum, adj_sq = spectral_sums(adj_spectrum)
+    lap_sum, _ = spectral_sums(laplacian)
+    adj_sum, adj_sq = spectral_sums(adjacency)
     checks = [
         ("laplacian_sum_vs_edges", lap_sum, float(two_e)),
         ("adjacency_sum_vs_zero", adj_sum, 0.0),
         ("adjacency_square_sum_vs_edges", adj_sq, float(two_e)),
     ]
     return [
-        IdentityCheck(name, lhs, rhs, tol, abs(lhs - rhs) <= tol)
+        {"name": name, "lhs": float(f"{lhs:.12g}"), "rhs": float(f"{rhs:.12g}"),
+         "residual": float(f"{abs(lhs - rhs):.6g}"), "tolerance": float(f"{tol:.6g}"),
+         "passed": abs(lhs - rhs) <= tol}
         for name, lhs, rhs in checks
     ]

@@ -268,8 +268,9 @@ def cyclic_extension_oracle(group):
 def real_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Reference Householder reduction of a real symmetric matrix: (d, e,
     reflection count), alpha = -copysign(||x||, x0), the rank-2 update summed
-    as one symmetric matrix. The merged `_tridiagonalize` must give the same
-    d, |e| and count bit for bit."""
+    as one symmetric matrix, a column skipped when its squared norm below x0
+    is under the smallest normal double. The merged `_tridiagonalize` must
+    give the same d, |e| and count bit for bit."""
     n = data.shape[0]
     a = data.copy()
     e = np.empty(n - 1)
@@ -277,7 +278,7 @@ def real_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     for k in range(n - 2):
         x = a[k + 1:, k]
         sigma = float((x[1:] * x[1:]).sum())
-        if sigma == 0.0:
+        if sigma < np.finfo(float).tiny:
             e[k] = x[0]
             continue
         x0 = float(x[0])
@@ -301,7 +302,8 @@ def hermitian_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     """Reference Householder reduction of a complex Hermitian matrix: (real d,
     off-diagonal moduli |e|, reflection count), alpha = -(x0/|x0|) ||x|| and
     -||x|| when x0 = 0, the update summed as one matrix plus its conjugate
-    transpose. The merged `_tridiagonalize` must give the same bit for bit."""
+    transpose, a column skipped as in `real_householder`. The merged
+    `_tridiagonalize` must give the same bit for bit."""
     n = data.shape[0]
     a = data.copy()
     e = np.empty(n - 1)
@@ -311,7 +313,7 @@ def hermitian_householder(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         tail = x[1:]
         sigma = float((tail.real * tail.real + tail.imag * tail.imag).sum())
         x0 = complex(x[0])
-        if sigma == 0.0:
+        if sigma < np.finfo(float).tiny:
             e[k] = abs(x0)
             continue
         norm = math.sqrt(x0.real * x0.real + x0.imag * x0.imag + sigma)

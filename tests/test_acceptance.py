@@ -171,13 +171,12 @@ def test_criterion_07_identity_suite_catalog():
         names.append(name)
         lattice = enumerate_subgroups(spec.group)
         rep = verify_identities(lattice)
-        failed = [c.name for c in rep.checks if not c.passed]
-        failed += [c.name for c in rep.trace_checks if not c.passed]
+        failed = [c["name"] for c in rep["checks"] + rep["trace_checks"] if not c["passed"]]
         assert not failed, f"{name}: {failed}"
         graph = build_graph(lattice)
         two_e = 2 * graph.edge_count
         n2 = lattice.size ** 2
-        assert Fraction(two_e) == n2 * (1 - rep.sd["direct"])
+        assert Fraction(two_e) == n2 * (1 - Fraction(rep["sd"]["direct"]))
         adj, lap = map(spectral_sums, eigenvalues_symmetric(adjacency_matrix(graph),
                                                             laplacian_matrix(graph)))
         tol = 1e-8 * max(1, two_e)

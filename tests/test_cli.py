@@ -123,6 +123,15 @@ class TestLatticeGraphSpectrum:
         assert text.count("label=") == 7
         assert text.count("--") == 18
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing_directory", "empty_path"])
+    def test_graph_dot_to_a_path_that_cannot_be_written_exits_2(self, capsys, tmp_path, missing):
+        target = tmp_path / "missing" / "g.dot" if missing else ""
+        code, out, err = run(capsys, "graph", "S4", "--dot", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
     def test_spectrum_csv(self, capsys):
         code, out, _ = run(capsys, "spectrum", "A4", "--csv")
         assert code == 0
@@ -269,6 +278,13 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["groups"][0]["name"] == "A4"
         assert payload["groups"][0]["report"]["internal_ok"] is True
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+    def test_the_report_is_the_dict_verify_json_prints(self, capsys, name):
+        report = degrees.verify_identities(enumerate_subgroups(parse_group_spec(name).group))
+        code, out, _ = run(capsys, "verify", name, "--json")
+        assert code == 0
+        assert report == json.loads(out)["groups"][0]["report"]
 
 
 class TestCache:
