@@ -33,7 +33,7 @@ from .degrees import (
     f2_mobius,
     f2_split_adjacency,
     f2_split_laplacian,
-    graph_and_spectra,
+    graph_spectra,
     sd_direct,
     sd_spectral,
     sd_via_f2,
@@ -130,7 +130,7 @@ class Pipeline:
             if part == "graph":
                 value = top_graph(lattice).to_json_dict()
             else:
-                _, adj, lap = graph_and_spectra(lattice, self.tol)
+                adj, lap = graph_spectra(lattice, self.tol)
                 value = {"adjacency": [_fixed(v) for v in adj.values],
                          "laplacian": [_fixed(v) for v in lap.values]}
             self._parts[part] = value

@@ -17,9 +17,11 @@ quasihamiltonian flag, the graph's edge count and both spectra. A parent
 lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
 once the parent's matrix is filled, reading it restricted to the class
-representative's down-set; every lattice memoizes on itself
-its graph, the graph's block basis, its sd, its F2, its subgroup F2 sum and
-its two spectra per tol.
+representative's down-set; the subgroup F2 sum and both splits read them.
+Every lattice memoizes on itself its graph, the graph's block basis, its
+F2, its subgroup F2 sum and its two spectra per tol. The Möbius inversion
+builds no class lattice: sd(T) |L(T)|^2 is the parent's matrix summed over
+T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
 Möbius inversion and both splits) take one term per class, weighted by the
 class size (`_classes`). The structure dump,
@@ -51,6 +53,8 @@ among them. `verify_identities` runs the splits before it reads the top
 graph's spectra, so a `verify` at DEFAULT_TOL makes one call; at another
 tol it makes a second, for the top graph at that tol.
 Blocks with the same shape, type and bytes in one call are solved once.
+Before a call forms any block, its blocks are held to BLOCK_ROW_LIMIT and
+BLOCK_WORK_LIMIT (`_check_budget`); past either, SizeError.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import numpy as np
 
 from .cache import signature_of
 from .catalog import order_histogram_key
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, SizeError
 from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
@@ -76,9 +80,6 @@ from .spectral import (
     verify_trace_identities,
 )
 
-# Exact rational values: arbitrary-precision, always reduced, denominator > 0.
-ExactRational = Fraction
-
 # Reference values published for the order-24 symmetric group that disagree
 # with this tool's exact computation; surfaced as informational notes, never
 # fed into any formula.
@@ -88,6 +89,11 @@ _S4_PUBLISHED = {
     "laplacian_sum": 378,
     "klein_four_count": 3,
 }
+
+# A solver call's budget: floats in one block's representative rows, and the
+# sum of d^3 over the d x d blocks it reduces, a complex block counted x4.
+BLOCK_ROW_LIMIT = 8_000_000
+BLOCK_WORK_LIMIT = 10_000_000_000
 
 
 def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
@@ -141,11 +147,6 @@ def _f2_sum(lattice: SubgroupLattice) -> int:
     return _memo(lattice, "f2_sum", lambda: sum(
         size * _f2(_own(lattice, rep)) for rep, size, _ in _classes(lattice)
     ))
-
-
-def _sd(lattice: SubgroupLattice) -> Fraction:
-    """sd_direct of the lattice, counted once."""
-    return _memo(lattice, "sd", lambda: sd_direct(lattice))
 
 
 def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
@@ -297,12 +298,27 @@ def _merged(parts: list[tuple[Spectrum, int]]) -> Spectrum:
                     sum(part.shifts for part, _ in parts))
 
 
+def _check_budget(bases: list[list[tuple]]) -> None:
+    """SizeError if a block's representative rows hold more than BLOCK_ROW_LIMIT
+    floats, or reducing every block costs more than BLOCK_WORK_LIMIT."""
+    work = 0
+    for vertices, weights, starts, _, _ in (block for basis in bases for block in basis):
+        if starts.size * vertices.size > BLOCK_ROW_LIMIT:
+            raise SizeError(f"a {starts.size} x {vertices.size} block of graph rows exceeds "
+                            f"the limit BLOCK_ROW_LIMIT = {BLOCK_ROW_LIMIT}")
+        work += starts.size ** 3 * (4 if np.iscomplexobj(weights) else 1)
+    if work > BLOCK_WORK_LIMIT:
+        raise SizeError(f"reducing the graph blocks costs {work} (sum of d^3), over the "
+                        f"limit BLOCK_WORK_LIMIT = {BLOCK_WORK_LIMIT}")
+
+
 def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum, Spectrum]]:
     """The adjacency and Laplacian spectra at tol of each lattice's graph.
 
     Every spectrum not yet memoized on its lattice is split into its
-    symmetry-adapted blocks (`_symmetry_blocks`), and the blocks of all of
-    them are solved in one eigensolver call; blocks with the same shape,
+    symmetry-adapted blocks (`_symmetry_blocks`), all of them are held to
+    the budget (`_check_budget`) before the first block is formed, and the
+    blocks are solved in one eigensolver call; blocks with the same shape,
     type and bytes are solved once. Each spectrum is its blocks' values
     merged, and is memoized on its lattice. When no spectrum is missing, or all of them
     are of null graphs, which have no block, no call is made.
@@ -311,15 +327,16 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
     missing = [(lat, key) for lat in {id(lat): lat for lat in lattices}.values()
                for key in keys if key not in lat.memo]
     if missing:
+        bases = [_memo(lat, "blocks", lambda: _symmetry_blocks(lat, top_graph(lat)))
+                 for lat, _ in missing]
+        _check_budget(bases)
         unique: dict[tuple, int] = {}
         blocks: list[DenseSymMatrix] = []
         parts: list[list[int]] = []
-        for lat, (kind, _) in missing:
-            graph = top_graph(lat)
-            basis = _memo(lat, "blocks", lambda: _symmetry_blocks(lat, graph))
-            mine = []
+        for (lat, (kind, _)), basis in zip(missing, bases):
+            adjacency, mine = top_graph(lat)._adj, []
             for *spec, count in basis:
-                block = _block(graph._adj, kind == "laplacian", *spec)
+                block = _block(adjacency, kind == "laplacian", *spec)
                 index = unique.setdefault((block.shape, block.dtype, block.tobytes()), len(blocks))
                 if index == len(blocks):
                     blocks.append(DenseSymMatrix(block))
@@ -331,12 +348,11 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
     return [(lat.memo[keys[0]], lat.memo[keys[1]]) for lat in lattices]
 
 
-def graph_and_spectra(lattice: SubgroupLattice,
-                      tol: float) -> tuple[NonPermutabilityGraph, Spectrum, Spectrum]:
-    """The lattice's graph with its adjacency and Laplacian spectra at tol,
+def graph_spectra(lattice: SubgroupLattice, tol: float) -> tuple[Spectrum, Spectrum]:
+    """The adjacency and Laplacian spectra at tol of the lattice's graph,
     both solved in one call, once per lattice."""
-    [(adjacency, laplacian)] = _spectra([lattice], tol)
-    return top_graph(lattice), adjacency, laplacian
+    [spectra] = _spectra([lattice], tol)
+    return spectra
 
 
 # -- sd --------------------------------------------------------------------
@@ -394,24 +410,23 @@ def f2_direct(lattice: SubgroupLattice) -> int:
 
 
 def f2_mobius(lattice: SubgroupLattice) -> int:
-    """Möbius inversion of the subgroup-sum identity for sd.
+    """Möbius inversion of sd(T) * |L(T)|^2 = sum of F2(S) over S <= T.
 
-    Each term is sd(T) * |L(T)|^2 * mu(T, G); the exact rational total must be
-    an integer, anything else signals a Möbius or sd defect. There is one
-    term per conjugacy class, times the class size, and classes with
-    mu(T, G) = 0 are skipped.
+    sd(T) * |L(T)|^2 counts the permuting pairs of T's down-set, which the
+    lattice's permutability matrix holds restricted to it, so F2(G) is the
+    integer sum of mu(T, G) times that count, with no lattice of T built.
+    There is one term per conjugacy class, times the class size, and classes
+    with mu(T, G) = 0 are skipped; the top's term is `commuting_pair_count`.
     """
-    # the top's term (mu(G, G) = 1) reads the whole matrix: filled first,
-    # every class lattice takes its restriction instead of testing pairs
-    lattice.permutability()
-    total = Fraction(0)
+    permutes = lattice.permutability()
+    total = 0
     for rep, size, mu in _classes(lattice):
-        if mu:
-            sub = _own(lattice, rep)
-            total += size * _sd(sub) * sub.size ** 2 * mu
-    if total.denominator != 1:
-        raise ConsistencyError(f"Möbius inversion total {total} is not an integer")
-    return int(total)
+        if rep == lattice.top_id:  # mu(G, G) = 1, a class of its own
+            total += commuting_pair_count(lattice)
+        elif mu:
+            down = lattice.down_ids(rep)
+            total += size * mu * int(permutes[np.ix_(down, down)].sum())
+    return total
 
 
 def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
@@ -530,11 +545,12 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
     two independent computations.
 
     The order pays for each pass once. The permutability matrix is filled
-    first, so the quasihamiltonian flag and the core read it and every class
-    lattice takes it restricted instead of testing pairs. The F2 routes run
-    next: the Laplacian split solves the top graph with its classes in one
-    call at DEFAULT_TOL, and the top's spectra at tol are read last, from
-    the memo when tol is DEFAULT_TOL.
+    first, so the quasihamiltonian flag, the core and the Möbius route read
+    it and every class lattice takes it restricted instead of testing pairs.
+    The F2 routes run next: the Laplacian split solves the top graph with
+    its classes in one call at DEFAULT_TOL, and the top's spectra at tol are
+    read last, from the memo when tol is DEFAULT_TOL. A call past the block
+    budget raises SizeError before it forms a block.
 
     Published-value disagreements are reported as notes and never fail the run.
     """
@@ -544,7 +560,7 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
     graph = top_graph(lattice)
 
     f2_d = _f2(lattice)  # counted once: sd_via_f2 reads the top term from the memo
-    sd_d = _sd(lattice)
+    sd_d = sd_direct(lattice)
     sd_s = sd_spectral(lattice, graph)
     sd_f = sd_via_f2(lattice)
 
@@ -556,7 +572,7 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
         f2_values["split_laplacian"] = f2_split_laplacian(lattice)
         f2_values["split_adjacency"] = f2_split_adjacency(lattice)
     # at DEFAULT_TOL, the Laplacian split's call solved the top with its classes
-    _, adj_spec, lap_spec = graph_and_spectra(lattice, tol)
+    adj_spec, lap_spec = graph_spectra(lattice, tol)
 
     two_e = 2 * graph.edge_count
     trimmed = [

@@ -65,36 +65,12 @@ class NonPermutabilityGraph:
     def is_null(self) -> bool:
         return self.vertex_count == 0
 
-    def adjacent(self, u: int, v: int) -> bool:
-        """Adjacency between vertex positions (not subgroup ids)."""
-        return bool(self._adj[u, v])
-
-    def degree(self, v: int) -> int:
-        return int(self._adj[v].sum())
-
     def degrees(self) -> list[int]:
         return self._adj.sum(axis=1).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered adjacent pairs (u, v), u < v, as positions, in row-major order."""
         return [(u, v) for u, v in np.argwhere(np.triu(self._adj, 1)).tolist()]
-
-    def connected_components(self) -> int:
-        seen: set[int] = set()
-        count = 0
-        for start in range(self.vertex_count):
-            if start in seen:
-                continue
-            count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v in np.flatnonzero(self._adj[u]).tolist():
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return count
 
     def to_json_dict(self) -> dict:
         """Edges reported as subgroup id pairs for stability across runs."""

@@ -59,15 +59,6 @@ class Subgroup:
         return tuple(iter_bits(self.members))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """All lattice members Z with lower <= Z <= upper (a sublattice)."""
-
-    lower: int
-    upper: int
-    members: tuple[int, ...]
-
-
 def _closure_bits(table: list[list[int]], start_bits: int, gens: Sequence[int]) -> int:
     """Subgroup bitset generated by `gens`, seeded with `start_bits` (must contain e)."""
     members = start_bits
@@ -302,12 +293,6 @@ class SubgroupLattice:
         # therefore the smallest id in the common up-set
         common = self._up[a] & self._up[b]
         return (common & -common).bit_length() - 1
-
-    def interval(self, lower: int, upper: int) -> Interval:
-        if not self.leq(lower, upper):
-            raise DomainError(f"subgroup {lower} is not contained in {upper}")
-        ids = tuple(iter_bits(self._down[upper] & self._up[lower]))
-        return Interval(lower, upper, ids)
 
     def conjugation_map(self, g: int) -> np.ndarray:
         """Int array taking each id to the id of g^-1 H g, for the element index g."""

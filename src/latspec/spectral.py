@@ -65,9 +65,6 @@ class Spectrum:
     def dimension(self) -> int:
         return len(self.values)
 
-    def to_csv(self) -> str:
-        return "\n".join(f"{v:.12g}" for v in self.values)
-
     def rounded(self) -> tuple[int, ...]:
         return tuple(int(round(v)) for v in self.values)
 

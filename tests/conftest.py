@@ -159,10 +159,30 @@ def lower_fixed_mobius(lattice):
     def mu(lower, upper):
         if (lower, upper) not in memo:
             memo[lower, upper] = 1 if lower == upper else -sum(
-                mu(lower, z) for z in lattice.interval(lower, upper).members if z != upper)
+                mu(lower, z) for z in lattice.down_ids(upper)
+                if lattice.leq(lower, z) and z != upper)
         return memo[lower, upper]
 
     return {(a, b): mu(a, b) for b in range(lattice.size) for a in lattice.down_ids(b)}
+
+
+def connected_components(graph):
+    """Reference component count of a graph, by a walk over its edge list."""
+    neighbours = {v: set() for v in range(graph.vertex_count)}
+    for u, v in graph.edges():
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, count = set(), 0
+    for start in neighbours:
+        if start not in seen:
+            count += 1
+            stack = [start]
+            seen.add(start)
+            while stack:
+                for v in neighbours[stack.pop()] - seen:
+                    seen.add(v)
+                    stack.append(v)
+    return count
 
 
 def full_spectra(graph, tol=DEFAULT_TOL):

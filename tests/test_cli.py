@@ -1107,7 +1107,7 @@ class TestWorkCounts:
         assert run(capsys, "verify", name, "--json")[0] == 0
         assert work == {"closures": 1, "pairs": pairs}
         assert len(eigen_solves) == 1
-        # the Möbius route fills the top's matrix before its class lattices
+        # the Möbius route fills the top's matrix and sums it over down-sets
         work.update(closures=0, pairs=0)
         assert run(capsys, "f2", name, "--method", "mobius")[0] == 0
         assert work == {"closures": 1, "pairs": pairs}
@@ -1129,6 +1129,42 @@ class TestWorkCounts:
             closures, pairs = before[f"{command} --method {method}"]
             assert work["closures"] <= closures and work["pairs"] <= pairs, (command, work)
             assert work["closures"] == 1
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+    def test_f2_by_mobius_builds_no_class_lattice(self, capsys, monkeypatch, name):
+        built = []
+        real = degrees.enumerate_subgroups
+
+        def counting(group):
+            built.append(group.order)
+            return real(group)
+
+        monkeypatch.setattr(degrees, "enumerate_subgroups", counting)
+        code, out, _ = run(capsys, "f2", name, "--method", "mobius", "--json")
+        assert code == 0
+        assert json.loads(out)["mobius"] == {"S4": 177, "A5": 237, "PSL(2,7)": 1141}[name]
+        assert built == []
+        # sd by the subgroup F2 sum still builds one per class below the top
+        assert run(capsys, "sd", name, "--method", "f2")[0] == 0
+        assert built
+
+
+class TestBlockBudget:
+    """A solver call whose blocks pass a budget exits 2, naming the bound,
+    before it forms any block."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("limit", ["BLOCK_ROW_LIMIT", "BLOCK_WORK_LIMIT"])
+    def test_a_lowered_bound_exits_2(self, capsys, monkeypatch, command, limit):
+        def refuse(*args):
+            raise AssertionError("a block was formed")
+
+        monkeypatch.setattr(degrees, limit, 10)
+        monkeypatch.setattr(degrees, "_block", refuse)
+        code, out, err = run(capsys, command, "S4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{limit} = 10" in err
 
 
 class TestImports:

@@ -19,7 +19,6 @@ from latspec.catalog import (
     symmetric,
 )
 from latspec.degrees import (
-    ExactRational,
     commuting_pair_count,
     f2_direct,
     f2_mobius,
@@ -31,7 +30,7 @@ from latspec.degrees import (
     verify_identities,
 )
 from latspec.closed_forms import _PSL_F2_TABLE
-from latspec.errors import DomainError
+from latspec.errors import DomainError, SizeError
 from latspec.graph import DenseSymMatrix, adjacency_matrix, build_graph, laplacian_matrix
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
 from latspec.perm import bits_of, generate_group, parse_permutation
@@ -78,7 +77,7 @@ class TestSdDirect:
 
     def test_result_is_reduced_exact_rational(self, lat_a4):
         value = sd_direct(lat_a4)
-        assert isinstance(value, ExactRational)
+        assert isinstance(value, Fraction)
         assert value.denominator > 0
         from math import gcd
         assert gcd(value.numerator, value.denominator) == 1
@@ -184,21 +183,38 @@ class TestF2Mobius:
     def test_q8(self, lat_q8):
         assert f2_mobius(lat_q8) == f2_direct(lat_q8)
 
-    def test_sd_counted_once_per_class_with_nonzero_mobius(self, monkeypatch):
+    def test_reads_the_down_sets_and_enumerates_no_class_lattice(self, monkeypatch):
         # mu(X, S4) vanishes on the classes of C4, the non-normal V4 and the
-        # double transpositions; each of the other 8 classes counts sd once
+        # double transpositions; each of the other 8 classes adds its
+        # representative's down-set pairs, read off the top's matrix
         lattice = enumerate_subgroups(symmetric(4))
-        orders = []
+        nonzero = [rep for rep, _, mu in degrees._classes(lattice) if mu]
+        orders = sorted(lattice.subgroups[rep].order for rep in nonzero)
+        assert orders == [1, 2, 3, 4, 6, 8, 12, 24]
 
-        def counting(sub):
-            orders.append(sub.group.order)
-            return sd_direct(sub)
+        def refuse(group):
+            raise AssertionError("a class lattice was enumerated")
 
-        monkeypatch.setattr(degrees, "sd_direct", counting)
+        down_sets = []
+        real_down_ids = SubgroupLattice.down_ids
+
+        def recording(self, sid):
+            down_sets.append(sid)
+            return real_down_ids(self, sid)
+
+        monkeypatch.setattr(degrees, "enumerate_subgroups", refuse)
+        monkeypatch.setattr(SubgroupLattice, "down_ids", recording)
         assert f2_mobius(lattice) == 177
-        assert sorted(orders) == [1, 2, 3, 4, 6, 8, 12, 24]
+        # the top's term is the whole matrix's sum, with no down-set copied
+        assert sorted(down_sets) == sorted(set(nonzero) - {lattice.top_id})
+        assert not any(key[0] == "own" for key in lattice.memo if isinstance(key, tuple))
         assert f2_mobius(lattice) == 177
-        assert len(orders) == 8
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)", "A6"))
+    def test_matches_f2_direct(self, name):
+        group = alternating(6) if name == "A6" else parse_group_spec(name).group
+        lattice = enumerate_subgroups(group)
+        assert f2_mobius(lattice) == f2_direct(lattice)
 
 
 def own_lattices(lattice):
@@ -421,6 +437,22 @@ class TestIndependentRoutes:
         assert _check(report, "edge_count_vs_sd")["passed"]
 
 
+class TestBlockBudget:
+    def test_each_bound_holds_at_its_figure_and_fails_one_below(self, monkeypatch):
+        # S4's graph splits into a real 12, a complex 3 and a real 8 per
+        # matrix, and one call reduces both matrices
+        lattice = enumerate_subgroups(symmetric(4))
+        work = 2 * (12 ** 3 + 4 * 3 ** 3 + 8 ** 3)
+        rows = max(starts.size * vertices.size for vertices, _, starts, _, _
+                   in degrees._symmetry_blocks(lattice, degrees.top_graph(lattice)))
+        for limit, figure in (("BLOCK_WORK_LIMIT", work), ("BLOCK_ROW_LIMIT", rows)):
+            monkeypatch.setattr(degrees, limit, figure - 1)
+            with pytest.raises(SizeError, match=f"{limit} = {figure - 1}"):
+                degrees.graph_spectra(lattice, DEFAULT_TOL)
+            monkeypatch.setattr(degrees, limit, figure)
+        assert degrees.graph_spectra(lattice, DEFAULT_TOL)[1].dimension == 26
+
+
 def counters(spectrum):
     return (spectrum.values, spectrum.reflections, spectrum.steps, spectrum.width,
             spectrum.shifts)
@@ -453,7 +485,8 @@ class TestSymmetryBlocks:
         lattices = [top] + [enumerate_subgroups(top.standalone_group(rep))
                             for rep in sorted(set(top.class_reps()) - {top.top_id})]
         for lattice in lattices:
-            graph, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
+            graph = degrees.top_graph(lattice)
+            adjacency, laplacian = degrees.graph_spectra(lattice, DEFAULT_TOL)
             lap = laplacian_matrix(graph).data
             ftol = 2 * DEFAULT_TOL * (1 + float(np.sqrt((lap * lap).sum())))
             for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
@@ -504,7 +537,7 @@ class TestSymmetryBlocks:
         assert graph.vertex_count == 7
         blocks = degrees._symmetry_blocks(lattice, graph)
         assert [(sizes.size, count) for *_, sizes, count in blocks] == [(1, 1), (1, 6)]
-        _, adjacency, laplacian = degrees.graph_and_spectra(lattice, DEFAULT_TOL)
+        adjacency, laplacian = degrees.graph_spectra(lattice, DEFAULT_TOL)
         for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
             assert max(abs(a - b) for a, b in zip(ours.values, full.values)) < 1e-12
 
@@ -539,7 +572,7 @@ class TestSymmetryBlocks:
         graph = build_graph(lattice)
         assert graph.is_null()
         assert degrees._symmetry_blocks(lattice, graph) == []
-        assert degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1].values == ()
+        assert degrees.graph_spectra(lattice, DEFAULT_TOL)[0].values == ()
 
     @pytest.mark.parametrize("name, powers, classes", [
         # c^2 is not conjugate to c in A5 or D8; in PSL(2,7) the squares are
@@ -599,7 +632,7 @@ class TestSymmetryBlocks:
         blocks = degrees._symmetry_blocks(lattice, graph)
         parts = eigenvalues_symmetric(*(
             DenseSymMatrix(degrees._block(graph._adj, False, *basis)) for *basis, _ in blocks))
-        merged = degrees.graph_and_spectra(lattice, DEFAULT_TOL)[1]
+        merged = degrees.graph_spectra(lattice, DEFAULT_TOL)[0]
         assert merged.values == tuple(sorted(
             v for part, (*_, count) in zip(parts, blocks) for v in part.values * count))
         assert merged.reflections == sum(part.reflections for part in parts)
@@ -634,5 +667,6 @@ class TestSymmetryBlocks:
             assert first[1].tobytes() == second[1].tobytes()
             assert solved.count(first[1].tobytes()) == 1
         for own in s4s:
-            graph, adjacency, laplacian = degrees.graph_and_spectra(own, DEFAULT_TOL)
+            graph = degrees.top_graph(own)
+            adjacency, laplacian = degrees.graph_spectra(own, DEFAULT_TOL)
             assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26
