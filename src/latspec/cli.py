@@ -537,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
         parents=[common],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit prog spares argparse formatting the whole usage to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog="latspec")
 
     def add_cmd(name: str, help_text: str, group_arg: bool = True):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False, parents=[common])
@@ -601,8 +602,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "census":
             return cmd_census(args)
         if args.command == "verify":
-            if not args.catalog and not args.group:
-                print("error: verify needs a group spec or --catalog", file=sys.stderr)
+            if args.catalog == bool(args.group):
+                print("error: verify needs exactly one of a group spec and --catalog",
+                      file=sys.stderr)
                 return 2
             return cmd_verify(args, args.tol, args.cache)
         spec = parse_group_spec(args.group)

@@ -1,10 +1,11 @@
 """Subgroup commutativity degree and factorization number by every route, cross-checked.
 
 All degree arithmetic is exact: Fractions for sd, plain integers for the
-factorization counts. The spectral route substitutes the exact integer 2|E|
-for the floating eigenvalue sums (they agree by the trace identity), and the
-floating spectra are kept as a checked shadow so the spectral path is still
-exercised end to end.
+factorization counts. The spectral split substitutes the exact integer 2|E|
+for the floating eigenvalue sums (they agree by the trace identity); both
+floating forms, the Laplacian sum and the squared adjacency sum, are kept as
+checked shadows so the spectral path is still exercised end to end. Its two
+route names, Laplacian and adjacency, give the one split integer.
 
 Two independent pair computations feed the cross-checks. Every pair-test
 consumer (sd[direct], the graph, the core, the quasihamiltonian flag) reads
@@ -429,47 +430,39 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     return total
 
 
-def _split_sum(lattice: SubgroupLattice, use_adjacency: bool) -> int:
-    """Sum over classes of size * mu(T, G) * (|L(T)|^2, less 2|E_T| in H),
-    checking each H class's floating spectrum shadow once."""
+def _split_sum(lattice: SubgroupLattice) -> int:
+    """Sum over every class of size * mu(T, G) * (|L(T)|^2 - 2|E_T|), with the
+    exact 2|E_T|; a quasihamiltonian T has the null graph, 2|E_T| = 0 and no
+    block. Both floating forms of 2|E_T|, the Laplacian sum and the squared
+    adjacency sum, are checked per class, all spectra from one `_spectra` call."""
     # the whole matrix, not is_quasihamiltonian's early-stopping scan: a graph needs it
     if lattice.permutability().all():
         raise DomainError(
             "the spectral split formula requires sd(G) != 1; "
             "this group is quasihamiltonian"
         )
+    classes = _classes(lattice)
+    owns = [_own(lattice, rep) for rep, _, _ in classes]
     total = 0
-    h_classes = []
-    for rep, size, mu in _classes(lattice):
-        own = _own(lattice, rep)
-        if own.permutability().all():
-            total += size * own.size ** 2 * mu
-        else:
-            h_classes.append((size, mu, own))
-    owns = [own for _, _, own in h_classes]
-    # every class's pair in one call, so that both splits read them from the memo
-    for (size, mu, own), (adjacency, laplacian) in zip(h_classes, _spectra(owns, DEFAULT_TOL)):
+    for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns, DEFAULT_TOL)):
         s_exact = 2 * top_graph(own).edge_count
-        if use_adjacency:
-            shadow = spectral_sums(adjacency)[1]
-        else:
-            shadow = spectral_sums(laplacian)[0]
-        if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
-            raise ConsistencyError(
-                f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
-            )
+        for shadow in (spectral_sums(lap)[0], spectral_sums(adj)[1]):
+            if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
+                raise ConsistencyError(
+                    f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
+                )
         total += size * (own.size ** 2 - s_exact) * mu
     return total
 
 
 def f2_split_laplacian(lattice: SubgroupLattice) -> int:
-    """Factorization number via the partitioned Möbius sum, Laplacian-spectrum form."""
-    return _split_sum(lattice, use_adjacency=False)
+    """Factorization number via the split Möbius sum (`_split_sum`), Laplacian route name."""
+    return _split_sum(lattice)
 
 
 def f2_split_adjacency(lattice: SubgroupLattice) -> int:
-    """Same split, with squared adjacency eigenvalues in place of the Laplacian sum."""
-    return _split_sum(lattice, use_adjacency=True)
+    """The same split (`_split_sum`), squared-adjacency route name."""
+    return _split_sum(lattice)
 
 
 # -- the verifier ------------------------------------------------------------
@@ -548,9 +541,10 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
     first, so the quasihamiltonian flag, the core and the Möbius route read
     it and every class lattice takes it restricted instead of testing pairs.
     The F2 routes run next: the Laplacian split solves the top graph with
-    its classes in one call at DEFAULT_TOL, and the top's spectra at tol are
-    read last, from the memo when tol is DEFAULT_TOL. A call past the block
-    budget raises SizeError before it forms a block.
+    every class in one call at DEFAULT_TOL and checks both spectral forms
+    of each, the adjacency split reads them from the memo, and the top's
+    spectra at tol are read last, from the memo when tol is DEFAULT_TOL. A
+    call past the block budget raises SizeError before it forms a block.
 
     Published-value disagreements are reported as notes and never fail the run.
     """

@@ -45,6 +45,7 @@ from .errors import ConsistencyError, DomainError, InputError, SizeError
 from .perm import FiniteGroup, bits_of, iter_bits
 
 DEFAULT_SUBGROUP_CAP = 100_000
+PAIR_LIMIT = 100_000_000  # entries of one permutability matrix, |L|^2
 
 
 @dataclass(frozen=True)
@@ -415,9 +416,14 @@ class SubgroupLattice:
         ConsistencyError if the filled matrix is not symmetric, which only a
         pair test that is not symmetric or not invariant under conjugation
         can cause. The permuting core, the quasihamiltonian flag, sd[direct]
-        and the graph all read it.
+        and the graph all read it. SizeError, before the |L| x |L| matrix is
+        allocated, when |L|^2 exceeds PAIR_LIMIT; the graph's |V| x |V| copy
+        is no larger, so it needs no bound of its own.
         """
         if self._permutes is None:
+            if self.size ** 2 > PAIR_LIMIT:
+                raise SizeError(f"{self.size} subgroups give {self.size ** 2} pairs, over "
+                                f"the limit PAIR_LIMIT = {PAIR_LIMIT}")
             permutes = np.ones((self.size, self.size), dtype=bool)
             for a, b in self._rep_pairs():
                 if not self.products_commute(a, b):

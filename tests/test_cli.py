@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import latspec.catalog as catalog
 import latspec.cli as cli
 import latspec.degrees as degrees
+import latspec.lattice as lattice_module
 import latspec.spectral as spectral
 from latspec.catalog import CATALOG_NAMES, parse_group_spec
 from latspec.cli import main
@@ -253,8 +254,15 @@ class TestVerify:
         assert "-24" in out and "378" in out
 
     def test_missing_group_without_catalog(self, capsys):
-        code, _, err = run(capsys, "verify")
-        assert code == 2
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (2, "")
+        assert err == "error: verify needs exactly one of a group spec and --catalog\n"
+
+    def test_group_with_catalog(self, capsys):
+        # the group is not silently dropped for the catalog
+        code, out, err = run(capsys, "verify", "--catalog", "S4", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: verify needs exactly one of a group spec and --catalog\n"
 
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         real = degrees.f2_direct
@@ -820,6 +828,18 @@ class TestParserOnce:
         assert [run(capsys, *argv) for argv in self.COMMANDS] == fresh
         assert builds == ["latspec"]
 
+    def test_building_formats_no_help_text(self, monkeypatch):
+        # the sub-commands' prog prefix is given, not derived from a formatted usage
+        def refuse(formatter):
+            raise AssertionError("help text was formatted")
+
+        monkeypatch.setattr(argparse.HelpFormatter, "format_help", refuse)
+        parser = cli._build_parser.__wrapped__()
+        [commands] = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert len(commands) == 10
+        assert all(sub.prog == f"latspec {name}" for name, sub in commands.items())
+
 
 _SCALAR_VALUES = (st.none() | st.booleans() | st.integers()
                   | st.floats() | st.sampled_from([-0.0, 1e-300, 0.1, 1e16])
@@ -1165,6 +1185,31 @@ class TestBlockBudget:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and f"{limit} = 10" in err
+
+
+class TestPairBudget:
+    """A lattice with more than PAIR_LIMIT ordered pairs exits 2, naming the
+    bound, before its permutability matrix is allocated; a command that never
+    fills the matrix still runs. S4 has 30 subgroups, so 900 pairs."""
+
+    @pytest.mark.parametrize("argv", ["verify S4", "sd S4", "graph S4 --json"])
+    def test_filling_the_matrix_past_the_bound_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 899)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "PAIR_LIMIT = 899" in err
+
+    @pytest.mark.parametrize("argv", ["info S4", "lattice S4 --json", "mobius S4",
+                                      "hughes S4 -p 2", "f2 S4 --method direct"])
+    def test_commands_that_never_fill_the_matrix_run(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 899)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and out and err == ""
+
+    def test_the_bound_itself_fits(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 900)
+        code, out, _ = run(capsys, "verify", "S4")
+        assert code == 0 and " ok" in out
 
 
 class TestImports:

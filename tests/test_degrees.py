@@ -30,11 +30,11 @@ from latspec.degrees import (
     verify_identities,
 )
 from latspec.closed_forms import _PSL_F2_TABLE
-from latspec.errors import DomainError, SizeError
+from latspec.errors import ConsistencyError, DomainError, SizeError
 from latspec.graph import DenseSymMatrix, adjacency_matrix, build_graph, laplacian_matrix
 from latspec.lattice import SubgroupLattice, enumerate_subgroups
 from latspec.perm import bits_of, generate_group, parse_permutation
-from latspec.spectral import DEFAULT_TOL, eigenvalues_symmetric
+from latspec.spectral import DEFAULT_TOL, Spectrum, eigenvalues_symmetric
 
 from conftest import build, dense_block, double_loop_product, full_spectra, naive_closure
 
@@ -247,6 +247,36 @@ class TestF2Splits:
     def test_s4_uses_recursion_values(self, lat_s4):
         assert f2_split_laplacian(lat_s4) == 177
         assert f2_split_adjacency(lat_s4) == 177
+
+    def test_every_class_holds_a_spectrum_pair(self):
+        # a fresh lattice: the module's S4 shares its memo with other tests
+        lattice = enumerate_subgroups(symmetric(4))
+        assert f2_split_laplacian(lattice) == f2_split_adjacency(lattice) == 177
+        nulls = 0
+        for rep, _, _ in degrees._classes(lattice):
+            own = degrees._own(lattice, rep)
+            adjacency, laplacian = (own.memo[kind, DEFAULT_TOL] for kind in ("adjacency", "laplacian"))
+            if own.is_quasihamiltonian():
+                # the null graph enters the sum with 2|E| = 0 and no block
+                assert degrees.top_graph(own).is_null()
+                assert adjacency.values == laplacian.values == ()
+                nulls += 1
+            else:
+                assert adjacency.dimension == laplacian.dimension > 0
+        # of S4's 11 classes, all but S3, D8, A4 and S4 itself
+        assert nulls == 7
+
+    @pytest.mark.parametrize("kind, route", [("adjacency", f2_split_laplacian),
+                                             ("laplacian", f2_split_adjacency)])
+    def test_each_route_checks_both_spectral_forms(self, kind, route):
+        lattice = enumerate_subgroups(symmetric(4))
+        assert route(lattice) == 177
+        [a4] = [degrees._own(lattice, rep) for rep, _, _ in degrees._classes(lattice)
+                if lattice.subgroup(rep).order == 12]
+        values = a4.memo[kind, DEFAULT_TOL].values
+        a4.memo[kind, DEFAULT_TOL] = Spectrum(values[:-1] + (values[-1] + 0.5,))
+        with pytest.raises(ConsistencyError, match=r"disagrees with exact 2\|E\| = "):
+            route(lattice)
 
     def test_minimal_nonabelian_partition(self, lat_s3):
         assert non_permuting_ids(own_lattices(lat_s3)) == [lat_s3.top_id]
