@@ -1,14 +1,14 @@
 """Content-addressed on-disk cache for per-group artifacts.
 
-One file holds the sections of one group at one eigensolver tolerance. It is
-named by the group order, the full hash of the canonical element table and
-repr(tol). Its first line is the key object {schema, tol, degree, elements};
-each further line is one section: its name, a tab, and its value as compact
-JSON with sorted keys, the lines in name order.
+One file holds the sections of one group. It is named by the group order
+and the full hash of the canonical element table. Its first line is the key
+object {schema, degree, elements}; each further line is one section: its
+name, a tab, and its value as compact JSON with sorted keys, the lines in
+name order.
 
 A lookup opens only the file its key names, decodes only the key line, and
-answers only when the schema, the tol, the degree and the full element table
-all match, so a hash collision, a renamed file or another schema is a miss,
+answers only when the schema, the degree and the full element table all
+match, so a hash collision, a renamed file or another schema is a miss,
 never a wrong answer. It returns each section's line undecoded; the reader
 decodes a line with `decode_section` when it first needs that section, so a
 command decodes only what it uses (the graph section is most of a file, and
@@ -28,7 +28,6 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .perm import FiniteGroup
-from .spectral import DEFAULT_TOL
 
 # CPython's built-in SHA-256, which hashlib falls back to without OpenSSL;
 # importing hashlib loads OpenSSL's libcrypto (about 3.5 MiB of peak RSS).
@@ -41,7 +40,7 @@ except ImportError:
         from hashlib import sha256
 
 # The layout of a cache file; a file written under another schema is a miss.
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 
 def _compact(value) -> str:
@@ -77,25 +76,23 @@ def signature_of(group: FiniteGroup) -> dict:
     }
 
 
-def _key(group: FiniteGroup, tol: float) -> dict:
+def _key(group: FiniteGroup) -> dict:
     """The first line of a cache file; a lookup must match every field."""
     return {
         "schema": CACHE_SCHEMA,
-        "tol": tol,
         "degree": group.degree,
         "elements": [list(p.images) for p in group.elements],
     }
 
 
-def _cache_file(cache_dir: str | Path, group: FiniteGroup, tol: float) -> Path:
-    return Path(cache_dir) / f"{group.order}-{table_hash(group)}-{tol!r}.json"
+def _cache_file(cache_dir: str | Path, group: FiniteGroup) -> Path:
+    return Path(cache_dir) / f"{group.order}-{table_hash(group)}.json"
 
 
-def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
-                 tol: float = DEFAULT_TOL) -> dict[str, str] | None:
-    """The section lines stored for this exact group at this tol, by section
-    name and undecoded (see `decode_section`), or None."""
-    path = _cache_file(cache_dir, group, tol)
+def cache_lookup(cache_dir: str | Path, group: FiniteGroup) -> dict[str, str] | None:
+    """The section lines stored for this exact group, by section name and
+    undecoded (see `decode_section`), or None."""
+    path = _cache_file(cache_dir, group)
     try:
         with open(path, encoding="utf-8") as fh:
             key_line, *section_lines = fh.read().split("\n")
@@ -106,7 +103,7 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
         print(f"warning: ignoring unreadable or corrupt cache file {path}: {exc}",
               file=sys.stderr)
         return None
-    if isinstance(key, dict) and key != _key(group, tol):
+    if isinstance(key, dict) and key != _key(group):
         return None
     lines = dict(line.split("\t", 1) for line in section_lines if "\t" in line)
     if not isinstance(key, dict) or len(lines) != sum(map(bool, section_lines)):
@@ -115,12 +112,11 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup,
     return lines
 
 
-def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: Mapping,
-                tol: float = DEFAULT_TOL) -> None:
-    """Write this group's file at this tol whole, atomically (temp file + rename)."""
-    path = _cache_file(cache_dir, group, tol)
+def cache_store(cache_dir: str | Path, group: FiniteGroup, sections: Mapping) -> None:
+    """Write this group's file whole, atomically (temp file + rename)."""
+    path = _cache_file(cache_dir, group)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = "".join([_compact(_key(group, tol)) + "\n"]
+    text = "".join([_compact(_key(group)) + "\n"]
                    + [f"{name}\t{_compact(sections[name])}\n" for name in sorted(sections)])
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .closed_forms import PrimePower
-from .errors import InputError
-from .perm import FiniteGroup, Permutation, generate_group, parse_generators
+from .errors import InputError, SizeError
+from .perm import MUL_TABLE_LIMIT, FiniteGroup, Permutation, generate_group, parse_generators
 
 
 def _from_images(degree: int, images: list[tuple[int, ...]],
@@ -40,6 +40,12 @@ def _from_images(degree: int, images: list[tuple[int, ...]],
     return group
 
 
+def _within_table(what: str, size: int) -> None:
+    """SizeError for an order or degree past MUL_TABLE_LIMIT, before a tuple that long exists."""
+    if size > MUL_TABLE_LIMIT:
+        raise SizeError(f"{what} {size} exceeds table limit {MUL_TABLE_LIMIT}")
+
+
 def trivial_group(degree: int = 1) -> FiniteGroup:
     return generate_group(degree, [])
 
@@ -47,6 +53,7 @@ def trivial_group(degree: int = 1) -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("cyclic order must be >= 1")
+    _within_table("cyclic order", n)
     if n == 1:
         return trivial_group()
     images = tuple((i + 1) % n for i in range(n))
@@ -57,6 +64,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n, acting on the n-gon for n >= 3."""
     if n < 1:
         raise InputError("dihedral parameter must be >= 1")
+    _within_table("dihedral order", 2 * n)
     if n == 1:
         return cyclic(2)
     if n == 2:
@@ -226,6 +234,7 @@ def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:
         degree = int(m.group(1))
         if degree < 1:
             fail("permutation degree must be >= 1")
+        _within_table("permutation degree", degree)
         gens = parse_generators(m.group(2), degree)
         return generate_group(degree, gens), notes
     fail(f"unknown group token {token!r}")

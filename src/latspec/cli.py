@@ -18,9 +18,9 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -43,7 +43,6 @@ from .degrees import (
 from .errors import DomainError, InputError, LatspecError, SizeError
 from .graph import adjacency_matrix, dot_export, laplacian_matrix, vertex_label
 from .lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
-from .spectral import DEFAULT_TOL
 
 NOT_APPLICABLE = "not applicable (the split formula requires sd(G) != 1)"
 
@@ -95,17 +94,18 @@ class Pipeline:
 
     `save()` alone decides what the cache holds: if this run computed
     anything, an enumerated lattice included, it stores the proved lattice's
-    member lists, completes the graph and spectra, checks a loaded report it
-    has not read, and writes the file once, atomically; a cache that cannot
-    be written costs a warning.
+    member lists, completes the graph and spectra as far as the size budgets
+    allow, checks a loaded report it has not read, and writes the file once,
+    atomically. A budget that stops a part only leaves that part out, and a
+    cache that cannot be written costs a warning; neither changes the
+    command's exit status.
     """
 
-    def __init__(self, spec: GroupSpec, tol: float, cache_dir: str | None) -> None:
+    def __init__(self, spec: GroupSpec, cache_dir: str | None) -> None:
         self.spec = spec
         self.group = spec.group
-        self.tol = tol
         self.cache_dir = cache_dir
-        self._unread = (cache_lookup(cache_dir, self.group, tol) if cache_dir else None) or {}
+        self._unread = (cache_lookup(cache_dir, self.group) if cache_dir else None) or {}
         self._parts: dict = {}  # parts replayed or computed by this run; save() writes them
         self._lattice: SubgroupLattice | None = None
         self._computed = False
@@ -130,7 +130,7 @@ class Pipeline:
             if part == "graph":
                 value = top_graph(lattice).to_json_dict()
             else:
-                adj, lap = graph_spectra(lattice, self.tol)
+                adj, lap = graph_spectra(lattice)
                 value = {"adjacency": [_fixed(v) for v in adj.values],
                          "laplacian": [_fixed(v) for v in lap.values]}
             self._parts[part] = value
@@ -140,7 +140,7 @@ class Pipeline:
     def report(self) -> dict:
         value = self._replay("report")
         if value is None:
-            value = self._parts["report"] = verify_identities(self.lattice(), self.tol)
+            value = self._parts["report"] = verify_identities(self.lattice())
             self._computed = True
         return value
 
@@ -170,11 +170,13 @@ class Pipeline:
         if self.cache_dir and self._computed:
             self._parts["lattice"] = [list(s.member_indices()) for s in self.lattice().subgroups]
             for part in ("graph", "spectra"):
-                self.structure(part)
+                with suppress(SizeError):  # a part past a size budget stays out of the file
+                    self.structure(part)
             if "report" in self._unread:  # kept if it has its shape, else recomputed
-                self.report()
+                with suppress(SizeError):
+                    self.report()
             try:
-                cache_store(self.cache_dir, self.group, self._parts, self.tol)
+                cache_store(self.cache_dir, self.group, self._parts)
             except OSError as exc:
                 print(f"warning: cannot write cache {self.cache_dir}: {exc}", file=sys.stderr)
 
@@ -484,16 +486,16 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _verify_one(name: str, tol: float, cache_dir: str | None) -> dict:
-    pipeline = Pipeline(parse_group_spec(name), tol, cache_dir)
+def _verify_one(name: str, cache_dir: str | None) -> dict:
+    pipeline = Pipeline(parse_group_spec(name), cache_dir)
     report = pipeline.report()
     pipeline.save()
     return {"name": name, "report": report}
 
 
-def cmd_verify(args, tol: float, cache_dir: str | None) -> int:
+def cmd_verify(args, cache_dir: str | None) -> int:
     names = list(CATALOG_NAMES) if args.catalog else [args.group]
-    results = [_verify_one(name, tol, cache_dir) for name in names]
+    results = [_verify_one(name, cache_dir) for name in names]
     all_ok = all(entry["report"]["internal_ok"] for entry in results)
     if args.json:
         _print_json({"tool_version": __version__, "groups": results})
@@ -525,8 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache", metavar="DIR", default=argparse.SUPPRESS,
                         help="cache directory (default: $LATSPEC_CACHE)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help=f"eigensolver tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON")
 
@@ -591,13 +591,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not hasattr(args, "cache"):
         args.cache = os.environ.get("LATSPEC_CACHE") or None
-    if not hasattr(args, "tol"):
-        args.tol = DEFAULT_TOL
     if not hasattr(args, "json"):
         args.json = False
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print("error: --tol must be positive and finite", file=sys.stderr)
-        return 2
     try:
         if args.command == "census":
             return cmd_census(args)
@@ -606,9 +601,9 @@ def main(argv: list[str] | None = None) -> int:
                 print("error: verify needs exactly one of a group spec and --catalog",
                       file=sys.stderr)
                 return 2
-            return cmd_verify(args, args.tol, args.cache)
+            return cmd_verify(args, args.cache)
         spec = parse_group_spec(args.group)
-        pipeline = Pipeline(spec, args.tol, args.cache)
+        pipeline = Pipeline(spec, args.cache)
         status = _GROUP_COMMANDS[args.command](pipeline, args)
         pipeline.save()
         return status

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import DomainError, InputError, SizeError
 
-# The largest q accepted as a prime power: `PrimePower.from_value`
-# trial-divides up to sqrt(q), about 0.3 s at this bound.
+# The largest q accepted as a prime power, and the largest p `is_prime`
+# tests: both trial-divide up to the square root, about 0.3 s at this bound.
 Q_LIMIT = 10**12
 
 
@@ -64,6 +64,9 @@ class PrimePower:
 
 
 def is_prime(p: int) -> bool:
+    """Primality by trial division; SizeError above Q_LIMIT, before any division."""
+    if p > Q_LIMIT:
+        raise SizeError(f"p = {p} exceeds the bound {Q_LIMIT} on p")
     if p < 2:
         return False
     d = 2

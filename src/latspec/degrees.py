@@ -20,14 +20,14 @@ keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
 once the parent's matrix is filled, reading it restricted to the class
 representative's down-set; the subgroup F2 sum and both splits read them.
 Every lattice memoizes on itself its graph, the graph's block basis, its
-F2, its subgroup F2 sum and its two spectra per tol. The Möbius inversion
+F2, its subgroup F2 sum and its two spectra. The Möbius inversion
 builds no class lattice: sd(T) |L(T)|^2 is the parent's matrix summed over
 T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
 Möbius inversion and both splits) take one term per class, weighted by the
 class size (`_classes`). The structure dump,
-the trace checks and the split shadows share one eigenvalue solve per class,
-matrix and tol.
+the trace checks and the split shadows share one eigenvalue solve per class
+and matrix.
 
 Conjugation also permutes the graph's vertices and commutes with both of its
 matrices, so each matrix is solved in symmetry-adapted blocks (the canonical
@@ -49,10 +49,9 @@ blocks of 3, of which three are solved. A null graph has no block. A
 spectrum is its blocks' values merged.
 The blocks are handed to the eigensolver in batches, one call per batch: a
 graph's two matrices together, and, before the first split sums its terms,
-both matrices of every class in the split at DEFAULT_TOL, the top graph
-among them. `verify_identities` runs the splits before it reads the top
-graph's spectra, so a `verify` at DEFAULT_TOL makes one call; at another
-tol it makes a second, for the top graph at that tol.
+both matrices of every class in the split, the top graph among them.
+`verify_identities` runs the splits before it reads the top graph's
+spectra, so a `verify` makes one call.
 Blocks with the same shape, type and bytes in one call are solved once.
 Before a call forms any block, its blocks are held to BLOCK_ROW_LIMIT and
 BLOCK_WORK_LIMIT (`_check_budget`); past either, SizeError.
@@ -74,7 +73,6 @@ from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import (
-    DEFAULT_TOL,
     Spectrum,
     eigenvalues_symmetric,
     spectral_sums,
@@ -313,8 +311,8 @@ def _check_budget(bases: list[list[tuple]]) -> None:
                         f"limit BLOCK_WORK_LIMIT = {BLOCK_WORK_LIMIT}")
 
 
-def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum, Spectrum]]:
-    """The adjacency and Laplacian spectra at tol of each lattice's graph.
+def _spectra(lattices: list[SubgroupLattice]) -> list[tuple[Spectrum, Spectrum]]:
+    """The adjacency and Laplacian spectra of each lattice's graph.
 
     Every spectrum not yet memoized on its lattice is split into its
     symmetry-adapted blocks (`_symmetry_blocks`), all of them are held to
@@ -324,9 +322,8 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
     merged, and is memoized on its lattice. When no spectrum is missing, or all of them
     are of null graphs, which have no block, no call is made.
     """
-    keys = [("adjacency", tol), ("laplacian", tol)]
-    missing = [(lat, key) for lat in {id(lat): lat for lat in lattices}.values()
-               for key in keys if key not in lat.memo]
+    missing = [(lat, kind) for lat in {id(lat): lat for lat in lattices}.values()
+               for kind in ("adjacency", "laplacian") if kind not in lat.memo]
     if missing:
         bases = [_memo(lat, "blocks", lambda: _symmetry_blocks(lat, top_graph(lat)))
                  for lat, _ in missing]
@@ -334,7 +331,7 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
         unique: dict[tuple, int] = {}
         blocks: list[DenseSymMatrix] = []
         parts: list[list[int]] = []
-        for (lat, (kind, _)), basis in zip(missing, bases):
+        for (lat, kind), basis in zip(missing, bases):
             adjacency, mine = top_graph(lat)._adj, []
             for *spec, count in basis:
                 block = _block(adjacency, kind == "laplacian", *spec)
@@ -343,16 +340,16 @@ def _spectra(lattices: list[SubgroupLattice], tol: float) -> list[tuple[Spectrum
                     blocks.append(DenseSymMatrix(block))
                 mine.append((index, count))
             parts.append(mine)
-        solved = eigenvalues_symmetric(*blocks, tol=tol) if blocks else ()
-        for (lat, key), mine in zip(missing, parts):
-            lat.memo[key] = _merged([(solved[i], count) for i, count in mine])
-    return [(lat.memo[keys[0]], lat.memo[keys[1]]) for lat in lattices]
+        solved = eigenvalues_symmetric(*blocks) if blocks else ()
+        for (lat, kind), mine in zip(missing, parts):
+            lat.memo[kind] = _merged([(solved[i], count) for i, count in mine])
+    return [(lat.memo["adjacency"], lat.memo["laplacian"]) for lat in lattices]
 
 
-def graph_spectra(lattice: SubgroupLattice, tol: float) -> tuple[Spectrum, Spectrum]:
-    """The adjacency and Laplacian spectra at tol of the lattice's graph,
-    both solved in one call, once per lattice."""
-    [spectra] = _spectra([lattice], tol)
+def graph_spectra(lattice: SubgroupLattice) -> tuple[Spectrum, Spectrum]:
+    """The adjacency and Laplacian spectra of the lattice's graph, both
+    solved in one call, once per lattice."""
+    [spectra] = _spectra([lattice])
     return spectra
 
 
@@ -444,7 +441,7 @@ def _split_sum(lattice: SubgroupLattice) -> int:
     classes = _classes(lattice)
     owns = [_own(lattice, rep) for rep, _, _ in classes]
     total = 0
-    for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns, DEFAULT_TOL)):
+    for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
         s_exact = 2 * top_graph(own).edge_count
         for shadow in (spectral_sums(lap)[0], spectral_sums(adj)[1]):
             if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
@@ -511,7 +508,7 @@ def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> 
     return notes
 
 
-def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dict:
+def verify_identities(lattice: SubgroupLattice) -> dict:
     """Run every exact identity and cross-method comparison for one lattice,
     and give the report as the plain dict that `verify --json` prints and
     the cache stores.
@@ -541,10 +538,10 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
     first, so the quasihamiltonian flag, the core and the Möbius route read
     it and every class lattice takes it restricted instead of testing pairs.
     The F2 routes run next: the Laplacian split solves the top graph with
-    every class in one call at DEFAULT_TOL and checks both spectral forms
-    of each, the adjacency split reads them from the memo, and the top's
-    spectra at tol are read last, from the memo when tol is DEFAULT_TOL. A
-    call past the block budget raises SizeError before it forms a block.
+    every class in one call and checks both spectral forms of each, the
+    adjacency split reads them from the memo, and the trace checks read the
+    top's spectra from the memo last. A call past the block budget raises
+    SizeError before it forms a block.
 
     Published-value disagreements are reported as notes and never fail the run.
     """
@@ -565,8 +562,8 @@ def verify_identities(lattice: SubgroupLattice, tol: float = DEFAULT_TOL) -> dic
     else:
         f2_values["split_laplacian"] = f2_split_laplacian(lattice)
         f2_values["split_adjacency"] = f2_split_adjacency(lattice)
-    # at DEFAULT_TOL, the Laplacian split's call solved the top with its classes
-    adj_spec, lap_spec = graph_spectra(lattice, tol)
+    # the Laplacian split's call solved the top with its classes
+    adj_spec, lap_spec = graph_spectra(lattice)
 
     two_e = 2 * graph.edge_count
     trimmed = [

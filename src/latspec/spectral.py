@@ -33,6 +33,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .graph import DenseSymMatrix
 
+# The relative accuracy of a spectrum at the machine-precision stop width.
 DEFAULT_TOL = 1e-12
 MAX_STEPS = 64  # far above need: each step shrinks a bracket eightfold
 _POINTS = 7  # interior points per bracket and multisection step
@@ -210,8 +211,8 @@ def _label(position: int, dimension: int) -> str:
     return f"matrix {position} (dimension {dimension})"
 
 
-def _reduce(position: int, data: np.ndarray, tol: float) -> _Tridiagonal:
-    """Householder reduction of `data` and its multisection start at tol."""
+def _reduce(position: int, data: np.ndarray) -> _Tridiagonal:
+    """Householder reduction of `data` and its multisection start."""
     n = data.shape[0]
     d, e, reflections = _tridiagonalize(data)
     e2 = e * e
@@ -221,7 +222,7 @@ def _reduce(position: int, data: np.ndarray, tol: float) -> _Tridiagonal:
     radius[:-1] += abs_e
     radius[1:] += abs_e
     norm = float((np.abs(d) + radius).max())
-    width = 2.0 * _EPS * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
+    width = 2.0 * _EPS * norm + 4.0 * pivmin
     return _Tridiagonal(position, d, e2, pivmin, width, float((d - radius).min()),
                         float((d + radius).max()), reflections)
 
@@ -294,8 +295,7 @@ def _overflows_alone(t: _Tridiagonal) -> bool:
     return False
 
 
-def eigenvalues_symmetric(*matrices: DenseSymMatrix,
-                          tol: float = DEFAULT_TOL) -> tuple[Spectrum, ...]:
+def eigenvalues_symmetric(*matrices: DenseSymMatrix) -> tuple[Spectrum, ...]:
     """All eigenvalues of each real symmetric or complex Hermitian matrix,
     ascending, one Spectrum per matrix.
 
@@ -310,13 +310,12 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
     end's count up to its right end's. A matrix takes steps until every one
     of its brackets is at most
 
-        width = 2 * eps * ||T||_inf * max(1, tol / DEFAULT_TOL) + 4 * pivmin
+        width = 2 * eps * ||T||_inf + 4 * pivmin
 
     wide, where eps is the double-precision machine epsilon and
-    pivmin = tiny * max(1, max e_i^2) is the pivot guard. At DEFAULT_TOL this
-    is machine-precision width; a looser tol widens it in proportion and a
-    tighter one cannot narrow it. Each value is its bracket's midpoint,
-    repeated once per index the bracket holds.
+    pivmin = tiny * max(1, max e_i^2) is the pivot guard: machine-precision
+    width. Each value is its bracket's midpoint, repeated once per index the
+    bracket holds.
 
     The matrices share each step's one Sturm pass, and a matrix leaves the
     batch once its own brackets close. Width, step count, MAX_STEPS and the
@@ -325,14 +324,12 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
     is bit-identical to the one a call with that matrix alone returns,
     whatever the other matrices or their order.
 
-    InputError for a non-finite or non-positive tol and for a non-finite,
-    non-symmetric real or non-Hermitian complex matrix; NumericError when
-    the arithmetic overflows, when the Sturm counts fall as the shift rises,
-    or when a matrix's brackets have not closed after MAX_STEPS steps. An error about one matrix names
-    its position among the arguments and its dimension.
+    InputError for a non-finite, non-symmetric real or non-Hermitian complex
+    matrix; NumericError when the arithmetic overflows, when the Sturm counts
+    fall as the shift rises, or when a matrix's brackets have not closed
+    after MAX_STEPS steps. An error about one matrix names its position among
+    the arguments and its dimension.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError("tolerance must be positive and finite")
     spectra: list[Spectrum] = [None] * len(matrices)
     batch = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -349,7 +346,7 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix,
                 spectra[position] = Spectrum(tuple(float(v) for v in np.diag(data).real))
                 continue
             try:
-                batch.append(_reduce(position, data, tol))
+                batch.append(_reduce(position, data))
             except FloatingPointError as exc:
                 raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
         batch.sort(key=lambda t: -t.d.size)  # the Sturm pass takes the largest matrix first

@@ -9,7 +9,6 @@ from latspec.perm import FiniteGroup, Permutation, bits_of, compose, generate_gr
 from latspec.errors import NumericError
 from latspec.graph import adjacency_matrix, laplacian_matrix
 from latspec.spectral import (
-    DEFAULT_TOL,
     MAX_STEPS,
     _POINTS,
     Spectrum,
@@ -185,10 +184,10 @@ def connected_components(graph):
     return count
 
 
-def full_spectra(graph, tol=DEFAULT_TOL):
+def full_spectra(graph):
     """Reference spectra: the graph's whole adjacency and Laplacian matrices,
     solved as they are, with no symmetry-adapted blocks."""
-    return eigenvalues_symmetric(adjacency_matrix(graph), laplacian_matrix(graph), tol=tol)
+    return eigenvalues_symmetric(adjacency_matrix(graph), laplacian_matrix(graph))
 
 
 def dense_block(data, vertices, weights, starts, sizes):
@@ -370,7 +369,7 @@ def solo_sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarra
     return count
 
 
-def solo_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+def solo_multisection(data: np.ndarray) -> Spectrum:
     """Reference eigensolver: the cluster multisection of `eigenvalues_symmetric`
     run on one matrix at a time, with its own Sturm pass per step. A batched
     solve must give each matrix exactly this Spectrum, counters included."""
@@ -385,7 +384,7 @@ def solo_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         radius[:-1] += np.abs(e)
         radius[1:] += np.abs(e)
         norm = float((np.abs(d) + radius).max())
-        width = 2.0 * np.finfo(float).eps * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
+        width = 2.0 * np.finfo(float).eps * norm + 4.0 * pivmin
         lo = np.array([float((d - radius).min())])
         hi = np.array([float((d + radius).max())])
         c_lo, c_hi = np.array([0]), np.array([n])
@@ -410,7 +409,7 @@ def solo_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
                     float((hi - lo).max()), shifts)
 
 
-def per_index_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+def per_index_multisection(data: np.ndarray) -> Spectrum:
     """Reference eigensolver: the same Householder reduction, start bracket,
     grid and stop rule as `eigenvalues_symmetric`, but one bracket per
     eigenvalue index, each placed by counting the grid points whose Sturm
@@ -427,7 +426,7 @@ def per_index_multisection(data: np.ndarray, tol: float = DEFAULT_TOL) -> Spectr
         radius[:-1] += np.abs(e)
         radius[1:] += np.abs(e)
         norm = float((np.abs(d) + radius).max())
-        width = 2.0 * np.finfo(float).eps * norm * max(1.0, tol / DEFAULT_TOL) + 4.0 * pivmin
+        width = 2.0 * np.finfo(float).eps * norm + 4.0 * pivmin
         index = np.arange(n)
         lo = np.full(n, float((d - radius).min()))
         hi = np.full(n, float((d + radius).max()))

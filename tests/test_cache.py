@@ -76,12 +76,12 @@ class TestRoundTrip:
 
     def test_file_holds_one_entry_named_by_its_key(self, cache_dir):
         group = cyclic(6)
-        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
+        cache_store(cache_dir, group, {"structure": {"v": 1}})
         [path] = cache_dir.glob("*.json")
-        assert path.name == f"6-{table_hash(group)}-0.3.json"
+        assert path.name == f"6-{table_hash(group)}.json"
         key, sections = read_cache_file(path)
-        assert sorted(key) == ["degree", "elements", "schema", "tol"]
-        assert (key["schema"], key["tol"]) == (cache.CACHE_SCHEMA, 0.3)
+        assert sorted(key) == ["degree", "elements", "schema"]
+        assert key["schema"] == cache.CACHE_SCHEMA == 5
         assert sections == {"structure": {"v": 1}}
 
     def test_store_never_reads_a_file(self, cache_dir, monkeypatch):
@@ -93,10 +93,8 @@ class TestRoundTrip:
 
         monkeypatch.setattr(cache, "open", refuse, raising=False)
         cache_store(cache_dir, group, {"structure": {"v": 2}})
-        cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
         monkeypatch.undo()
         assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
-        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 3}}
 
 
 class TestSectionLines:
@@ -105,7 +103,7 @@ class TestSectionLines:
         cache_store(cache_dir, group, {"report": {"ok": True}, "graph": [1, {"b": 2, "a": 1}]})
         [path] = cache_dir.glob("*.json")
         assert path.read_text().split("\n") == [
-            '{"degree":3,"elements":[[0,1,2],[1,2,0],[2,0,1]],"schema":%d,"tol":1e-12}'
+            '{"degree":3,"elements":[[0,1,2],[1,2,0],[2,0,1]],"schema":%d}'
             % cache.CACHE_SCHEMA,
             'graph\t[1,{"a":1,"b":2}]',
             'report\t{"ok":true}',
@@ -205,45 +203,3 @@ class TestHashCollision:
         assert decode_lookup(cache_lookup(cache_dir, g2)) == {"report": {"who": "V4"}}
         assert capsys.readouterr().err == ""
 
-
-class TestTolerance:
-    def test_entry_answers_only_its_own_tol(self, cache_dir):
-        group = symmetric(3)
-        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
-        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 1}}
-        assert cache_lookup(cache_dir, group) is None
-
-    def test_store_at_another_tol_keeps_both_entries(self, cache_dir):
-        group = symmetric(3)
-        cache_store(cache_dir, group, {"structure": {"v": 1}}, tol=0.3)
-        cache_store(cache_dir, group, {"structure": {"v": 2}})
-        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
-        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 1}}
-        assert cache_lookup(cache_dir, group, tol=1e-10) is None
-        files = sorted(cache_dir.glob("*.json"))
-        assert sorted(read_cache_file(path)[0]["tol"] for path in files) == [1e-12, 0.3]
-        # a second store at one tol replaces only that tol's file
-        cache_store(cache_dir, group, {"structure": {"v": 3}}, tol=0.3)
-        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"structure": {"v": 3}}
-        assert decode_lookup(cache_lookup(cache_dir, group)) == {"structure": {"v": 2}}
-        assert sorted(cache_dir.glob("*.json")) == files
-
-    def test_entry_without_tol_misses(self, cache_dir):
-        group = symmetric(3)
-        cache_store(cache_dir, group, {"report": {"ok": True}})
-        path = next(cache_dir.glob("*.json"))
-        key, sections = read_cache_file(path)
-        del key["tol"]
-        write_cache_file(path, key, sections)
-        assert cache_lookup(cache_dir, group) is None
-
-    def test_a_file_copied_to_another_tols_name_misses(self, cache_dir, capsys):
-        group = symmetric(3)
-        cache_store(cache_dir, group, {"report": {"ok": True}}, tol=0.3)
-        cache_store(cache_dir, group, {"report": {"ok": False}})
-        [loose] = cache_dir.glob("*-0.3.json")
-        [default] = cache_dir.glob("*-1e-12.json")
-        default.write_bytes(loose.read_bytes())
-        assert cache_lookup(cache_dir, group) is None
-        assert decode_lookup(cache_lookup(cache_dir, group, tol=0.3)) == {"report": {"ok": True}}
-        assert capsys.readouterr().err == ""

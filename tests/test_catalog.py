@@ -1,5 +1,6 @@
 import pytest
 
+import latspec.catalog as catalog
 from latspec.cache import signature_of
 from latspec.catalog import (
     CATALOG_NAMES,
@@ -16,7 +17,8 @@ from latspec.catalog import (
     recognize_projective,
     symmetric,
 )
-from latspec.errors import InputError
+from latspec.errors import InputError, SizeError
+from latspec.perm import MUL_TABLE_LIMIT
 
 
 class TestConstructors:
@@ -129,6 +131,31 @@ class TestParseGroupSpec:
 
     def test_whitespace_tolerated(self):
         assert parse_group_spec("  A4  ").group.order == 12
+
+
+class TestTableLimit:
+    """An order or degree past MUL_TABLE_LIMIT is refused before any tuple of
+    that length is built, so a huge token costs no memory."""
+
+    @pytest.mark.parametrize("token", ["C1000000000", "D500000000", "Dih1000000000",
+                                       "E999999999989", "perm1000000000:(1,2)",
+                                       "perm1000000000:"])
+    def test_a_huge_token_is_refused_before_any_tuple(self, monkeypatch, token):
+        def refuse(*args):
+            raise AssertionError("a group was built for a huge token")
+
+        for name in ("tuple", "parse_generators", "generate_group"):
+            monkeypatch.setattr(catalog, name, refuse, raising=False)
+        with pytest.raises(SizeError, match=f"exceeds table limit {MUL_TABLE_LIMIT}"):
+            parse_group_spec(token)
+
+    @pytest.mark.parametrize("fits,refused", [("C12", "C13"), ("D6", "D7"), ("Dih12", "Dih14"),
+                                              ("perm12:(1,2)", "perm13:(1,2)")])
+    def test_the_bound_itself_fits(self, monkeypatch, fits, refused):
+        monkeypatch.setattr(catalog, "MUL_TABLE_LIMIT", 12)
+        assert parse_group_spec(fits).group.order in (2, 12)
+        with pytest.raises(SizeError, match="exceeds table limit 12"):
+            parse_group_spec(refused)
 
 
 class TestCatalogList:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from typing import NamedTuple
@@ -80,15 +81,26 @@ class TestBasics:
         assert code == 2
         assert "budget" in err
 
-    def test_bad_tol_exits_2(self, capsys):
-        code, _, err = run(capsys, "--tol", "-1", "info", "S3")
-        assert code == 2
+    @pytest.mark.parametrize("token", ["C1000000000", "D500000000", "E999999999989",
+                                       "perm1000000000:(1,2)"])
+    def test_a_huge_token_exits_2_before_any_tuple(self, capsys, monkeypatch, token):
+        def refuse(*args):
+            raise AssertionError("a group was built for a huge token")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_exits_2(self, capsys, tol):
-        code, out, err = run(capsys, "spectrum", "S3", "--tol", tol)
+        for name in ("tuple", "parse_generators", "generate_group"):
+            monkeypatch.setattr(catalog, name, refuse, raising=False)
+        code, out, err = run(capsys, "info", token)
         assert (code, out) == (2, "")
-        assert "--tol" in err
+        assert err.startswith("error: ") and "table limit 4096" in err
+
+    @pytest.mark.parametrize("argv", [("--tol", "1e-10", "verify", "S4"),
+                                      ("verify", "S4", "--tol", "1e-10")])
+    def test_tol_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "1e-10" in captured.err
 
 
 class TestLatticeGraphSpectrum:
@@ -180,6 +192,24 @@ class TestMobiusHughes:
     def test_hughes_non_prime_exits_2(self, capsys):
         code, _, err = run(capsys, "hughes", "S3", "-p", "6")
         assert code == 2
+
+    def test_hughes_prime_at_the_bound_runs(self, capsys):
+        code, out, _ = run(capsys, "hughes", "S3", "-p", "999999999989")
+        assert code == 0 and "order 6" in out
+
+    def test_hughes_prime_past_the_bound_exits_2_before_trial_division(self, capsys):
+        def stop(signum, frame):
+            raise TimeoutError("hughes -p trial-divided a 31-digit prime")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            code, out, err = run(capsys, "hughes", "S3", "-p", "1000000000000000000000000000057")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "1000000000000" in err
 
 
 class TestSdF2:
@@ -323,33 +353,6 @@ class TestCache:
         code, out, _ = run(capsys, "--cache", cache_dir, "verify", "A4", "--json")
         assert code == 0
         assert json.loads(out)["groups"][0]["report"]["f2"]["direct"] == 27
-
-
-class TestCacheTolerance:
-    """Sections computed at one --tol must not answer a run at another."""
-
-    @pytest.mark.parametrize("argv", [("spectrum", "S4"), ("verify", "S4")])
-    def test_loose_entry_is_not_replayed(self, capsys, tmp_path, argv):
-        cache_dir = str(tmp_path / "c")
-        run(capsys, "--cache", cache_dir, *argv, "--tol", "0.3")
-        warm = run(capsys, "--cache", cache_dir, *argv)
-        cold = run(capsys, *argv)
-        assert warm == cold
-        assert cold[0] == 0
-        # the recomputed sections are stored beside the loose ones and answer the default tol
-        assert run(capsys, "--cache", cache_dir, *argv) == cold
-
-    def test_a_run_at_another_tol_keeps_the_default_report(self, capsys, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "c")
-        first = run(capsys, "--cache", cache_dir, "verify", "S4")
-        assert first[0] == 0
-        assert run(capsys, "--cache", cache_dir, "lattice", "S4", "--tol", "1e-10")[0] == 0
-
-        def refuse(*args):
-            raise AssertionError("the stored report was not replayed")
-
-        monkeypatch.setattr(cli, "verify_identities", refuse)
-        assert run(capsys, "--cache", cache_dir, "verify", "S4") == first
 
 
 class TestTruncatedCache:
@@ -655,7 +658,7 @@ class TestSectionLines:
         assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
         assert path.read_bytes() == fresh_file.read_bytes()
 
-    def test_a_schema_3_file_is_a_silent_miss_and_is_rewritten_as_schema_4(
+    def test_a_schema_3_file_is_a_silent_miss_and_is_rewritten_as_schema_5(
             self, capsys, tmp_path, fresh_file):
         key, sections = read_cache_file(fresh_file)
         sections["report"]["f2"]["direct"] = 178  # replayed, this would print
@@ -666,7 +669,25 @@ class TestSectionLines:
         write_cache_file(path, {**key, "schema": 3}, sections)
         assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
         assert path.read_bytes() == fresh_file.read_bytes()
-        assert read_cache_file(path)[0]["schema"] == 4
+        assert read_cache_file(path)[0]["schema"] == 5
+
+    @pytest.mark.parametrize("suffix", ["-1e-12.json", ".json"], ids=["its_name", "the_new_name"])
+    def test_a_schema_4_file_is_a_silent_miss_and_the_next_run_writes_schema_5(
+            self, capsys, tmp_path, fresh_file, suffix):
+        key, sections = read_cache_file(fresh_file)
+        sections["report"]["f2"]["direct"] = 178  # replayed, this would print
+        # the schema-4 layout: the key line and the file name held the eigensolver tol
+        path = tmp_path / "c" / fresh_file.name.replace(".json", suffix)
+        path.parent.mkdir()
+        write_cache_file(path, {**key, "schema": 4, "tol": 1e-12}, sections)
+        old = path.read_bytes()
+        code, out, err = run(capsys, "--cache", str(path.parent), "verify", "S4")
+        assert (code, out, err) == run(capsys, "verify", "S4")
+        assert err == ""
+        new = path.parent / fresh_file.name
+        assert new.read_bytes() == fresh_file.read_bytes()
+        assert read_cache_file(new)[0] == {**key, "schema": 5}
+        assert path == new or path.read_bytes() == old
 
     def test_a_cold_verify_stores_the_proved_member_lists(self, fresh_file):
         lattice = enumerate_subgroups(parse_group_spec("S4").group)
@@ -901,19 +922,18 @@ class TestDeterminism:
 @pytest.fixture
 def eigen_solves(monkeypatch):
     """Record every eigensolver call, at every latspec module that binds the
-    solver: per call, the (dimension, matrix bytes, tol) of each matrix it
-    solves and the names of the functions on the call stack."""
+    solver: per call, the (dimension, matrix bytes) of each matrix it solves
+    and the names of the functions on the call stack."""
     real = spectral.eigenvalues_symmetric
     calls = []
 
-    def recording(*matrices, tol=spectral.DEFAULT_TOL):
+    def recording(*matrices):
         frame, callers = sys._getframe(1), set()
         while frame is not None:
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
-        calls.append(SolverCall([(m.dimension, m.data.tobytes(), tol) for m in matrices],
-                                callers))
-        return real(*matrices, tol=tol)
+        calls.append(SolverCall([(m.dimension, m.data.tobytes()) for m in matrices], callers))
+        return real(*matrices)
 
     sites = [mod for name, mod in list(sys.modules.items())
              if name.startswith("latspec") and vars(mod).get("eigenvalues_symmetric") is real]
@@ -924,17 +944,12 @@ def eigen_solves(monkeypatch):
 
 
 class SolverCall(NamedTuple):
-    solves: list[tuple[int, bytes, float]]
+    solves: list[tuple[int, bytes]]
     callers: set[str]
 
 
-def all_solves(calls):
-    return [solve for call in calls for solve in call.solves]
-
-
 def verify_blocks(name):
-    """Per lattice whose blocks a cold `verify` solves at the default tol (the
-    top first, then each class below it whose lattice does not permute), the
+    """Per lattice whose blocks a cold `verify` solves (the top first, then each class below it whose lattice does not permute), the
     (dimension, bytes) of every block of its adjacency and Laplacian matrices."""
     top = enumerate_subgroups(parse_group_spec(name).group)
     lattices = [top] + [degrees._own(top, rep) for rep in sorted(set(top.class_reps()))
@@ -961,11 +976,9 @@ class TestSolveOnce:
         # the top and its classes once
         [call] = eigen_solves
         assert "f2_split_laplacian" in call.callers
-        keys = [(data, tol) for _, data, tol in call.solves]
-        assert len(keys) == len(set(keys))
-        assert {tol for _, tol in keys} == {spectral.DEFAULT_TOL}
+        assert len(call.solves) == len(set(call.solves))
         top, *classes = verify_blocks("S4")
-        assert {(dim, data) for dim, data, _ in call.solves} == set().union(top, *classes)
+        assert set(call.solves) == set().union(top, *classes)
         # the top graph's blocks: 12, 8 and one complex 3 x 3 block for the
         # two characters of order 4 under the 4-cycle, per matrix
         assert top_dim == 12 + 8 + 2 * 3
@@ -987,15 +1000,14 @@ class TestSolveOnce:
         top, *_ = verify_blocks("PSL(2,7)")
         assert [dim for dim, _ in top] == [27, 25] * 2
         assert 27 + 6 * 25 == report["vertex_count"]
-        solved = {(dim, data) for dim, data, _ in call.solves}
-        assert set(top) <= solved
+        assert set(top) <= set(call.solves)
         # then the distinct blocks of the 7 classes below the top whose own
         # lattices do not permute: D8 gives 2, 2; each A4 class 3 and a
         # complex 2, the same bytes for both classes; each S4 class 12, 8
         # and a complex 3, the complex one the same for both. S3 and 7:3
         # give 1 x 1 blocks only; rounding decides which of the complex ones
         # coincide byte for byte
-        dims = sorted(dim for dim, _, _ in call.solves)
+        dims = sorted(dim for dim, _ in call.solves)
         assert [dim for dim in dims if dim > 1] == (
             [2] * 6 + [3] * 4 + [8] * 4 + [12] * 4 + [25] * 2 + [27] * 2)
         assert 6 <= dims.count(1) <= 8
@@ -1039,27 +1051,6 @@ class TestSolveOnce:
         code, cold, _ = run(capsys, "verify", "S4", "--json")
         assert code == 0
         assert warm == cold
-
-    def test_tol_is_part_of_the_spectrum_key(self, capsys, eigen_solves):
-        code, out, _ = run(capsys, "verify", "S4", "--json")
-        default = json.loads(out)["groups"][0]["report"]
-        del eigen_solves[:]
-        code, out, _ = run(capsys, "verify", "S4", "--tol", "1e-10", "--json")
-        assert code == 0
-        loose = json.loads(out)["groups"][0]["report"]
-        assert loose["internal_ok"] is True
-        assert (loose["sd"], loose["f2"]) == (default["sd"], default["f2"])
-        # the split shadows solve the top graph's blocks at the default tol,
-        # in the split's call with the classes; structure and trace checks
-        # solve them again at --tol, alone, after the splits
-        split_call, top_call = eigen_solves
-        assert "f2_split_laplacian" in split_call.callers
-        assert not {"f2_split_laplacian", "f2_split_adjacency"} & top_call.callers
-        top_blocks = {data for _, data, _ in top_call.solves}
-        assert len(top_blocks) == len(top_call.solves) == 6
-        assert {tol for _, _, tol in top_call.solves} == {1e-10}
-        top_tols = sorted(tol for _, data, tol in all_solves(eigen_solves) if data in top_blocks)
-        assert top_tols == [1e-12] * len(top_blocks) + [1e-10] * len(top_blocks)
 
 
 def child_modules(*commands):
@@ -1192,10 +1183,13 @@ class TestPairBudget:
     bound, before its permutability matrix is allocated; a command that never
     fills the matrix still runs. S4 has 30 subgroups, so 900 pairs."""
 
+    @pytest.mark.parametrize("cache", [False, True], ids=["no_cache", "cache"])
     @pytest.mark.parametrize("argv", ["verify S4", "sd S4", "graph S4 --json"])
-    def test_filling_the_matrix_past_the_bound_exits_2(self, capsys, monkeypatch, argv):
+    def test_filling_the_matrix_past_the_bound_exits_2(self, capsys, monkeypatch, tmp_path,
+                                                       argv, cache):
         monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 899)
-        code, out, err = run(capsys, *argv.split())
+        prefix = ["--cache", str(tmp_path / "c")] if cache else []
+        code, out, err = run(capsys, *prefix, *argv.split())
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "PAIR_LIMIT = 899" in err
 
@@ -1205,6 +1199,31 @@ class TestPairBudget:
         monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 899)
         code, out, err = run(capsys, *argv.split())
         assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("argv", ["info S4", "lattice S4 --json", "mobius S4",
+                                      "hughes S4 -p 2", "f2 S4 --method direct"])
+    def test_a_cached_run_stores_what_fits_and_keeps_its_exit_status(
+            self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 899)
+        cache_dir = tmp_path / "c"
+        expected = run(capsys, *argv.split())
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, "--cache", str(cache_dir), *argv.split()) == expected
+        [path] = cache_dir.glob("*.json")
+        assert sorted(read_cache_file(path)[1]) == ["lattice"]
+        assert run(capsys, "--cache", str(cache_dir), *argv.split()) == expected
+
+    def test_a_cached_run_past_the_block_budget_stores_the_graph(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        monkeypatch.setattr(degrees, "BLOCK_ROW_LIMIT", 1)
+        cache_dir = tmp_path / "c"
+        expected = run(capsys, "info", "S4")
+        assert run(capsys, "--cache", str(cache_dir), "info", "S4") == expected
+        [path] = cache_dir.glob("*.json")
+        assert sorted(read_cache_file(path)[1]) == ["graph", "lattice"]
+        assert run(capsys, "--cache", str(cache_dir), "info", "S4") == expected
+        code, out, err = run(capsys, "--cache", str(cache_dir), "spectrum", "S4")
+        assert (code, out) == (2, "") and "BLOCK_ROW_LIMIT = 1" in err
 
     def test_the_bound_itself_fits(self, capsys, monkeypatch):
         monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 900)

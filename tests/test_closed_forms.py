@@ -11,6 +11,7 @@ from latspec.closed_forms import (
     dickson_census,
     f2_pgl_closed,
     f2_psl_closed,
+    is_prime,
     mobius_hall,
     mobius_symmetric,
 )
@@ -37,6 +38,11 @@ class TestPrimePower:
         assert PrimePower.from_value(999_999_999_989).q == 999_999_999_989 <= Q_LIMIT
         with pytest.raises(SizeError, match=str(Q_LIMIT)):
             PrimePower.from_value(Q_LIMIT + 39)
+
+    def test_a_prime_past_the_bound_is_refused_before_trial_division(self):
+        assert is_prime(999_999_999_989)
+        with pytest.raises(SizeError, match=str(Q_LIMIT)):
+            is_prime(Q_LIMIT + 39)  # prime, and trial division would take 0.3 s
 
 
 def test_divisors_match_the_range_definition():

@@ -255,7 +255,7 @@ class TestF2Splits:
         nulls = 0
         for rep, _, _ in degrees._classes(lattice):
             own = degrees._own(lattice, rep)
-            adjacency, laplacian = (own.memo[kind, DEFAULT_TOL] for kind in ("adjacency", "laplacian"))
+            adjacency, laplacian = (own.memo[kind] for kind in ("adjacency", "laplacian"))
             if own.is_quasihamiltonian():
                 # the null graph enters the sum with 2|E| = 0 and no block
                 assert degrees.top_graph(own).is_null()
@@ -273,8 +273,8 @@ class TestF2Splits:
         assert route(lattice) == 177
         [a4] = [degrees._own(lattice, rep) for rep, _, _ in degrees._classes(lattice)
                 if lattice.subgroup(rep).order == 12]
-        values = a4.memo[kind, DEFAULT_TOL].values
-        a4.memo[kind, DEFAULT_TOL] = Spectrum(values[:-1] + (values[-1] + 0.5,))
+        values = a4.memo[kind].values
+        a4.memo[kind] = Spectrum(values[:-1] + (values[-1] + 0.5,))
         with pytest.raises(ConsistencyError, match=r"disagrees with exact 2\|E\| = "):
             route(lattice)
 
@@ -478,9 +478,9 @@ class TestBlockBudget:
         for limit, figure in (("BLOCK_WORK_LIMIT", work), ("BLOCK_ROW_LIMIT", rows)):
             monkeypatch.setattr(degrees, limit, figure - 1)
             with pytest.raises(SizeError, match=f"{limit} = {figure - 1}"):
-                degrees.graph_spectra(lattice, DEFAULT_TOL)
+                degrees.graph_spectra(lattice)
             monkeypatch.setattr(degrees, limit, figure)
-        assert degrees.graph_spectra(lattice, DEFAULT_TOL)[1].dimension == 26
+        assert degrees.graph_spectra(lattice)[1].dimension == 26
 
 
 def counters(spectrum):
@@ -493,9 +493,9 @@ def verify_batches(lattice, monkeypatch):
     calls = []
     real = degrees.eigenvalues_symmetric
 
-    def recording(*matrices, tol=DEFAULT_TOL):
+    def recording(*matrices):
         calls.append(matrices)
-        return real(*matrices, tol=tol)
+        return real(*matrices)
 
     monkeypatch.setattr(degrees, "eigenvalues_symmetric", recording)
     verify_identities(lattice)
@@ -516,7 +516,7 @@ class TestSymmetryBlocks:
                             for rep in sorted(set(top.class_reps()) - {top.top_id})]
         for lattice in lattices:
             graph = degrees.top_graph(lattice)
-            adjacency, laplacian = degrees.graph_spectra(lattice, DEFAULT_TOL)
+            adjacency, laplacian = degrees.graph_spectra(lattice)
             lap = laplacian_matrix(graph).data
             ftol = 2 * DEFAULT_TOL * (1 + float(np.sqrt((lap * lap).sum())))
             for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
@@ -567,7 +567,7 @@ class TestSymmetryBlocks:
         assert graph.vertex_count == 7
         blocks = degrees._symmetry_blocks(lattice, graph)
         assert [(sizes.size, count) for *_, sizes, count in blocks] == [(1, 1), (1, 6)]
-        adjacency, laplacian = degrees.graph_spectra(lattice, DEFAULT_TOL)
+        adjacency, laplacian = degrees.graph_spectra(lattice)
         for ours, full in zip((adjacency, laplacian), full_spectra(graph)):
             assert max(abs(a - b) for a, b in zip(ours.values, full.values)) < 1e-12
 
@@ -602,7 +602,7 @@ class TestSymmetryBlocks:
         graph = build_graph(lattice)
         assert graph.is_null()
         assert degrees._symmetry_blocks(lattice, graph) == []
-        assert degrees.graph_spectra(lattice, DEFAULT_TOL)[0].values == ()
+        assert degrees.graph_spectra(lattice)[0].values == ()
 
     @pytest.mark.parametrize("name, powers, classes", [
         # c^2 is not conjugate to c in A5 or D8; in PSL(2,7) the squares are
@@ -662,7 +662,7 @@ class TestSymmetryBlocks:
         blocks = degrees._symmetry_blocks(lattice, graph)
         parts = eigenvalues_symmetric(*(
             DenseSymMatrix(degrees._block(graph._adj, False, *basis)) for *basis, _ in blocks))
-        merged = degrees.graph_spectra(lattice, DEFAULT_TOL)[0]
+        merged = degrees.graph_spectra(lattice)[0]
         assert merged.values == tuple(sorted(
             v for part, (*_, count) in zip(parts, blocks) for v in part.values * count))
         assert merged.reflections == sum(part.reflections for part in parts)
@@ -698,5 +698,5 @@ class TestSymmetryBlocks:
             assert solved.count(first[1].tobytes()) == 1
         for own in s4s:
             graph = degrees.top_graph(own)
-            adjacency, laplacian = degrees.graph_spectra(own, DEFAULT_TOL)
+            adjacency, laplacian = degrees.graph_spectra(own)
             assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26

@@ -15,7 +15,6 @@ from latspec.errors import InputError, NumericError
 from latspec.graph import DenseSymMatrix, adjacency_matrix, build_graph, laplacian_matrix
 from latspec.lattice import enumerate_subgroups
 from latspec.spectral import (
-    DEFAULT_TOL,
     Spectrum,
     _stack,
     _sturm_counts,
@@ -39,9 +38,9 @@ def graph_of(group):
     return build_graph(enumerate_subgroups(group))
 
 
-def solve(matrix, tol=DEFAULT_TOL):
+def solve(matrix):
     """The one Spectrum of a single-matrix solver call."""
-    (spectrum,) = eigenvalues_symmetric(matrix, tol=tol)
+    (spectrum,) = eigenvalues_symmetric(matrix)
     return spectrum
 
 
@@ -98,17 +97,6 @@ class TestJacobi:
         object.__setattr__(m, "data", np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(InputError):
             solve(m)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(InputError):
-            solve(DenseSymMatrix(np.zeros((2, 2))), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_rejected(self, tol):
-        # a nan or inf stop bound would end the iteration at once and
-        # return the unrotated diagonal
-        with pytest.raises(InputError):
-            solve(DenseSymMatrix(np.ones((3, 3)) - np.eye(3)), tol=tol)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
@@ -200,14 +188,14 @@ def sturm_counts_alone(d, e, shifts):
                          shifts, np.zeros(shifts.size, dtype=np.intp))
 
 
-def stated_width(matrix, tol=DEFAULT_TOL):
+def stated_width(matrix):
     """The docstring's bracket bound, from the tridiagonal form of `matrix`."""
     if matrix.dimension < 2:
         return 0.0  # a 0x0 or 1x1 matrix is returned as is, without brackets
     d, e, _ = _tridiagonalize(np.asarray(matrix.data, dtype=complex if np.iscomplexobj(matrix.data) else float))
     t = np.abs(tridiagonal(d, e)).sum(axis=1).max()
     eps = np.finfo(float).eps
-    return 2 * eps * t * max(1.0, tol / DEFAULT_TOL) + 4 * pivmin_of(e)
+    return 2 * eps * t + 4 * pivmin_of(e)
 
 
 class TestSturm:
@@ -277,14 +265,6 @@ class TestSturm:
         reference = np.linalg.eigvalsh(m)
         assert max(abs(a - b) for a, b in zip(spec.values, reference)) < 1e-9
         assert spec.width <= stated_width(DenseSymMatrix(m))
-
-    def test_looser_tol_never_tightens_the_bracket(self, s4):
-        lap = laplacian_matrix(graph_of(s4))
-        tight, loose = solve(lap), solve(lap, tol=1e-6)
-        assert loose.width >= tight.width
-        assert loose.steps < tight.steps
-        assert loose.width <= stated_width(lap, tol=1e-6)
-        assert solve(lap, tol=1e-20).width == tight.width
 
     def test_infinite_entry_rejected(self):
         m = np.zeros((3, 3))
@@ -364,12 +344,11 @@ def top_and_class_graphs(name):
 
 def assert_matches_per_index_reference(matrices):
     for matrix in matrices:
-        for tol in (DEFAULT_TOL, 1e-6):
-            ours = solve(matrix, tol)
-            reference = per_index_multisection(np.asarray(matrix.data, dtype=float), tol)
-            assert ours.values == reference.values
-            assert (ours.reflections, ours.steps, ours.width) == (
-                reference.reflections, reference.steps, reference.width)
+        ours = solve(matrix)
+        reference = per_index_multisection(np.asarray(matrix.data, dtype=float))
+        assert ours.values == reference.values
+        assert (ours.reflections, ours.steps, ours.width) == (
+            reference.reflections, reference.steps, reference.width)
 
 
 class TestClusterMultisection:
@@ -422,12 +401,11 @@ def counters(spectrum):
 
 
 def assert_batch_matches_solo_reference(matrices):
-    for tol in (DEFAULT_TOL, 1e-6):
-        batch = eigenvalues_symmetric(*matrices, tol=tol)
-        assert len(batch) == len(matrices)
-        for matrix, ours in zip(matrices, batch):
-            reference = solo_multisection(np.asarray(matrix.data), tol)
-            assert counters(ours) == counters(reference)
+    batch = eigenvalues_symmetric(*matrices)
+    assert len(batch) == len(matrices)
+    for matrix, ours in zip(matrices, batch):
+        reference = solo_multisection(np.asarray(matrix.data))
+        assert counters(ours) == counters(reference)
 
 
 def verify_batches(name):
@@ -436,9 +414,9 @@ def verify_batches(name):
     lattice = enumerate_subgroups(parse_group_spec(name).group)
     calls = []
 
-    def recording(*matrices, tol=DEFAULT_TOL):
+    def recording(*matrices):
         calls.append(matrices)
-        return eigenvalues_symmetric(*matrices, tol=tol)
+        return eigenvalues_symmetric(*matrices)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(latspec.degrees, "eigenvalues_symmetric", recording)
