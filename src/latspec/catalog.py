@@ -188,56 +188,56 @@ class GroupSpec:
 
 
 def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:
-    def fail(reason: str):
-        raise InputError(f"parse error at position {offset}: {reason}")
-
+    """One product factor's group and display notes. Every InputError,
+    a constructor's included, names the factor's position; a SizeError
+    passes as it is."""
     notes: list[str] = []
-    if m := re.fullmatch(r"C(\d+)", token):
-        return cyclic(int(m.group(1))), notes
-    if m := re.fullmatch(r"D(\d+)", token):
-        n = int(m.group(1))
-        notes.append(f"D{n} denotes the dihedral group of order {2 * n}")
-        return dihedral(n), notes
-    if m := re.fullmatch(r"Dih(\d+)", token):
-        order = int(m.group(1))
-        if order % 2 or order < 2:
-            fail(f"Dih{order}: dihedral order must be even and >= 2")
-        notes.append(f"Dih{order} denotes the dihedral group of order {order}")
-        return dihedral(order // 2), notes
-    if m := re.fullmatch(r"S(\d+)", token):
-        n = int(m.group(1))
-        if n > 5:
-            fail(f"S{n} is out of the enumeration budget")
-        return symmetric(n), notes
-    if m := re.fullmatch(r"A(\d+)", token):
-        n = int(m.group(1))
-        if n > 5:
-            fail(f"A{n} is out of the enumeration budget")
-        return alternating(n), notes
-    if token == "Q8":
-        return quaternion(), notes
-    if token == "V4":
-        return elementary_abelian(2, 2), notes
-    if token == "M16":
-        return modular16(), notes
-    if m := re.fullmatch(r"E(\d+)", token):
-        try:
+    try:
+        if m := re.fullmatch(r"C(\d+)", token):
+            return cyclic(int(m.group(1))), notes
+        if m := re.fullmatch(r"D(\d+)", token):
+            n = int(m.group(1))
+            notes.append(f"D{n} denotes the dihedral group of order {2 * n}")
+            return dihedral(n), notes
+        if m := re.fullmatch(r"Dih(\d+)", token):
+            order = int(m.group(1))
+            if order % 2 or order < 2:
+                raise InputError(f"Dih{order}: dihedral order must be even and >= 2")
+            notes.append(f"Dih{order} denotes the dihedral group of order {order}")
+            return dihedral(order // 2), notes
+        if m := re.fullmatch(r"S(\d+)", token):
+            n = int(m.group(1))
+            if n > 5:
+                raise InputError(f"S{n} is out of the enumeration budget")
+            return symmetric(n), notes
+        if m := re.fullmatch(r"A(\d+)", token):
+            n = int(m.group(1))
+            if n > 5:
+                raise InputError(f"A{n} is out of the enumeration budget")
+            return alternating(n), notes
+        if token == "Q8":
+            return quaternion(), notes
+        if token == "V4":
+            return elementary_abelian(2, 2), notes
+        if token == "M16":
+            return modular16(), notes
+        if m := re.fullmatch(r"E(\d+)", token):
             pp = PrimePower.from_value(int(m.group(1)))
-        except InputError as exc:
-            fail(str(exc))
-        return elementary_abelian(pp.p, pp.n), notes
-    if m := re.fullmatch(r"PSL\(2,(\d+)\)", token):
-        return psl2(int(m.group(1))), notes
-    if m := re.fullmatch(r"PGL\(2,(\d+)\)", token):
-        return pgl2(int(m.group(1))), notes
-    if m := re.fullmatch(r"perm(\d+):(.*)", token, re.DOTALL):
-        degree = int(m.group(1))
-        if degree < 1:
-            fail("permutation degree must be >= 1")
-        _within_table("permutation degree", degree)
-        gens = parse_generators(m.group(2), degree)
-        return generate_group(degree, gens), notes
-    fail(f"unknown group token {token!r}")
+            return elementary_abelian(pp.p, pp.n), notes
+        if m := re.fullmatch(r"PSL\(2,(\d+)\)", token):
+            return psl2(int(m.group(1))), notes
+        if m := re.fullmatch(r"PGL\(2,(\d+)\)", token):
+            return pgl2(int(m.group(1))), notes
+        if m := re.fullmatch(r"perm(\d+):(.*)", token, re.DOTALL):
+            degree = int(m.group(1))
+            if degree < 1:
+                raise InputError("permutation degree must be >= 1")
+            _within_table("permutation degree", degree)
+            gens = parse_generators(m.group(2), degree)
+            return generate_group(degree, gens), notes
+        raise InputError(f"unknown group token {token!r}")
+    except InputError as exc:
+        raise InputError(f"parse error at position {offset}: {exc}") from None
 
 
 def _split_product(text: str) -> list[tuple[str, int]]:

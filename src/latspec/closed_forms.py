@@ -46,13 +46,7 @@ class PrimePower:
             raise InputError(f"{q} is not a prime power")
         if q > Q_LIMIT:
             raise SizeError(f"q = {q} exceeds the bound {Q_LIMIT} on q")
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        else:
-            p = q
+        p = least_prime_factor(q)
         n = 0
         rest = q
         while rest % p == 0:
@@ -63,18 +57,21 @@ class PrimePower:
         return cls(p, n)
 
 
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2, by trial division up to sqrt(n)."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
 def is_prime(p: int) -> bool:
     """Primality by trial division; SizeError above Q_LIMIT, before any division."""
     if p > Q_LIMIT:
         raise SizeError(f"p = {p} exceeds the bound {Q_LIMIT} on p")
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and least_prime_factor(p) == p
 
 
 def _as_prime_power(q) -> PrimePower:
@@ -343,27 +340,30 @@ def _reference_key(entry: CensusEntry, pp: PrimePower) -> tuple | None:
 def census_comparison(lattice, q) -> dict:
     """Analytic census vs the brute-force isomorphism-type census of a lattice.
 
-    Entries sharing an isomorphism type are compared as a sum (the families
-    partition the subgroups); a comparison is made only when every entry for
-    that type carries a stated integral count. Types not covered by any entry
-    are reported under "unmatched", which also fills the not-stated families.
+    Conjugate subgroups are isomorphic, so the brute-force census keys each
+    conjugacy class once, by its representative, and counts its size
+    (`SubgroupLattice.classes`). Entries sharing an isomorphism type are
+    compared as a sum (the families partition the subgroups); a comparison
+    is made only when every entry for that type carries a stated integral
+    count. Types not covered by any entry are reported under "unmatched",
+    which also fills the not-stated families.
     """
     pp = _as_prime_power(q)
     entries = dickson_census(pp)
 
     brute: dict[tuple, int] = {}
-    for sid in range(lattice.size):
-        key = _subgroup_iso_key(lattice, sid)
-        brute[key] = brute.get(key, 0) + 1
+    for rep, size in lattice.classes():
+        key = _subgroup_iso_key(lattice, rep)
+        brute[key] = brute.get(key, 0) + size
 
+    keys = [_reference_key(entry, pp) for entry in entries]
     keyed: dict[tuple | None, list[CensusEntry]] = {}
-    for entry in entries:
-        keyed.setdefault(_reference_key(entry, pp), []).append(entry)
+    for entry, key in zip(entries, keys):
+        keyed.setdefault(key, []).append(entry)
 
     rows = []
     covered: set[tuple] = set()
-    for entry in entries:
-        key = _reference_key(entry, pp)
+    for entry, key in zip(entries, keys):
         brute_count = brute.get(key) if key is not None else None
         group_entries = keyed[key] if key is not None else [entry]
         comparable = (

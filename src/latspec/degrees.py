@@ -19,15 +19,15 @@ lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
 once the parent's matrix is filled, reading it restricted to the class
 representative's down-set; the subgroup F2 sum and both splits read them.
-Every lattice memoizes on itself its graph, the graph's block basis, its
-F2, its subgroup F2 sum and its two spectra. The Möbius inversion
-builds no class lattice: sd(T) |L(T)|^2 is the parent's matrix summed over
-T's down-set.
+Every lattice memoizes on itself its graph, its F2, its subgroup F2 sum,
+its classes with their Möbius values, and one pair of spectra, adjacency
+and Laplacian, solved together. The Möbius inversion builds no class
+lattice: sd(T) |L(T)|^2 is the parent's matrix summed over T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
-Möbius inversion and both splits) take one term per class, weighted by the
-class size (`_classes`). The structure dump,
-the trace checks and the split shadows share one eigenvalue solve per class
-and matrix.
+Möbius inversion, both splits and the published notes' Klein four count)
+take one term per class, weighted by the class size, from the lattice's
+one class table (`SubgroupLattice.classes`). The structure dump, the trace
+checks and the split shadows share one eigenvalue solve per class and matrix.
 
 Conjugation also permutes the graph's vertices and commutes with both of its
 matrices, so each matrix is solved in symmetry-adapted blocks (the canonical
@@ -60,7 +60,6 @@ BLOCK_WORK_LIMIT (`_check_budget`); past either, SizeError.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
@@ -123,17 +122,15 @@ def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
 
 
 def _classes(lattice: SubgroupLattice) -> list[tuple[int, int, int]]:
-    """(representative, class size, mu(representative, G)) per conjugacy class.
+    """(representative, class size, mu(representative, G)) per conjugacy
+    class of `SubgroupLattice.classes`.
 
     Conjugation is a lattice automorphism that fixes G, so mu(T, G), sd(T),
     |L(T)| and 2|E_T| are the same on a whole class; a class's own lattice
     is `_own(lattice, representative)`, built on first use.
     """
-    top = lattice.top_id
-    return _memo(lattice, "classes", lambda: [
-        (rep, size, lattice.mobius(rep, top))
-        for rep, size in Counter(lattice.class_reps()).items()
-    ])
+    return _memo(lattice, "classes", lambda: [(rep, size, lattice.mobius(rep, lattice.top_id))
+                                              for rep, size in lattice.classes()])
 
 
 def _f2(lattice: SubgroupLattice) -> int:
@@ -299,51 +296,53 @@ def _merged(parts: list[tuple[Spectrum, int]]) -> Spectrum:
 
 def _check_budget(bases: list[list[tuple]]) -> None:
     """SizeError if a block's representative rows hold more than BLOCK_ROW_LIMIT
-    floats, or reducing every block costs more than BLOCK_WORK_LIMIT."""
+    floats, or reducing every block of both matrices costs more than BLOCK_WORK_LIMIT."""
     work = 0
     for vertices, weights, starts, _, _ in (block for basis in bases for block in basis):
         if starts.size * vertices.size > BLOCK_ROW_LIMIT:
             raise SizeError(f"a {starts.size} x {vertices.size} block of graph rows exceeds "
                             f"the limit BLOCK_ROW_LIMIT = {BLOCK_ROW_LIMIT}")
-        work += starts.size ** 3 * (4 if np.iscomplexobj(weights) else 1)
+        work += 2 * starts.size ** 3 * (4 if np.iscomplexobj(weights) else 1)
     if work > BLOCK_WORK_LIMIT:
         raise SizeError(f"reducing the graph blocks costs {work} (sum of d^3), over the "
                         f"limit BLOCK_WORK_LIMIT = {BLOCK_WORK_LIMIT}")
 
 
 def _spectra(lattices: list[SubgroupLattice]) -> list[tuple[Spectrum, Spectrum]]:
-    """The adjacency and Laplacian spectra of each lattice's graph.
+    """The adjacency and Laplacian spectra of each lattice's graph, memoized
+    on its lattice as one "spectra" pair.
 
-    Every spectrum not yet memoized on its lattice is split into its
-    symmetry-adapted blocks (`_symmetry_blocks`), all of them are held to
-    the budget (`_check_budget`) before the first block is formed, and the
-    blocks are solved in one eigensolver call; blocks with the same shape,
-    type and bytes are solved once. Each spectrum is its blocks' values
-    merged, and is memoized on its lattice. When no spectrum is missing, or all of them
-    are of null graphs, which have no block, no call is made.
+    Each graph without it is split into its symmetry-adapted blocks
+    (`_symmetry_blocks`), the blocks of both matrices are held to the budget
+    (`_check_budget`) before the first is formed, and all are solved in one
+    eigensolver call; blocks with the same shape, type and bytes are solved
+    once. Each spectrum is its blocks' values merged. When no pair is
+    missing, or all of them are of null graphs, which have no block, no call
+    is made.
     """
-    missing = [(lat, kind) for lat in {id(lat): lat for lat in lattices}.values()
-               for kind in ("adjacency", "laplacian") if kind not in lat.memo]
+    missing = [lat for lat in {id(lat): lat for lat in lattices}.values()
+               if "spectra" not in lat.memo]
     if missing:
-        bases = [_memo(lat, "blocks", lambda: _symmetry_blocks(lat, top_graph(lat)))
-                 for lat, _ in missing]
+        bases = [_symmetry_blocks(lat, top_graph(lat)) for lat in missing]
         _check_budget(bases)
         unique: dict[tuple, int] = {}
         blocks: list[DenseSymMatrix] = []
-        parts: list[list[int]] = []
-        for (lat, kind), basis in zip(missing, bases):
-            adjacency, mine = top_graph(lat)._adj, []
-            for *spec, count in basis:
-                block = _block(adjacency, kind == "laplacian", *spec)
-                index = unique.setdefault((block.shape, block.dtype, block.tobytes()), len(blocks))
-                if index == len(blocks):
-                    blocks.append(DenseSymMatrix(block))
-                mine.append((index, count))
-            parts.append(mine)
+        parts: list[list[tuple[int, int]]] = []  # per lattice, adjacency then Laplacian
+        for lat, basis in zip(missing, bases):
+            for laplacian in (False, True):
+                mine = []
+                for *spec, count in basis:
+                    block = _block(top_graph(lat)._adj, laplacian, *spec)
+                    key = (block.shape, block.dtype, block.tobytes())
+                    if unique.setdefault(key, len(blocks)) == len(blocks):
+                        blocks.append(DenseSymMatrix(block))
+                    mine.append((unique[key], count))
+                parts.append(mine)
         solved = eigenvalues_symmetric(*blocks) if blocks else ()
-        for (lat, kind), mine in zip(missing, parts):
-            lat.memo[kind] = _merged([(solved[i], count) for i, count in mine])
-    return [(lat.memo["adjacency"], lat.memo["laplacian"]) for lat in lattices]
+        merged = [_merged([(solved[i], count) for i, count in mine]) for mine in parts]
+        for lat, adjacency, laplacian in zip(missing, merged[::2], merged[1::2]):
+            lat.memo["spectra"] = (adjacency, laplacian)
+    return [lat.memo["spectra"] for lat in lattices]
 
 
 def graph_spectra(lattice: SubgroupLattice) -> tuple[Spectrum, Spectrum]:
@@ -400,7 +399,7 @@ def f2_direct(lattice: SubgroupLattice) -> int:
     full = (1 << n) - 1
     orders = [s.order for s in lattice.subgroups]
     count = 0
-    for a, size in Counter(lattice.class_reps()).items():
+    for a, size in lattice.classes():
         for b in range(lattice.size):
             if orders[a] * orders[b] >= n and lattice.product_bits(a, b) == full:
                 count += size
@@ -480,12 +479,10 @@ def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> 
     pub = _S4_PUBLISHED
     mu_bottom = lattice.mobius(lattice.bottom_id, lattice.top_id)
     two_e = 2 * graph.edge_count
-    klein = sum(
-        1 for s in lattice.subgroups
-        if s.order == 4 and all(
-            lattice.group.order_of_index(i) <= 2 for i in s.member_indices()
-        )
-    )
+    klein = sum(size for rep, size in lattice.classes()  # a conjugate is one too
+                if lattice.subgroup(rep).order == 4 and all(
+                    lattice.group.order_of_index(i) <= 2
+                    for i in lattice.subgroup(rep).member_indices()))
     notes = []
     if mu_bottom != pub["bottom_mobius"]:
         notes.append(

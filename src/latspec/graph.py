@@ -24,9 +24,11 @@ from .lattice import SubgroupLattice
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A real symmetric or complex Hermitian matrix stored dense: a graph's
-    integer adjacency or Laplacian for `graph --matrix`, or a symmetry-adapted
-    block of either (see `degrees`), possibly complex, for the eigensolver."""
+    """A square matrix stored dense, meant real symmetric or complex
+    Hermitian: a graph's integer adjacency or Laplacian for `graph --matrix`,
+    or a symmetry-adapted block of either (see `degrees`), possibly complex,
+    for the eigensolver. It checks only that it is square;
+    `eigenvalues_symmetric` checks symmetry, naming the matrix's position."""
 
     data: np.ndarray = field(repr=False)
 
@@ -34,8 +36,6 @@ class DenseSymMatrix:
         a = self.data
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"matrix must be square, got shape {a.shape}")
-        if a.size and not np.array_equal(a, a.T.conj()):
-            raise InputError(f"matrix is not {'Hermitian' if np.iscomplexobj(a) else 'symmetric'}")
 
     @property
     def dimension(self) -> int:

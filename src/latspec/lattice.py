@@ -7,7 +7,8 @@ a consistent map.
 
 Conjugation by the group permutes the members: `conjugation_map(g)` takes
 each id to the id of g^-1 H g. One orbit walk on ids, over the maps of the
-group's generators, gives the conjugacy classes (`class_reps`).
+group's generators, gives the conjugacy classes: `class_reps` per id, and
+`classes`, the one class table that every per-class sum reads.
 
 Two independent pair computations live here. `products_commute` decides
 HK = KH from lattice orders. `permutability` calls it on the rows of class
@@ -40,11 +41,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .closed_forms import is_prime
+from .closed_forms import is_prime, least_prime_factor
 from .errors import ConsistencyError, DomainError, InputError, SizeError
 from .perm import FiniteGroup, bits_of, iter_bits
 
-DEFAULT_SUBGROUP_CAP = 100_000
+SUBGROUP_CAP = 100_000  # subgroups in one enumerated lattice
 PAIR_LIMIT = 100_000_000  # entries of one permutability matrix, |L|^2
 
 
@@ -131,9 +132,8 @@ def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]],
     key_of = [0] * group.order
     for g in range(group.order):
         n = group.order_of_index(g)
-        p = next((d for d in range(2, n + 1) if n % d == 0), None)
-        if p is None or p ** n.bit_length() % n:  # skip e and non-prime-power orders
-            continue
+        if n == 1 or (p := least_prime_factor(n)) ** n.bit_length() % n:
+            continue  # e, or an order that is not a prime power
         powers = _powers(group, g)
         key_of[g] = bits_of(powers)
         cyclic.setdefault(key_of[g], (g, powers[p % n]))
@@ -154,7 +154,7 @@ def _coset_table(table: list[list[int]], members: Sequence[int]) -> list[int]:
     return cosets
 
 
-def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int]:
+def _close_by_cyclic_extension(group: FiniteGroup, cap: int) -> set[int]:
     """Member bitsets of every subgroup of the group, by Neubüser's cyclic extension.
 
     From the trivial subgroup on, each class representative R is extended by
@@ -170,7 +170,7 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
     prime-power part of any element of K outside R), and then <R, g> = K,
     which the walk over R adds. A complete family is closed under meets and
     joins, which `meet` and `join` rely on. Raises SizeError once the family
-    would exceed `subgroup_cap`.
+    would exceed `cap` subgroups.
 
     One join walk serves each R-orbit of cyclic p-subgroups. For r in R,
     <R, g^r> = <R, g>^r = <R, g>, since r lies in <R, g>, and g^r lies
@@ -211,8 +211,8 @@ def _close_by_cyclic_extension(group: FiniteGroup, subgroup_cap: int) -> set[int
             if joined in found:
                 continue
             for bits in _conjugates(joined, conjugators):
-                if len(found) >= subgroup_cap:
-                    raise SizeError(f"subgroup count exceeded cap {subgroup_cap}")
+                if len(found) >= cap:
+                    raise SizeError(f"subgroup count exceeded cap {cap}")
                 found.add(bits)
             reps.append((joined, gens))
     return found
@@ -259,7 +259,7 @@ class SubgroupLattice:
         self._permutes: np.ndarray | None = None
         self._core: frozenset[int] | None = None
         self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._walk: tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]] | None = None
+        self._walk: tuple | None = None  # (class_reps, classes, steps)
         self._cosets: dict[int, list[int]] = {}  # subgroup id -> `_right_cosets`
         # results other modules derive from this lattice (see degrees), freed with it
         self.memo: dict = {}
@@ -302,19 +302,20 @@ class SubgroupLattice:
         return np.array([id_of[bits_of(images[h] for h in members)]
                          for members in self._member_tuples], dtype=np.intp)
 
-    def _conjugation_walk(self) -> tuple[tuple[int, ...], list[tuple[int, int, np.ndarray]]]:
-        """Class representatives and the steps of one orbit walk on ids.
+    def _conjugation_walk(self) -> tuple:
+        """Each id's class representative, the class table and the steps of one orbit walk on ids.
 
         The walk goes over the conjugation maps of the group's generators,
-        starting each class at its least id. A step (y, x, m) records that
-        id y was first reached as m[x], from an id x reached before it.
+        starting each class at its least id, classes in ascending order. A
+        step (y, x, m) records that id y was first reached as m[x], from an
+        id x reached before it.
         """
         if self._walk is None:
             group = self.group
             maps = [self.conjugation_map(s) for s in map(group.index_of, group.generators)]
             images = [m.tolist() for m in maps]
             reps = [-1] * self.size
-            steps = []
+            classes, steps = [], []
             for sid in range(self.size):
                 if reps[sid] >= 0:
                     continue
@@ -327,7 +328,8 @@ class SubgroupLattice:
                             reps[y] = sid
                             orbit.append(y)
                             steps.append((y, x, m))
-            self._walk = (tuple(reps), steps)
+                classes.append((sid, len(orbit)))
+            self._walk = (tuple(reps), tuple(classes), steps)
         return self._walk
 
     def class_reps(self) -> tuple[int, ...]:
@@ -336,6 +338,11 @@ class SubgroupLattice:
         One orbit walk on ids under the generators' conjugation maps.
         """
         return self._conjugation_walk()[0]
+
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """(representative, class size) per conjugacy class, by ascending
+        representative id, from the walk of `class_reps`."""
+        return self._conjugation_walk()[1]
 
     # -- Möbius function -----------------------------------------------------
 
@@ -402,7 +409,7 @@ class SubgroupLattice:
     def _rep_pairs(self) -> Iterator[tuple[int, int]]:
         """(a, b) for each class representative a, once per unordered pair of ids."""
         reps = self.class_reps()
-        return ((a, b) for a in sorted(set(reps))
+        return ((a, b) for a, _ in self.classes()
                 for b in range(self.size) if reps[b] != b or b > a)
 
     def permutability(self) -> np.ndarray:
@@ -429,7 +436,7 @@ class SubgroupLattice:
                 if not self.products_commute(a, b):
                     permutes[a, b] = False
             permutes &= permutes.T  # each pair was tested from one side
-            for y, x, m in self._conjugation_walk()[1]:  # overwrites every other row
+            for y, x, m in self._conjugation_walk()[2]:  # overwrites every other row
                 permutes[y, m] = permutes[x]
             if not np.array_equal(permutes, permutes.T):
                 raise ConsistencyError("the pair test is not symmetric or not conjugation-invariant")
@@ -449,7 +456,7 @@ class SubgroupLattice:
         if self._permutes is not None:
             return np.flatnonzero(self._permutes.all(axis=1)).tolist()
         reps = self.class_reps()
-        full = {a for a in set(reps)
+        full = {a for a, _ in self.classes()
                 if all(self.products_commute(a, b) for b in range(self.size) if b != a)}
         return [sid for sid in range(self.size) if reps[sid] in full]
 
@@ -580,7 +587,7 @@ class SubgroupLattice:
                 raise InputError("dumped member lists are not lists of element indices")
             family.add(bits_of(members))
         try:
-            found = _close_by_cyclic_extension(group, min(len(family), DEFAULT_SUBGROUP_CAP))
+            found = _close_by_cyclic_extension(group, min(len(family), SUBGROUP_CAP))
         except SizeError:
             found = None
         if found is None or not found <= family:
@@ -593,14 +600,13 @@ class SubgroupLattice:
         return f"SubgroupLattice(group_order={self.group.order}, size={self.size})"
 
 
-def enumerate_subgroups(group: FiniteGroup,
-                        subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
+def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension from the trivial subgroup.
 
-    See `_close_by_cyclic_extension`. Raises SizeError if more than
-    `subgroup_cap` subgroups appear.
+    See `_close_by_cyclic_extension`. Raises SizeError once the family would
+    exceed SUBGROUP_CAP subgroups; the module constant is read at each call.
     """
-    return SubgroupLattice(group, _close_by_cyclic_extension(group, subgroup_cap))
+    return SubgroupLattice(group, _close_by_cyclic_extension(group, SUBGROUP_CAP))
 
 
 def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:

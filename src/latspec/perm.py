@@ -59,9 +59,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):

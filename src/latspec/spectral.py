@@ -66,9 +66,6 @@ class Spectrum:
     def dimension(self) -> int:
         return len(self.values)
 
-    def rounded(self) -> tuple[int, ...]:
-        return tuple(int(round(v)) for v in self.values)
-
 
 def _squared_norm(x: np.ndarray, hermitian: bool) -> float:
     """sum |x_i|^2 of a complex x, or of a real x squared as it is, with no
@@ -324,11 +321,12 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix) -> tuple[Spectrum, ...]:
     is bit-identical to the one a call with that matrix alone returns,
     whatever the other matrices or their order.
 
-    InputError for a non-finite, non-symmetric real or non-Hermitian complex
-    matrix; NumericError when the arithmetic overflows, when the Sturm counts
-    fall as the shift rises, or when a matrix's brackets have not closed
-    after MAX_STEPS steps. An error about one matrix names its position among
-    the arguments and its dimension.
+    This is the one check of a solver input (`DenseSymMatrix` checks only
+    that it is square): InputError for a non-finite, non-symmetric real or
+    non-Hermitian complex matrix; NumericError when the arithmetic
+    overflows, when the Sturm counts fall as the shift rises, or when a
+    matrix's brackets have not closed after MAX_STEPS steps. An error about
+    one matrix names its position among the arguments and its dimension.
     """
     spectra: list[Spectrum] = [None] * len(matrices)
     batch = []

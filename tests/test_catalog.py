@@ -129,6 +129,13 @@ class TestParseGroupSpec:
         with pytest.raises(InputError, match="position 3"):
             parse_group_spec("C2xnope")
 
+    @pytest.mark.parametrize("spec, position", [("C0", 0), ("D0", 0), ("S0", 0), ("A0", 0),
+                                                ("C2xA0", 3)])
+    def test_a_constructor_error_carries_position(self, spec, position):
+        with pytest.raises(InputError, match=rf"^parse error at position {position}: "
+                                             r"\w+ (order|parameter) must be >= 1$"):
+            parse_group_spec(spec)
+
     def test_whitespace_tolerated(self):
         assert parse_group_spec("  A4  ").group.order == 12
 

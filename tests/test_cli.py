@@ -1311,9 +1311,9 @@ class TestProjectiveModels:
         orders = []
         real = latspec.lattice._close_by_cyclic_extension
 
-        def recording(group, subgroup_cap):
+        def recording(group, cap):
             orders.append(group.order)
-            return real(group, subgroup_cap)
+            return real(group, cap)
 
         monkeypatch.setattr(latspec.lattice, "_close_by_cyclic_extension", recording)
         code, out, _ = run(capsys, "f2", "S5", "--method", "closed-form")

@@ -1,5 +1,6 @@
 import pytest
 
+import latspec.closed_forms as closed_forms
 from latspec.catalog import alternating, cyclic, dihedral, elementary_abelian, psl2, quaternion, symmetric
 from latspec.closed_forms import (
     NOT_STATED,
@@ -12,6 +13,7 @@ from latspec.closed_forms import (
     f2_pgl_closed,
     f2_psl_closed,
     is_prime,
+    least_prime_factor,
     mobius_hall,
     mobius_symmetric,
 )
@@ -43,6 +45,20 @@ class TestPrimePower:
         assert is_prime(999_999_999_989)
         with pytest.raises(SizeError, match=str(Q_LIMIT)):
             is_prime(Q_LIMIT + 39)  # prime, and trial division would take 0.3 s
+
+    def test_both_bounds_run_before_the_one_trial_division(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("trial division ran")
+
+        monkeypatch.setattr(closed_forms, "least_prime_factor", refuse)
+        for check in (is_prime, PrimePower.from_value):
+            with pytest.raises(SizeError, match=str(Q_LIMIT)):
+                check(Q_LIMIT + 39)
+
+
+def test_least_prime_factor_matches_the_range_definition():
+    for n in range(2, 2001):
+        assert least_prime_factor(n) == next(d for d in range(2, n + 1) if n % d == 0), n
 
 
 def test_divisors_match_the_range_definition():
@@ -178,6 +194,36 @@ class TestCensusComparison:
                 if r["family"] == "cyclic"]
         assert rows
         assert all(r["match"] is True for r in rows)
+
+
+class TestCensusByClass:
+    """The brute-force census keys each conjugacy class once, by its representative."""
+
+    @pytest.mark.parametrize("q, classes, matches", [(4, 9, 3), (5, 9, 5), (7, 15, 9)])
+    def test_one_key_per_class_gives_the_per_subgroup_payload(self, monkeypatch, q, classes,
+                                                              matches):
+        lattice = enumerate_subgroups(psl2(q))
+        calls = {"iso": 0, "reference": 0}
+        real_iso, real_reference = closed_forms._subgroup_iso_key, closed_forms._reference_key
+
+        def iso(lat, sid):
+            calls["iso"] += 1
+            return real_iso(lat, sid)
+
+        def reference(entry, pp):
+            calls["reference"] += 1
+            return real_reference(entry, pp)
+
+        monkeypatch.setattr(closed_forms, "_subgroup_iso_key", iso)
+        monkeypatch.setattr(closed_forms, "_reference_key", reference)
+        payload = census_comparison(lattice, q)
+        assert calls == {"iso": classes, "reference": len(dickson_census(q))}
+        assert [row["match"] for row in payload["entries"]].count(True) == matches
+        assert all(row["match"] is not False for row in payload["entries"])
+        # the reference count: every subgroup a class of its own, keyed by itself
+        monkeypatch.setattr(lattice, "classes", lambda: [(sid, 1) for sid in range(lattice.size)])
+        assert census_comparison(lattice, q) == payload
+        assert calls["iso"] == classes + lattice.size
 
 
 class TestMobiusHall:

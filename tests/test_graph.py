@@ -15,6 +15,7 @@ from latspec.graph import (
 )
 from latspec.lattice import enumerate_subgroups
 from latspec.perm import compose
+from latspec.spectral import eigenvalues_symmetric
 
 from conftest import connected_components
 
@@ -136,9 +137,12 @@ class TestMatrices:
         with pytest.raises(InputError):
             DenseSymMatrix(np.zeros((2, 3)))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InputError):
-            DenseSymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_asymmetric_constructs_and_the_solver_rejects_it(self):
+        # the constructor checks only the shape; symmetry is the solver's one check
+        matrix = DenseSymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert matrix.dimension == 2
+        with pytest.raises(InputError, match=r"matrix 0 \(dimension 2\): matrix is not symmetric"):
+            eigenvalues_symmetric(matrix)
 
     def test_csv_round_trip(self, s3_graph):
         csv = laplacian_matrix(s3_graph).to_csv()

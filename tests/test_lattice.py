@@ -143,11 +143,15 @@ class TestEnumeration:
         assert lattice.is_quasihamiltonian()
         assert lattice.permuting_core() == frozenset([0])
 
-    def test_subgroup_cap(self, s4):
+    def test_subgroup_cap(self, monkeypatch, s4):
+        import latspec.lattice
         from latspec.errors import SizeError
 
-        with pytest.raises(SizeError):
-            enumerate_subgroups(s4, subgroup_cap=10)
+        monkeypatch.setattr(latspec.lattice, "SUBGROUP_CAP", 10)  # read at call time
+        with pytest.raises(SizeError, match="exceeded cap 10"):
+            enumerate_subgroups(s4)
+        monkeypatch.undo()
+        assert enumerate_subgroups(s4).size == 30
 
     def test_conjugate_orbit_sizes_divide_group_order(self, lat_s4):
         # conjugation permutes the member bitsets; each orbit size divides |G|
@@ -200,6 +204,15 @@ class TestClassReps:
             for s in lattice.subgroups
         ]
         assert list(lattice.class_reps()) == expected
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_class_table_ascends_and_sums_to_the_lattice(self, name):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        reps = lattice.class_reps()
+        table = lattice.classes()
+        assert [rep for rep, _ in table] == sorted(set(reps))
+        assert [size for _, size in table] == [reps.count(rep) for rep, _ in table]
+        assert sum(size for _, size in table) == lattice.size
 
 
 class TestConjugationMap:

@@ -62,7 +62,7 @@ class TestJacobi:
     def test_known_laplacian_spectra(self, gens_degree, expected):
         gens, degree = gens_degree
         spec = solve(laplacian_matrix(graph_of(build(degree, gens))))
-        assert spec.rounded() == expected
+        assert tuple(round(v) for v in spec.values) == expected
         assert max(abs(v - r) for v, r in zip(spec.values, expected)) < 1e-9
 
     def test_matches_lapack_oracle_on_s4_graph(self, s4):
@@ -93,10 +93,8 @@ class TestJacobi:
         assert abs(float(np.trace(lap.data)) - math.fsum(spec.values)) < 1e-9
 
     def test_non_symmetric_rejected(self):
-        m = DenseSymMatrix.__new__(DenseSymMatrix)
-        object.__setattr__(m, "data", np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(InputError):
-            solve(m)
+        with pytest.raises(InputError, match="matrix is not symmetric"):
+            solve(DenseSymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
@@ -489,13 +487,12 @@ class TestHermitian:
         assert [counters(spec) for spec in batch[2:]] == alone
 
     def test_non_hermitian_input_names_its_position(self):
-        bad = DenseSymMatrix.__new__(DenseSymMatrix)
-        object.__setattr__(bad, "data", np.array([[0.0, 1j], [1j, 0.0]]))
+        bad = DenseSymMatrix(np.array([[0.0, 1j], [1j, 0.0]]))
         good = DenseSymMatrix(random_hermitian(3, seed=3))
         with pytest.raises(InputError, match=r"matrix 1 \(dimension 2\): matrix is not Hermitian"):
             eigenvalues_symmetric(good, bad, good)
-        with pytest.raises(InputError, match="not Hermitian"):
-            DenseSymMatrix(np.array([[1j]]))
+        with pytest.raises(InputError, match=r"matrix 0 \(dimension 1\): matrix is not Hermitian"):
+            eigenvalues_symmetric(DenseSymMatrix(np.array([[1j]])))
 
 
 def graph_matrices_and_blocks(group):
@@ -652,8 +649,7 @@ class TestBatchedMultisection:
             eigenvalues_symmetric(good, wide, good)
 
     def test_input_error_names_the_failing_member(self):
-        bad = DenseSymMatrix.__new__(DenseSymMatrix)
-        object.__setattr__(bad, "data", np.array([[0.0, 1.0], [2.0, 0.0]]))
+        bad = DenseSymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         good = DenseSymMatrix(np.ones((3, 3)))
         with pytest.raises(InputError, match=r"matrix 1 \(dimension 2\): matrix is not symmetric"):
             eigenvalues_symmetric(good, bad, good)
