@@ -81,9 +81,10 @@ class Pipeline:
     A cache file holds up to four parts, each its own section: the lattice's
     member lists ("lattice"), the graph ("graph"), the spectra ("spectra")
     and the identity-verifier output ("report"). `lattice()` proves the
-    member lists with `SubgroupLattice.from_member_lists`, or enumerates the
-    lattice. `structure(part)` gives the graph or the spectra and `report()`
-    the report; each builds only what was asked for, or replays it.
+    member lists with `SubgroupLattice.from_member_lists`, which accepts only
+    the enumerated lattice's `member_lists()`, or enumerates the lattice.
+    `structure(part)` gives the graph or the spectra and `report()` the
+    report; each builds only what was asked for, or replays it.
 
     `_unread` holds the loaded lines that no part has read yet. `_replay`
     pops a part's line on its first read, after the lattice line (every part
@@ -93,10 +94,10 @@ class Pipeline:
     one that does not decode included, is warned of and recomputed alone.
 
     `save()` alone decides what the cache holds: if this run computed
-    anything, an enumerated lattice included, it stores the proved lattice's
-    member lists, completes the graph and spectra as far as the size budgets
-    allow, checks a loaded report it has not read, and writes the file once,
-    atomically. A budget that stops a part only leaves that part out, and a
+    anything, an enumerated lattice included, it stores the lattice's
+    `member_lists()`, completes the graph and spectra as far as the size
+    budgets allow, checks a loaded report it has not read, and writes the
+    file once, atomically. A budget that stops a part only leaves that part out, and a
     cache that cannot be written costs a warning; neither changes the
     command's exit status.
     """
@@ -168,7 +169,7 @@ class Pipeline:
 
     def save(self) -> None:
         if self.cache_dir and self._computed:
-            self._parts["lattice"] = [list(s.member_indices()) for s in self.lattice().subgroups]
+            self._parts["lattice"] = self.lattice().member_lists()
             for part in ("graph", "spectra"):
                 with suppress(SizeError):  # a part past a size budget stays out of the file
                     self.structure(part)

@@ -314,7 +314,7 @@ def _subgroup_iso_key(lattice, sid: int) -> tuple:
     return _iso_key(len(members), abelian, hist)
 
 
-def _reference_key(entry: CensusEntry, pp: PrimePower) -> tuple | None:
+def _reference_key(entry: CensusEntry, pp: PrimePower, group) -> tuple | None:
     from . import catalog
 
     if entry.family == "cyclic":
@@ -329,6 +329,8 @@ def _reference_key(entry: CensusEntry, pp: PrimePower) -> tuple | None:
         return _group_iso_key(catalog.alternating(5))
     if entry.family == "psl":
         sub_q = pp.p ** entry.param
+        if sub_q == pp.q:  # the whole group: key it as enumerated, not built again
+            return _group_iso_key(group)
         if sub_q in catalog.PSL_SUPPORTED:
             return _group_iso_key(catalog.psl2(sub_q))
         return None
@@ -338,7 +340,7 @@ def _reference_key(entry: CensusEntry, pp: PrimePower) -> tuple | None:
 
 
 def census_comparison(lattice, q) -> dict:
-    """Analytic census vs the brute-force isomorphism-type census of a lattice.
+    """Analytic census vs the brute-force isomorphism-type census of PSL(2, q)'s lattice.
 
     Conjugate subgroups are isomorphic, so the brute-force census keys each
     conjugacy class once, by its representative, and counts its size
@@ -356,7 +358,7 @@ def census_comparison(lattice, q) -> dict:
         key = _subgroup_iso_key(lattice, rep)
         brute[key] = brute.get(key, 0) + size
 
-    keys = [_reference_key(entry, pp) for entry in entries]
+    keys = [_reference_key(entry, pp, lattice.group) for entry in entries]
     keyed: dict[tuple | None, list[CensusEntry]] = {}
     for entry, key in zip(entries, keys):
         keyed.setdefault(key, []).append(entry)

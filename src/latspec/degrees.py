@@ -4,8 +4,10 @@ All degree arithmetic is exact: Fractions for sd, plain integers for the
 factorization counts. The spectral split substitutes the exact integer 2|E|
 for the floating eigenvalue sums (they agree by the trace identity); both
 floating forms, the Laplacian sum and the squared adjacency sum, are kept as
-checked shadows so the spectral path is still exercised end to end. Its two
-route names, Laplacian and adjacency, give the one split integer.
+checked shadows so the spectral path is still exercised end to end. The
+split is summed once per lattice, each class's shadows checked once by the
+report's own rule (`spectral.verify_trace_identities`); its two route
+names, Laplacian and adjacency, read the one memoized integer.
 
 Two independent pair computations feed the cross-checks. Every pair-test
 consumer (sd[direct], the graph, the core, the quasihamiltonian flag) reads
@@ -20,9 +22,10 @@ keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
 once the parent's matrix is filled, reading it restricted to the class
 representative's down-set; the subgroup F2 sum and both splits read them.
 Every lattice memoizes on itself its graph, its F2, its subgroup F2 sum,
-its classes with their Möbius values, and one pair of spectra, adjacency
-and Laplacian, solved together. The Möbius inversion builds no class
-lattice: sd(T) |L(T)|^2 is the parent's matrix summed over T's down-set.
+its split sum, its classes with their Möbius values, and one pair of
+spectra, adjacency and Laplacian, solved together. The Möbius inversion
+builds no class lattice: sd(T) |L(T)|^2 is the parent's matrix summed over
+T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
 Möbius inversion, both splits and the published notes' Klein four count)
 take one term per class, weighted by the class size, from the lattice's
@@ -48,9 +51,9 @@ solved; S4's 26 vertices split under a 4-cycle into 12, 8 and two complex
 blocks of 3, of which three are solved. A null graph has no block. A
 spectrum is its blocks' values merged.
 The blocks are handed to the eigensolver in batches, one call per batch: a
-graph's two matrices together, and, before the first split sums its terms,
+graph's two matrices together, and, before the split sums its terms,
 both matrices of every class in the split, the top graph among them.
-`verify_identities` runs the splits before it reads the top graph's
+`verify_identities` runs the split before it reads the top graph's
 spectra, so a `verify` makes one call.
 Blocks with the same shape, type and bytes in one call are solved once.
 Before a call forms any block, its blocks are held to BLOCK_ROW_LIMIT and
@@ -71,12 +74,7 @@ from .errors import ConsistencyError, DomainError, SizeError
 from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
-from .spectral import (
-    Spectrum,
-    eigenvalues_symmetric,
-    spectral_sums,
-    verify_trace_identities,
-)
+from .spectral import Spectrum, eigenvalues_symmetric, verify_trace_identities
 
 # Reference values published for the order-24 symmetric group that disagree
 # with this tool's exact computation; surfaced as informational notes, never
@@ -428,36 +426,39 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
 
 def _split_sum(lattice: SubgroupLattice) -> int:
     """Sum over every class of size * mu(T, G) * (|L(T)|^2 - 2|E_T|), with the
-    exact 2|E_T|; a quasihamiltonian T has the null graph, 2|E_T| = 0 and no
-    block. Both floating forms of 2|E_T|, the Laplacian sum and the squared
-    adjacency sum, are checked per class, all spectra from one `_spectra` call."""
-    # the whole matrix, not is_quasihamiltonian's early-stopping scan: a graph needs it
-    if lattice.permutability().all():
-        raise DomainError(
-            "the spectral split formula requires sd(G) != 1; "
-            "this group is quasihamiltonian"
-        )
-    classes = _classes(lattice)
-    owns = [_own(lattice, rep) for rep, _, _ in classes]
-    total = 0
-    for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
-        s_exact = 2 * top_graph(own).edge_count
-        for shadow in (spectral_sums(lap)[0], spectral_sums(adj)[1]):
-            if abs(shadow - s_exact) > 1e-8 * max(1, s_exact):
-                raise ConsistencyError(
-                    f"floating spectrum sum {shadow} disagrees with exact 2|E| = {s_exact}"
-                )
-        total += size * (own.size ** 2 - s_exact) * mu
-    return total
+    exact 2|E_T|, once per lattice; a quasihamiltonian T has the null graph,
+    2|E_T| = 0 and no block. All spectra come from one `_spectra` call, and
+    each class's pair is checked once by `verify_trace_identities` against
+    its 2|E_T|: a failing check is a ConsistencyError that names it."""
+
+    def split() -> int:
+        # the whole matrix, not is_quasihamiltonian's early-stopping scan: a graph needs it
+        if lattice.permutability().all():
+            raise DomainError("the spectral split formula requires sd(G) != 1; "
+                              "this group is quasihamiltonian")
+        classes = _classes(lattice)
+        owns = [_own(lattice, rep) for rep, _, _ in classes]
+        total = 0
+        for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
+            s_exact = 2 * top_graph(own).edge_count
+            for check in verify_trace_identities(s_exact, adj, lap):
+                if not check["passed"]:
+                    raise ConsistencyError(f"{check['name']}: floating spectrum sum {check['lhs']}"
+                                           f" disagrees with exact 2|E| = {s_exact}")
+            total += size * (own.size ** 2 - s_exact) * mu
+        return total
+
+    return _memo(lattice, "split", split)
 
 
 def f2_split_laplacian(lattice: SubgroupLattice) -> int:
-    """Factorization number via the split Möbius sum (`_split_sum`), Laplacian route name."""
+    """Factorization number via the split Möbius sum (`_split_sum`, once per
+    lattice), Laplacian route name."""
     return _split_sum(lattice)
 
 
 def f2_split_adjacency(lattice: SubgroupLattice) -> int:
-    """The same split (`_split_sum`), squared-adjacency route name."""
+    """The same memoized split (`_split_sum`), squared-adjacency route name."""
     return _split_sum(lattice)
 
 
@@ -535,8 +536,8 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
     first, so the quasihamiltonian flag, the core and the Möbius route read
     it and every class lattice takes it restricted instead of testing pairs.
     The F2 routes run next: the Laplacian split solves the top graph with
-    every class in one call and checks both spectral forms of each, the
-    adjacency split reads them from the memo, and the trace checks read the
+    every class in one call and checks each class's spectra once, the
+    adjacency split reads the memoized sum, and the trace checks read the
     top's spectra from the memo last. A call past the block budget raises
     SizeError before it forms a block.
 

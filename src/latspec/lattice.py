@@ -23,9 +23,10 @@ element, as a union of right cosets Hk from a table of H's cosets built once
 per H; it never touches joins, meets or the matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
-`_close_by_cyclic_extension` finds them from the trivial subgroup, and
-`from_member_lists` accepts a dumped family (a cache file's lattice section,
-a plain list of member-index lists) only when its sets equal what that finds.
+`_close_by_cyclic_extension` finds them from the trivial subgroup.
+`member_lists` is the one serializer of a lattice's members (a cache file's
+lattice section), and `from_member_lists` accepts a dump only when it equals
+that value for the lattice enumerated afresh.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
@@ -397,8 +398,9 @@ class SubgroupLattice:
         |AB| = |A||B|/|A meet B| and AB lies inside A join B, and AB = BA
         exactly when AB is a subgroup, i.e. AB = A join B. So the pair
         permutes iff |A join B| * |A meet B| = |A| * |B|. Exact only while
-        `join` is, that is on a complete family, which every family is: it
-        comes from `_close_by_cyclic_extension`, or equals what it finds.
+        `join` is, that is on a complete family, which every family is:
+        `enumerate_subgroups` and `from_member_lists` both build the lattice
+        from what `_close_by_cyclic_extension` finds.
         """
         subs = self.subgroups
         return (subs[self.join(a, b)].order * subs[self.meet(a, b)].order
@@ -560,41 +562,32 @@ class SubgroupLattice:
             "degree": self.group.degree,
             "size": self.size,
             "subgroups": [
-                {"id": s.id, "order": s.order, "members": list(self._member_tuples[s.id])}
-                for s in self.subgroups
+                {"id": s.id, "order": s.order, "members": members}
+                for s, members in zip(self.subgroups, self.member_lists())
             ],
             "leq_pairs": sorted(pairs),
             "core": sorted(self.permuting_core()),
         }
 
+    def member_lists(self) -> list[list[int]]:
+        """Each subgroup's member indices, by id: a cache file's lattice section."""
+        return [list(members) for members in self._member_tuples]
+
     @classmethod
     def from_member_lists(cls, group: FiniteGroup,
-                          member_lists: Sequence[Sequence[int]]) -> "SubgroupLattice":
-        """Rebuild a lattice from dumped member index arrays (e.g. a cache entry).
+                          member_lists: list[list[int]]) -> "SubgroupLattice":
+        """The lattice of `group`, closed by `_close_by_cyclic_extension` as a
+        fresh run closes it, once `member_lists` (e.g. a cache file's lattice
+        section) is proved equal to its `member_lists()`, order included.
 
-        InputError unless `member_lists` is a list of lists of element
-        indices whose sets are exactly the subgroups
-        `_close_by_cyclic_extension` finds, which is capped at the family's
-        size: a forged family buys no longer walk than a fresh enumeration.
-        Order and repeats do not matter. The result is the enumerated lattice.
+        The dump is only compared, never used; InputError otherwise, and
+        before any lattice is built if the dump's length differs.
         """
-        if not isinstance(member_lists, (list, tuple)):
-            raise InputError("dumped member lists are not a list")
-        family = set()
-        for members in member_lists:
-            if not isinstance(members, (list, tuple)) or not all(
-                    type(h) is int and 0 <= h < group.order for h in members):
-                raise InputError("dumped member lists are not lists of element indices")
-            family.add(bits_of(members))
-        try:
-            found = _close_by_cyclic_extension(group, min(len(family), SUBGROUP_CAP))
-        except SizeError:
-            found = None
-        if found is None or not found <= family:
-            raise InputError("dumped member sets are not every subgroup")
-        if found != family:
-            raise InputError("dumped member sets are not subgroups")
-        return cls(group, found)
+        found = _close_by_cyclic_extension(group, SUBGROUP_CAP)
+        if not isinstance(member_lists, list) or len(member_lists) != len(found) or (
+                lattice := cls(group, found)).member_lists() != member_lists:
+            raise InputError("dumped member lists are not the subgroups in canonical order")
+        return lattice
 
     def __repr__(self) -> str:
         return f"SubgroupLattice(group_order={self.group.order}, size={self.size})"

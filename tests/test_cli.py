@@ -249,6 +249,25 @@ class TestCensus:
                    if row["family"] in ("cyclic", "dihedral", "alt4")]
         assert matches and all(m is True for m in matches)
 
+    @pytest.mark.parametrize("q, orders", [
+        (4, [2, 2, 2, 2, 2, 3, 4, 4, 5, 6, 6, 10, 12, 60]),
+        (5, [2, 2, 2, 3, 4, 5, 6, 12, 60, 60]),
+        (7, [2, 2, 2, 3, 4, 4, 6, 7, 8, 12, 24, 168]),
+    ])
+    def test_census_closes_the_whole_group_once(self, capsys, monkeypatch, q, orders):
+        # the whole group's own PSL(2,q) entry is keyed from the enumerated group;
+        # q = 5 also builds A5 for its alt5 entry
+        built = []
+        real = catalog._from_images
+
+        def recording(degree, images, expected):
+            built.append(expected)
+            return real(degree, images, expected)
+
+        monkeypatch.setattr(catalog, "_from_images", recording)
+        assert run(capsys, "census", "-q", str(q), "--json")[0] == 0
+        assert sorted(built) == orders
+
     def test_census_large_q_analytic_only(self, capsys):
         code, out, _ = run(capsys, "census", "-q", "9", "--json")
         payload = json.loads(out)
@@ -417,8 +436,9 @@ class TestTruncatedCache:
 
 
 class TestEditedLatticePart:
-    """A cached S4 lattice part whose member sets are every subgroup, so the
-    proof passes, whatever the order of the lists or of their indices."""
+    """A cached S4 lattice part is proved by equality with the enumerated
+    lattice's `member_lists()`: reordered or repeated lists, which hold
+    every subgroup, are rejected and rewritten like a truncated part."""
 
     @pytest.fixture
     def fresh(self, capsys, tmp_path):
@@ -433,18 +453,19 @@ class TestEditedLatticePart:
         lambda lists: lists + lists[3:5],
         lambda lists: [members[::-1] for members in lists] + [lists[-1]],
     ], ids=["reversed", "rotated", "two_repeated", "indices_reversed_and_top_repeated"])
-    def test_reordered_or_repeated_lists_print_the_proved_dump_and_write_nothing(
-            self, capsys, fresh, monkeypatch, edit):
+    def test_reordered_or_repeated_lists_are_rejected_and_rewritten(self, capsys, fresh, edit):
+        cold = fresh.read_bytes()
         key, sections = read_cache_file(fresh)
         sections["lattice"] = edit(sections["lattice"])
         write_cache_file(fresh, key, sections)
-        edited = fresh.read_bytes()
-        stores = []
-        monkeypatch.setattr(cli, "cache_store", lambda *args, **kwargs: stores.append(args))
+        expected = run(capsys, "lattice", "S4", "--json")[:2]
         code, out, err = run(capsys, "--cache", str(fresh.parent), "lattice", "S4", "--json")
-        assert (code, out, err) == (0, run(capsys, "lattice", "S4", "--json")[1], "")
-        assert stores == []
-        assert fresh.read_bytes() == edited
+        assert (code, out) == expected
+        assert err.startswith("warning: rejecting the cached entry for S4")
+        assert err.count("\n") == 1
+        assert fresh.read_bytes() == cold
+        assert run(capsys, "--cache", str(fresh.parent), "lattice", "S4", "--json") == (
+            *expected, "")
 
     def test_an_unedited_part_is_printed_and_nothing_is_written(self, capsys, fresh, monkeypatch):
         before = fresh.stat()
@@ -1140,6 +1161,25 @@ class TestWorkCounts:
             closures, pairs = before[f"{command} --method {method}"]
             assert work["closures"] <= closures and work["pairs"] <= pairs, (command, work)
             assert work["closures"] == 1
+
+    def test_verify_checks_each_spectrum_pair_once(self, capsys, monkeypatch):
+        # PSL(2,7) has 15 classes: the split checks each class's pair once,
+        # and the report checks the top's, two spectral sums per check
+        sums, checks = [], []
+        real_sums, real_checks = spectral.spectral_sums, degrees.verify_trace_identities
+
+        def summing(spectrum):
+            sums.append(spectrum.dimension)
+            return real_sums(spectrum)
+
+        def checking(*args):
+            checks.append(args[0])
+            return real_checks(*args)
+
+        monkeypatch.setattr(spectral, "spectral_sums", summing)
+        monkeypatch.setattr(degrees, "verify_trace_identities", checking)
+        assert run(capsys, "verify", "PSL(2,7)")[0] == 0
+        assert (len(checks), len(sums)) == (16, 32)
 
     @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
     def test_f2_by_mobius_builds_no_class_lattice(self, capsys, monkeypatch, name):

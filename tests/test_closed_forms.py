@@ -210,9 +210,9 @@ class TestCensusByClass:
             calls["iso"] += 1
             return real_iso(lat, sid)
 
-        def reference(entry, pp):
+        def reference(*args):
             calls["reference"] += 1
-            return real_reference(entry, pp)
+            return real_reference(*args)
 
         monkeypatch.setattr(closed_forms, "_subgroup_iso_key", iso)
         monkeypatch.setattr(closed_forms, "_reference_key", reference)

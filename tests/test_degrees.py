@@ -266,19 +266,27 @@ class TestF2Splits:
         # of S4's 11 classes, all but S3, D8, A4 and S4 itself
         assert nulls == 7
 
-    @pytest.mark.parametrize("kind, route", [("adjacency", f2_split_laplacian),
-                                             ("laplacian", f2_split_adjacency)])
-    def test_each_route_checks_both_spectral_forms(self, kind, route):
+    @pytest.mark.parametrize("kind, route, shifts, check", [
+        ("adjacency", f2_split_laplacian, {-1: 0.5}, "adjacency_sum_vs_zero"),
+        ("adjacency", f2_split_adjacency, {0: -0.5, -1: 0.5}, "adjacency_square_sum_vs_edges"),
+        ("laplacian", f2_split_adjacency, {-1: 0.5}, "laplacian_sum_vs_edges"),
+    ], ids=["adjacency_sum", "adjacency_squares", "laplacian_sum"])
+    def test_each_route_checks_both_spectral_forms(self, kind, route, shifts, check):
+        # a fresh lattice: the split is summed once, so A4's spectra are
+        # corrupted before the first sum reads them
         lattice = enumerate_subgroups(symmetric(4))
-        assert route(lattice) == 177
         [a4] = [degrees._own(lattice, rep) for rep, _, _ in degrees._classes(lattice)
                 if lattice.subgroup(rep).order == 12]
-        pair = dict(zip(("adjacency", "laplacian"), a4.memo["spectra"]))
-        values = pair[kind].values
-        pair[kind] = Spectrum(values[:-1] + (values[-1] + 0.5,))
+        pair = dict(zip(("adjacency", "laplacian"), degrees.graph_spectra(a4)))
+        values = list(pair[kind].values)
+        for i, shift in shifts.items():
+            values[i] += shift
+        pair[kind] = Spectrum(tuple(values))
         a4.memo["spectra"] = (pair["adjacency"], pair["laplacian"])
-        with pytest.raises(ConsistencyError, match=r"disagrees with exact 2\|E\| = "):
+        message = rf"^{check}: floating spectrum sum .* disagrees with exact 2\|E\| = 36$"
+        with pytest.raises(ConsistencyError, match=message):  # A4's graph has 18 edges
             route(lattice)
+        assert "split" not in lattice.memo
 
     def test_minimal_nonabelian_partition(self, lat_s3):
         assert non_permuting_ids(own_lattices(lat_s3)) == [lat_s3.top_id]
