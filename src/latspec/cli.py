@@ -36,6 +36,7 @@ from .degrees import (
     graph_spectra,
     sd_direct,
     sd_spectral,
+    sd_text,
     sd_via_f2,
     top_graph,
     verify_identities,
@@ -66,13 +67,18 @@ _PART_SHAPES = {
 
 
 def _fits(value, shape) -> bool:
+    """Whether a decoded JSON value has `shape`. A plain type must be the
+    value's exact type, so true is no int and 1 no float; `object` takes any."""
     if isinstance(shape, dict):
-        return isinstance(value, dict) and all(k in value and _fits(value[k], s)
-                                               for k, s in shape.items())
-    if isinstance(shape, list):  # a plain item type costs no call per item
-        fits = isinstance if isinstance(shape[0], type) else _fits
-        return isinstance(value, list) and all(map(fits, value, itertools.repeat(shape[0])))
-    return isinstance(value, shape)
+        return type(value) is dict and all(k in value and _fits(value[k], s)
+                                           for k, s in shape.items())
+    if isinstance(shape, list):
+        if type(value) is not list:
+            return False
+        if isinstance(shape[0], type):  # a plain item type costs no call per item
+            return set(map(type, value)) <= {shape[0]}
+        return all(map(_fits, value, itertools.repeat(shape[0])))
+    return shape is object or type(value) is shape
 
 
 class Pipeline:
@@ -378,11 +384,11 @@ def _sd_values(pipeline: Pipeline, method: str) -> dict[str, str]:
     lattice = pipeline.lattice()
     out: dict[str, str] = {}
     if method in ("direct", "all"):
-        out["direct"] = str(sd_direct(lattice))
+        out["direct"] = sd_text(lattice, sd_direct(lattice))
     if method in ("spectral", "all"):
-        out["spectral"] = str(sd_spectral(lattice, top_graph(lattice)))
+        out["spectral"] = sd_text(lattice, sd_spectral(lattice, top_graph(lattice)))
     if method in ("f2", "all"):
-        out["via_f2"] = str(sd_via_f2(lattice))
+        out["via_f2"] = sd_text(lattice, sd_via_f2(lattice))
     return out
 
 

@@ -2,9 +2,11 @@
 
 Closed forms for the factorization number of PSL(2,q) and PGL(2,q), the
 classical census of PSL(2,q) subgroup types, and the known Möbius values for
-p-groups and symmetric groups. Lattice sizes are inputs, not computed here:
-the caller wires in brute-force sizes when the group is small enough to
-enumerate.
+p-groups and symmetric groups. Their lattice sizes are inputs, not computed
+here: the caller wires in brute-force sizes when the group is small enough
+to enumerate. The cyclic and dihedral families need no input beyond n: their
+F2, lattice size and subgroup F2 sum are divisor sums, an oracle that
+depends on neither the enumeration nor the pair test.
 
 Where the published statements carry known transcription hazards (overlapping
 branches for the symmetric-group Möbius value, even-characteristic census
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, InputError, SizeError
 
@@ -129,6 +130,65 @@ def f2_pgl_closed(q, lattice_g: int, lattice_m: int) -> int:
     return 4 * volume + 4 * lattice_g - 2 * lattice_m - 3
 
 
+# -- the cyclic and dihedral families ------------------------------------------
+
+
+def f2_cyclic(n: int) -> int:
+    """F2(C_n) = tau(n^2). C_n has one subgroup per divisor of n, and HK = C_n
+    exactly when lcm(|H|, |K|) = n; the ordered divisor pairs of n with lcm d
+    are as many as the divisors of d^2."""
+    return len(_divisors(n * n))
+
+
+def f2_dihedral(n: int) -> int:
+    """F2 of the dihedral group D_2n of order 2n, n >= 1.
+
+    Its subgroups are the rotation groups R_d = <r^(n/d)> (order d) and the
+    dihedral H_(d,i) = <r^(n/d), r^i s> (order 2d), 0 <= i < n/d, one of each
+    kind per divisor d of n; |HK| = |H||K| / |H meet K|. Over ordered divisor
+    pairs (a, b) of n:
+      lcm(a, b) = n: R_a with each H_(b,j) and H_(a,i) with R_b, 2n/b pairs
+        summed symmetrically, and every H_(a,i), H_(b,j), (n/a)(n/b) pairs,
+        since two dihedral subgroups share a reflection for a fraction
+        1/gcd(n/a, n/b) = lcm(a, b)/n of the (i, j);
+      lcm(a, b) = n/2, n even: the (n/a)(n/b)/2 dihedral pairs sharing no
+        reflection, whose product has 4 lcm(a, b) = 2n elements.
+    """
+    total = 0
+    divisors = _divisors(n)
+    for a in divisors:
+        for b in divisors:
+            join = math.lcm(a, b)
+            if join == n:
+                total += 2 * n // b + (n // a) * (n // b)
+            elif 2 * join == n:
+                total += (n // a) * (n // b) // 2
+    return total
+
+
+def _family_counts(lattice_size: int, f2: int, f2_sum: int) -> dict[str, int]:
+    """The exact fields a `verify` report derives from |L|, F2 and the subgroup
+    F2 sum: sd is f2_sum over |L|^2, and 2|E| = |L|^2 - f2_sum."""
+    return {"lattice_size": lattice_size, "f2": f2, "f2_sum": f2_sum,
+            "two_e": lattice_size ** 2 - f2_sum}
+
+
+def cyclic_counts(n: int) -> dict[str, int]:
+    """|L(C_n)| = tau(n), F2, the sum of F2 over all subgroups (one C_d per
+    d | n) and 2|E|, from n alone, with no group built."""
+    divisors = _divisors(n)
+    return _family_counts(len(divisors), f2_cyclic(n), sum(map(f2_cyclic, divisors)))
+
+
+def dihedral_counts(n: int) -> dict[str, int]:
+    """As `cyclic_counts`, for D_2n: every subgroup is C_d (one per d | n) or
+    D_2d (n/d of them), so |L| = tau(n) + sigma(n) and the subgroup F2 sum is
+    the sum over d | n of tau(d^2) + (n/d) F2(D_2d)."""
+    divisors = _divisors(n)
+    return _family_counts(len(divisors) + sum(divisors), f2_dihedral(n),
+                          sum(f2_cyclic(d) + n // d * f2_dihedral(d) for d in divisors))
+
+
 # -- the subgroup census of PSL(2,q) -------------------------------------------
 
 STATED = "stated"
@@ -164,13 +224,22 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _integral(value: Fraction, family: str, label: str, param,
+def ratio_text(numerator: int, denominator: int) -> str:
+    """numerator/denominator, denominator > 0, in lowest terms as str(Fraction)
+    prints it: a whole number alone, else "p/q" with the sign on p."""
+    common = math.gcd(numerator, denominator)
+    p, q = numerator // common, denominator // common
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _integral(volume: int, divisor: int, family: str, label: str, param,
               status: str, note: str = "") -> CensusEntry:
-    if value.denominator != 1:
+    """The entry counting volume / divisor, or flagged when that is not an integer."""
+    if volume % divisor:
         return CensusEntry(family, label, param, None, STATED_UNVERIFIED,
                            (note + "; " if note else "")
-                           + f"formula value {value} is not an integer")
-    return CensusEntry(family, label, param, int(value), status, note)
+                           + f"formula value {ratio_text(volume, divisor)} is not an integer")
+    return CensusEntry(family, label, param, volume // divisor, status, note)
 
 
 def dickson_census(q) -> list[CensusEntry]:
@@ -201,29 +270,29 @@ def dickson_census(q) -> list[CensusEntry]:
 
     dihedral_status = STATED_UNVERIFIED if even else STATED
     dihedral_note = "odd-characteristic formula" if even else ""
-    entries.append(_integral(Fraction(volume, 24), "dihedral", "D4 (order 4)", 2,
+    entries.append(_integral(volume, 24, "dihedral", "D4 (order 4)", 2,
                              dihedral_status, dihedral_note))
     for torus in (t_minus, t_plus):
         for d in _divisors(torus):
             if d > 2:
-                entries.append(_integral(Fraction(volume, 4 * d), "dihedral",
+                entries.append(_integral(volume, 4 * d, "dihedral",
                                          f"D{2 * d} (order {2 * d})", d,
                                          dihedral_status, dihedral_note))
 
-    entries.append(_integral(Fraction(volume, 24), "alt4", "A4", None,
+    entries.append(_integral(volume, 24, "alt4", "A4", None,
                              dihedral_status, dihedral_note))
     if value % 8 == 7:
-        entries.append(_integral(Fraction(volume, 24), "sym4", "S4", None, STATED))
+        entries.append(_integral(volume, 24, "sym4", "S4", None, STATED))
     if value % 10 in (1, 9) or pp.p == 5:
         status = STATED_UNVERIFIED if value == 5 else STATED
         note = "counts proper copies only; not checkable inside the group itself" \
             if value == 5 else ""
-        entries.append(_integral(Fraction(volume, 60), "alt5", "A5", None, status, note))
+        entries.append(_integral(volume, 60, "alt5", "A5", None, status, note))
 
     for m in _divisors(pp.n):
         sub_q = pp.p ** m
         sub_volume = sub_q * (sub_q * sub_q - 1)
-        entries.append(_integral(Fraction(volume, sub_volume), "psl",
+        entries.append(_integral(volume, sub_volume, "psl",
                                  f"PSL(2,{sub_q})", m, STATED))
 
     for m in range(1, pp.n + 1):

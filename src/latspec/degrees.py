@@ -1,7 +1,11 @@
 """Subgroup commutativity degree and factorization number by every route, cross-checked.
 
-All degree arithmetic is exact: Fractions for sd, plain integers for the
-factorization counts. The spectral split substitutes the exact integer 2|E|
+All degree arithmetic is exact: each sd route gives its count over |L|^2,
+an integer (sd_direct the commuting pairs, sd_spectral |L|^2 - 2|E|,
+sd_via_f2 the subgroup F2 sum), so the routes compare as integers and the
+report prints each count reduced over |L|^2 (`ratio_text`) as str(Fraction)
+would; the factorization counts are plain integers too, and no rational
+type is used. The spectral split substitutes the exact integer 2|E|
 for the floating eigenvalue sums (they agree by the trace identity); both
 floating forms, the Laplacian sum and the squared adjacency sum, are kept as
 checked shadows so the spectral path is still exercised end to end. The
@@ -63,13 +67,13 @@ BLOCK_WORK_LIMIT (`_check_budget`); past either, SizeError.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .cache import signature_of
 from .catalog import order_histogram_key
+from .closed_forms import ratio_text
 from .errors import ConsistencyError, DomainError, SizeError
 from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
@@ -90,6 +94,8 @@ _S4_PUBLISHED = {
 # sum of d^3 over the d x d blocks it reduces, a complex block counted x4.
 BLOCK_ROW_LIMIT = 8_000_000
 BLOCK_WORK_LIMIT = 10_000_000_000
+# Representative rows that `_block` weighs and reduces at once.
+BLOCK_CHUNK_ROWS = 64
 
 
 def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
@@ -263,19 +269,27 @@ def _block(adjacency: np.ndarray, laplacian: bool, vertices: np.ndarray, weights
     s_i, at `starts[i]`) and chi(w) the vertex weights, chi(o_i) = 1.
 
     M[c^a o_i, w] = M[o_i, c^-a w], so every u in O_i weighs in as o_i's
-    row: only the representatives' rows of the boolean adjacency are read.
-    A Laplacian row is 0.0 - rows (-rows would give -0.0) with deg(o_i) at
-    o_i. Real weights +-1 give exact integer numerators, and singleton
-    orbits give M itself, bit for bit; complex blocks round, so they are
-    made exactly Hermitian from the upper triangle and the real diagonal.
+    row: only the representatives' rows of the boolean adjacency are read,
+    BLOCK_CHUNK_ROWS of them at a time, so the weighted rows held at once
+    are that many by |vertices|, not the whole block's |reps| by |vertices|.
+    Each row is reduced on its own, so the chunks' reduced parts, stacked,
+    are bit for bit the one-shot reduction. A Laplacian row is 0.0 - rows
+    (-rows would give -0.0) with deg(o_i) at o_i. Real weights +-1 give
+    exact integer numerators, and singleton orbits give M itself, bit for
+    bit; complex blocks round, so they are made exactly Hermitian from the
+    upper triangle and the real diagonal.
     """
     reps = vertices[starts]
-    rows = adjacency[np.ix_(reps, vertices)]
-    if laplacian:
-        rows = 0.0 - rows
-        rows[np.arange(starts.size), starts] = adjacency[reps].sum(axis=1)
+    parts = []
+    for lo in range(0, reps.size, BLOCK_CHUNK_ROWS):
+        chunk = slice(lo, lo + BLOCK_CHUNK_ROWS)
+        rows = adjacency[np.ix_(reps[chunk], vertices)]
+        if laplacian:
+            rows = 0.0 - rows
+            rows[np.arange(rows.shape[0]), starts[chunk]] = adjacency[reps[chunk]].sum(axis=1)
+        parts.append(np.add.reduceat(rows * weights, starts, axis=1))
     root = np.sqrt(np.multiply.outer(sizes, sizes))
-    block = sizes[:, None] * np.add.reduceat(rows * weights, starts, axis=1) / root
+    block = sizes[:, None] * np.concatenate(parts) / root
     if not np.iscomplexobj(block):
         return block
     upper = np.triu(block, 1)
@@ -363,22 +377,26 @@ def commuting_pair_count(lattice: SubgroupLattice) -> int:
     return int(lattice.permutability().sum())
 
 
-def sd_direct(lattice: SubgroupLattice) -> Fraction:
-    """Probability that two subgroups permute: commuting pairs over |L|^2."""
-    n = lattice.size
-    return Fraction(commuting_pair_count(lattice), n * n)
+def sd_direct(lattice: SubgroupLattice) -> int:
+    """Probability that two subgroups permute, as its count over |L|^2: the commuting pairs."""
+    return commuting_pair_count(lattice)
 
 
-def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> Fraction:
-    """1 - 2|E|/|L|^2, with the exact integer 2|E| standing in for the eigenvalue sum."""
-    n = lattice.size
-    return 1 - Fraction(2 * graph.edge_count, n * n)
+def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> int:
+    """1 - 2|E|/|L|^2 as its count over |L|^2, |L|^2 - 2|E|, with the exact
+    integer 2|E| standing in for the eigenvalue sum."""
+    return lattice.size ** 2 - 2 * graph.edge_count
 
 
-def sd_via_f2(lattice: SubgroupLattice) -> Fraction:
-    """Sum of the factorization numbers of all subgroups, divided by |L|^2."""
-    n = lattice.size
-    return Fraction(_f2_sum(lattice), n * n)
+def sd_via_f2(lattice: SubgroupLattice) -> int:
+    """Sum of the factorization numbers of all subgroups over |L|^2, as its
+    count over |L|^2: the subgroup F2 sum itself."""
+    return _f2_sum(lattice)
+
+
+def sd_text(lattice: SubgroupLattice, count: int) -> str:
+    """The sd whose count over |L|^2 is `count`, reduced, as str(Fraction) prints it."""
+    return ratio_text(count, lattice.size ** 2)
 
 
 # -- F2 --------------------------------------------------------------------
@@ -513,7 +531,7 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
 
     The report holds the group's signature, order and lattice size, the
     graph's vertex and edge counts, the quasihamiltonian flag, sd by each
-    route as str(Fraction), F2 by each route as an int (None for the splits
+    route as `sd_text`, F2 by each route as an int (None for the splits
     of a quasihamiltonian group), the exact checks and the trace checks
     (`verify_trace_identities`), the notes and `internal_ok`, true when
     every check passed. Internal checks:
@@ -570,15 +588,16 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
         for x in range(n)
         if not permutes[c, x]
     ]
-    sd_rhs = n * n * (1 - sd_d)
+    sd_rhs = n * n - sd_d
     f2_rhs = n * n - _f2_sum(lattice)
     f2_known = [v for v in f2_values.values() if v is not None]
     checks = [
         _check("no_trimmed_edges", not trimmed, f"{len(trimmed)} lost pairs", "0 lost pairs",
                "" if not trimmed else f"pairs with a core endpoint that fail to permute: {trimmed}"),
-        _check("edge_count_vs_sd", Fraction(two_e) == sd_rhs, two_e, sd_rhs),
+        _check("edge_count_vs_sd", two_e == sd_rhs, two_e, sd_rhs),
         _check("edge_count_vs_f2_sum", two_e == f2_rhs, two_e, f2_rhs),
-        _check("sd_methods_equal", sd_d == sd_s == sd_f, sd_d, f"spectral={sd_s}, via_f2={sd_f}"),
+        _check("sd_methods_equal", sd_d == sd_s == sd_f, sd_text(lattice, sd_d),
+               f"spectral={sd_text(lattice, sd_s)}, via_f2={sd_text(lattice, sd_f)}"),
         _check("f2_methods_equal", all(v == f2_known[0] for v in f2_known), f2_known[0],
                ", ".join(f"{k}={v}" for k, v in f2_values.items())),
     ]
@@ -591,7 +610,8 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
         "vertex_count": graph.vertex_count,
         "edge_count": graph.edge_count,
         "quasihamiltonian": quasihamiltonian,
-        "sd": {"direct": str(sd_d), "spectral": str(sd_s), "via_f2": str(sd_f)},
+        "sd": {"direct": sd_text(lattice, sd_d), "spectral": sd_text(lattice, sd_s),
+               "via_f2": sd_text(lattice, sd_f)},
         "f2": f2_values,
         "checks": checks,
         "trace_checks": trace_checks,

@@ -4,22 +4,35 @@ Everything here is immutable after construction and safe to share between
 threads. A group closes its generators once; that one closure yields the
 complete element list, kept in a canonical (lexicographic) order so every
 identifier derived from element indices is deterministic, and the generator
-rows the multiplication table is built from. A subgroup of a tabulated group
-is cut from its tables instead (`FiniteGroup.restricted`), with no closure.
+rows the multiplication table is built from; the table's rows are 16-bit
+arrays. A subgroup of a tabulated group is cut from its tables instead
+(`FiniteGroup.restricted`), with no closure.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, InputError, SizeError
 
 # Every command reads the full multiplication table, which is quadratic in
-# the group order; the closure refuses a group past this order.
+# the group order; the closure refuses a group past this order. Every index
+# below it fits the table's 16-bit rows.
 MUL_TABLE_LIMIT = 4_096
+
+
+def _picker(indices: Sequence[int]):
+    """seq -> the tuple of seq[i] for i in `indices`, in C (`itemgetter`),
+    a tuple even for one index."""
+    if len(indices) == 1:
+        [i] = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 @dataclass(frozen=True, order=True)
@@ -184,7 +197,7 @@ class FiniteGroup:
         }
         self.identity_index: int = rank[0]
         self._generator_rows = [[rank[row[i]] for i in order] for row in rows]
-        self._mul_table: list[list[int]] | None = None
+        self._mul_table: list[array] | None = None
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
 
@@ -195,17 +208,22 @@ class FiniteGroup:
         Its elements are the members in this group's order, which is already
         lexicographic, so they are what closing `generators` (element indices
         of members) would list. Its multiplication table is this table's
-        member rows and columns, relabelled to positions among the members;
-        its inverses and element orders are sliced from this group's.
+        member rows and columns, relabelled to positions among the members,
+        in `array('H')` rows as `mul_table` holds them: each row is picked
+        and relabelled by two `itemgetter` calls, with no Python code per
+        entry (most cut groups are small, where numpy's per-call cost would
+        outweigh a row). Its inverses and element orders are sliced from
+        this group's.
         ConsistencyError if the members do not hold the identity and the
         generators, or a product of two of them falls outside them.
         """
         position = [-1] * self.order
         for i, x in enumerate(members):
             position[x] = i
-        table = self.mul_table
-        mul = [[position[y] for y in map(table[x].__getitem__, members)] for x in members]
-        if (position[self.identity_index] != 0 or any(-1 in row for row in mul)
+        table, pick = self.mul_table, _picker(members)
+        rows = (_picker(pick(table[x]))(position) for x in members)
+        mul = [array("H", row) for row in rows if -1 not in row]  # -1: outside the members
+        if (len(mul) < len(members) or position[self.identity_index] != 0
                 or -1 in map(position.__getitem__, generators)):
             raise ConsistencyError("the members are not a subgroup holding the generators")
         sub = FiniteGroup.__new__(FiniteGroup)
@@ -231,24 +249,31 @@ class FiniteGroup:
             raise InputError(f"{p!r} is not an element of this group") from None
 
     @property
-    def mul_table(self) -> list[list[int]]:
+    def mul_table(self) -> list[array]:
         """Full index-level multiplication table (built on first use).
 
         Row i is left multiplication by elements[i], read as a permutation of
-        indices. A breadth-first search over the generator rows recorded by
+        indices and held as an `array('H')`: an order within MUL_TABLE_LIMIT
+        fits 16 bits, so a row costs 2 bytes an entry, not a list's 8-byte
+        pointer. A breadth-first search over the generator rows recorded by
         the closure reaches every element as elements[y] = g * elements[x];
-        row y is then row x sent through g's row, one `map` per element.
+        row y is then g's row read at row x's entries, one numpy gather on
+        row x's buffer per element, so no entry passes through Python code.
         """
         if self._mul_table is None:
+            import numpy as np  # here alone: importing latspec itself loads no numpy
+
             n = len(self.elements)
-            table: list[list[int] | None] = [None] * n
-            table[self.identity_index] = list(range(n))
+            table: list[array | None] = [None] * n
+            table[self.identity_index] = array("H", range(n))
+            moves = [(row, np.array(row, dtype=np.uint16)) for row in self._generator_rows]
             queue = [self.identity_index]
             for x in queue:
-                for row in self._generator_rows:
+                row_x = np.frombuffer(table[x], dtype=np.uint16)
+                for row, gather in moves:
                     y = row[x]
                     if table[y] is None:
-                        table[y] = list(map(row.__getitem__, table[x]))
+                        table[y] = array("H", gather[row_x].tobytes())
                         queue.append(y)
             self._mul_table = table
         return self._mul_table

@@ -588,6 +588,36 @@ class TestMalformedPart:
         assert run(capsys, "--cache", str(cache_dir), *argv) == (*expected, "")
 
 
+class TestExactItemTypes:
+    """JSON true decodes to a bool, which isinstance counts as an int: a cached
+    part must hold each plain item in its exact type."""
+
+    @pytest.mark.parametrize("argv, part, warning", [
+        (("lattice", "S4", "--json"), "lattice",
+         "warning: rejecting the cached entry for S4: its lattice part is malformed; "
+         "recomputing\n"),
+        (("verify", "S4", "--json"), "report",
+         "warning: rejecting the cached report part for S4: it is malformed; recomputing\n"),
+    ], ids=["lattice_item", "report_field"])
+    def test_true_for_an_int_warns_once_and_rewrites(self, capsys, tmp_path, argv, part,
+                                                     warning):
+        cache_dir, fresh = tmp_path / "c", tmp_path / "fresh"
+        assert run(capsys, "--cache", str(cache_dir), *argv)[0] == 0
+        assert run(capsys, "--cache", str(fresh), *argv)[0] == 0
+        [path] = cache_dir.glob("*.json")
+        key, sections = read_cache_file(path)
+        if part == "lattice":  # S4's first subgroup of order 2: [0, 1] -> [0, true]
+            sections["lattice"][sections["lattice"].index([0, 1])] = [0, True]
+        else:
+            sections["report"]["lattice_size"] = True
+        write_cache_file(path, key, sections)
+        expected = run(capsys, *argv)[:2]
+        code, out, err = run(capsys, "--cache", str(cache_dir), *argv)
+        assert (code, out, err) == (*expected, warning)
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+        assert run(capsys, "--cache", str(cache_dir), *argv) == (*expected, "")
+
+
 class TestSectionLines:
     """Each cached part is one line of its file, decoded only by a command that reads it."""
 
@@ -1280,6 +1310,12 @@ class TestImports:
                                 ["--cache", str(tmp_path / "c"), "verify", "S4"])
         assert "_hashlib" not in modules
         assert len(list((tmp_path / "c").iterdir())) == 1
+
+    def test_no_command_imports_fractions_or_decimal(self):
+        # sd is an integer count over |L|^2 and the census tests integrality
+        # by remainder; fractions (with decimal) costs about 0.3 MiB and 3 ms
+        modules = child_modules(["verify", "S4"], ["sd", "S4"], ["census", "-q", "4"])
+        assert not {"fractions", "decimal"} & modules
 
     def test_verify_never_imports_numpy_ma(self):
         # numpy.ma adds about 1.5 MiB of peak RSS; np.unique imports it on first use

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+from fractions import Fraction
+
 import pytest
 
 import latspec.closed_forms as closed_forms
@@ -9,14 +14,20 @@ from latspec.closed_forms import (
     PrimePower,
     _divisors,
     census_comparison,
+    cyclic_counts,
     dickson_census,
+    dihedral_counts,
+    f2_cyclic,
+    f2_dihedral,
     f2_pgl_closed,
     f2_psl_closed,
     is_prime,
     least_prime_factor,
     mobius_hall,
     mobius_symmetric,
+    ratio_text,
 )
+from latspec.cli import main
 from latspec.degrees import f2_direct
 from latspec.errors import DomainError, InputError, SizeError
 from latspec.lattice import enumerate_subgroups
@@ -282,3 +293,46 @@ class TestMobiusSymmetric:
     def test_n_below_two_rejected(self):
         with pytest.raises(InputError):
             mobius_symmetric(1)
+
+
+class TestRatioText:
+    def test_prints_as_str_fraction(self):
+        for p in range(-40, 41):
+            for q in range(1, 41):
+                assert ratio_text(p, q) == str(Fraction(p, q)), (p, q)
+
+    def test_census_note_prints_the_reduced_value(self):
+        # 4 * 15 / 24 = 5/2: the odd-characteristic D4 and A4 counts at q = 4
+        notes = [e.note for e in dickson_census(4) if e.label in ("D4 (order 4)", "A4")]
+        assert notes == ["odd-characteristic formula; formula value 5/2 is not an integer"] * 2
+
+
+class TestCyclicAndDihedralOracle:
+    """F2, |L|, the subgroup F2 sum and 2|E| of C_n and D_2n from divisor sums,
+    checked against `verify`, which enumerates the lattice and tests pairs."""
+
+    def test_small_values(self):
+        # C_n: HK = C_n iff lcm(|H|, |K|) = n; S3 = D_6, V4 = D_4, C2 = D_2
+        assert [f2_cyclic(n) for n in (1, 2, 6, 12)] == [1, 3, 9, 15]
+        assert [f2_dihedral(n) for n in (1, 2, 3, 4)] == [3, 15, 17, 41]
+        assert (f2_dihedral(720), f2_dihedral(2048)) == (40_075, 24_587)
+
+    @pytest.mark.parametrize("name", [f"C{n}" for n in range(1, 25)]
+                             + [f"D{n}" for n in range(3, 25)])
+    def test_verify_matches_the_closed_forms(self, name):
+        n = int(name[1:])
+        want = (cyclic_counts if name[0] == "C" else dihedral_counts)(n)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", name, "--json"]) == 0
+        [entry] = json.loads(out.getvalue())["groups"]
+        report = entry["report"]
+        size = want["lattice_size"]
+        sd = str(Fraction(want["f2_sum"], size * size))
+        split = None if want["two_e"] == 0 else want["f2"]  # no split for sd = 1
+        assert report["lattice_size"] == size
+        assert report["sd"] == {"direct": sd, "spectral": sd, "via_f2": sd}
+        assert 2 * report["edge_count"] == want["two_e"]
+        assert report["f2"] == {"direct": want["f2"], "mobius": want["f2"],
+                                "split_laplacian": split, "split_adjacency": split}
+        assert report["internal_ok"]

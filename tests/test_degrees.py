@@ -26,6 +26,7 @@ from latspec.degrees import (
     f2_split_laplacian,
     sd_direct,
     sd_spectral,
+    sd_text,
     sd_via_f2,
     verify_identities,
 )
@@ -65,56 +66,59 @@ def lat_q8():
 
 
 class TestSdDirect:
+    # each sd route gives its count over |L|^2, an int; sd_text prints it reduced
     def test_a4(self, lat_a4):
-        assert sd_direct(lat_a4) == Fraction(16, 25)
-        assert commuting_pair_count(lat_a4) == 64
+        assert sd_direct(lat_a4) == commuting_pair_count(lat_a4) == 64
+        assert sd_text(lat_a4, sd_direct(lat_a4)) == "16/25"
 
     def test_q8_fully_permutes(self, lat_q8):
-        assert sd_direct(lat_q8) == 1
+        assert sd_direct(lat_q8) == lat_q8.size ** 2
+        assert sd_text(lat_q8, sd_direct(lat_q8)) == "1"
 
     def test_abelian(self):
-        assert sd_direct(enumerate_subgroups(cyclic(12))) == 1
+        lattice = enumerate_subgroups(cyclic(12))
+        assert sd_direct(lattice) == lattice.size ** 2
 
-    def test_result_is_reduced_exact_rational(self, lat_a4):
-        value = sd_direct(lat_a4)
-        assert isinstance(value, Fraction)
-        assert value.denominator > 0
-        from math import gcd
-        assert gcd(value.numerator, value.denominator) == 1
+    def test_text_is_the_reduced_fraction(self, lat_a4, lat_s4, lat_s3, lat_d4):
+        for lattice in (lat_a4, lat_s4, lat_s3, lat_d4):
+            count = sd_direct(lattice)
+            assert type(count) is int
+            assert sd_text(lattice, count) == str(Fraction(count, lattice.size ** 2))
 
     def test_range(self, lat_s4, lat_s3, lat_d4):
         for lattice in (lat_s4, lat_s3, lat_d4):
-            assert 0 < sd_direct(lattice) <= 1
+            assert 0 < sd_direct(lattice) <= lattice.size ** 2
 
 
 class TestSdSpectral:
     def test_a4(self, lat_a4):
         graph = build_graph(lat_a4)
-        assert sd_spectral(lat_a4, graph) == Fraction(16, 25)
+        assert sd_spectral(lat_a4, graph) == 64
+        assert sd_text(lat_a4, 64) == "16/25"
 
     def test_d4(self, lat_d4):
         graph = build_graph(lat_d4)
         assert 2 * graph.edge_count == 8
-        assert sd_spectral(lat_d4, graph) == Fraction(23, 25)
+        assert sd_text(lat_d4, sd_spectral(lat_d4, graph)) == "23/25"
 
     def test_s3(self, lat_s3):
         graph = build_graph(lat_s3)
         assert 2 * graph.edge_count == 6
-        assert sd_spectral(lat_s3, graph) == Fraction(5, 6)
+        assert sd_text(lat_s3, sd_spectral(lat_s3, graph)) == "5/6"
 
 
 class TestSdViaF2:
     def test_a4_term_by_term(self, lat_a4):
         # 1 + 7*3 + 15 + 27 over 100
-        assert sd_via_f2(lat_a4) == Fraction(1 + 7 * 3 + 15 + 27, 100)
-        assert sd_via_f2(lat_a4) == Fraction(16, 25)
+        assert sd_via_f2(lat_a4) == 1 + 7 * 3 + 15 + 27
+        assert sd_text(lat_a4, sd_via_f2(lat_a4)) == "16/25"
 
     def test_trivial_group(self):
         lattice = enumerate_subgroups(generate_group(1, []))
         assert sd_via_f2(lattice) == 1
 
     def test_d4_agrees_with_spectral(self, lat_d4):
-        assert sd_via_f2(lat_d4) == Fraction(23, 25)
+        assert sd_text(lat_d4, sd_via_f2(lat_d4)) == "23/25"
 
 
 class TestF2Direct:
@@ -313,12 +317,12 @@ class TestRandomGroups:
         group = generate_group(4, [Permutation(tuple(im)) for im in image_lists])
         lattice = enumerate_subgroups(group)
         graph = build_graph(lattice)
-        sd = sd_direct(lattice)
-        assert Fraction(2 * graph.edge_count) == lattice.size ** 2 * (1 - sd)
+        sd = sd_direct(lattice)  # over |L|^2
+        assert 2 * graph.edge_count == lattice.size ** 2 - sd
         assert sd == sd_spectral(lattice, graph) == sd_via_f2(lattice)
         f2 = f2_direct(lattice)
         assert f2 == f2_mobius(lattice)
-        if sd != 1:
+        if sd != lattice.size ** 2:
             assert f2 == f2_split_laplacian(lattice) == f2_split_adjacency(lattice)
 
 
@@ -556,6 +560,28 @@ class TestSymmetryBlocks:
                         assert np.array_equal(ours, ours.T.conj())
                     else:
                         assert ours.tobytes() == ref.tobytes(), (name, laplacian)
+
+    @pytest.mark.parametrize("name", ["S5", "perm6:(1,2,3);(2,3,4,5,6)", "PSL(2,7)"])
+    def test_chunked_blocks_are_the_one_chunk_blocks_bit_for_bit(self, name, monkeypatch):
+        # the top graph and every class graph, both matrices; chunks of 4 rows
+        # split every block with more than 4 orbits, and a huge chunk is the
+        # one-shot build
+        top = enumerate_subgroups(parse_group_spec(name).group)
+        lattices = [top] + [enumerate_subgroups(top.standalone_group(rep))
+                            for rep in sorted(set(top.class_reps()) - {top.top_id})]
+        split = 0
+        for lattice in lattices:
+            graph = build_graph(lattice)
+            for *basis, _ in degrees._symmetry_blocks(lattice, graph):
+                split += basis[2].size > 4
+                for laplacian in (False, True):
+                    monkeypatch.setattr(degrees, "BLOCK_CHUNK_ROWS", 4)
+                    chunked = degrees._block(graph._adj, laplacian, *basis)
+                    monkeypatch.setattr(degrees, "BLOCK_CHUNK_ROWS", 10 ** 9)
+                    whole = degrees._block(graph._adj, laplacian, *basis)
+                    assert (chunked.shape, chunked.dtype) == (whole.shape, whole.dtype)
+                    assert chunked.tobytes() == whole.tobytes(), (name, laplacian)
+        assert split
 
     def test_singleton_orbits_give_the_full_matrix_as_its_one_block(self):
         # the identity's action: every vertex its own orbit, one character

@@ -1,5 +1,6 @@
 import itertools
 import json
+from array import array
 import random
 import time
 
@@ -536,8 +537,8 @@ class TestIntervalsAndStandalone:
             sub = lattice.standalone_group(sid)
             assert sub.elements == tuple(parent.elements[i] for i in members)
             position = {h: k for k, h in enumerate(members)}
-            assert sub.mul_table == [[position[parent.mul_table[a][b]] for b in members]
-                                     for a in members]
+            assert [list(row) for row in sub.mul_table] == [
+                [position[parent.mul_table[a][b]] for b in members] for a in members]
 
     def test_minimal_generators_generate(self, lat_s4):
         from latspec.perm import Permutation
@@ -572,6 +573,10 @@ class TestCutClassLattices:
             assert (cut.degree, cut.elements, cut.identity_index, cut.generators) == (
                 closed.degree, closed.elements, closed.identity_index, closed.generators)
             assert cut.mul_table == closed.mul_table
+            # 16-bit rows, each entry the index of the composed permutation
+            assert all(type(row) is array and row.typecode == "H" for row in cut.mul_table)
+            assert [list(row) for row in cut.mul_table] == [
+                [cut.index_of(compose(a, b)) for b in cut.elements] for a in cut.elements]
             n = closed.order
             assert ([cut.inverse_index(i) for i in range(n)]
                     == [closed.inverse_index(i) for i in range(n)])

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,7 +153,8 @@ class TestMulTable:
         group = FiniteGroup(parsed.degree, parsed.generators)
         by_compose = [[group.index_of(compose(a, b)) for b in group.elements]
                       for a in group.elements]
-        assert group.mul_table == by_compose
+        assert all(type(row) is array and row.typecode == "H" for row in group.mul_table)
+        assert [list(row) for row in group.mul_table] == by_compose
 
     def test_size_limit(self, monkeypatch, s4):
         import latspec.perm
