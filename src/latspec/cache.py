@@ -58,13 +58,16 @@ def decode_section(line: str):
 def table_hash(group: FiniteGroup) -> str:
     """SHA-256 of the canonical element table (degree plus sorted image
     tuples), from the built-in module: equal to `hashlib.sha256` over the
-    same bytes, without loading OpenSSL."""
-    h = sha256()
-    h.update(str(group.degree).encode())
-    for p in group.elements:
-        h.update(b"|")
-        h.update(",".join(map(str, p.images)).encode())
-    return h.hexdigest()
+    same bytes, without loading OpenSSL. A group's elements never change,
+    so the digest is computed once and kept on the group."""
+    if group._table_hash is None:
+        h = sha256()
+        h.update(str(group.degree).encode())
+        for p in group.elements:
+            h.update(b"|")
+            h.update(",".join(map(str, p.images)).encode())
+        group._table_hash = h.hexdigest()
+    return group._table_hash
 
 
 def signature_of(group: FiniteGroup) -> dict:

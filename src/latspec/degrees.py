@@ -59,14 +59,21 @@ graph's two matrices together, and, before the split sums its terms,
 both matrices of every class in the split, the top graph among them.
 `verify_identities` runs the split before it reads the top graph's
 spectra, so a `verify` makes one call.
-Blocks with the same shape, type and bytes in one call are solved once.
-Before a call forms any block, its blocks are held to BLOCK_ROW_LIMIT and
-BLOCK_WORK_LIMIT (`_check_budget`); past either, SizeError.
+The blocks are streamed through that call: each is passed as a
+`_LazyBlock`, whose dimension comes from its basis and whose entries
+`_block` forms only when the solver reads them, and the solver forms,
+checks and reduces one block before it reads the next, so one dense block
+is alive at a time. Blocks whose reductions are byte-equal share one
+multisection entry and one Spectrum (`eigenvalues_symmetric`); no block is
+kept to compare. Before a call forms any block, its blocks are held to
+BLOCK_ROW_LIMIT and BLOCK_WORK_LIMIT (`_check_budget`); past either,
+SizeError.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,7 +82,7 @@ from .cache import signature_of
 from .catalog import order_histogram_key
 from .closed_forms import ratio_text
 from .errors import ConsistencyError, DomainError, SizeError
-from .graph import DenseSymMatrix, NonPermutabilityGraph, build_graph
+from .graph import NonPermutabilityGraph, build_graph
 from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import Spectrum, eigenvalues_symmetric, verify_trace_identities
@@ -277,23 +284,35 @@ def _block(adjacency: np.ndarray, laplacian: bool, vertices: np.ndarray, weights
     (-rows would give -0.0) with deg(o_i) at o_i. Real weights +-1 give
     exact integer numerators, and singleton orbits give M itself, bit for
     bit; complex blocks round, so they are made exactly Hermitian from the
-    upper triangle and the real diagonal.
+    upper triangle and the real diagonal. Each chunk is cast to the block's
+    type once and weighted row by row in place, so no cast buffer or second
+    product of a chunk's size is formed; the scaling and the Hermitian sum
+    are done in place, in the out-of-place build's order, so the bits are
+    unchanged.
     """
     reps = vertices[starts]
-    parts = []
+    block = np.empty((reps.size, reps.size), dtype=complex if np.iscomplexobj(weights) else float)
     for lo in range(0, reps.size, BLOCK_CHUNK_ROWS):
         chunk = slice(lo, lo + BLOCK_CHUNK_ROWS)
-        rows = adjacency[np.ix_(reps[chunk], vertices)]
+        rows = adjacency[reps[chunk]]
+        part = rows[:, vertices].astype(block.dtype)
         if laplacian:
-            rows = 0.0 - rows
-            rows[np.arange(rows.shape[0]), starts[chunk]] = adjacency[reps[chunk]].sum(axis=1)
-        parts.append(np.add.reduceat(rows * weights, starts, axis=1))
-    root = np.sqrt(np.multiply.outer(sizes, sizes))
-    block = sizes[:, None] * np.concatenate(parts) / root
+            np.subtract(0.0, part, out=part)
+            part[np.arange(part.shape[0]), starts[chunk]] = rows.sum(axis=1)
+        for row in part:  # a broadcast product would allocate a second part
+            row *= weights
+        np.add.reduceat(part, starts, axis=1, out=block[chunk])
+    block *= sizes[:, None]
+    block /= np.sqrt(np.multiply.outer(sizes, sizes))
     if not np.iscomplexobj(block):
         return block
+    # upper + upper^H, then + the real diagonal, as the out-of-place sum
+    diagonal = np.diag(block.diagonal().real)
     upper = np.triu(block, 1)
-    return upper + upper.T.conj() + np.diag(block.diagonal().real)
+    np.conjugate(upper.T, out=block)
+    block += upper
+    block += diagonal
+    return block
 
 
 def _merged(parts: list[tuple[Spectrum, int]]) -> Spectrum:
@@ -320,40 +339,49 @@ def _check_budget(bases: list[list[tuple]]) -> None:
                         f"limit BLOCK_WORK_LIMIT = {BLOCK_WORK_LIMIT}")
 
 
+@dataclass(frozen=True, eq=False)
+class _LazyBlock:
+    """One symmetry block of a graph matrix as the eigensolver takes it:
+    `dimension` from its basis, and `data` formed by `_block` only when
+    read, so the solver forms, reduces and drops one block at a time."""
+
+    adjacency: np.ndarray
+    laplacian: bool
+    basis: tuple
+
+    @property
+    def dimension(self) -> int:
+        return self.basis[2].size
+
+    @property
+    def data(self) -> np.ndarray:
+        return _block(self.adjacency, self.laplacian, *self.basis)
+
+
 def _spectra(lattices: list[SubgroupLattice]) -> list[tuple[Spectrum, Spectrum]]:
     """The adjacency and Laplacian spectra of each lattice's graph, memoized
     on its lattice as one "spectra" pair.
 
     Each graph without it is split into its symmetry-adapted blocks
     (`_symmetry_blocks`), the blocks of both matrices are held to the budget
-    (`_check_budget`) before the first is formed, and all are solved in one
-    eigensolver call; blocks with the same shape, type and bytes are solved
-    once. Each spectrum is its blocks' values merged. When no pair is
-    missing, or all of them are of null graphs, which have no block, no call
-    is made.
+    (`_check_budget`) before the first is formed, and all are passed to one
+    eigensolver call as `_LazyBlock`s, which the solver forms one at a time;
+    blocks whose reductions coincide are solved once there. Each spectrum is
+    its blocks' values merged. When no pair is missing, or all of them are
+    of null graphs, which have no block, no call is made.
     """
     missing = [lat for lat in {id(lat): lat for lat in lattices}.values()
                if "spectra" not in lat.memo]
     if missing:
         bases = [_symmetry_blocks(lat, top_graph(lat)) for lat in missing]
         _check_budget(bases)
-        unique: dict[tuple, int] = {}
-        blocks: list[DenseSymMatrix] = []
-        parts: list[list[tuple[int, int]]] = []  # per lattice, adjacency then Laplacian
+        blocks = [_LazyBlock(top_graph(lat)._adj, laplacian, tuple(spec))
+                  for lat, basis in zip(missing, bases)
+                  for laplacian in (False, True) for *spec, _ in basis]
+        solved = iter(eigenvalues_symmetric(*blocks) if blocks else ())
         for lat, basis in zip(missing, bases):
-            for laplacian in (False, True):
-                mine = []
-                for *spec, count in basis:
-                    block = _block(top_graph(lat)._adj, laplacian, *spec)
-                    key = (block.shape, block.dtype, block.tobytes())
-                    if unique.setdefault(key, len(blocks)) == len(blocks):
-                        blocks.append(DenseSymMatrix(block))
-                    mine.append((unique[key], count))
-                parts.append(mine)
-        solved = eigenvalues_symmetric(*blocks) if blocks else ()
-        merged = [_merged([(solved[i], count) for i, count in mine]) for mine in parts]
-        for lat, adjacency, laplacian in zip(missing, merged[::2], merged[1::2]):
-            lat.memo["spectra"] = (adjacency, laplacian)
+            lat.memo["spectra"] = tuple(_merged([(next(solved), count) for *_, count in basis])
+                                        for _ in (False, True))  # adjacency, then Laplacian
     return [lat.memo["spectra"] for lat in lattices]
 
 

@@ -26,8 +26,9 @@ from .lattice import SubgroupLattice
 class DenseSymMatrix:
     """A square matrix stored dense, meant real symmetric or complex
     Hermitian: a graph's integer adjacency or Laplacian for `graph --matrix`,
-    or a symmetry-adapted block of either (see `degrees`), possibly complex,
-    for the eigensolver. It checks only that it is square;
+    or any matrix for the eigensolver, which reads its `dimension` and
+    `data` (the symmetry-adapted blocks of `degrees` reach it as lazy
+    blocks with the same two attributes). It checks only that it is square;
     `eigenvalues_symmetric` checks symmetry, naming the matrix's position."""
 
     data: np.ndarray = field(repr=False)

@@ -550,13 +550,9 @@ class SubgroupLattice:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Canonical JSON form: member index arrays, strict containment pairs, core ids."""
-        pairs = [
-            [a, b]
-            for b in range(self.size)
-            for a in iter_bits(self._down[b])
-            if a != b
-        ]
+        """Canonical JSON form: member index arrays, strict containment pairs
+        [a, b] (a below b, ascending, read row by row off the up-sets), core ids."""
+        pairs = [[a, b] for a in range(self.size) for b in iter_bits(self._up[a]) if a != b]
         return {
             "group_order": self.group.order,
             "degree": self.group.degree,
@@ -565,7 +561,7 @@ class SubgroupLattice:
                 {"id": s.id, "order": s.order, "members": members}
                 for s, members in zip(self.subgroups, self.member_lists())
             ],
-            "leq_pairs": sorted(pairs),
+            "leq_pairs": pairs,
             "core": sorted(self.permuting_core()),
         }
 

@@ -166,9 +166,10 @@ class FiniteGroup:
     subgroup identifiers downstream derive from those indices. Raises
     SizeError once the closure grows past `MUL_TABLE_LIMIT`.
 
-    Observably immutable: the multiplication table, inverse list, and element
-    orders are filled lazily, but the values are deterministic functions of
-    the element list, so a racing double-computation writes identical data.
+    Observably immutable: the multiplication table, inverse list, element
+    orders and the cache's table hash are filled lazily, but the values are
+    deterministic functions of the element list, so a racing
+    double-computation writes identical data.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]) -> None:
@@ -200,6 +201,7 @@ class FiniteGroup:
         self._mul_table: list[array] | None = None
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
+        self._table_hash: str | None = None  # `cache.table_hash`, filled on first use
 
     def restricted(self, members: Sequence[int], generators: Sequence[int]) -> "FiniteGroup":
         """The subgroup on the ascending element indices `members`, as its own
@@ -236,6 +238,7 @@ class FiniteGroup:
         sub._mul_table = mul
         sub._inverse = [position[self.inverse_index(x)] for x in members]
         sub._orders = [self.order_of_index(x) for x in members]
+        sub._table_hash = None
         return sub
 
     @property

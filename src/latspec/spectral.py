@@ -21,7 +21,17 @@ its own matrix's rows, so a small matrix does not pay a pass of numpy calls
 per row on its own. Every operation is elementwise numpy (no BLAS call) in
 a fixed order, and each shift sees exactly the floats of a solve of its
 matrix alone, so a spectrum does not depend on the batch it was solved in
-and repeat solves are bit-identical."""
+and repeat solves are bit-identical.
+
+The matrices of a call are streamed: each argument's `data` is read once,
+in order, checked and reduced, and the dense array is dropped before the
+next argument's is read, so a caller may hand in objects that form their
+entries only when `data` is read (`degrees` does, one per symmetry block)
+and at most one dense matrix is alive at a time. Matrices whose reductions
+are byte-equal (diagonal, off-diagonal moduli and reflection count) share
+one multisection entry and one Spectrum: everything the multisection reads
+is a function of those, so the shared Spectrum is bit-identical to each
+one's own solve."""
 
 from __future__ import annotations
 
@@ -125,7 +135,11 @@ def _tridiagonalize(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         vp = (v.conj() * p).sum().real if hermitian else (v * p).sum()
         w = p - (0.5 * beta * float(vp)) * v
         np.multiply.outer(v, w.conj() if hermitian else w, out=outer)
-        np.add(outer, outer.conj().T if hermitian else outer.T, out=twice)
+        if hermitian:  # conj(outer^T) + outer, with no conjugate copy formed
+            np.conjugate(outer.T, out=twice)
+            twice += outer
+        else:
+            np.add(outer, outer.T, out=twice)
         block -= twice
         e[k] = norm
         reflections += 1
@@ -191,7 +205,8 @@ def _sturm_counts(rows: np.ndarray, dims: np.ndarray, pivmins: np.ndarray,
 class _Tridiagonal:
     """One matrix reduced for the multisection: T's diagonal d and squared
     off-diagonal e2, the pivot guard, the stop width and T's Gershgorin
-    interval [lo, hi]."""
+    interval [lo, hi]. `key` is the reduction's bytes (d, the moduli |e| and
+    the reflection count), from which every other field follows."""
 
     position: int
     d: np.ndarray
@@ -201,6 +216,7 @@ class _Tridiagonal:
     lo: float
     hi: float
     reflections: int
+    key: tuple[bytes, bytes, int]
 
 
 def _label(position: int, dimension: int) -> str:
@@ -221,7 +237,8 @@ def _reduce(position: int, data: np.ndarray) -> _Tridiagonal:
     norm = float((np.abs(d) + radius).max())
     width = 2.0 * _EPS * norm + 4.0 * pivmin
     return _Tridiagonal(position, d, e2, pivmin, width, float((d - radius).min()),
-                        float((d + radius).max()), reflections)
+                        float((d + radius).max()), reflections,
+                        (d.tobytes(), e.tobytes(), reflections))
 
 
 def _multisection(batch: list[_Tridiagonal]) -> list[Spectrum]:
@@ -283,6 +300,27 @@ def _multisection(batch: list[_Tridiagonal]) -> list[Spectrum]:
             raise NumericError(f"{_label(t.position, t.d.size)}: Sturm counts fell as the shift rose")
 
 
+def _read(position: int, matrix: DenseSymMatrix) -> Spectrum | _Tridiagonal:
+    """Check one matrix and reduce it: the Spectrum of a matrix of dimension
+    0 or 1, else its `_Tridiagonal`. `matrix.data` is read once, and the
+    dense array, with its working copies, is dropped when this returns."""
+    data = matrix.data
+    hermitian = np.iscomplexobj(data)
+    data = np.asarray(data, dtype=complex if hermitian else float)
+    where = _label(position, data.shape[0])
+    if not np.isfinite(data).all():
+        raise InputError(f"{where}: matrix entries must be finite")
+    if data.size and not np.array_equal(data, data.T.conj()):
+        kind = "Hermitian" if hermitian else "symmetric"
+        raise InputError(f"{where}: matrix is not {kind}")
+    if data.shape[0] <= 1:
+        return Spectrum(tuple(float(v) for v in np.diag(data).real))
+    try:
+        return _reduce(position, data)
+    except FloatingPointError as exc:
+        raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
+
+
 def _overflows_alone(t: _Tridiagonal) -> bool:
     """Whether the multisection of this one matrix overflows."""
     try:
@@ -296,11 +334,17 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix) -> tuple[Spectrum, ...]:
     """All eigenvalues of each real symmetric or complex Hermitian matrix,
     ascending, one Spectrum per matrix.
 
-    Householder reflections reduce each matrix in turn to tridiagonal T,
+    Each argument needs `dimension` and `data`. The arguments are read in
+    order, each `data` once (`_read`): it is checked and reduced, and the
+    dense array is dropped before the next argument's is read, so an
+    argument may form its entries on that read and only one is held at a
+    time. Householder reflections reduce each matrix to tridiagonal T,
     keeping only its real diagonal and off-diagonal moduli (see
     `_tridiagonalize`). A real matrix is reduced in real arithmetic, so its
     Spectrum does not depend on whether complex matrices share its call.
-    One bracket, T's Gershgorin
+    Matrices whose reductions are byte-equal (d, |e| and the reflection
+    count) share one multisection entry and one Spectrum object, which is
+    bit for bit each one's own. One bracket, T's Gershgorin
     interval, starts out holding all n eigenvalue indices. Each multisection
     step splits every bracket into eight equal parts and keeps the parts
     whose end Sturm counts differ; a part holds the indices from its left
@@ -328,36 +372,25 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix) -> tuple[Spectrum, ...]:
     matrix's brackets have not closed after MAX_STEPS steps. An error about
     one matrix names its position among the arguments and its dimension.
     """
-    spectra: list[Spectrum] = [None] * len(matrices)
-    batch = []
+    read: list[Spectrum | tuple] = []  # per matrix, its Spectrum or its entry's key
+    entries: dict[tuple, _Tridiagonal] = {}
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for position, matrix in enumerate(matrices):
-            hermitian = np.iscomplexobj(matrix.data)
-            data = np.asarray(matrix.data, dtype=complex if hermitian else float)
-            where = _label(position, data.shape[0])
-            if not np.isfinite(data).all():
-                raise InputError(f"{where}: matrix entries must be finite")
-            if data.size and not np.array_equal(data, data.T.conj()):
-                kind = "Hermitian" if hermitian else "symmetric"
-                raise InputError(f"{where}: matrix is not {kind}")
-            if data.shape[0] <= 1:
-                spectra[position] = Spectrum(tuple(float(v) for v in np.diag(data).real))
-                continue
-            try:
-                batch.append(_reduce(position, data))
-            except FloatingPointError as exc:
-                raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
-        batch.sort(key=lambda t: -t.d.size)  # the Sturm pass takes the largest matrix first
+            reduced = _read(position, matrix)
+            if isinstance(reduced, _Tridiagonal):
+                entries.setdefault(reduced.key, reduced)
+                reduced = reduced.key
+            read.append(reduced)
+        # the Sturm pass takes the largest matrix first
+        batch = sorted(entries.values(), key=lambda t: -t.d.size)
         try:
-            solved = _multisection(batch)
+            solved = dict(zip((t.key for t in batch), _multisection(batch)))
         except FloatingPointError as exc:
             # each matrix sees the same floats alone, so rerunning them alone finds it
             t = next(t for t in batch if _overflows_alone(t))
             where = _label(t.position, t.d.size)
             raise NumericError(f"{where}: eigenvalue computation overflowed: {exc}") from None
-    for t, spectrum in zip(batch, solved):
-        spectra[t.position] = spectrum
-    return tuple(spectra)
+    return tuple(solved[r] if isinstance(r, tuple) else r for r in read)
 
 
 def spectral_sums(spectrum: Spectrum) -> tuple[float, float]:

@@ -6,6 +6,8 @@ import pytest
 import latspec.cache as cache
 from latspec.cache import cache_lookup, cache_store, decode_section, signature_of, table_hash
 from latspec.catalog import CATALOG_NAMES, cyclic, parse_group_spec, symmetric
+from latspec.lattice import enumerate_subgroups
+from latspec.perm import generate_group
 
 from conftest import decode_lookup, read_cache_file, write_cache_file
 
@@ -36,6 +38,18 @@ class TestDigest:
         text = str(group.degree) + "".join(
             "|" + ",".join(map(str, p.images)) for p in group.elements)
         assert table_hash(group) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_a_restricted_group_hashes_as_its_closure_once(self, monkeypatch):
+        # the digest is kept on the group: a second call hashes nothing
+        top = enumerate_subgroups(parse_group_spec("S4").group)
+        [rep] = [sid for sid, s in enumerate(top.subgroups) if s.order == 12]
+        cut = top.standalone_group(rep)
+        closed = generate_group(4, [top.group.elements[g] for g in top.minimal_generators(rep)])
+        hashes = []
+        real = cache.sha256
+        monkeypatch.setattr(cache, "sha256", lambda *a: hashes.append(a) or real(*a))
+        assert table_hash(cut) == table_hash(closed) == table_hash(cut) == table_hash(closed)
+        assert len(hashes) == 2
 
     def test_digest_comes_from_the_built_in_module(self):
         # hashlib's OpenSSL-backed sha256 lives in _hashlib

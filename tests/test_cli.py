@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latspec.cache as cache
 import latspec.catalog as catalog
 import latspec.cli as cli
 import latspec.degrees as degrees
@@ -810,6 +811,22 @@ class TestStoreOnce:
         assert by_sd == by_verify
 
 
+class TestHashOnce:
+    """A group's element table is hashed once per run, however often the
+    cache names it (file name, report signature, store)."""
+
+    @pytest.mark.parametrize("argv", [("verify", "S4"), ("info", "S4")])
+    def test_a_cached_command_hashes_the_table_once(self, capsys, tmp_path, monkeypatch, argv):
+        hashes = []
+        real = cache.sha256
+        monkeypatch.setattr(cache, "sha256", lambda *a: hashes.append(a) or real(*a))
+        cache_dir = str(tmp_path / "c")
+        cold = run(capsys, "--cache", cache_dir, *argv)
+        assert cold[0] == 0 and len(hashes) == 1
+        assert run(capsys, "--cache", cache_dir, *argv) == cold
+        assert len(hashes) == 2
+
+
 class TestStructureOnDemand:
     """The structure section is built only when a command prints it or a cache stores it."""
 
@@ -1037,7 +1054,15 @@ class TestSolveOnce:
         # A4, D8 and S3 are the classes whose lattices do not permute
         assert len(classes) == 3
 
-    def test_psl27_verify_makes_one_solver_call(self, capsys, eigen_solves):
+    def test_psl27_verify_makes_one_solver_call(self, capsys, eigen_solves, monkeypatch):
+        entries = []
+        real_multisection = spectral._multisection
+
+        def multisection(batch):
+            entries.append(batch)
+            return real_multisection(batch)
+
+        monkeypatch.setattr(spectral, "_multisection", multisection)
         code, out, _ = run(capsys, "verify", "PSL(2,7)", "--json")
         assert code == 0
         report = json.loads(out)["groups"][0]["report"]
@@ -1048,20 +1073,26 @@ class TestSolveOnce:
         assert "f2_split_adjacency" not in call.callers
         # the top graph's blocks, adjacency then Laplacian: one of 27 and one
         # for the six of 25 under the element of order 7
-        top, *_ = verify_blocks("PSL(2,7)")
+        top, *classes = verify_blocks("PSL(2,7)")
         assert [dim for dim, _ in top] == [27, 25] * 2
         assert 27 + 6 * 25 == report["vertex_count"]
-        assert set(top) <= set(call.solves)
-        # then the distinct blocks of the 7 classes below the top whose own
-        # lattices do not permute: D8 gives 2, 2; each A4 class 3 and a
-        # complex 2, the same bytes for both classes; each S4 class 12, 8
-        # and a complex 3, the complex one the same for both. S3 and 7:3
-        # give 1 x 1 blocks only; rounding decides which of the complex ones
-        # coincide byte for byte
+        # every block of the top and of the 7 classes below it whose own
+        # lattices do not permute is passed, each once: D8 gives 2, 2; each
+        # A4 class 3 and a complex 2; each S4 class 12, 8 and a complex 3;
+        # S3 and 7:3 give 1 x 1 blocks only
+        assert sorted(call.solves) == sorted(block for blocks in (top, *classes)
+                                             for block in blocks)
         dims = sorted(dim for dim, _ in call.solves)
         assert [dim for dim in dims if dim > 1] == (
+            [2] * 8 + [3] * 8 + [8] * 4 + [12] * 4 + [25] * 2 + [27] * 2)
+        assert dims.count(1) == 8
+        # one multisection, one entry per distinct reduction: the two A4
+        # classes give the same 3 and complex 2, the two S4 classes the same
+        # complex 3, so those share an entry
+        [batch] = entries
+        assert sorted(t.d.size for t in batch) == (
             [2] * 6 + [3] * 4 + [8] * 4 + [12] * 4 + [25] * 2 + [27] * 2)
-        assert 6 <= dims.count(1) <= 8
+        assert len({t.key for t in batch}) == len(batch)
 
     def test_each_pair_is_tested_once_per_lattice(self, capsys, monkeypatch):
         built = []

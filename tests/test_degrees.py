@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latspec.degrees as degrees
+import latspec.spectral as spectral
 from latspec.catalog import (
     CATALOG_NAMES,
     alternating,
@@ -502,18 +504,33 @@ def counters(spectrum):
             spectrum.shifts)
 
 
-def verify_batches(lattice, monkeypatch):
-    """The matrices of each solver call that `verify_identities` makes."""
-    calls = []
-    real = degrees.eigenvalues_symmetric
+def verify_calls(lattice, monkeypatch):
+    """Per solver call that `verify_identities` makes: its matrices, the
+    spectra it returns and the entries of its multisection."""
+    calls, entries = [], []
+    real_solve, real_multisection = degrees.eigenvalues_symmetric, spectral._multisection
+
+    def multisection(batch):
+        entries.append(batch)
+        return real_multisection(batch)
 
     def recording(*matrices):
-        calls.append(matrices)
-        return real(*matrices)
+        spectra = real_solve(*matrices)
+        [batch] = entries  # one multisection per call
+        entries.clear()
+        calls.append((matrices, spectra, batch))
+        return spectra
 
+    monkeypatch.setattr(spectral, "_multisection", multisection)
     monkeypatch.setattr(degrees, "eigenvalues_symmetric", recording)
     verify_identities(lattice)
     return calls
+
+
+def reduction_key(matrix):
+    """The bytes of a matrix's reduction: d, the moduli |e| and the reflection count."""
+    d, e, reflections = spectral._tridiagonalize(np.asarray(matrix.data))
+    return d.tobytes(), e.tobytes(), reflections
 
 
 class TestSymmetryBlocks:
@@ -707,17 +724,29 @@ class TestSymmetryBlocks:
         assert merged.width == max(part.width for part in parts)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)"))
-    def test_no_verify_batch_holds_two_equal_blocks(self, name, monkeypatch):
+    def test_no_verify_multisection_holds_two_equal_reductions(self, name, monkeypatch):
+        # every matrix of dimension 2 or more has one multisection entry, its
+        # reduction's, and no two entries share a reduction; matrices with
+        # one reduction, byte-equal blocks among them, get one Spectrum
         lattice = enumerate_subgroups(parse_group_spec(name).group)
-        for matrices in verify_batches(lattice, monkeypatch):
-            keys = [(m.data.shape, m.data.tobytes()) for m in matrices]
+        for matrices, spectra, entries in verify_calls(lattice, monkeypatch):
+            keys = [t.key for t in entries]
             assert len(keys) == len(set(keys))
+            first = {}
+            for matrix, spectrum in zip(matrices, spectra):
+                if matrix.dimension >= 2:
+                    assert first.setdefault(reduction_key(matrix), spectrum) is spectrum
+            assert set(first) == set(keys)
+            data = [(m.data.shape, m.data.dtype, m.data.tobytes()) for m in matrices]
+            for i, j in itertools.combinations(range(len(matrices)), 2):
+                if data[i] == data[j]:
+                    assert spectra[i] == spectra[j]
 
     def test_coinciding_blocks_share_one_solve(self, monkeypatch):
         # PSL(2,7)'s two classes of S4 give the same complex 3 x 3 block of
-        # each matrix, which verify's one call solves once
+        # each matrix; verify's one call solves it in one multisection entry
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
-        [call] = verify_batches(lattice, monkeypatch)
+        [(matrices, spectra, entries)] = verify_calls(lattice, monkeypatch)
         s4s = [degrees._own(lattice, rep) for rep in sorted(set(lattice.class_reps()))
                if lattice.subgroups[rep].order == 24]
         assert len(s4s) == 2
@@ -728,11 +757,40 @@ class TestSymmetryBlocks:
             assert [(sizes.size, count) for *_, sizes, count in blocks] == [(12, 1), (3, 2), (8, 1)]
             made.append([[degrees._block(graph._adj, laplacian, *basis) for *basis, _ in blocks]
                          for laplacian in (False, True)])
-        solved = [m.data.tobytes() for m in call]
+        passed = [m.data.tobytes() for m in matrices]
+        keys = [t.key for t in entries]
         for first, second in zip(*made):
             assert first[1].tobytes() == second[1].tobytes()
-            assert solved.count(first[1].tobytes()) == 1
+            at = [i for i, data in enumerate(passed) if data == first[1].tobytes()]
+            assert len(at) == 2
+            assert spectra[at[0]] is spectra[at[1]]
+            assert keys.count(reduction_key(DenseSymMatrix(first[1]))) == 1
         for own in s4s:
             graph = degrees.top_graph(own)
             adjacency, laplacian = degrees.graph_spectra(own)
             assert adjacency.dimension == laplacian.dimension == graph.vertex_count == 26
+
+    @pytest.mark.parametrize("name", ["S5", "PSL(2,7)"])
+    def test_verify_holds_one_formed_block_at_a_time(self, name, monkeypatch):
+        # a weak reference to each array `_block` returns: every block is
+        # formed inside verify's one solver call, and each earlier one is
+        # gone when the next is formed
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        real_block, real_solve = degrees._block, degrees.eigenvalues_symmetric
+        formed, calls = [], []
+
+        def block(*args):
+            assert len(calls) == 1
+            assert all(ref() is None for ref in formed)
+            out = real_block(*args)
+            formed.append(weakref.ref(out))
+            return out
+
+        def solve(*matrices):
+            calls.append(len(matrices))
+            return real_solve(*matrices)
+
+        monkeypatch.setattr(degrees, "_block", block)
+        monkeypatch.setattr(degrees, "eigenvalues_symmetric", solve)
+        verify_identities(lattice)
+        assert len(formed) == calls[0] > 2
