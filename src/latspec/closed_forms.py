@@ -369,20 +369,6 @@ def _group_iso_key(group) -> tuple:
     return _iso_key(group.order, group.is_abelian(), group.element_order_histogram())
 
 
-def _subgroup_iso_key(lattice, sid: int) -> tuple:
-    members = lattice.subgroup(sid).member_indices()
-    group = lattice.group
-    hist: dict[int, int] = {}
-    for i in members:
-        k = group.order_of_index(i)
-        hist[k] = hist.get(k, 0) + 1
-    table = group.mul_table
-    abelian = all(
-        table[a][b] == table[b][a] for a in members for b in members
-    )
-    return _iso_key(len(members), abelian, hist)
-
-
 def _reference_key(entry: CensusEntry, pp: PrimePower, group) -> tuple | None:
     from . import catalog
 
@@ -412,19 +398,20 @@ def census_comparison(lattice, q) -> dict:
     """Analytic census vs the brute-force isomorphism-type census of PSL(2, q)'s lattice.
 
     Conjugate subgroups are isomorphic, so the brute-force census keys each
-    conjugacy class once, by its representative, and counts its size
-    (`SubgroupLattice.classes`). Entries sharing an isomorphism type are
-    compared as a sum (the families partition the subgroups); a comparison
-    is made only when every entry for that type carries a stated integral
-    count. Types not covered by any entry are reported under "unmatched",
-    which also fills the not-stated families.
+    conjugacy class once, by its representative cut as its own group
+    (`SubgroupLattice.standalone_group`) and keyed as the reference groups
+    are, and counts its size (`SubgroupLattice.classes`). Entries sharing an
+    isomorphism type are compared as a sum (the families partition the
+    subgroups); a comparison is made only when every entry for that type
+    carries a stated integral count. Types not covered by any entry are
+    reported under "unmatched", which also fills the not-stated families.
     """
     pp = _as_prime_power(q)
     entries = dickson_census(pp)
 
     brute: dict[tuple, int] = {}
     for rep, size in lattice.classes():
-        key = _subgroup_iso_key(lattice, rep)
+        key = _group_iso_key(lattice.standalone_group(rep))
         brute[key] = brute.get(key, 0) + size
 
     keys = [_reference_key(entry, pp, lattice.group) for entry in entries]

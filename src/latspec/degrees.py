@@ -33,7 +33,8 @@ T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
 Möbius inversion, both splits and the published notes' Klein four count)
 take one term per class, weighted by the class size, from the lattice's
-one class table (`SubgroupLattice.classes`). The structure dump, the trace
+one class table (`SubgroupLattice.classes`), which holds each such pass to
+PAIR_LIMIT before it starts. The structure dump, the trace
 checks and the split shadows share one eigenvalue solve per class and matrix.
 
 Conjugation also permutes the graph's vertices and commutes with both of its
@@ -66,8 +67,7 @@ checks and reduces one block before it reads the next, so one dense block
 is alive at a time. Blocks whose reductions are byte-equal share one
 multisection entry and one Spectrum (`eigenvalues_symmetric`); no block is
 kept to compare. Before a call forms any block, its blocks are held to
-BLOCK_ROW_LIMIT and BLOCK_WORK_LIMIT (`_check_budget`); past either,
-SizeError.
+BLOCK_WORK_LIMIT (`_check_budget`); past it, SizeError.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ _S4_PUBLISHED = {
     "klein_four_count": 3,
 }
 
-# A solver call's budget: floats in one block's representative rows, and the
-# sum of d^3 over the d x d blocks it reduces, a complex block counted x4.
-BLOCK_ROW_LIMIT = 8_000_000
+# A solver call's budget: the sum of d^3 over the d x d blocks it reduces, a
+# complex block counted x4.
 BLOCK_WORK_LIMIT = 10_000_000_000
 # Representative rows that `_block` weighs and reduces at once.
 BLOCK_CHUNK_ROWS = 64
@@ -326,13 +325,12 @@ def _merged(parts: list[tuple[Spectrum, int]]) -> Spectrum:
 
 
 def _check_budget(bases: list[list[tuple]]) -> None:
-    """SizeError if a block's representative rows hold more than BLOCK_ROW_LIMIT
-    floats, or reducing every block of both matrices costs more than BLOCK_WORK_LIMIT."""
+    """SizeError if reducing every block of both matrices costs more than
+    BLOCK_WORK_LIMIT, which keeps a block at d <= 1,709 real or d <= 1,077
+    complex (about 24 MB). `_block` holds BLOCK_CHUNK_ROWS rows of at most
+    |L| <= sqrt(PAIR_LIMIT) entries at once, so they need no bound."""
     work = 0
-    for vertices, weights, starts, _, _ in (block for basis in bases for block in basis):
-        if starts.size * vertices.size > BLOCK_ROW_LIMIT:
-            raise SizeError(f"a {starts.size} x {vertices.size} block of graph rows exceeds "
-                            f"the limit BLOCK_ROW_LIMIT = {BLOCK_ROW_LIMIT}")
+    for _, weights, starts, _, _ in (block for basis in bases for block in basis):
         work += 2 * starts.size ** 3 * (4 if np.iscomplexobj(weights) else 1)
     if work > BLOCK_WORK_LIMIT:
         raise SizeError(f"reducing the graph blocks costs {work} (sum of d^3), over the "

@@ -26,10 +26,10 @@ from .lattice import SubgroupLattice
 class DenseSymMatrix:
     """A square matrix stored dense, meant real symmetric or complex
     Hermitian: a graph's integer adjacency or Laplacian for `graph --matrix`,
-    or any matrix for the eigensolver, which reads its `dimension` and
-    `data` (the symmetry-adapted blocks of `degrees` reach it as lazy
-    blocks with the same two attributes). It checks only that it is square;
-    `eigenvalues_symmetric` checks symmetry, naming the matrix's position."""
+    or any matrix for the eigensolver, which reads only its `data` (lazy
+    blocks from `degrees` form theirs on that read); `dimension` is for
+    callers. It checks only that it is square; `eigenvalues_symmetric`
+    checks symmetry, naming the matrix's position."""
 
     data: np.ndarray = field(repr=False)
 

@@ -8,7 +8,9 @@ a consistent map.
 Conjugation by the group permutes the members: `conjugation_map(g)` takes
 each id to the id of g^-1 H g. One orbit walk on ids, over the maps of the
 group's generators, gives the conjugacy classes: `class_reps` per id, and
-`classes`, the one class table that every per-class sum reads.
+`classes`, the one class table that every per-class sum reads. Every pass
+over the representatives' rows reads that walk first, and the walk alone
+holds them to PAIR_LIMIT.
 
 Two independent pair computations live here. `products_commute` decides
 HK = KH from lattice orders. `permutability` calls it on the rows of class
@@ -47,7 +49,7 @@ from .errors import ConsistencyError, DomainError, InputError, SizeError
 from .perm import FiniteGroup, bits_of, iter_bits
 
 SUBGROUP_CAP = 100_000  # subgroups in one enumerated lattice
-PAIR_LIMIT = 100_000_000  # entries of one permutability matrix, |L|^2
+PAIR_LIMIT = 100_000_000  # pairs in one pass over the class representatives' rows
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def _coset_table(table: list[list[int]], members: Sequence[int]) -> list[int]:
     return cosets
 
 
-def _close_by_cyclic_extension(group: FiniteGroup, cap: int) -> set[int]:
+def _close_by_cyclic_extension(group: FiniteGroup) -> set[int]:
     """Member bitsets of every subgroup of the group, by Neubüser's cyclic extension.
 
     From the trivial subgroup on, each class representative R is extended by
@@ -171,7 +173,7 @@ def _close_by_cyclic_extension(group: FiniteGroup, cap: int) -> set[int]:
     prime-power part of any element of K outside R), and then <R, g> = K,
     which the walk over R adds. A complete family is closed under meets and
     joins, which `meet` and `join` rely on. Raises SizeError once the family
-    would exceed `cap` subgroups.
+    would exceed SUBGROUP_CAP subgroups.
 
     One join walk serves each R-orbit of cyclic p-subgroups. For r in R,
     <R, g^r> = <R, g>^r = <R, g>, since r lies in <R, g>, and g^r lies
@@ -212,8 +214,8 @@ def _close_by_cyclic_extension(group: FiniteGroup, cap: int) -> set[int]:
             if joined in found:
                 continue
             for bits in _conjugates(joined, conjugators):
-                if len(found) >= cap:
-                    raise SizeError(f"subgroup count exceeded cap {cap}")
+                if len(found) >= SUBGROUP_CAP:
+                    raise SizeError(f"subgroup count exceeded cap {SUBGROUP_CAP}")
                 found.add(bits)
             reps.append((joined, gens))
     return found
@@ -330,6 +332,9 @@ class SubgroupLattice:
                             orbit.append(y)
                             steps.append((y, x, m))
                 classes.append((sid, len(orbit)))
+            if (pairs := len(classes) * self.size) > PAIR_LIMIT:
+                raise SizeError(f"{len(classes)} classes of {self.size} subgroups give {pairs} "
+                                f"row pairs, over the limit PAIR_LIMIT = {PAIR_LIMIT}")
             self._walk = (tuple(reps), tuple(classes), steps)
         return self._walk
 
@@ -342,7 +347,14 @@ class SubgroupLattice:
 
     def classes(self) -> tuple[tuple[int, int], ...]:
         """(representative, class size) per conjugacy class, by ascending
-        representative id, from the walk of `class_reps`."""
+        representative id, from the walk of `class_reps`.
+
+        Every pass over the representatives' rows reads the walk first (the
+        fill, the scans of `is_quasihamiltonian` and `_permute_with_all`,
+        `f2_direct` and the class phase of `degrees`), so the walk alone
+        holds them to PAIR_LIMIT: SizeError, with no walk kept, when (number
+        of classes) x |L| exceeds it.
+        """
         return self._conjugation_walk()[1]
 
     # -- Möbius function -----------------------------------------------------
@@ -579,7 +591,7 @@ class SubgroupLattice:
         The dump is only compared, never used; InputError otherwise, and
         before any lattice is built if the dump's length differs.
         """
-        found = _close_by_cyclic_extension(group, SUBGROUP_CAP)
+        found = _close_by_cyclic_extension(group)
         if not isinstance(member_lists, list) or len(member_lists) != len(found) or (
                 lattice := cls(group, found)).member_lists() != member_lists:
             raise InputError("dumped member lists are not the subgroups in canonical order")
@@ -595,7 +607,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     See `_close_by_cyclic_extension`. Raises SizeError once the family would
     exceed SUBGROUP_CAP subgroups; the module constant is read at each call.
     """
-    return SubgroupLattice(group, _close_by_cyclic_extension(group, SUBGROUP_CAP))
+    return SubgroupLattice(group, _close_by_cyclic_extension(group))
 
 
 def hughes_subgroup(lattice: SubgroupLattice, p: int) -> Subgroup:

@@ -334,7 +334,7 @@ def eigenvalues_symmetric(*matrices: DenseSymMatrix) -> tuple[Spectrum, ...]:
     """All eigenvalues of each real symmetric or complex Hermitian matrix,
     ascending, one Spectrum per matrix.
 
-    Each argument needs `dimension` and `data`. The arguments are read in
+    Each argument needs a `data` attribute. The arguments are read in
     order, each `data` once (`_read`): it is checked and reduced, and the
     dense array is dropped before the next argument's is read, so an
     argument may form its entries on that read and only one is held at a

@@ -1266,23 +1266,28 @@ class TestBlockBudget:
     before it forms any block."""
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
-    @pytest.mark.parametrize("limit", ["BLOCK_ROW_LIMIT", "BLOCK_WORK_LIMIT"])
-    def test_a_lowered_bound_exits_2(self, capsys, monkeypatch, command, limit):
+    def test_a_lowered_bound_exits_2(self, capsys, monkeypatch, command):
         def refuse(*args):
             raise AssertionError("a block was formed")
 
-        monkeypatch.setattr(degrees, limit, 10)
+        monkeypatch.setattr(degrees, "BLOCK_WORK_LIMIT", 10)
         monkeypatch.setattr(degrees, "_block", refuse)
         code, out, err = run(capsys, command, "S4")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and f"{limit} = 10" in err
+        assert err.startswith("error: ") and "BLOCK_WORK_LIMIT = 10" in err
 
 
 class TestPairBudget:
     """A lattice with more than PAIR_LIMIT ordered pairs exits 2, naming the
     bound, before its permutability matrix is allocated; a command that never
-    fills the matrix still runs. S4 has 30 subgroups, so 900 pairs."""
+    fills the matrix still runs. S4 has 30 subgroups, so 900 pairs, in 11
+    classes, so 330 representative row pairs.
+
+    A pass over the representatives' rows with more than PAIR_LIMIT pairs
+    exits 2 the same way before its first pair test, and a command that
+    reads no class still runs. E8 has 16 subgroups, each a class of its
+    own, so 256 row pairs."""
 
     @pytest.mark.parametrize("cache", [False, True], ids=["no_cache", "cache"])
     @pytest.mark.parametrize("argv", ["verify S4", "sd S4", "graph S4 --json"])
@@ -1314,9 +1319,28 @@ class TestPairBudget:
         assert sorted(read_cache_file(path)[1]) == ["lattice"]
         assert run(capsys, "--cache", str(cache_dir), *argv.split()) == expected
 
+    @pytest.mark.parametrize("argv", ["info E8", "lattice E8 --json",
+                                      "f2 E8 --method direct", "sd E8 --method f2"])
+    def test_a_row_pass_past_the_bound_exits_2(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a pair was tested")
+
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 255)
+        monkeypatch.setattr(SubgroupLattice, "products_commute", refuse)
+        monkeypatch.setattr(SubgroupLattice, "product_bits", refuse)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "PAIR_LIMIT = 255" in err
+
+    @pytest.mark.parametrize("argv", ["hughes E8 -p 2", "mobius E8"])
+    def test_commands_that_read_no_class_run(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 255)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and out and err == ""
+
     def test_a_cached_run_past_the_block_budget_stores_the_graph(self, capsys, monkeypatch,
                                                                  tmp_path):
-        monkeypatch.setattr(degrees, "BLOCK_ROW_LIMIT", 1)
+        monkeypatch.setattr(degrees, "BLOCK_WORK_LIMIT", 1)
         cache_dir = tmp_path / "c"
         expected = run(capsys, "info", "S4")
         assert run(capsys, "--cache", str(cache_dir), "info", "S4") == expected
@@ -1324,7 +1348,7 @@ class TestPairBudget:
         assert sorted(read_cache_file(path)[1]) == ["graph", "lattice"]
         assert run(capsys, "--cache", str(cache_dir), "info", "S4") == expected
         code, out, err = run(capsys, "--cache", str(cache_dir), "spectrum", "S4")
-        assert (code, out) == (2, "") and "BLOCK_ROW_LIMIT = 1" in err
+        assert (code, out) == (2, "") and "BLOCK_WORK_LIMIT = 1" in err
 
     def test_the_bound_itself_fits(self, capsys, monkeypatch):
         monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 900)
@@ -1418,9 +1442,9 @@ class TestProjectiveModels:
         orders = []
         real = latspec.lattice._close_by_cyclic_extension
 
-        def recording(group, cap):
+        def recording(group):
             orders.append(group.order)
-            return real(group, cap)
+            return real(group)
 
         monkeypatch.setattr(latspec.lattice, "_close_by_cyclic_extension", recording)
         code, out, _ = run(capsys, "f2", "S5", "--method", "closed-form")

@@ -215,17 +215,17 @@ class TestCensusByClass:
                                                               matches):
         lattice = enumerate_subgroups(psl2(q))
         calls = {"iso": 0, "reference": 0}
-        real_iso, real_reference = closed_forms._subgroup_iso_key, closed_forms._reference_key
+        real_iso, real_reference = lattice.standalone_group, closed_forms._reference_key
 
-        def iso(lat, sid):
+        def iso(sid):
             calls["iso"] += 1
-            return real_iso(lat, sid)
+            return real_iso(sid)
 
         def reference(*args):
             calls["reference"] += 1
             return real_reference(*args)
 
-        monkeypatch.setattr(closed_forms, "_subgroup_iso_key", iso)
+        monkeypatch.setattr(lattice, "standalone_group", iso)
         monkeypatch.setattr(closed_forms, "_reference_key", reference)
         payload = census_comparison(lattice, q)
         assert calls == {"iso": classes, "reference": len(dickson_census(q))}

@@ -215,6 +215,19 @@ class TestClassReps:
         assert [size for _, size in table] == [reps.count(rep) for rep, _ in table]
         assert sum(size for _, size in table) == lattice.size
 
+    def test_the_walk_holds_at_its_row_pairs_and_fails_one_below(self, monkeypatch, s4):
+        import latspec.lattice
+        from latspec.errors import SizeError
+
+        # S4: 11 classes of 30 subgroups, so 330 representative row pairs
+        monkeypatch.setattr(latspec.lattice, "PAIR_LIMIT", 329)
+        lattice = enumerate_subgroups(s4)
+        for walk in (lattice.classes, lattice.class_reps):
+            with pytest.raises(SizeError, match="11 classes of 30 subgroups give 330 row pairs"):
+                walk()
+        monkeypatch.setattr(latspec.lattice, "PAIR_LIMIT", 330)
+        assert len(lattice.classes()) == 11
+
 
 class TestConjugationMap:
     @pytest.mark.parametrize("name", ["S4", "A4", "D4", "Q8", "PSL(2,4)"])
