@@ -169,7 +169,7 @@ def _largest_cyclic(group: FiniteGroup) -> tuple[int, int]:
 
 def _conjugate_powers(group: FiniteGroup, c: int, k: int) -> list[int]:
     """The units u modulo k, c's order, for which c^u is conjugate to c in the group."""
-    conjugates = set(_conjugates(1 << c, _conjugators(group)))  # c's class, one bit each
+    conjugates = set(_conjugates(1 << c, _conjugators(group))[0])  # c's class, one bit each
     powers = _powers(group, c)
     return [u for u in range(1, k) if math.gcd(u, k) == 1 and 1 << powers[u] in conjugates]
 

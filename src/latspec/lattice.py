@@ -6,11 +6,12 @@ filled lazily with deterministic values, so concurrent readers always observe
 a consistent map.
 
 Conjugation by the group permutes the members: `conjugation_map(g)` takes
-each id to the id of g^-1 H g. One orbit walk on ids, over the maps of the
-group's generators, gives the conjugacy classes: `class_reps` per id, and
-`classes`, the one class table that every per-class sum reads. Every pass
-over the representatives' rows reads that walk first, and the walk alone
-holds them to PAIR_LIMIT.
+each id to the id of g^-1 H g. The enumeration already conjugates every
+subgroup by each generator of the group, and hands those images to the
+lattice as id maps. One orbit walk on ids, over those maps, gives the
+conjugacy classes: `class_reps` per id, and `classes`, the one class table
+that every per-class sum reads. Every pass over the representatives' rows
+reads that walk first, and the walk alone holds them to PAIR_LIMIT.
 
 Two independent pair computations live here. `products_commute` decides
 HK = KH from lattice orders. `permutability` calls it on the rows of class
@@ -25,7 +26,9 @@ element, as a union of right cosets Hk from a table of H's cosets built once
 per H; it never touches joins, meets or the matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
-`_close_by_cyclic_extension` finds them from the trivial subgroup.
+`_close_by_cyclic_extension` finds them from the trivial subgroup, and is
+the one source of every lattice: it hands `SubgroupLattice` each member
+tuple and each generator's image, so building a lattice repeats no pass.
 `member_lists` is the one serializer of a lattice's members (a cache file's
 lattice section), and `from_member_lists` accepts a dump only when it equals
 that value for the lattice enumerated afresh.
@@ -50,6 +53,9 @@ from .perm import FiniteGroup, bits_of, iter_bits
 
 SUBGROUP_CAP = 100_000  # subgroups in one enumerated lattice
 PAIR_LIMIT = 100_000_000  # pairs in one pass over the class representatives' rows
+
+# (member bitsets, member tuples, per conjugator the position of each one's image)
+Family = tuple[list[int], list[tuple[int, ...]], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -105,18 +111,26 @@ def _conjugators(group: FiniteGroup) -> list[list[int]]:
     return [_conjugator(group, s) for s in map(group.index_of, group.generators)]
 
 
-def _conjugates(bits: int, conjugators: list[list[int]]) -> list[int]:
-    """Member bitsets of every conjugate of the subgroup `bits`, itself first."""
-    orbit = [bits]
-    seen = {bits}
+def _conjugates(bits: int, conjugators: list[list[int]]) -> Family:
+    """(orbit, members, images) of the conjugacy class of the subgroup `bits`.
+
+    `orbit` holds the member bitsets of its conjugates, itself first, and
+    `members` each one's member tuple. `images[k][i]` is the orbit position
+    of the image of orbit[i] under the k-th conjugator: a position, so no
+    bitset is kept twice.
+    """
+    orbit, members = [bits], []
+    position = {bits: 0}
+    images: list[list[int]] = [[] for _ in conjugators]
     for x in orbit:  # grows while it is walked
-        members = tuple(iter_bits(x))
-        for images in conjugators:
-            y = bits_of(images[h] for h in members)
-            if y not in seen:
-                seen.add(y)
+        members.append(xs := tuple(iter_bits(x)))
+        for conjugator, row in zip(conjugators, images):
+            y = bits_of(conjugator[h] for h in xs)
+            if (i := position.get(y)) is None:
+                i = position[y] = len(orbit)
                 orbit.append(y)
-    return orbit
+            row.append(i)
+    return orbit, members, images
 
 
 def _powers(group: FiniteGroup, g: int) -> list[int]:
@@ -130,16 +144,24 @@ def _powers(group: FiniteGroup, g: int) -> list[int]:
 
 def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1,
-    and for each element index g the bits of <g> (0 unless g is a p-element, g != e)."""
+    and for each element index g the bits of <g> (0 unless g is a p-element, g != e).
+
+    Powers are walked once per cyclic subgroup, from its least-index
+    generator g: every other generator g^j (j prime to p) shares <g>'s key
+    and its (g, g^p) entry.
+    """
     cyclic: dict[int, tuple[int, int]] = {}
     key_of = [0] * group.order
     for g in range(group.order):
         n = group.order_of_index(g)
-        if n == 1 or (p := least_prime_factor(n)) ** n.bit_length() % n:
-            continue  # e, or an order that is not a prime power
+        if key_of[g] or n == 1 or (p := least_prime_factor(n)) ** n.bit_length() % n:
+            continue  # walked, e, or an order that is not a prime power
         powers = _powers(group, g)
-        key_of[g] = bits_of(powers)
-        cyclic.setdefault(key_of[g], (g, powers[p % n]))
+        key = bits_of(powers)
+        for j in range(1, n):
+            if j % p:
+                key_of[powers[j]] = key
+        cyclic[key] = (g, powers[p % n])
     return cyclic, key_of
 
 
@@ -157,14 +179,18 @@ def _coset_table(table: list[list[int]], members: Sequence[int]) -> list[int]:
     return cosets
 
 
-def _close_by_cyclic_extension(group: FiniteGroup) -> set[int]:
-    """Member bitsets of every subgroup of the group, by Neubüser's cyclic extension.
+def _close_by_cyclic_extension(group: FiniteGroup) -> Family:
+    """Every subgroup of the group, by Neubüser's cyclic extension, as the
+    family `SubgroupLattice.__init__` reads: member bitsets, member tuples,
+    and per generator of the group the position of each conjugate, all
+    from `_conjugates`, class by class.
 
     From the trivial subgroup on, each class representative R is extended by
     every cyclic p-subgroup <g> with g outside R and g^p inside R. <R, g> is
     the union of the right cosets Rx that right multiplication by the
-    generators reaches from R, read from one coset table per representative. A new <R, g> brings in its
-    whole conjugacy class and becomes that class's representative.
+    generators reaches from R, read from one coset table per
+    representative. A new <R, g> brings in its whole conjugacy class and
+    becomes that class's representative.
 
     The result holds every subgroup. Let K be a missing subgroup of least
     order and R a maximal subgroup of K. R is present, and after conjugating
@@ -181,16 +207,25 @@ def _close_by_cyclic_extension(group: FiniteGroup) -> set[int]:
     walked, its orbit under conjugation by R's generators is skipped, and
     the proof above still holds: if <g> was skipped, the walk for some
     g' = g^r found the same K.
+
+    A join walk stops at the Lagrange bound. Let q be the least prime
+    dividing [G:R]. A proper subgroup H containing R has [G:H] > 1 dividing
+    [G:R], so [G:H] >= q and |H| <= |G|/q. Once the walk's R-cosets hold more
+    than |G|/q elements, <R, g> is G, the walk stops with that result, and
+    the proof above is unchanged.
     """
-    trivial = 1 << group.identity_index
-    found, reps = {trivial}, [(trivial, ())]
-    table = group.mul_table
+    table, e = group.mul_table, group.identity_index
     conjugators = _conjugators(group)
     cyclic, key_of = _cyclic_p_subgroups(group)
+    trivial, whole = 1 << e, (1 << group.order) - 1
+    found, reps = {trivial}, [(trivial, ())]
+    all_bits, all_members, all_images = [trivial], [(e,)], [[0] for _ in conjugators]
     for r_bits, r_gens in reps:  # grows while it is walked
         by_r = [(table[group.inverse_index(r)], r) for r in r_gens]  # h -> r^-1 h r
         walked = set()  # the R-orbits of the cyclic subgroups walked from R
         coset = _coset_table(table, tuple(iter_bits(r_bits)))  # x -> bits of Rx
+        index = group.order // r_bits.bit_count()
+        bound = index // least_prime_factor(index)  # R-cosets in a proper H > R, at most
         for c_bits, (g, gp) in cyclic.items():
             if c_bits in walked or r_bits >> g & 1 or not r_bits >> gp & 1:
                 continue
@@ -203,44 +238,60 @@ def _close_by_cyclic_extension(group: FiniteGroup) -> set[int]:
                         walked.add(key_of[y])
                         orbit.append(y)
             gens = r_gens + (g,)
-            joined, frontier = r_bits, [group.identity_index]
-            while frontier:
-                x = frontier.pop()
+            joined, walk = r_bits, [e]  # one element per R-coset reached
+            for x in walk:  # grows while it is walked
+                if len(walk) > bound:
+                    joined = whole
+                    break
                 for s in gens:
                     y = table[x][s]
                     if not joined >> y & 1:
                         joined |= coset[y]
-                        frontier.append(y)
+                        walk.append(y)
             if joined in found:
                 continue
-            for bits in _conjugates(joined, conjugators):
-                if len(found) >= SUBGROUP_CAP:
-                    raise SizeError(f"subgroup count exceeded cap {SUBGROUP_CAP}")
-                found.add(bits)
+            conjugates, members, images = _conjugates(joined, conjugators)
+            if len(found) + len(conjugates) > SUBGROUP_CAP:
+                raise SizeError(f"subgroup count exceeded cap {SUBGROUP_CAP}")
+            for out, row in zip(all_images, images):
+                out.extend(len(all_bits) + i for i in row)
+            all_bits.extend(conjugates)
+            all_members.extend(members)
+            found.update(conjugates)
             reps.append((joined, gens))
-    return found
+    return all_bits, all_members, all_images
 
 
 class SubgroupLattice:
     """The lattice of all subgroups of a finite group, ordered by inclusion."""
 
-    def __init__(self, group: FiniteGroup, member_bits: Iterable[int]) -> None:
+    def __init__(self, group: FiniteGroup, family: Family) -> None:
+        """The lattice on `family`, what `_close_by_cyclic_extension` returns:
+        each subgroup's bitset and member tuple, and per generator of the
+        group the position of each subgroup's conjugate.
+
+        Ids follow (order, member tuple), read off the handed tuples, so no
+        bitset is walked again. The conjugates' positions become the id maps
+        `_conjugation_walk` reads (`_generator_maps`), with no conjugation
+        computed here.
+        """
         self.group = group
-        # (order, member tuple, bits): each member tuple is built once, for
-        # the sort and for the lattice
-        ordered = sorted((m.bit_count(), tuple(iter_bits(m)), m) for m in set(member_bits))
+        bits, member_tuples, images = family
+        # (order, member tuple, position in the family), tuples distinct
+        ordered = sorted(zip(map(len, member_tuples), member_tuples, range(len(bits))))
         self.subgroups: tuple[Subgroup, ...] = tuple(
-            Subgroup(i, m, order) for i, (order, _, m) in enumerate(ordered)
+            Subgroup(i, bits[j], order) for i, (order, _, j) in enumerate(ordered)
         )
         self._id_of: dict[int, int] = {s.members: s.id for s in self.subgroups}
         self._member_tuples: list[tuple[int, ...]] = [members for _, members, _ in ordered]
-
-        triv = 1 << group.identity_index
-        whole = bits_of(range(group.order))
-        if triv not in self._id_of or whole not in self._id_of:
-            raise InputError("lattice must contain the trivial subgroup and the whole group")
-        self.bottom_id: int = self._id_of[triv]
-        self.top_id: int = self._id_of[whole]
+        id_at = [0] * len(ordered)
+        for i, (_, _, j) in enumerate(ordered):
+            id_at[j] = i
+        # per generator s of the group, id -> the id of s^-1 H s
+        self._generator_maps: list[np.ndarray] = [
+            np.array([id_at[row[j]] for _, _, j in ordered], dtype=np.intp) for row in images]
+        self.bottom_id: int = self._id_of[1 << group.identity_index]
+        self.top_id: int = self._id_of[(1 << group.order) - 1]
 
         # containment from element incidence: holders[x] is the ids of the
         # subgroups holding element x, and z contains i iff it holds every
@@ -299,7 +350,11 @@ class SubgroupLattice:
         return (common & -common).bit_length() - 1
 
     def conjugation_map(self, g: int) -> np.ndarray:
-        """Int array taking each id to the id of g^-1 H g, for the element index g."""
+        """Int array taking each id to the id of g^-1 H g, for the element index g.
+
+        Computed afresh for any element, as the split's vertex action needs;
+        the class walk reads the generators' maps from the enumeration.
+        """
         images = _conjugator(self.group, g)
         id_of = self._id_of
         return np.array([id_of[bits_of(images[h] for h in members)]
@@ -309,13 +364,13 @@ class SubgroupLattice:
         """Each id's class representative, the class table and the steps of one orbit walk on ids.
 
         The walk goes over the conjugation maps of the group's generators,
-        starting each class at its least id, classes in ascending order. A
-        step (y, x, m) records that id y was first reached as m[x], from an
-        id x reached before it.
+        the id maps `__init__` built from the enumeration's images, so no
+        subgroup is conjugated here. It starts each class at its least id,
+        classes in ascending order. A step (y, x, m) records that id y was
+        first reached as m[x], from an id x reached before it.
         """
         if self._walk is None:
-            group = self.group
-            maps = [self.conjugation_map(s) for s in map(group.index_of, group.generators)]
+            maps = self._generator_maps
             images = [m.tolist() for m in maps]
             reps = [-1] * self.size
             classes, steps = [], []
@@ -591,9 +646,9 @@ class SubgroupLattice:
         The dump is only compared, never used; InputError otherwise, and
         before any lattice is built if the dump's length differs.
         """
-        found = _close_by_cyclic_extension(group)
-        if not isinstance(member_lists, list) or len(member_lists) != len(found) or (
-                lattice := cls(group, found)).member_lists() != member_lists:
+        family = _close_by_cyclic_extension(group)
+        if not isinstance(member_lists, list) or len(member_lists) != len(family[0]) or (
+                lattice := cls(group, family)).member_lists() != member_lists:
             raise InputError("dumped member lists are not the subgroups in canonical order")
         return lattice
 

@@ -6,7 +6,8 @@ complete element list, kept in a canonical (lexicographic) order so every
 identifier derived from element indices is deterministic, and the generator
 rows the multiplication table is built from; the table's rows are 16-bit
 arrays. A subgroup of a tabulated group is cut from its tables instead
-(`FiniteGroup.restricted`), with no closure.
+(`FiniteGroup.restricted`), with no closure. Element orders and inverses
+are read off the table, one power walk per cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ class FiniteGroup:
     subgroup identifiers downstream derive from those indices. Raises
     SizeError once the closure grows past `MUL_TABLE_LIMIT`.
 
+    After the closure the table is the group: element orders and inverses
+    are read off it (`order_of_index`), not off permutation cycles.
+
     Observably immutable: the multiplication table, inverse list, element
     orders and the cache's table hash are filled lazily, but the values are
     deterministic functions of the element list, so a racing
@@ -282,17 +286,39 @@ class FiniteGroup:
         return self._mul_table
 
     def inverse_index(self, i: int) -> int:
+        """The index of the inverse of elements[i], from `order_of_index`'s walk."""
         if self._inverse is None:
-            inv = [0] * len(self.elements)
-            for k, p in enumerate(self.elements):
-                inv[k] = self._index[p.inverse().images]
-            self._inverse = inv
+            self._walk_powers()
         return self._inverse[i]
 
     def order_of_index(self, i: int) -> int:
+        """The order of elements[i], read off the table with no permutation.
+
+        One power walk per cyclic subgroup fills every order and inverse: in
+        index order, an element x not yet filled is walked x, x^2, ... back
+        to e, which gives its order k, and then each generator x^j of <x>
+        (gcd(j, k) = 1) gets order k and inverse x^(k-j). So each cyclic
+        subgroup is walked once, from its least-index generator.
+        """
         if self._orders is None:
-            self._orders = [element_order(p) for p in self.elements]
+            self._walk_powers()
         return self._orders[i]
+
+    def _walk_powers(self) -> None:
+        e, table = self.identity_index, self.mul_table
+        orders, inverse = [0] * self.order, [0] * self.order
+        orders[e], inverse[e] = 1, e
+        for x in range(self.order):
+            if orders[x]:
+                continue
+            row, powers = table[x], [e, x]  # powers[j] = x^j
+            while (y := row[powers[-1]]) != e:
+                powers.append(y)
+            k = len(powers)
+            for j in range(1, k):
+                if math.gcd(j, k) == 1:
+                    orders[powers[j]], inverse[powers[j]] = k, powers[k - j]
+        self._orders, self._inverse = orders, inverse
 
     def element_order_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}

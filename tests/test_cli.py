@@ -1223,6 +1223,24 @@ class TestWorkCounts:
             assert work["closures"] <= closures and work["pairs"] <= pairs, (command, work)
             assert work["closures"] == 1
 
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+    def test_only_the_split_computes_a_conjugation_map(self, capsys, monkeypatch, tmp_path, name):
+        # the class walk reads the maps the enumeration handed over
+        callers = []
+        real = SubgroupLattice.conjugation_map
+
+        def recording(self, g):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self, g)
+
+        monkeypatch.setattr(SubgroupLattice, "conjugation_map", recording)
+        cache_dir = str(tmp_path / "c")
+        assert run(capsys, "--cache", cache_dir, "verify", name, "--json")[0] == 0
+        assert callers and set(callers) == {"_vertex_action"}
+        callers.clear()
+        assert run(capsys, "--cache", cache_dir, "info", name)[0] == 0
+        assert callers == []
+
     def test_verify_checks_each_spectrum_pair_once(self, capsys, monkeypatch):
         # PSL(2,7) has 15 classes: the split checks each class's pair once,
         # and the report checks the top's, two spectral sums per check

@@ -244,6 +244,22 @@ class TestConjugationMap:
             assert lattice.conjugation_map(g).tolist() == expected
 
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "PSL(2,7) S4"))
+    def test_the_walk_reads_the_enumeration_s_maps(self, name):
+        # the enumeration hands over each conjugate; conjugation_map computes it again
+        if name == "PSL(2,7) S4":
+            psl = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+            [sid, *_] = (s.id for s in psl.subgroups if s.order == 24)
+            lattice = enumerate_subgroups(psl.standalone_group(sid))
+            assert lattice.size == 30
+        else:
+            lattice = enumerate_subgroups(parse_group_spec(name).group)
+        group, maps = lattice.group, lattice._generator_maps
+        assert [m.tolist() for m in maps] == [
+            lattice.conjugation_map(group.index_of(s)).tolist() for s in group.generators]
+        assert all(any(m is walked for walked in maps) for _, _, m in lattice._conjugation_walk()[2])
+
+
 class TestMeetJoin:
     def test_bounded_lattice_laws(self, lat_s4):
         top, bot = lat_s4.top_id, lat_s4.bottom_id

@@ -168,6 +168,44 @@ class TestMulTable:
         assert len(FiniteGroup(s4.degree, s4.generators).mul_table) == 24
 
 
+class TestOrdersAndInverses:
+    """Orders and inverses are read off the table; the permutations' cycles
+    and `Permutation.inverse` are the oracle."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + (
+        "perm6:(1,2);(1,2,3,4,5,6)", "perm7:(1,2,3);(1,2,3,4,5,6,7)", "D720", "cut"))
+    def test_match_the_permutations(self, name):
+        if name == "cut":  # PSL(2,7)'s S4 class, cut from the parent's lists
+            lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+            [sid, *_] = (s.id for s in lattice.subgroups if s.order == 24)
+            group = lattice.standalone_group(sid)
+        else:
+            group = parse_group_spec(name).group
+        assert [group.order_of_index(i) for i in range(group.order)] == [
+            element_order(p) for p in group.elements]
+        assert [group.elements[group.inverse_index(i)] for i in range(group.order)] == [
+            p.inverse() for p in group.elements]
+
+    @pytest.mark.parametrize("name", ["PSL(2,7)", "D720"])
+    def test_need_no_permutation_after_the_closure(self, monkeypatch, name):
+        import latspec.perm
+
+        parsed = parse_group_spec(name).group
+        orders = [element_order(p) for p in parsed.elements]
+        inverses = [parsed.index_of(p.inverse()) for p in parsed.elements]
+        group = FiniteGroup(parsed.degree, parsed.generators)
+
+        def refuse(*args):
+            raise AssertionError("a permutation was read after the closure")
+
+        monkeypatch.setattr(latspec.perm, "element_order", refuse)
+        monkeypatch.setattr(Permutation, "inverse", refuse)
+        assert [group.order_of_index(i) for i in range(group.order)] == orders
+        assert [group.inverse_index(i) for i in range(group.order)] == inverses
+        assert group.element_order_histogram() == {
+            k: orders.count(k) for k in set(orders)}
+
+
 def subgroup_indices(group, gen_texts):
     gens = [parse_permutation(t, group.degree) for t in gen_texts]
     members = naive_closure(gens)
