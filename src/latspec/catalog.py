@@ -163,19 +163,16 @@ def direct_product(groups: list[FiniteGroup]) -> FiniteGroup:
     if len(groups) == 1:
         return groups[0]
     degree = sum(g.degree for g in groups)
-    gens: list[Permutation] = []
+    gens: list[tuple[int, ...]] = []
     offset = 0
     for g in groups:
         for gen in g.generators:
             images = list(range(degree))
             for i, v in enumerate(gen.images):
                 images[offset + i] = offset + v
-            gens.append(Permutation(tuple(images)))
+            gens.append(tuple(images))
         offset += g.degree
-    expected = 1
-    for g in groups:
-        expected *= g.order
-    return _from_images(degree, [p.images for p in gens], expected)
+    return _from_images(degree, gens, math.prod(g.order for g in groups))
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,17 @@ lattice therefore holds one standalone lattice per conjugacy class (`_own`,
 keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
 once the parent's matrix is filled, reading it restricted to the class
 representative's down-set; the subgroup F2 sum and both splits read them.
-Every lattice memoizes on itself its graph, its F2, its subgroup F2 sum,
-its split sum, its classes with their Möbius values, and one pair of
-spectra, adjacency and Laplacian, solved together. The Möbius inversion
-builds no class lattice: sd(T) |L(T)|^2 is the parent's matrix summed over
-T's down-set.
+Every lattice memoizes on itself its graph, its F2, its subgroup F2 sum
+(`sd_via_f2`), its split sum and one pair of spectra, adjacency and
+Laplacian, solved together. The Möbius inversion builds no class lattice:
+sd(T) |L(T)|^2 is the parent's matrix summed over T's down-set.
 Sums over all subgroups (the subgroup F2 sum, the rows of `f2_direct`, the
 Möbius inversion, both splits and the published notes' Klein four count)
 take one term per class, weighted by the class size, from the lattice's
 one class table (`SubgroupLattice.classes`), which holds each such pass to
-PAIR_LIMIT before it starts. The structure dump, the trace
+PAIR_LIMIT before it starts; mu(T, G), the same on a whole class since
+conjugation is a lattice automorphism fixing G, is read from the lattice's
+memoized Möbius table (`SubgroupLattice.mobius`). The structure dump, the trace
 checks and the split shadows share one eigenvalue solve per class and matrix.
 
 Conjugation also permutes the graph's vertices and commutes with both of its
@@ -131,28 +132,9 @@ def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
     return _memo(lattice, ("own", rep), cut)
 
 
-def _classes(lattice: SubgroupLattice) -> list[tuple[int, int, int]]:
-    """(representative, class size, mu(representative, G)) per conjugacy
-    class of `SubgroupLattice.classes`.
-
-    Conjugation is a lattice automorphism that fixes G, so mu(T, G), sd(T),
-    |L(T)| and 2|E_T| are the same on a whole class; a class's own lattice
-    is `_own(lattice, representative)`, built on first use.
-    """
-    return _memo(lattice, "classes", lambda: [(rep, size, lattice.mobius(rep, lattice.top_id))
-                                              for rep, size in lattice.classes()])
-
-
 def _f2(lattice: SubgroupLattice) -> int:
     """f2_direct of the lattice, counted once."""
     return _memo(lattice, "f2", lambda: f2_direct(lattice))
-
-
-def _f2_sum(lattice: SubgroupLattice) -> int:
-    """Sum of F2 over all subgroups: one F2 per conjugacy class times the class size."""
-    return _memo(lattice, "f2_sum", lambda: sum(
-        size * _f2(_own(lattice, rep)) for rep, size, _ in _classes(lattice)
-    ))
 
 
 def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
@@ -393,19 +375,15 @@ def graph_spectra(lattice: SubgroupLattice) -> tuple[Spectrum, Spectrum]:
 # -- sd --------------------------------------------------------------------
 
 
-def commuting_pair_count(lattice: SubgroupLattice) -> int:
-    """Ordered subgroup pairs (X, Y) with XY = YX: the sum of the permutability matrix.
+def sd_direct(lattice: SubgroupLattice) -> int:
+    """Probability that two subgroups permute, as its count over |L|^2: the
+    ordered pairs (X, Y) with XY = YX, the sum of the permutability matrix.
 
     Each pair is decided by |X join Y| * |X meet Y| = |X| * |Y|
     (`products_commute`), not by set products; `f2_direct` is the route that
     multiplies subgroups element by element.
     """
     return int(lattice.permutability().sum())
-
-
-def sd_direct(lattice: SubgroupLattice) -> int:
-    """Probability that two subgroups permute, as its count over |L|^2: the commuting pairs."""
-    return commuting_pair_count(lattice)
 
 
 def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> int:
@@ -416,8 +394,14 @@ def sd_spectral(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> int:
 
 def sd_via_f2(lattice: SubgroupLattice) -> int:
     """Sum of the factorization numbers of all subgroups over |L|^2, as its
-    count over |L|^2: the subgroup F2 sum itself."""
-    return _f2_sum(lattice)
+    count over |L|^2: the subgroup F2 sum itself, memoized on the lattice.
+
+    Conjugate subgroups have the same F2, so the sum takes one `f2_direct`
+    per class of `SubgroupLattice.classes`, on the class's own lattice,
+    times the class size; it reads no Möbius value.
+    """
+    return _memo(lattice, "f2_sum", lambda: sum(
+        size * _f2(_own(lattice, rep)) for rep, size in lattice.classes()))
 
 
 def sd_text(lattice: SubgroupLattice, count: int) -> str:
@@ -454,42 +438,45 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
     sd(T) * |L(T)|^2 counts the permuting pairs of T's down-set, which the
     lattice's permutability matrix holds restricted to it, so F2(G) is the
     integer sum of mu(T, G) times that count, with no lattice of T built.
-    There is one term per conjugacy class, times the class size, and classes
-    with mu(T, G) = 0 are skipped; the top's term is `commuting_pair_count`.
+    There is one term per conjugacy class of `SubgroupLattice.classes`,
+    times the class size, with mu(T, G) read from the lattice's memoized
+    table (`SubgroupLattice.mobius`), and classes with mu(T, G) = 0 are
+    skipped. The top, with mu(G, G) = 1 and a class of its own, adds the
+    whole matrix's sum, with no down-set copied.
     """
     permutes = lattice.permutability()
-    total = 0
-    for rep, size, mu in _classes(lattice):
-        if rep == lattice.top_id:  # mu(G, G) = 1, a class of its own
-            total += commuting_pair_count(lattice)
-        elif mu:
+    total = int(permutes.sum())
+    for rep, size in lattice.classes():
+        if rep != lattice.top_id and (mu := lattice.mobius(rep, lattice.top_id)):
             down = lattice.down_ids(rep)
             total += size * mu * int(permutes[np.ix_(down, down)].sum())
     return total
 
 
 def _split_sum(lattice: SubgroupLattice) -> int:
-    """Sum over every class of size * mu(T, G) * (|L(T)|^2 - 2|E_T|), with the
-    exact 2|E_T|, once per lattice; a quasihamiltonian T has the null graph,
-    2|E_T| = 0 and no block. All spectra come from one `_spectra` call, and
-    each class's pair is checked once by `verify_trace_identities` against
-    its 2|E_T|: a failing check is a ConsistencyError that names it."""
+    """Sum over every class of `SubgroupLattice.classes` of size * mu(T, G) *
+    (|L(T)|^2 - 2|E_T|), with the exact 2|E_T| and mu(T, G) read from the
+    lattice's memoized Möbius table, once per lattice; a quasihamiltonian T
+    has the null graph, 2|E_T| = 0 and no block. All spectra come from one
+    `_spectra` call, and each class's pair is checked once by
+    `verify_trace_identities` against its 2|E_T|: a failing check is a
+    ConsistencyError that names it."""
 
     def split() -> int:
         # the whole matrix, not is_quasihamiltonian's early-stopping scan: a graph needs it
         if lattice.permutability().all():
             raise DomainError("the spectral split formula requires sd(G) != 1; "
                               "this group is quasihamiltonian")
-        classes = _classes(lattice)
-        owns = [_own(lattice, rep) for rep, _, _ in classes]
+        classes = lattice.classes()
+        owns = [_own(lattice, rep) for rep, _ in classes]
         total = 0
-        for (_, size, mu), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
+        for (rep, size), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
             s_exact = 2 * top_graph(own).edge_count
             for check in verify_trace_identities(s_exact, adj, lap):
                 if not check["passed"]:
                     raise ConsistencyError(f"{check['name']}: floating spectrum sum {check['lhs']}"
                                            f" disagrees with exact 2|E| = {s_exact}")
-            total += size * (own.size ** 2 - s_exact) * mu
+            total += size * (own.size ** 2 - s_exact) * lattice.mobius(rep, lattice.top_id)
         return total
 
     return _memo(lattice, "split", split)
@@ -595,7 +582,7 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
     f2_d = _f2(lattice)  # counted once: sd_via_f2 reads the top term from the memo
     sd_d = sd_direct(lattice)
     sd_s = sd_spectral(lattice, graph)
-    sd_f = sd_via_f2(lattice)
+    sd_f = sd_via_f2(lattice)  # the subgroup F2 sum, also edge_count_vs_f2_sum's
 
     f2_values: dict[str, int | None] = {"direct": f2_d, "mobius": f2_mobius(lattice)}
     if quasihamiltonian:
@@ -615,7 +602,7 @@ def verify_identities(lattice: SubgroupLattice) -> dict:
         if not permutes[c, x]
     ]
     sd_rhs = n * n - sd_d
-    f2_rhs = n * n - _f2_sum(lattice)
+    f2_rhs = n * n - sd_f
     f2_known = [v for v in f2_values.values() if v is not None]
     checks = [
         _check("no_trimmed_edges", not trimmed, f"{len(trimmed)} lost pairs", "0 lost pairs",

@@ -107,8 +107,9 @@ def _conjugator(group: FiniteGroup, s: int) -> list[int]:
 
 
 def _conjugators(group: FiniteGroup) -> list[list[int]]:
-    """One map h -> s^-1 h s per generator s of the group."""
-    return [_conjugator(group, s) for s in map(group.index_of, group.generators)]
+    """One map h -> s^-1 h s per generator s of the group, s's index read
+    off the table (`FiniteGroup.generator_indices`)."""
+    return [_conjugator(group, s) for s in group.generator_indices]
 
 
 def _conjugates(bits: int, conjugators: list[list[int]]) -> Family:

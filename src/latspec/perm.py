@@ -7,7 +7,8 @@ identifier derived from element indices is deterministic, and the generator
 rows the multiplication table is built from; the table's rows are 16-bit
 arrays. A subgroup of a tabulated group is cut from its tables instead
 (`FiniteGroup.restricted`), with no closure. Element orders and inverses
-are read off the table, one power walk per cyclic subgroup.
+are read off the table, one power walk per cyclic subgroup, and so are
+generator indices and commutation; `index_of` bisects the sorted elements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -167,8 +169,8 @@ class FiniteGroup:
     subgroup identifiers downstream derive from those indices. Raises
     SizeError once the closure grows past `MUL_TABLE_LIMIT`.
 
-    After the closure the table is the group: element orders and inverses
-    are read off it (`order_of_index`), not off permutation cycles.
+    After the closure the table is the group: element orders, inverses,
+    generator indices and commutation are read off it, not off permutations.
 
     Observably immutable: the multiplication table, inverse list, element
     orders and the cache's table hash are filled lazily, but the values are
@@ -197,9 +199,6 @@ class FiniteGroup:
         for new, old in enumerate(order):
             rank[old] = new
         self.elements: tuple[Permutation, ...] = tuple(Permutation(found[i]) for i in order)
-        self._index: dict[tuple[int, ...], int] = {
-            p.images: i for i, p in enumerate(self.elements)
-        }
         self.identity_index: int = rank[0]
         self._generator_rows = [[rank[row[i]] for i in order] for row in rows]
         self._mul_table: list[array] | None = None
@@ -213,7 +212,9 @@ class FiniteGroup:
 
         Its elements are the members in this group's order, which is already
         lexicographic, so they are what closing `generators` (element indices
-        of members) would list. Its multiplication table is this table's
+        of members) would list, and `index_of` bisects them. Its generator
+        rows are its own table's, read by `generator_indices`. Its
+        multiplication table is this table's
         member rows and columns, relabelled to positions among the members,
         in `array('H')` rows as `mul_table` holds them: each row is picked
         and relabelled by two `itemgetter` calls, with no Python code per
@@ -236,7 +237,6 @@ class FiniteGroup:
         sub.degree = self.degree
         sub.generators = tuple(self.elements[g] for g in generators)
         sub.elements = tuple(self.elements[x] for x in members)
-        sub._index = {p.images: i for i, p in enumerate(sub.elements)}
         sub.identity_index = 0
         sub._generator_rows = [mul[position[g]] for g in generators]
         sub._mul_table = mul
@@ -250,10 +250,19 @@ class FiniteGroup:
         return len(self.elements)
 
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise InputError(f"{p!r} is not an element of this group") from None
+        """The index of p, bisected in the sorted `elements`; InputError if p
+        is not an element (one of another degree never is)."""
+        i = bisect_left(self.elements, p)
+        if i == len(self.elements) or self.elements[i] != p:
+            raise InputError(f"{p!r} is not an element of this group")
+        return i
+
+    @property
+    def generator_indices(self) -> list[int]:
+        """The element index of each generator: generator k's closure row
+        maps the identity to g_k * e = g_k, on a closed and a cut group alike."""
+        e = self.identity_index
+        return [row[e] for row in self._generator_rows]
 
     @property
     def mul_table(self) -> list[array]:
@@ -328,8 +337,10 @@ class FiniteGroup:
         return hist
 
     def is_abelian(self) -> bool:
-        gens = self.generators if self.generators else self.elements
-        return all(compose(a, b) == compose(b, a) for a in gens for b in gens)
+        """Whether the generators commute pairwise, read off the table as
+        ab = ba for their indices; a group with no generator is trivial."""
+        table, gens = self.mul_table, self.generator_indices
+        return all(table[a][b] == table[b][a] for a in gens for b in gens)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"

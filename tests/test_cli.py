@@ -1261,6 +1261,23 @@ class TestWorkCounts:
         assert (len(checks), len(sums)) == (16, 32)
 
     @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+    def test_sd_via_f2_reads_no_mobius_value(self, capsys, monkeypatch, name):
+        # the subgroup F2 sum weighs each class by its size alone
+        calls = []
+        real = SubgroupLattice.mobius
+
+        def counting(self, lower, upper):
+            calls.append((lower, upper))
+            return real(self, lower, upper)
+
+        monkeypatch.setattr(SubgroupLattice, "mobius", counting)
+        code, out, _ = run(capsys, "sd", name, "--method", "f2", "--json")
+        assert code == 0
+        assert json.loads(out) == {"via_f2": {"S4": "17/30", "A5": "861/3481",
+                                              "PSL(2,7)": "6085/32041"}[name]}
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
     def test_f2_by_mobius_builds_no_class_lattice(self, capsys, monkeypatch, name):
         built = []
         real = degrees.enumerate_subgroups

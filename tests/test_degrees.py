@@ -21,7 +21,6 @@ from latspec.catalog import (
     symmetric,
 )
 from latspec.degrees import (
-    commuting_pair_count,
     f2_direct,
     f2_mobius,
     f2_split_adjacency,
@@ -70,7 +69,7 @@ def lat_q8():
 class TestSdDirect:
     # each sd route gives its count over |L|^2, an int; sd_text prints it reduced
     def test_a4(self, lat_a4):
-        assert sd_direct(lat_a4) == commuting_pair_count(lat_a4) == 64
+        assert sd_direct(lat_a4) == int(lat_a4.permutability().sum()) == 64
         assert sd_text(lat_a4, sd_direct(lat_a4)) == "16/25"
 
     def test_q8_fully_permutes(self, lat_q8):
@@ -194,7 +193,7 @@ class TestF2Mobius:
         # double transpositions; each of the other 8 classes adds its
         # representative's down-set pairs, read off the top's matrix
         lattice = enumerate_subgroups(symmetric(4))
-        nonzero = [rep for rep, _, mu in degrees._classes(lattice) if mu]
+        nonzero = [rep for rep, _ in lattice.classes() if lattice.mobius(rep, lattice.top_id)]
         orders = sorted(lattice.subgroups[rep].order for rep in nonzero)
         assert orders == [1, 2, 3, 4, 6, 8, 12, 24]
 
@@ -259,7 +258,7 @@ class TestF2Splits:
         lattice = enumerate_subgroups(symmetric(4))
         assert f2_split_laplacian(lattice) == f2_split_adjacency(lattice) == 177
         nulls = 0
-        for rep, _, _ in degrees._classes(lattice):
+        for rep, _ in lattice.classes():
             own = degrees._own(lattice, rep)
             adjacency, laplacian = own.memo["spectra"]
             if own.is_quasihamiltonian():
@@ -281,7 +280,7 @@ class TestF2Splits:
         # a fresh lattice: the split is summed once, so A4's spectra are
         # corrupted before the first sum reads them
         lattice = enumerate_subgroups(symmetric(4))
-        [a4] = [degrees._own(lattice, rep) for rep, _, _ in degrees._classes(lattice)
+        [a4] = [degrees._own(lattice, rep) for rep, _ in lattice.classes()
                 if lattice.subgroup(rep).order == 12]
         pair = dict(zip(("adjacency", "laplacian"), degrees.graph_spectra(a4)))
         values = list(pair[kind].values)

@@ -4,7 +4,7 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
-from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec
+from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec, symmetric
 from latspec.errors import InputError, SizeError
 from latspec.lattice import enumerate_subgroups
 from latspec.perm import (
@@ -204,6 +204,52 @@ class TestOrdersAndInverses:
         assert [group.inverse_index(i) for i in range(group.order)] == inverses
         assert group.element_order_histogram() == {
             k: orders.count(k) for k in set(orders)}
+
+
+def psl27_s4_cut():
+    """PSL(2,7)'s first S4, cut from the parent's tables."""
+    lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+    [sid, *_] = (s.id for s in lattice.subgroups if s.order == 24)
+    return lattice.standalone_group(sid)
+
+
+class TestIndicesFromTheTable:
+    """`index_of` bisects the sorted elements; generator indices and
+    commutation are read off the table. Permutations are the oracle."""
+
+    @pytest.mark.parametrize("kind", ["closed", "cut"])
+    def test_index_of_bisects_the_elements(self, kind):
+        if kind == "closed":
+            group = alternating(4)
+        else:  # A4 cut from the tables of S4
+            lattice = enumerate_subgroups(symmetric(4))
+            [sid] = (s.id for s in lattice.subgroups if s.order == 12)
+            group = lattice.standalone_group(sid)
+        assert [group.index_of(p) for p in group.elements] == list(range(group.order))
+        # a transposition is odd; the degree-5 permutations sort before and
+        # after every element of degree 4
+        for outside in (parse_permutation("(1,2)", 4), Permutation.identity(5),
+                        Permutation((4, 3, 2, 1, 0))):
+            with pytest.raises(InputError, match="is not an element of this group"):
+                group.index_of(outside)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("cut",))
+    def test_generator_indices_name_the_generators(self, name):
+        group = psl27_s4_cut() if name == "cut" else parse_group_spec(name).group
+        assert len(group.generator_indices) == len(group.generators)
+        assert [group.elements[i] for i in group.generator_indices] == list(group.generators)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "PSL(2,7) classes"))
+    def test_is_abelian_matches_composition(self, name):
+        if name == "PSL(2,7) classes":
+            lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
+            groups = [lattice.standalone_group(rep) for rep, _ in lattice.classes()]
+            assert {group.is_abelian() for group in groups} == {True, False}
+        else:
+            groups = [parse_group_spec(name).group]
+        for group in groups:
+            assert group.is_abelian() == all(
+                compose(a, b) == compose(b, a) for a in group.elements for b in group.elements)
 
 
 def subgroup_indices(group, gen_texts):
