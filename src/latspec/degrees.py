@@ -84,7 +84,7 @@ from .catalog import order_histogram_key
 from .closed_forms import ratio_text
 from .errors import ConsistencyError, DomainError, SizeError
 from .graph import NonPermutabilityGraph, build_graph
-from .lattice import SubgroupLattice, _conjugates, _conjugators, _powers, enumerate_subgroups
+from .lattice import SubgroupLattice, _conjugates, enumerate_subgroups
 from .perm import FiniteGroup
 from .spectral import Spectrum, eigenvalues_symmetric, verify_trace_identities
 
@@ -143,16 +143,16 @@ def top_graph(lattice: SubgroupLattice) -> NonPermutabilityGraph:
 
 
 def _largest_cyclic(group: FiniteGroup) -> tuple[int, int]:
-    """(c, k): c the least element index of the largest element order k."""
-    orders = [group.order_of_index(g) for g in range(group.order)]
-    k = max(orders)
-    return orders.index(k), k
+    """(c, k): c the least element index of the largest element order k, the
+    first longest entry of `FiniteGroup.cyclic_powers`, which ascend by c."""
+    c, powers = max(group.cyclic_powers.items(), key=lambda item: len(item[1]))
+    return c, len(powers)
 
 
 def _conjugate_powers(group: FiniteGroup, c: int, k: int) -> list[int]:
     """The units u modulo k, c's order, for which c^u is conjugate to c in the group."""
-    conjugates = set(_conjugates(1 << c, _conjugators(group))[0])  # c's class, one bit each
-    powers = _powers(group, c)
+    conjugates = set(_conjugates(1 << c, group)[0])  # c's class, one bit each
+    powers = group.cyclic_powers[c]
     return [u for u in range(1, k) if math.gcd(u, k) == 1 and 1 << powers[u] in conjugates]
 
 

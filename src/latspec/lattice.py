@@ -35,7 +35,8 @@ that value for the lattice enumerated afresh.
 
 Subgroup member sets are stored as integer bitsets over the parent group's
 element indices. The canonical subgroup order is (order, member tuple), which
-makes every id, dump, and downstream artifact deterministic.
+makes every id, dump, and downstream artifact deterministic. Containment is
+stored once, as up-sets; `down_ids` reads a down-set off them.
 """
 
 from __future__ import annotations
@@ -99,27 +100,15 @@ def _greedy_closure(group: FiniteGroup, candidates: Iterable[int]) -> tuple[list
     return gens, bits
 
 
-def _conjugator(group: FiniteGroup, s: int) -> list[int]:
-    """The map h -> s^-1 h s on element indices."""
-    table = group.mul_table
-    row = table[group.inverse_index(s)]
-    return [table[row[h]][s] for h in range(group.order)]
-
-
-def _conjugators(group: FiniteGroup) -> list[list[int]]:
-    """One map h -> s^-1 h s per generator s of the group, s's index read
-    off the table (`FiniteGroup.generator_indices`)."""
-    return [_conjugator(group, s) for s in group.generator_indices]
-
-
-def _conjugates(bits: int, conjugators: list[list[int]]) -> Family:
+def _conjugates(bits: int, group: FiniteGroup) -> Family:
     """(orbit, members, images) of the conjugacy class of the subgroup `bits`.
 
     `orbit` holds the member bitsets of its conjugates, itself first, and
     `members` each one's member tuple. `images[k][i]` is the orbit position
-    of the image of orbit[i] under the k-th conjugator: a position, so no
-    bitset is kept twice.
+    of the image of orbit[i] under the k-th generator's conjugation map
+    (`FiniteGroup.conjugator`): a position, so no bitset is kept twice.
     """
+    conjugators = [group.conjugator(s) for s in group.generator_indices]
     orbit, members = [bits], []
     position = {bits: 0}
     images: list[list[int]] = [[] for _ in conjugators]
@@ -134,30 +123,20 @@ def _conjugates(bits: int, conjugators: list[list[int]]) -> Family:
     return orbit, members, images
 
 
-def _powers(group: FiniteGroup, g: int) -> list[int]:
-    """Element indices of e, g, g^2, ..., g^(n-1), n the order of element g."""
-    table = group.mul_table
-    powers = [group.identity_index]
-    for _ in range(group.order_of_index(g) - 1):
-        powers.append(table[powers[-1]][g])
-    return powers
-
-
 def _cyclic_p_subgroups(group: FiniteGroup) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """<g> bits -> (g, g^p) for every cyclic subgroup of prime-power order p^k > 1,
     and for each element index g the bits of <g> (0 unless g is a p-element, g != e).
 
-    Powers are walked once per cyclic subgroup, from its least-index
-    generator g: every other generator g^j (j prime to p) shares <g>'s key
-    and its (g, g^p) entry.
+    Read off the group's one power walk (`FiniteGroup.cyclic_powers`): g is
+    <g>'s least-index generator, and every other generator g^j (j prime to
+    p) shares <g>'s key.
     """
     cyclic: dict[int, tuple[int, int]] = {}
     key_of = [0] * group.order
-    for g in range(group.order):
-        n = group.order_of_index(g)
-        if key_of[g] or n == 1 or (p := least_prime_factor(n)) ** n.bit_length() % n:
-            continue  # walked, e, or an order that is not a prime power
-        powers = _powers(group, g)
+    for g, powers in group.cyclic_powers.items():
+        n = len(powers)
+        if n == 1 or (p := least_prime_factor(n)) ** n.bit_length() % n:
+            continue  # e, or an order that is not a prime power
         key = bits_of(powers)
         for j in range(1, n):
             if j % p:
@@ -216,11 +195,10 @@ def _close_by_cyclic_extension(group: FiniteGroup) -> Family:
     the proof above is unchanged.
     """
     table, e = group.mul_table, group.identity_index
-    conjugators = _conjugators(group)
     cyclic, key_of = _cyclic_p_subgroups(group)
     trivial, whole = 1 << e, (1 << group.order) - 1
     found, reps = {trivial}, [(trivial, ())]
-    all_bits, all_members, all_images = [trivial], [(e,)], [[0] for _ in conjugators]
+    all_bits, all_members, all_images = [trivial], [(e,)], [[0] for _ in group.generators]
     for r_bits, r_gens in reps:  # grows while it is walked
         by_r = [(table[group.inverse_index(r)], r) for r in r_gens]  # h -> r^-1 h r
         walked = set()  # the R-orbits of the cyclic subgroups walked from R
@@ -251,7 +229,7 @@ def _close_by_cyclic_extension(group: FiniteGroup) -> Family:
                         walk.append(y)
             if joined in found:
                 continue
-            conjugates, members, images = _conjugates(joined, conjugators)
+            conjugates, members, images = _conjugates(joined, group)
             if len(found) + len(conjugates) > SUBGROUP_CAP:
                 raise SizeError(f"subgroup count exceeded cap {SUBGROUP_CAP}")
             for out, row in zip(all_images, images):
@@ -305,10 +283,6 @@ class SubgroupLattice:
         everyone = (1 << n) - 1
         self._up = [reduce(and_, map(holders.__getitem__, members), everyone)  # ids z with i <= z
                     for members in self._member_tuples]
-        self._down = [0] * n  # ids z with z <= i
-        for sid, up in enumerate(self._up):
-            for z in iter_bits(up):
-                self._down[z] |= 1 << sid
 
         self._mobius_to: dict[int, dict[int, int]] = {}  # upper -> {lower: mu(lower, upper)}
         self._permutes: np.ndarray | None = None
@@ -338,7 +312,9 @@ class SubgroupLattice:
         return bool(self._up[a] & (1 << b))
 
     def down_ids(self, sid: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._down[sid]))
+        """The ids z <= sid, ascending, read off the up-sets: a subgroup of
+        sid has order at most sid's, so an id at most sid."""
+        return tuple(z for z in range(sid + 1) if self._up[z] >> sid & 1)
 
     def meet(self, a: int, b: int) -> int:
         return self._id_of[self.subgroups[a].members & self.subgroups[b].members]
@@ -353,10 +329,10 @@ class SubgroupLattice:
     def conjugation_map(self, g: int) -> np.ndarray:
         """Int array taking each id to the id of g^-1 H g, for the element index g.
 
-        Computed afresh for any element, as the split's vertex action needs;
+        Read off the group's map of g, as the split's vertex action needs;
         the class walk reads the generators' maps from the enumeration.
         """
-        images = _conjugator(self.group, g)
+        images = self.group.conjugator(g)
         id_of = self._id_of
         return np.array([id_of[bits_of(images[h] for h in members)]
                          for members in self._member_tuples], dtype=np.intp)
@@ -407,9 +383,9 @@ class SubgroupLattice:
 
         Every pass over the representatives' rows reads the walk first (the
         fill, the scans of `is_quasihamiltonian` and `_permute_with_all`,
-        `f2_direct` and the class phase of `degrees`), so the walk alone
-        holds them to PAIR_LIMIT: SizeError, with no walk kept, when (number
-        of classes) x |L| exceeds it.
+        `f2_direct` and the class phase of `degrees`), as the Möbius fill
+        does, so the walk alone holds them to PAIR_LIMIT: SizeError, with no
+        walk kept, when (number of classes) x |L| exceeds it.
         """
         return self._conjugation_walk()[1]
 
@@ -423,15 +399,17 @@ class SubgroupLattice:
         mu(z, upper) = -sum of mu(y, upper) over z < y <= upper. A larger
         subgroup has the larger order, so the larger id, and each sum reads
         values already filled. Tables are stored whole, so concurrent queries
-        stay consistent.
+        stay consistent. A fill first reads the class walk, which bounds it.
         """
         if not self.leq(lower, upper):
             raise DomainError(f"subgroup {lower} is not contained in {upper}")
         table = self._mobius_to.get(upper)
         if table is None:
+            self.classes()
             table = {upper: 1}
-            below = self._down[upper]
-            for z in reversed(self.down_ids(upper)[:-1]):
+            down = self.down_ids(upper)
+            below = bits_of(down)
+            for z in reversed(down[:-1]):
                 above = self._up[z] & below & ~(1 << z)
                 table[z] = -sum(table[y] for y in iter_bits(above))
             self._mobius_to[upper] = table
@@ -582,9 +560,9 @@ class SubgroupLattice:
         """The subgroup as its own FiniteGroup, cut from the parent's tables.
 
         Its element list is the subgroup's members in the parent's index
-        order, its multiplication table, inverses and element orders are the
-        parent's restricted to them (`FiniteGroup.restricted`), and its
-        generators are `minimal_generators(sid)`; no permutation is closed.
+        order, its multiplication table the parent's restricted to them
+        (`FiniteGroup.restricted`), and its generators are
+        `minimal_generators(sid)`; no permutation is closed.
         """
         if sid == self.top_id:
             return self.group

@@ -6,9 +6,10 @@ complete element list, kept in a canonical (lexicographic) order so every
 identifier derived from element indices is deterministic, and the generator
 rows the multiplication table is built from; the table's rows are 16-bit
 arrays. A subgroup of a tabulated group is cut from its tables instead
-(`FiniteGroup.restricted`), with no closure. Element orders and inverses
-are read off the table, one power walk per cyclic subgroup, and so are
-generator indices and commutation; `index_of` bisects the sorted elements.
+(`FiniteGroup.restricted`), with no closure. Each group, closed or cut,
+reads element orders, inverses and cyclic subgroups off its own table, one
+power walk per cyclic subgroup, and generator indices, commutation and
+conjugation maps too; `index_of` bisects the sorted elements.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ class FiniteGroup:
     SizeError once the closure grows past `MUL_TABLE_LIMIT`.
 
     After the closure the table is the group: element orders, inverses,
-    generator indices and commutation are read off it, not off permutations.
+    generator indices, commutation and conjugation are read off it.
 
-    Observably immutable: the multiplication table, inverse list, element
-    orders and the cache's table hash are filled lazily, but the values are
-    deterministic functions of the element list, so a racing
+    Observably immutable: the multiplication table, the power walk, the
+    conjugation maps and the cache's table hash are filled lazily, but the
+    values are deterministic functions of the element list, so a racing
     double-computation writes identical data.
     """
 
@@ -204,6 +205,8 @@ class FiniteGroup:
         self._mul_table: list[array] | None = None
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
+        self._cyclic: dict[int, list[int]] | None = None  # `cyclic_powers`
+        self._conjugators: dict[int, list[int]] = {}  # element index -> `conjugator`
         self._table_hash: str | None = None  # `cache.table_hash`, filled on first use
 
     def restricted(self, members: Sequence[int], generators: Sequence[int]) -> "FiniteGroup":
@@ -219,8 +222,8 @@ class FiniteGroup:
         in `array('H')` rows as `mul_table` holds them: each row is picked
         and relabelled by two `itemgetter` calls, with no Python code per
         entry (most cut groups are small, where numpy's per-call cost would
-        outweigh a row). Its inverses and element orders are sliced from
-        this group's.
+        outweigh a row). Its orders, inverses, cyclic subgroups and
+        conjugation maps are read off that table, as on a closed group.
         ConsistencyError if the members do not hold the identity and the
         generators, or a product of two of them falls outside them.
         """
@@ -240,9 +243,8 @@ class FiniteGroup:
         sub.identity_index = 0
         sub._generator_rows = [mul[position[g]] for g in generators]
         sub._mul_table = mul
-        sub._inverse = [position[self.inverse_index(x)] for x in members]
-        sub._orders = [self.order_of_index(x) for x in members]
-        sub._table_hash = None
+        sub._inverse = sub._orders = sub._cyclic = sub._table_hash = None
+        sub._conjugators = {}
         return sub
 
     @property
@@ -295,39 +297,56 @@ class FiniteGroup:
         return self._mul_table
 
     def inverse_index(self, i: int) -> int:
-        """The index of the inverse of elements[i], from `order_of_index`'s walk."""
+        """The index of the inverse of elements[i], from `cyclic_powers`'s walk."""
         if self._inverse is None:
             self._walk_powers()
         return self._inverse[i]
 
     def order_of_index(self, i: int) -> int:
-        """The order of elements[i], read off the table with no permutation.
-
-        One power walk per cyclic subgroup fills every order and inverse: in
-        index order, an element x not yet filled is walked x, x^2, ... back
-        to e, which gives its order k, and then each generator x^j of <x>
-        (gcd(j, k) = 1) gets order k and inverse x^(k-j). So each cyclic
-        subgroup is walked once, from its least-index generator.
-        """
+        """The order of elements[i], from `cyclic_powers`'s walk."""
         if self._orders is None:
             self._walk_powers()
         return self._orders[i]
 
+    @property
+    def cyclic_powers(self) -> dict[int, list[int]]:
+        """g -> [e, g, ..., g^(k-1)] per cyclic subgroup <g> of order k, g its
+        least-index generator, by ascending g (the trivial one is e -> [e]).
+
+        One power walk per cyclic subgroup fills these, every order and
+        every inverse, off the table: in index order, an element g not yet
+        filled is walked g, g^2, ... back to e, which gives its order k, and
+        then each generator g^j of <g> (gcd(j, k) = 1) gets order k and
+        inverse g^(k-j).
+        """
+        if self._cyclic is None:
+            self._walk_powers()
+        return self._cyclic
+
     def _walk_powers(self) -> None:
         e, table = self.identity_index, self.mul_table
-        orders, inverse = [0] * self.order, [0] * self.order
-        orders[e], inverse[e] = 1, e
-        for x in range(self.order):
-            if orders[x]:
+        orders, inverse, cyclic = [0] * self.order, [0] * self.order, {}
+        for g in range(self.order):
+            if orders[g]:
                 continue
-            row, powers = table[x], [e, x]  # powers[j] = x^j
-            while (y := row[powers[-1]]) != e:
+            row, powers, y = table[g], [e], g  # powers[j] = g^j
+            while y != e:
                 powers.append(y)
-            k = len(powers)
-            for j in range(1, k):
+                y = row[y]
+            k, cyclic[g] = len(powers), powers
+            for j in range(k):  # j = 0 passes the gcd test only for k = 1, g = e
                 if math.gcd(j, k) == 1:
-                    orders[powers[j]], inverse[powers[j]] = k, powers[k - j]
-        self._orders, self._inverse = orders, inverse
+                    orders[powers[j]], inverse[powers[j]] = k, powers[-j]
+        self._orders, self._inverse, self._cyclic = orders, inverse, cyclic
+
+    def conjugator(self, s: int) -> list[int]:
+        """The map h -> s^-1 h s on element indices, built once per element s."""
+        images = self._conjugators.get(s)
+        if images is None:
+            table = self.mul_table
+            row = table[self.inverse_index(s)]
+            images = self._conjugators[s] = [table[row[h]][s] for h in range(self.order)]
+        return images
 
     def element_order_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}

@@ -1241,6 +1241,32 @@ class TestWorkCounts:
         assert run(capsys, "--cache", cache_dir, "info", name)[0] == 0
         assert callers == []
 
+    @pytest.mark.parametrize("name, classes", [("S4", 11), ("A5", 9), ("PSL(2,7)", 15)])
+    def test_verify_walks_each_group_s_powers_and_builds_each_map_once(
+            self, capsys, monkeypatch, tmp_path, name, classes):
+        # the top group and one group cut per class below it; every reader of
+        # orders, cyclic subgroups and conjugation maps reads the group's own
+        walks, maps = [], {}
+        real_walk, real_map = FiniteGroup._walk_powers, FiniteGroup.conjugator
+
+        def walking(self):
+            walks.append(self)
+            real_walk(self)
+
+        def mapping(self, s):
+            images = real_map(self, s)
+            maps.setdefault((self, s), set()).add(id(images))
+            return images
+
+        monkeypatch.setattr(FiniteGroup, "_walk_powers", walking)
+        monkeypatch.setattr(FiniteGroup, "conjugator", mapping)
+        assert run(capsys, "--cache", str(tmp_path / "c"), "verify", name, "--json")[0] == 0
+        assert len(walks) == len(set(map(id, walks))) == classes
+        assert {group for group, _ in maps} <= set(walks)
+        assert all(len(built) == 1 for built in maps.values())
+        for group in walks:
+            assert {s for g, s in maps if g is group} >= set(group.generator_indices)
+
     def test_verify_checks_each_spectrum_pair_once(self, capsys, monkeypatch):
         # PSL(2,7) has 15 classes: the split checks each class's pair once,
         # and the report checks the top's, two spectral sums per check
@@ -1320,9 +1346,9 @@ class TestPairBudget:
     classes, so 330 representative row pairs.
 
     A pass over the representatives' rows with more than PAIR_LIMIT pairs
-    exits 2 the same way before its first pair test, and a command that
-    reads no class still runs. E8 has 16 subgroups, each a class of its
-    own, so 256 row pairs."""
+    exits 2 the same way before its first pair test, and so does a Möbius
+    fill; a command that reads no class still runs. E8 has 16 subgroups,
+    each a class of its own, so 256 row pairs."""
 
     @pytest.mark.parametrize("cache", [False, True], ids=["no_cache", "cache"])
     @pytest.mark.parametrize("argv", ["verify S4", "sd S4", "graph S4 --json"])
@@ -1354,8 +1380,8 @@ class TestPairBudget:
         assert sorted(read_cache_file(path)[1]) == ["lattice"]
         assert run(capsys, "--cache", str(cache_dir), *argv.split()) == expected
 
-    @pytest.mark.parametrize("argv", ["info E8", "lattice E8 --json",
-                                      "f2 E8 --method direct", "sd E8 --method f2"])
+    @pytest.mark.parametrize("argv", ["info E8", "lattice E8 --json", "f2 E8 --method direct",
+                                      "sd E8 --method f2", "mobius E8"])
     def test_a_row_pass_past_the_bound_exits_2(self, capsys, monkeypatch, argv):
         def refuse(*args):
             raise AssertionError("a pair was tested")
@@ -1367,7 +1393,7 @@ class TestPairBudget:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "PAIR_LIMIT = 255" in err
 
-    @pytest.mark.parametrize("argv", ["hughes E8 -p 2", "mobius E8"])
+    @pytest.mark.parametrize("argv", ["hughes E8 -p 2"])
     def test_commands_that_read_no_class_run(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(lattice_module, "PAIR_LIMIT", 255)
         code, out, err = run(capsys, *argv.split())

@@ -190,7 +190,9 @@ class TestContainment:
     def test_matches_the_pairwise_rows(self, name):
         group = alternating(6) if name == "A6" else parse_group_spec(name).group
         lattice = enumerate_subgroups(group)
-        assert (lattice._down, lattice._up) == pairwise_containment(lattice)
+        down, up = pairwise_containment(lattice)
+        assert [bits_of(lattice.down_ids(i)) for i in range(lattice.size)] == down
+        assert lattice._up == up
 
 
 class TestClassReps:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from array import array
 
 import pytest
@@ -169,8 +170,9 @@ class TestMulTable:
 
 
 class TestOrdersAndInverses:
-    """Orders and inverses are read off the table; the permutations' cycles
-    and `Permutation.inverse` are the oracle."""
+    """Orders, inverses and each cyclic subgroup's powers are read off the
+    table; the permutations' cycles, `Permutation.inverse` and `compose` are
+    the oracle."""
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + (
         "perm6:(1,2);(1,2,3,4,5,6)", "perm7:(1,2,3);(1,2,3,4,5,6,7)", "D720", "cut"))
@@ -185,6 +187,48 @@ class TestOrdersAndInverses:
             element_order(p) for p in group.elements]
         assert [group.elements[group.inverse_index(i)] for i in range(group.order)] == [
             p.inverse() for p in group.elements]
+        # one entry per cyclic subgroup <g>, its powers under its least-index
+        # generator g: the entries' generators are every element once
+        cyclic, owners = group.cyclic_powers, []
+        for g, powers in cyclic.items():
+            p = group.elements[g]
+            assert [group.index_of(compose(group.elements[y], p)) for y in powers] == (
+                powers[1:] + [group.identity_index])
+            owned = [y for j, y in enumerate(powers) if math.gcd(j, len(powers)) == 1]
+            assert min(owned) == g
+            owners += owned
+        assert sorted(owners) == list(range(group.order))
+        assert list(cyclic) == sorted(cyclic)
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "M16"])
+    def test_a_cut_group_walks_its_own_table(self, monkeypatch, name):
+        # every class representative's group, cut from the parent: its own
+        # walk gives the parent's orders, inverses and cyclic subgroups inside it
+        walks = []
+        real_walk = FiniteGroup._walk_powers
+
+        def walking(self):
+            walks.append(self)
+            real_walk(self)
+
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        parent = lattice.group
+        monkeypatch.setattr(FiniteGroup, "_walk_powers", walking)
+        for rep, _ in lattice.classes():
+            cut = lattice.standalone_group(rep)
+            if cut is parent:
+                continue
+            members = lattice.subgroup(rep).member_indices()
+            walks.clear()
+            assert [cut.order_of_index(i) for i in range(cut.order)] == [
+                parent.order_of_index(x) for x in members]
+            assert walks == [cut]
+            assert [members[cut.inverse_index(i)] for i in range(cut.order)] == [
+                parent.inverse_index(x) for x in members]
+            assert [(members[g], [members[y] for y in powers])
+                    for g, powers in cut.cyclic_powers.items()] == [
+                (g, powers) for g, powers in parent.cyclic_powers.items() if g in members]
+            assert walks == [cut]
 
     @pytest.mark.parametrize("name", ["PSL(2,7)", "D720"])
     def test_need_no_permutation_after_the_closure(self, monkeypatch, name):
