@@ -2,17 +2,20 @@
 
 One file holds the sections of one group. It is named by the group order
 and the full hash of the canonical element table. Its first line is the key
-object {schema, degree, elements}; each further line is one section: its
-name, a tab, and its value as compact JSON with sorted keys, the lines in
-name order.
+object {schema, degree, generators}, the generators as image lists of the
+group that wrote the file; each further line is one section: its name, a
+tab, and its value as compact JSON with sorted keys, the lines in name order.
 
-A lookup opens only the file its key names, decodes only the key line, and
-answers only when the schema, the degree and the full element table all
-match, so a hash collision, a renamed file or another schema is a miss,
-never a wrong answer. It returns each section's line undecoded; the reader
-decodes a line with `decode_section` when it first needs that section, so a
-command decodes only what it uses (the graph section is most of a file, and
-few commands read it).
+A lookup opens only the file its name gives, decodes only the key line, and
+answers only when the schema and the degree match and the stored generators
+generate exactly G: they are G's own, in order (G is their closure by
+construction), or each is an element of G and their closure over G's table
+has |G| elements. The two groups are then one element set, so their element
+indices agree; no digest stands in for identity, and a hash collision, a
+renamed file or another schema is a miss, never a wrong answer. It returns
+each section's line undecoded; the reader decodes a line with
+`decode_section` when it first needs that section, so a command decodes only
+what it uses (the graph section is most of a file, and few commands read it).
 
 A store writes the whole file by temp file and rename, and never reads the
 file it replaces, so two writers cannot lose each other's entry.
@@ -27,7 +30,9 @@ import tempfile
 from collections.abc import Mapping
 from pathlib import Path
 
-from .perm import FiniteGroup
+from .errors import InputError
+from .lattice import _closure_bits
+from .perm import FiniteGroup, Permutation
 
 # CPython's built-in SHA-256, which hashlib falls back to without OpenSSL;
 # importing hashlib loads OpenSSL's libcrypto (about 3.5 MiB of peak RSS).
@@ -40,7 +45,7 @@ except ImportError:
         from hashlib import sha256
 
 # The layout of a cache file; a file written under another schema is a miss.
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 
 
 def _compact(value) -> str:
@@ -63,9 +68,9 @@ def table_hash(group: FiniteGroup) -> str:
     if group._table_hash is None:
         h = sha256()
         h.update(str(group.degree).encode())
-        for p in group.elements:
+        for images in group.elements:
             h.update(b"|")
-            h.update(",".join(map(str, p.images)).encode())
+            h.update(",".join(map(str, images)).encode())
         group._table_hash = h.hexdigest()
     return group._table_hash
 
@@ -80,12 +85,34 @@ def signature_of(group: FiniteGroup) -> dict:
 
 
 def _key(group: FiniteGroup) -> dict:
-    """The first line of a cache file; a lookup must match every field."""
+    """The first line of a cache file: the schema, the degree and the
+    group's generators as image lists; `_names` decides whether a stored key
+    names a group."""
     return {
         "schema": CACHE_SCHEMA,
         "degree": group.degree,
-        "elements": [list(p.images) for p in group.elements],
+        "generators": [list(g.images) for g in group.generators],
     }
+
+
+def _names(key: dict, group: FiniteGroup) -> bool:
+    """Whether a stored key names `group`: its schema and degree are the
+    group's and its generators, a list of int lists, generate the group.
+    Equal to the group's own generators they do by construction, with no
+    table built; otherwise each must be a permutation `index_of` finds, and
+    their closure over the group's table must hold every element."""
+    own, gens = _key(group), key.get("generators")
+    if (dict(key, generators=own["generators"]) != own or type(gens) is not list
+            or not all(type(g) is list and set(map(type, g)) <= {int} for g in gens)):
+        return False
+    if gens == own["generators"]:
+        return True
+    try:
+        indices = [group.index_of(Permutation(tuple(g))) for g in gens]
+    except InputError:  # not a bijection, or not an element of the group
+        return False
+    e = group.identity_index
+    return _closure_bits(group.mul_table, 1 << e, indices) == (1 << group.order) - 1
 
 
 def _cache_file(cache_dir: str | Path, group: FiniteGroup) -> Path:
@@ -94,7 +121,10 @@ def _cache_file(cache_dir: str | Path, group: FiniteGroup) -> Path:
 
 def cache_lookup(cache_dir: str | Path, group: FiniteGroup) -> dict[str, str] | None:
     """The section lines stored for this exact group, by section name and
-    undecoded (see `decode_section`), or None."""
+    undecoded (see `decode_section`), or None. A key line that does not name
+    the group (`_names`) is a silent miss; a file that does not decode, or
+    whose key is no object or whose lines are not named sections, is a miss
+    with a warning."""
     path = _cache_file(cache_dir, group)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -106,7 +136,7 @@ def cache_lookup(cache_dir: str | Path, group: FiniteGroup) -> dict[str, str] | 
         print(f"warning: ignoring unreadable or corrupt cache file {path}: {exc}",
               file=sys.stderr)
         return None
-    if isinstance(key, dict) and key != _key(group):
+    if isinstance(key, dict) and not _names(key, group):
         return None
     lines = dict(line.split("\t", 1) for line in section_lines if "\t" in line)
     if not isinstance(key, dict) or len(lines) != sum(map(bool, section_lines)):

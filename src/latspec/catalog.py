@@ -10,7 +10,9 @@ Grammar:
     E<p^k>          elementary abelian of order p^k, e.g. E8, E27
     V4              alias for E4
     M16             modular (maximal-cyclic) 2-group of order 16
-    PSL(2,q)        q in {2,3,4,5,7}; PGL(2,3)
+    PSL(2,q)        q in {2,3,4,5,7}; PGL(2,3); a q that is no prime
+                    power is refused as such, a prime power past these
+                    tables as past the enumeration budget
     perm<d>:<gens>  raw generators in cycle notation, ';'-separated
     A x B x ...     direct products of any of the above
 
@@ -221,10 +223,9 @@ def _parse_token(token: str, offset: int) -> tuple[FiniteGroup, list[str]]:
         if m := re.fullmatch(r"E(\d+)", token):
             pp = PrimePower.from_value(int(m.group(1)))
             return elementary_abelian(pp.p, pp.n), notes
-        if m := re.fullmatch(r"PSL\(2,(\d+)\)", token):
-            return psl2(int(m.group(1))), notes
-        if m := re.fullmatch(r"PGL\(2,(\d+)\)", token):
-            return pgl2(int(m.group(1))), notes
+        if m := re.fullmatch(r"P([SG])L\(2,(\d+)\)", token):  # q must be a prime power
+            q = PrimePower.from_value(int(m.group(2))).q
+            return (psl2 if m.group(1) == "S" else pgl2)(q), notes
         if m := re.fullmatch(r"perm(\d+):(.*)", token, re.DOTALL):
             degree = int(m.group(1))
             if degree < 1:

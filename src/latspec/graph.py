@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import SubgroupLattice
+from .perm import cycle_string
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def vertex_label(lattice: SubgroupLattice, sid: int) -> str:
     gens = lattice.minimal_generators(sid)
     if not gens:
         return "<()>"
-    parts = ",".join(lattice.group.elements[i].to_cycle_string() for i in gens)
+    parts = ",".join(cycle_string(lattice.group.elements[i]) for i in gens)
     return f"<{parts}>"
 
 

@@ -1,11 +1,15 @@
 """Permutations on {0..n-1} and exhaustively tabulated finite permutation groups.
 
 Everything here is immutable after construction and safe to share between
-threads. A group closes its generators once; that one closure yields the
-complete element list, kept in a canonical (lexicographic) order so every
-identifier derived from element indices is deterministic, and the generator
-rows the multiplication table is built from; the table's rows are 16-bit
-arrays. A subgroup of a tabulated group is cut from its tables instead
+threads. A `Permutation` is a validated bijection: parsed input and a
+group's generators are Permutations. A group closes its generators once;
+that one closure yields the complete element list, the closure's own image
+tuples kept in a canonical (lexicographic) order so every identifier
+derived from element indices is deterministic, and the generator rows the
+multiplication table is built from; the table's rows are 16-bit arrays.
+After the closure no permutation is multiplied again, so an element is
+never wrapped in a Permutation; `cycle_string` prints an image tuple. A
+subgroup of a tabulated group is cut from its tables instead
 (`FiniteGroup.restricted`), with no closure. Each group, closed or cut,
 reads element orders, inverses and cyclic subgroups off its own table, one
 power walk per cyclic subgroup, and generator indices, commutation and
@@ -82,32 +86,39 @@ class Permutation:
             inv[v] = i
         return Permutation(tuple(inv))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point, sorted by that point."""
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
-                continue
-            cycle = [start]
-            seen.add(start)
-            cur = self.images[start]
-            while cur != start:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = self.images[cur]
-            out.append(tuple(cycle))
-        return out
-
     def to_cycle_string(self) -> str:
-        """1-based cycle notation, e.g. "(1,2)(3,4)"; the identity prints as "()"."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles)
+        """1-based cycle notation, by `cycle_string`."""
+        return cycle_string(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation[{self.to_cycle_string()}]"
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, each starting at its least point, sorted by that point."""
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
+            continue
+        cycle = [start]
+        seen.add(start)
+        cur = images[start]
+        while cur != start:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = images[cur]
+        out.append(tuple(cycle))
+    return out
+
+
+def cycle_string(images: Sequence[int]) -> str:
+    """1-based cycle notation of the permutation with these images, e.g.
+    "(1,2)(3,4)"; the identity prints as "()"."""
+    cycles = _cycles(images)
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -122,7 +133,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 def element_order(g: Permutation) -> int:
     """Least k >= 1 with g^k = identity (lcm of cycle lengths)."""
     order = 1
-    for cycle in g.cycles():
+    for cycle in _cycles(g.images):
         order = math.lcm(order, len(cycle))
     return order
 
@@ -167,8 +178,10 @@ class FiniteGroup:
     The constructor closes the generators once, under left multiplication
     from the identity, and sorts the elements lexicographically by image
     tuple. That order fixes the element index of every permutation, and all
-    subgroup identifiers downstream derive from those indices. Raises
-    SizeError once the closure grows past `MUL_TABLE_LIMIT`.
+    subgroup identifiers downstream derive from those indices. `elements`
+    holds the closure's own image tuples, and `generators` the Permutations
+    the group was closed from. Raises SizeError once the closure grows past
+    `MUL_TABLE_LIMIT`.
 
     After the closure the table is the group: element orders, inverses,
     generator indices, commutation and conjugation are read off it.
@@ -199,7 +212,7 @@ class FiniteGroup:
         rank = [0] * len(found)
         for new, old in enumerate(order):
             rank[old] = new
-        self.elements: tuple[Permutation, ...] = tuple(Permutation(found[i]) for i in order)
+        self.elements: tuple[tuple[int, ...], ...] = tuple(map(found.__getitem__, order))
         self.identity_index: int = rank[0]
         self._generator_rows = [[rank[row[i]] for i in order] for row in rows]
         self._mul_table: list[array] | None = None
@@ -213,9 +226,10 @@ class FiniteGroup:
         """The subgroup on the ascending element indices `members`, as its own
         group, cut from this group's tables with no closure.
 
-        Its elements are the members in this group's order, which is already
-        lexicographic, so they are what closing `generators` (element indices
-        of members) would list, and `index_of` bisects them. Its generator
+        Its elements are the members' image tuples in this group's order,
+        which is already lexicographic, so they are what closing `generators`
+        (element indices of members) would list, and `index_of` bisects them.
+        Its `generators` are those members as Permutations, and its generator
         rows are its own table's, read by `generator_indices`. Its
         multiplication table is this table's
         member rows and columns, relabelled to positions among the members,
@@ -238,8 +252,8 @@ class FiniteGroup:
             raise ConsistencyError("the members are not a subgroup holding the generators")
         sub = FiniteGroup.__new__(FiniteGroup)
         sub.degree = self.degree
-        sub.generators = tuple(self.elements[g] for g in generators)
-        sub.elements = tuple(self.elements[x] for x in members)
+        sub.generators = tuple(Permutation(self.elements[g]) for g in generators)
+        sub.elements = pick(self.elements)
         sub.identity_index = 0
         sub._generator_rows = [mul[position[g]] for g in generators]
         sub._mul_table = mul
@@ -252,10 +266,10 @@ class FiniteGroup:
         return len(self.elements)
 
     def index_of(self, p: Permutation) -> int:
-        """The index of p, bisected in the sorted `elements`; InputError if p
-        is not an element (one of another degree never is)."""
-        i = bisect_left(self.elements, p)
-        if i == len(self.elements) or self.elements[i] != p:
+        """The index of p, its `images` bisected in the sorted `elements`;
+        InputError if p is not an element (one of another degree never is)."""
+        i = bisect_left(self.elements, p.images)
+        if i == len(self.elements) or self.elements[i] != p.images:
             raise InputError(f"{p!r} is not an element of this group")
         return i
 

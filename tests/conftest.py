@@ -107,7 +107,8 @@ def closure_standalone_group(lattice, sid):
     minimal generators: the oracle for the group `standalone_group` cuts
     from the parent's tables."""
     group = lattice.group
-    return FiniteGroup(group.degree, [group.elements[i] for i in lattice.minimal_generators(sid)])
+    return FiniteGroup(group.degree,
+                       [Permutation(group.elements[i]) for i in lattice.minimal_generators(sid)])
 
 
 def coset_union_product(lattice, a, b):

@@ -102,7 +102,7 @@ def test_criterion_04_s4_structure_and_mobius_table():
         members = sub_.member_indices()
         orders = sorted(group.order_of_index(i) for i in members)
         if sub_.order == 2:
-            moved = sum(1 for i, v in enumerate(group.elements[members[-1]].images) if v != i)
+            moved = sum(1 for i, v in enumerate(group.elements[members[-1]]) if v != i)
             kind = "transposition" if moved == 2 else "double"
         elif sub_.order == 3:
             kind = "c3"

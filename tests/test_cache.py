@@ -7,7 +7,7 @@ import latspec.cache as cache
 from latspec.cache import cache_lookup, cache_store, decode_section, signature_of, table_hash
 from latspec.catalog import CATALOG_NAMES, cyclic, parse_group_spec, symmetric
 from latspec.lattice import enumerate_subgroups
-from latspec.perm import generate_group
+from latspec.perm import Permutation, generate_group
 
 from conftest import decode_lookup, read_cache_file, write_cache_file
 
@@ -36,7 +36,7 @@ class TestDigest:
     def test_table_hash_is_hashlib_sha256_of_the_element_table(self, name):
         group = parse_group_spec(name).group
         text = str(group.degree) + "".join(
-            "|" + ",".join(map(str, p.images)) for p in group.elements)
+            "|" + ",".join(map(str, images)) for images in group.elements)
         assert table_hash(group) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_a_restricted_group_hashes_as_its_closure_once(self, monkeypatch):
@@ -44,7 +44,8 @@ class TestDigest:
         top = enumerate_subgroups(parse_group_spec("S4").group)
         [rep] = [sid for sid, s in enumerate(top.subgroups) if s.order == 12]
         cut = top.standalone_group(rep)
-        closed = generate_group(4, [top.group.elements[g] for g in top.minimal_generators(rep)])
+        closed = generate_group(
+            4, [Permutation(top.group.elements[g]) for g in top.minimal_generators(rep)])
         hashes = []
         real = cache.sha256
         monkeypatch.setattr(cache, "sha256", lambda *a: hashes.append(a) or real(*a))
@@ -94,8 +95,8 @@ class TestRoundTrip:
         [path] = cache_dir.glob("*.json")
         assert path.name == f"6-{table_hash(group)}.json"
         key, sections = read_cache_file(path)
-        assert sorted(key) == ["degree", "elements", "schema"]
-        assert key["schema"] == cache.CACHE_SCHEMA == 5
+        assert sorted(key) == ["degree", "generators", "schema"]
+        assert key["schema"] == cache.CACHE_SCHEMA == 6
         assert sections == {"structure": {"v": 1}}
 
     def test_store_never_reads_a_file(self, cache_dir, monkeypatch):
@@ -117,8 +118,7 @@ class TestSectionLines:
         cache_store(cache_dir, group, {"report": {"ok": True}, "graph": [1, {"b": 2, "a": 1}]})
         [path] = cache_dir.glob("*.json")
         assert path.read_text().split("\n") == [
-            '{"degree":3,"elements":[[0,1,2],[1,2,0],[2,0,1]],"schema":%d}'
-            % cache.CACHE_SCHEMA,
+            '{"degree":3,"generators":[[1,2,0]],"schema":%d}' % cache.CACHE_SCHEMA,
             'graph\t[1,{"a":1,"b":2}]',
             'report\t{"ok":true}',
             "",
@@ -175,7 +175,11 @@ class TestSectionLines:
         cache_store(cache_dir, group, {"report": {"ok": True}})
         [path] = cache_dir.glob("*.json")
         key, sections = read_cache_file(path)
-        key["elements"][1], key["elements"][2] = key["elements"][2], key["elements"][1]
+        # the transposition (1,2) becomes the 3-cycle (1,2,3): the stored
+        # generators are elements of S3 but generate A3
+        first = key["generators"][0]
+        first[1], first[2] = first[2], first[1]
+        assert key["generators"] == [[1, 2, 0], [1, 2, 0]]
         write_cache_file(path, key, sections)
         assert cache_lookup(cache_dir, group) is None
         assert capsys.readouterr().err == ""
@@ -204,8 +208,9 @@ class TestVersioning:
 class TestHashCollision:
     def test_colliding_groups_never_read_each_others_entry(self, cache_dir, monkeypatch,
                                                             capsys):
-        # force every group of one order onto the same file name: the full
-        # element-table comparison must turn the collision into a miss
+        # force every group of one order onto the same file name: the
+        # generator proof must turn the collision into a miss (C4's 4-cycle
+        # is no element of C2xC2, nor either of its involutions one of C4)
         monkeypatch.setattr(cache, "table_hash", lambda group: "0" * 64)
         g1 = cyclic(4)
         g2 = parse_group_spec("C2xC2").group  # same order, different table
@@ -217,3 +222,61 @@ class TestHashCollision:
         assert decode_lookup(cache_lookup(cache_dir, g2)) == {"report": {"who": "V4"}}
         assert capsys.readouterr().err == ""
 
+
+class TestGeneratorKey:
+    """A file is keyed by the generators of the group that wrote it; a lookup
+    accepts it when they are G's own or their closure over G's table is G."""
+
+    def a5_file(self, cache_dir):
+        cache_store(cache_dir, parse_group_spec("A5").group, {"report": {"who": "A5"}})
+        [path] = cache_dir.glob("*.json")
+        return path
+
+    def test_own_generators_hit_with_no_table_built(self, cache_dir):
+        self.a5_file(cache_dir)
+        group = parse_group_spec("A5").group
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"report": {"who": "A5"}}
+        assert group._mul_table is None
+
+    @pytest.mark.parametrize("name", ["PSL(2,4)", "perm5:(1,2,3);(3,4,5)"])
+    def test_other_generators_of_the_same_group_hit_by_their_closure(self, cache_dir, capsys,
+                                                                     name):
+        self.a5_file(cache_dir)
+        group = parse_group_spec(name).group
+        assert [list(g.images) for g in group.generators] != read_cache_file(
+            next(cache_dir.glob("*.json")))[0]["generators"]
+        assert decode_lookup(cache_lookup(cache_dir, group)) == {"report": {"who": "A5"}}
+        assert capsys.readouterr().err == ""
+
+    # the malformed fields are near misses of A5's own generators, (1,2,3) and
+    # (1,2,3,4,5): equal as numbers, floats and bools would pass a comparison
+    @pytest.mark.parametrize("generators", [
+        [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]],  # a transposition is no element of A5
+        [[1, 2, 0, 3, 4]],  # the 3-cycle (1,2,3) alone generates C3
+        [],  # no generator generates the trivial group
+        None, "(1,2,3);(1,2,3,4,5)", {"0": [1, 2, 0, 3, 4]}, [1, 2, 0, 3, 4],
+        ["(1,2,3)", [1, 2, 3, 4, 0]], [[1.0, 2.0, 0.0, 3.0, 4.0], [1, 2, 3, 4, 0]],
+        [[True, 2, False, 3, 4], [True, 2, 3, 4, False]], [[1, 2, 0, 3, "4"], [1, 2, 3, 4, 0]],
+        [[0, 0, 1, 3, 4], [1, 2, 3, 4, 0]], [[1, 2, 0, 3], [1, 2, 3, 0]],
+        [[1, 2, 0, 3, 4, 5], [1, 2, 3, 4, 0, 5]], [[], [1, 2, 3, 4, 0]],
+    ], ids=["outside", "proper_subgroup", "none", "null", "text", "object", "flat",
+            "text_item", "floats", "bools", "text_image", "non_bijection", "degree_4",
+            "degree_6", "empty"])
+    def test_generators_that_do_not_name_a5_are_a_silent_miss(self, cache_dir, capsys,
+                                                              generators):
+        path = self.a5_file(cache_dir)
+        key, sections = read_cache_file(path)
+        assert key["generators"] == [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
+        write_cache_file(path, {**key, "generators": generators}, sections)
+        assert cache_lookup(cache_dir, parse_group_spec("A5").group) is None
+        assert capsys.readouterr().err == ""
+
+    def test_a_key_without_generators_or_with_another_field_is_a_silent_miss(self, cache_dir,
+                                                                           capsys):
+        path = self.a5_file(cache_dir)
+        key, sections = read_cache_file(path)
+        for bad in ({k: v for k, v in key.items() if k != "generators"},
+                    {**key, "elements": [list(range(5))]}, {**key, "degree": 6}):
+            write_cache_file(path, bad, sections)
+            assert cache_lookup(cache_dir, parse_group_spec("A5").group) is None
+        assert capsys.readouterr().err == ""

@@ -75,6 +75,18 @@ class TestConstructors:
         with pytest.raises(InputError, match="budget"):
             pgl2(5)
 
+    @pytest.mark.parametrize("spec,why", [
+        ("PSL(2,6)", "6 is not a prime power"), ("PSL(2,1)", "1 is not a prime power"),
+        ("PGL(2,10)", "10 is not a prime power"),
+        ("PSL(2,9)", "out of the enumeration budget"),
+        ("PGL(2,4)", "out of the enumeration budget"),
+    ])
+    def test_a_q_past_the_tables_is_refused_for_what_it_is(self, spec, why):
+        # a budget names only prime powers; census -q words the others the same way
+        with pytest.raises(InputError, match=f"^parse error at position 0: .*{why}") as exc:
+            parse_group_spec(spec)
+        assert ("budget" in str(exc.value)) == ("budget" in why)
+
     def test_direct_product(self):
         g = direct_product([cyclic(2), cyclic(3), symmetric(3)])
         assert g.order == 36

@@ -710,7 +710,7 @@ class TestSectionLines:
         assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
         assert path.read_bytes() == fresh_file.read_bytes()
 
-    def test_a_schema_3_file_is_a_silent_miss_and_is_rewritten_as_schema_5(
+    def test_a_schema_3_file_is_a_silent_miss_and_is_rewritten_as_schema_6(
             self, capsys, tmp_path, fresh_file):
         key, sections = read_cache_file(fresh_file)
         sections["report"]["f2"]["direct"] = 178  # replayed, this would print
@@ -721,10 +721,10 @@ class TestSectionLines:
         write_cache_file(path, {**key, "schema": 3}, sections)
         assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
         assert path.read_bytes() == fresh_file.read_bytes()
-        assert read_cache_file(path)[0]["schema"] == 5
+        assert read_cache_file(path)[0]["schema"] == 6
 
     @pytest.mark.parametrize("suffix", ["-1e-12.json", ".json"], ids=["its_name", "the_new_name"])
-    def test_a_schema_4_file_is_a_silent_miss_and_the_next_run_writes_schema_5(
+    def test_a_schema_4_file_is_a_silent_miss_and_the_next_run_writes_schema_6(
             self, capsys, tmp_path, fresh_file, suffix):
         key, sections = read_cache_file(fresh_file)
         sections["report"]["f2"]["direct"] = 178  # replayed, this would print
@@ -738,7 +738,7 @@ class TestSectionLines:
         assert err == ""
         new = path.parent / fresh_file.name
         assert new.read_bytes() == fresh_file.read_bytes()
-        assert read_cache_file(new)[0] == {**key, "schema": 5}
+        assert read_cache_file(new)[0] == {**key, "schema": 6}
         assert path == new or path.read_bytes() == old
 
     def test_a_cold_verify_stores_the_proved_member_lists(self, fresh_file):
@@ -747,15 +747,66 @@ class TestSectionLines:
         assert json.loads(line.split("\t", 1)[1]) == [
             list(s.member_indices()) for s in lattice.subgroups]
 
+    def test_a_schema_5_file_is_a_silent_miss_and_the_next_run_writes_schema_6(
+            self, capsys, tmp_path, fresh_file):
+        key, sections = read_cache_file(fresh_file)
+        sections["report"]["f2"]["direct"] = 178  # replayed, this would print
+        # the schema-5 key line held the whole element table
+        group = parse_group_spec("S4").group
+        old = {"schema": 5, "degree": 4, "elements": [list(x) for x in group.elements]}
+        path = tmp_path / "c" / fresh_file.name
+        path.parent.mkdir()
+        write_cache_file(path, old, sections)
+        assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
+        assert path.read_bytes() == fresh_file.read_bytes()
+        assert read_cache_file(path)[0] == {**key, "schema": 6}
+
     def test_a_wrong_key_line_is_a_miss(self, capsys, tmp_path, fresh_file):
         key, sections = read_cache_file(fresh_file)
         sections["report"]["f2"]["direct"] = 178
-        key["elements"][1], key["elements"][2] = key["elements"][2], key["elements"][1]
+        # the 4-cycle (1,2,3,4) becomes the 3-cycle (1,2,4): with the
+        # transposition (1,2) it generates S3, not S4
+        second = key["generators"][1]
+        second[1], second[2] = second[2], second[1]
+        assert key["generators"] == [[1, 0, 2, 3], [1, 3, 2, 0]]
         path = tmp_path / "c" / fresh_file.name
         path.parent.mkdir()
         write_cache_file(path, key, sections)
         assert run(capsys, "--cache", str(path.parent), "verify", "S4") == run(capsys, "verify", "S4")
         assert path.read_bytes() == fresh_file.read_bytes()
+
+
+class TestGeneratorKey:
+    """A cache file written by A5 serves every spec of the same element set
+    and no other: the stored generators are proved by one table closure."""
+
+    @pytest.fixture
+    def a5_file(self, capsys, tmp_path):
+        assert run(capsys, "--cache", str(tmp_path / "k"), "verify", "A5")[0] == 0
+        [path] = (tmp_path / "k").glob("*.json")
+        return path
+
+    @pytest.mark.parametrize("argv", [("verify", "PSL(2,4)"), ("info", "perm5:(1,2,3);(3,4,5)")])
+    def test_another_spec_of_a5_is_a_silent_hit_that_rewrites_nothing(self, capsys, a5_file,
+                                                                      argv):
+        before, mtime = a5_file.read_bytes(), a5_file.stat().st_mtime_ns
+        assert run(capsys, "--cache", str(a5_file.parent), *argv) == (
+            *run(capsys, *argv)[:2], "")
+        assert (a5_file.read_bytes(), a5_file.stat().st_mtime_ns) == (before, mtime)
+
+    @pytest.mark.parametrize("generators", [
+        [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]],  # a transposition is no element of A5
+        [[1, 2, 0, 3, 4]],  # the 3-cycle (1,2,3) alone generates C3
+    ], ids=["outside", "proper_subgroup"])
+    def test_generators_that_do_not_generate_a5_miss_and_the_next_run_rewrites_them(
+            self, capsys, a5_file, generators):
+        fresh = a5_file.read_bytes()
+        key, sections = read_cache_file(a5_file)
+        sections["report"]["f2"]["direct"] = 178  # replayed, this would print
+        write_cache_file(a5_file, {**key, "generators": generators}, sections)
+        assert run(capsys, "--cache", str(a5_file.parent), "verify", "A5") == run(
+            capsys, "verify", "A5")
+        assert a5_file.read_bytes() == fresh
 
 
 class TestUnwritableCache:

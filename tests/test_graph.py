@@ -14,7 +14,7 @@ from latspec.graph import (
     vertex_label,
 )
 from latspec.lattice import enumerate_subgroups
-from latspec.perm import compose
+from latspec.perm import Permutation, compose
 from latspec.spectral import eigenvalues_symmetric
 
 from conftest import connected_components
@@ -89,7 +89,7 @@ class TestBuildGraph:
         # ordered pair: by raw composition on small groups, by product_bits on
         # every catalog group (test_perm checks product_bits by raw composition)
         def by_composition(lattice):
-            elements = lattice.group.elements
+            elements = list(map(Permutation, lattice.group.elements))
             members = [[elements[i] for i in s.member_indices()] for s in lattice.subgroups]
             return lambda a, b: ({compose(x, y) for x in members[a] for y in members[b]}
                                  == {compose(y, x) for x in members[a] for y in members[b]})

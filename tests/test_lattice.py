@@ -10,7 +10,8 @@ import pytest
 from latspec.catalog import CATALOG_NAMES, alternating, parse_group_spec, symmetric
 from latspec.errors import ConsistencyError, DomainError, InputError
 from latspec.lattice import SubgroupLattice, enumerate_subgroups, hughes_subgroup
-from latspec.perm import bits_of, compose, generate_group, iter_bits, parse_permutation
+from latspec.perm import (Permutation, bits_of, compose, generate_group, iter_bits,
+                          parse_permutation)
 
 from conftest import (
     build,
@@ -50,10 +51,8 @@ def brute_subgroups(group, max_gens=3):
     Complete whenever every subgroup needs at most `max_gens` generators, which
     holds for all groups used here (cross-pinned by known lattice sizes).
     """
-    from latspec.perm import Permutation
-
     out = {frozenset([Permutation.identity(group.degree)])}
-    elems = [p for p in group.elements]
+    elems = list(map(Permutation, group.elements))
     for k in range(1, max_gens + 1):
         for combo in itertools.combinations(elems, k):
             out.add(frozenset(naive_closure(list(combo))))
@@ -235,7 +234,7 @@ class TestConjugationMap:
     @pytest.mark.parametrize("name", ["S4", "A4", "D4", "Q8", "PSL(2,4)"])
     def test_maps_each_id_to_its_conjugate(self, name):
         lattice = enumerate_subgroups(parse_group_spec(name).group)
-        elements = lattice.group.elements
+        elements = list(map(Permutation, lattice.group.elements))
         for g, x in enumerate(elements):
             expected = [
                 lattice.id_of_members(bits_of(
@@ -290,8 +289,8 @@ class TestMeetJoin:
     def test_join_against_closure_oracle(self, lat_s4):
         group = lat_s4.group
         for a, b in itertools.combinations(range(lat_s4.size), 2):
-            perms = [group.elements[i] for i in lat_s4.subgroup(a).member_indices()]
-            perms += [group.elements[i] for i in lat_s4.subgroup(b).member_indices()]
+            perms = [Permutation(group.elements[i]) for i in lat_s4.subgroup(a).member_indices()]
+            perms += [Permutation(group.elements[i]) for i in lat_s4.subgroup(b).member_indices()]
             expected = bits_of(group.index_of(p) for p in naive_closure(perms))
             assert lat_s4.subgroup(lat_s4.join(a, b)).members == expected
 
@@ -524,7 +523,8 @@ class TestHughes:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_equals_the_closure_of_every_element_of_order_other_than_p(self, name, p):
         group = parse_group_spec(name).group
-        gens = [x for i, x in enumerate(group.elements) if group.order_of_index(i) not in (1, p)]
+        gens = [Permutation(x) for i, x in enumerate(group.elements)
+                if group.order_of_index(i) not in (1, p)]
         expected = (frozenset(map(group.index_of, naive_closure(gens))) if gens
                     else {group.identity_index})
         sub = hughes_subgroup(enumerate_subgroups(group), p)
@@ -552,7 +552,7 @@ class TestIntervalsAndStandalone:
             }
             standalone_sets = {
                 frozenset(
-                    lat_s4.group.index_of(sub.elements[i])
+                    lat_s4.group.index_of(Permutation(sub.elements[i]))
                     for i in s.member_indices()
                 )
                 for s in sub_lattice.subgroups
@@ -572,11 +572,9 @@ class TestIntervalsAndStandalone:
                 [position[parent.mul_table[a][b]] for b in members] for a in members]
 
     def test_minimal_generators_generate(self, lat_s4):
-        from latspec.perm import Permutation
-
         group = lat_s4.group
         for sid in range(lat_s4.size):
-            gens = [group.elements[i] for i in lat_s4.minimal_generators(sid)]
+            gens = [Permutation(group.elements[i]) for i in lat_s4.minimal_generators(sid)]
             closure = naive_closure(gens or [Permutation.identity(group.degree)])
             got = bits_of(group.index_of(p) for p in closure)
             assert got == lat_s4.subgroup(sid).members
@@ -603,17 +601,20 @@ class TestCutClassLattices:
             closed = closure_standalone_group(lattice, rep)
             assert (cut.degree, cut.elements, cut.identity_index, cut.generators) == (
                 closed.degree, closed.elements, closed.identity_index, closed.generators)
+            # generators stay Permutations on a cut group, elements are image tuples
+            assert all(type(g) is Permutation for g in cut.generators)
             assert cut.mul_table == closed.mul_table
             # 16-bit rows, each entry the index of the composed permutation
             assert all(type(row) is array and row.typecode == "H" for row in cut.mul_table)
+            elements = list(map(Permutation, cut.elements))
             assert [list(row) for row in cut.mul_table] == [
-                [cut.index_of(compose(a, b)) for b in cut.elements] for a in cut.elements]
+                [cut.index_of(compose(a, b)) for b in elements] for a in elements]
             n = closed.order
             assert ([cut.inverse_index(i) for i in range(n)]
                     == [closed.inverse_index(i) for i in range(n)])
             assert ([cut.order_of_index(i) for i in range(n)]
                     == [closed.order_of_index(i) for i in range(n)])
-            assert [cut.index_of(p) for p in closed.elements] == list(range(n))
+            assert [cut.index_of(Permutation(p)) for p in closed.elements] == list(range(n))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
     def test_class_lattice_ids_are_the_down_set(self, name):

@@ -13,6 +13,7 @@ from latspec.perm import (
     Permutation,
     bits_of,
     compose,
+    cycle_string,
     element_order,
     format_generators,
     generate_group,
@@ -101,6 +102,13 @@ class TestCycleNotation:
         assert Permutation.identity(3).to_cycle_string() == "()"
         assert parse_permutation("()", 3) == Permutation.identity(3)
 
+    def test_an_image_tuple_prints_as_its_permutation(self):
+        # group elements are image tuples, printed by the same function
+        group = parse_group_spec("PSL(2,7)").group
+        assert [cycle_string(x) for x in group.elements] == [
+            Permutation(x).to_cycle_string() for x in group.elements]
+        assert cycle_string((1, 2, 0, 4, 3)) == "(1,2,3)(4,5)"
+
     @pytest.mark.parametrize("bad", ["(1,2", "(0,1)", "(1,2)(2,3)", "(a,b)", "1,2"])
     def test_parse_errors(self, bad):
         with pytest.raises(InputError):
@@ -124,14 +132,14 @@ class TestGenerateGroup:
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)",))
     def test_matches_naive_closure(self, name):
         group = parse_group_spec(name).group
-        assert set(group.elements) == naive_closure(list(group.generators))
+        assert set(map(Permutation, group.elements)) == naive_closure(list(group.generators))
 
     def test_idempotent_regeneration(self, a4):
-        again = generate_group(a4.degree, list(a4.elements))
+        again = generate_group(a4.degree, list(map(Permutation, a4.elements)))
         assert again.elements == a4.elements
 
     def test_canonical_element_order_is_lexicographic(self, s3):
-        images = [p.images for p in s3.elements]
+        images = list(s3.elements)
         assert images == sorted(images)
 
     def test_element_cap(self, monkeypatch):
@@ -152,8 +160,8 @@ class TestMulTable:
     def test_matches_composition(self, name):
         parsed = parse_group_spec(name).group
         group = FiniteGroup(parsed.degree, parsed.generators)
-        by_compose = [[group.index_of(compose(a, b)) for b in group.elements]
-                      for a in group.elements]
+        elements = list(map(Permutation, group.elements))
+        by_compose = [[group.index_of(compose(a, b)) for b in elements] for a in elements]
         assert all(type(row) is array and row.typecode == "H" for row in group.mul_table)
         assert [list(row) for row in group.mul_table] == by_compose
 
@@ -183,16 +191,17 @@ class TestOrdersAndInverses:
             group = lattice.standalone_group(sid)
         else:
             group = parse_group_spec(name).group
+        perms = list(map(Permutation, group.elements))
         assert [group.order_of_index(i) for i in range(group.order)] == [
-            element_order(p) for p in group.elements]
-        assert [group.elements[group.inverse_index(i)] for i in range(group.order)] == [
-            p.inverse() for p in group.elements]
+            element_order(p) for p in perms]
+        assert [perms[group.inverse_index(i)] for i in range(group.order)] == [
+            p.inverse() for p in perms]
         # one entry per cyclic subgroup <g>, its powers under its least-index
         # generator g: the entries' generators are every element once
         cyclic, owners = group.cyclic_powers, []
         for g, powers in cyclic.items():
-            p = group.elements[g]
-            assert [group.index_of(compose(group.elements[y], p)) for y in powers] == (
+            p = perms[g]
+            assert [group.index_of(compose(perms[y], p)) for y in powers] == (
                 powers[1:] + [group.identity_index])
             owned = [y for j, y in enumerate(powers) if math.gcd(j, len(powers)) == 1]
             assert min(owned) == g
@@ -235,8 +244,9 @@ class TestOrdersAndInverses:
         import latspec.perm
 
         parsed = parse_group_spec(name).group
-        orders = [element_order(p) for p in parsed.elements]
-        inverses = [parsed.index_of(p.inverse()) for p in parsed.elements]
+        perms = list(map(Permutation, parsed.elements))
+        orders = [element_order(p) for p in perms]
+        inverses = [parsed.index_of(p.inverse()) for p in perms]
         group = FiniteGroup(parsed.degree, parsed.generators)
 
         def refuse(*args):
@@ -248,6 +258,15 @@ class TestOrdersAndInverses:
         assert [group.inverse_index(i) for i in range(group.order)] == inverses
         assert group.element_order_histogram() == {
             k: orders.count(k) for k in set(orders)}
+
+    def test_parsing_validates_only_the_generators(self, monkeypatch):
+        # the elements are the closure's own image tuples: parsing PSL(2,7)
+        # validates its two generators, not its 168 elements as well
+        calls, real = [], Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: calls.append(p) or real(p))
+        group = parse_group_spec("PSL(2,7)").group
+        assert len(calls) == 2 == len(group.generators)
+        assert all(type(x) is tuple for x in group.elements)
 
 
 def psl27_s4_cut():
@@ -269,7 +288,8 @@ class TestIndicesFromTheTable:
             lattice = enumerate_subgroups(symmetric(4))
             [sid] = (s.id for s in lattice.subgroups if s.order == 12)
             group = lattice.standalone_group(sid)
-        assert [group.index_of(p) for p in group.elements] == list(range(group.order))
+        assert [group.index_of(Permutation(p)) for p in group.elements] == list(
+            range(group.order))
         # a transposition is odd; the degree-5 permutations sort before and
         # after every element of degree 4
         for outside in (parse_permutation("(1,2)", 4), Permutation.identity(5),
@@ -281,7 +301,8 @@ class TestIndicesFromTheTable:
     def test_generator_indices_name_the_generators(self, name):
         group = psl27_s4_cut() if name == "cut" else parse_group_spec(name).group
         assert len(group.generator_indices) == len(group.generators)
-        assert [group.elements[i] for i in group.generator_indices] == list(group.generators)
+        assert [Permutation(group.elements[i]) for i in group.generator_indices] == list(
+            group.generators)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "PSL(2,7) classes"))
     def test_is_abelian_matches_composition(self, name):
@@ -292,8 +313,9 @@ class TestIndicesFromTheTable:
         else:
             groups = [parse_group_spec(name).group]
         for group in groups:
+            elements = list(map(Permutation, group.elements))
             assert group.is_abelian() == all(
-                compose(a, b) == compose(b, a) for a in group.elements for b in group.elements)
+                compose(a, b) == compose(b, a) for a in elements for b in elements)
 
 
 def subgroup_indices(group, gen_texts):
@@ -324,7 +346,7 @@ class TestProductSet:
         kh = product_set(lattice, k, h)
         # exhaustive oracle by raw composition
         oracle_hk = frozenset(
-            s3.index_of(compose(s3.elements[a], s3.elements[b]))
+            s3.index_of(compose(Permutation(s3.elements[a]), Permutation(s3.elements[b])))
             for a, b in itertools.product(h, k)
         )
         assert hk == oracle_hk
