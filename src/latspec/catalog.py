@@ -286,11 +286,6 @@ CATALOG_NAMES: tuple[str, ...] = (
 )
 
 
-def order_histogram_key(group: FiniteGroup) -> tuple:
-    """(order, sorted element-order histogram), an isomorphism invariant."""
-    return (group.order, tuple(sorted(group.element_order_histogram().items())))
-
-
 # (order, builder, name) per model, built only for a group of its order; at 60, q = 5 names A5
 _MODELS = ([(order, partial(psl2, q), ("psl", q)) for q, (order, _) in _PSL_TABLES.items()]
            + [(24, partial(pgl2, 3), ("pgl", 3)), (120, partial(symmetric, 5), ("pgl", 5))])
@@ -300,11 +295,12 @@ _RECOGNITION: dict[int, dict[tuple, tuple[str, int]]] = {}  # order -> {model's 
 def recognize_projective(group: FiniteGroup) -> tuple[str, int] | None:
     """Identify a group as PSL(2,q) (q in the supported set), PGL(2,3), or PGL(2,5).
 
-    Matching is by order and element-order histogram, which separates these
-    groups from everything else of the same order. PGL(2,5) is matched through
-    its symmetric-group model on five points.
+    Matching is by `FiniteGroup.iso_key` (order, abelian, exponent and
+    element-order histogram), which separates these groups from everything
+    else of the same order. PGL(2,5) is matched through its symmetric-group
+    model on five points.
     """
     if group.order not in _RECOGNITION:
-        _RECOGNITION[group.order] = {order_histogram_key(build()): name
+        _RECOGNITION[group.order] = {build().iso_key(): name
                                      for order, build, name in _MODELS if order == group.order}
-    return _RECOGNITION[group.order].get(order_histogram_key(group))
+    return _RECOGNITION[group.order].get(group.iso_key())

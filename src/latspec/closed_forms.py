@@ -356,41 +356,28 @@ def mobius_symmetric(n: int) -> MobiusSymmetricValue:
 # -- brute-force census comparison ----------------------------------------------
 
 
-def _iso_key(order: int, abelian: bool, histogram: dict[int, int]) -> tuple:
-    """(order, abelian, exponent, element-order histogram): separates every
-    isomorphism type occurring in the target groups."""
-    exponent = 1
-    for k in histogram:
-        exponent = math.lcm(exponent, k)
-    return (order, abelian, exponent, tuple(sorted(histogram.items())))
-
-
-def _group_iso_key(group) -> tuple:
-    return _iso_key(group.order, group.is_abelian(), group.element_order_histogram())
-
-
 def _reference_key(entry: CensusEntry, pp: PrimePower, group) -> tuple | None:
     from . import catalog
 
     if entry.family == "cyclic":
-        return _group_iso_key(catalog.cyclic(entry.param))
+        return catalog.cyclic(entry.param).iso_key()
     if entry.family == "dihedral":
-        return _group_iso_key(catalog.dihedral(entry.param))
+        return catalog.dihedral(entry.param).iso_key()
     if entry.family == "alt4":
-        return _group_iso_key(catalog.alternating(4))
+        return catalog.alternating(4).iso_key()
     if entry.family == "sym4":
-        return _group_iso_key(catalog.symmetric(4))
+        return catalog.symmetric(4).iso_key()
     if entry.family == "alt5":
-        return _group_iso_key(catalog.alternating(5))
+        return catalog.alternating(5).iso_key()
     if entry.family == "psl":
         sub_q = pp.p ** entry.param
         if sub_q == pp.q:  # the whole group: key it as enumerated, not built again
-            return _group_iso_key(group)
+            return group.iso_key()
         if sub_q in catalog.PSL_SUPPORTED:
-            return _group_iso_key(catalog.psl2(sub_q))
+            return catalog.psl2(sub_q).iso_key()
         return None
     if entry.family == "elementary_abelian":
-        return _group_iso_key(catalog.elementary_abelian(pp.p, entry.param))
+        return catalog.elementary_abelian(pp.p, entry.param).iso_key()
     return None
 
 
@@ -399,19 +386,20 @@ def census_comparison(lattice, q) -> dict:
 
     Conjugate subgroups are isomorphic, so the brute-force census keys each
     conjugacy class once, by its representative cut as its own group
-    (`SubgroupLattice.standalone_group`) and keyed as the reference groups
-    are, and counts its size (`SubgroupLattice.classes`). Entries sharing an
-    isomorphism type are compared as a sum (the families partition the
-    subgroups); a comparison is made only when every entry for that type
-    carries a stated integral count. Types not covered by any entry are
-    reported under "unmatched", which also fills the not-stated families.
+    (`SubgroupLattice.standalone_group`) and keyed by `FiniteGroup.iso_key`
+    as the reference groups are, and counts its size
+    (`SubgroupLattice.classes`). Entries sharing an isomorphism type are
+    compared as a sum (the families partition the subgroups); a comparison
+    is made only when every entry for that type carries a stated integral
+    count. Types not covered by any entry are reported under "unmatched",
+    which also fills the not-stated families.
     """
     pp = _as_prime_power(q)
     entries = dickson_census(pp)
 
     brute: dict[tuple, int] = {}
     for rep, size in lattice.classes():
-        key = _group_iso_key(lattice.standalone_group(rep))
+        key = lattice.standalone_group(rep).iso_key()
         brute[key] = brute.get(key, 0) + size
 
     keys = [_reference_key(entry, pp, lattice.group) for entry in entries]

@@ -21,10 +21,11 @@ joins, meets or that matrix.
 
 Conjugate subgroups are isomorphic, so they share |L|, F2, sd, the
 quasihamiltonian flag, the graph's edge count and both spectra. A parent
-lattice therefore holds one standalone lattice per conjugacy class (`_own`,
-keyed by `SubgroupLattice.class_reps`), cut from the parent's tables and,
-once the parent's matrix is filled, reading it restricted to the class
-representative's down-set; the subgroup F2 sum and both splits read them.
+lattice therefore holds one standalone lattice per conjugacy class
+(`SubgroupLattice.class_lattice`), enumerated on the group cut from the
+parent's tables and, once the parent's matrix is filled, reading it
+restricted to the class representative's down-set; the subgroup F2 sum and
+both splits read them.
 Every lattice memoizes on itself its graph, its F2, its subgroup F2 sum
 (`sd_via_f2`), its split sum and one pair of spectra, adjacency and
 Laplacian, solved together. The Möbius inversion builds no class lattice:
@@ -80,18 +81,17 @@ from typing import Callable
 import numpy as np
 
 from .cache import signature_of
-from .catalog import order_histogram_key
 from .closed_forms import ratio_text
 from .errors import ConsistencyError, DomainError, SizeError
 from .graph import NonPermutabilityGraph, build_graph
-from .lattice import SubgroupLattice, _conjugates, enumerate_subgroups
+from .lattice import SubgroupLattice, _conjugates
 from .perm import FiniteGroup
 from .spectral import Spectrum, eigenvalues_symmetric, verify_trace_identities
 
 # Reference values published for the order-24 symmetric group that disagree
 # with this tool's exact computation; surfaced as informational notes, never
 # fed into any formula.
-_S4_FINGERPRINT = (24, ((1, 1), (2, 9), (3, 8), (4, 6)))
+_S4_FINGERPRINT = (24, False, 12, ((1, 1), (2, 9), (3, 8), (4, 6)))
 _S4_PUBLISHED = {
     "bottom_mobius": -24,
     "laplacian_sum": 378,
@@ -111,25 +111,6 @@ def _memo(lattice: SubgroupLattice, key, compute: Callable[[], object]):
     if key not in memo:
         memo[key] = compute()
     return memo[key]
-
-
-def _own(lattice: SubgroupLattice, sid: int) -> SubgroupLattice:
-    """The standalone lattice of subgroup `sid`, built once per conjugacy class.
-
-    It is enumerated on the group cut from the parent's tables, which stays
-    an independent check: `share_down_set` requires it to be the class
-    representative's down-set and gives it the parent's matrix restricted.
-    """
-    if sid == lattice.top_id:
-        return lattice
-    rep = lattice.class_reps()[sid]
-
-    def cut() -> SubgroupLattice:
-        own = enumerate_subgroups(lattice.standalone_group(rep))
-        lattice.share_down_set(own, rep)
-        return own
-
-    return _memo(lattice, ("own", rep), cut)
 
 
 def _f2(lattice: SubgroupLattice) -> int:
@@ -397,11 +378,12 @@ def sd_via_f2(lattice: SubgroupLattice) -> int:
     count over |L|^2: the subgroup F2 sum itself, memoized on the lattice.
 
     Conjugate subgroups have the same F2, so the sum takes one `f2_direct`
-    per class of `SubgroupLattice.classes`, on the class's own lattice,
-    times the class size; it reads no Möbius value.
+    per class of `SubgroupLattice.classes`, on the class's lattice
+    (`SubgroupLattice.class_lattice`), times the class size; it reads no
+    Möbius value.
     """
     return _memo(lattice, "f2_sum", lambda: sum(
-        size * _f2(_own(lattice, rep)) for rep, size in lattice.classes()))
+        size * _f2(lattice.class_lattice(rep)) for rep, size in lattice.classes()))
 
 
 def sd_text(lattice: SubgroupLattice, count: int) -> str:
@@ -455,9 +437,10 @@ def f2_mobius(lattice: SubgroupLattice) -> int:
 
 def _split_sum(lattice: SubgroupLattice) -> int:
     """Sum over every class of `SubgroupLattice.classes` of size * mu(T, G) *
-    (|L(T)|^2 - 2|E_T|), with the exact 2|E_T| and mu(T, G) read from the
-    lattice's memoized Möbius table, once per lattice; a quasihamiltonian T
-    has the null graph, 2|E_T| = 0 and no block. All spectra come from one
+    (|L(T)|^2 - 2|E_T|), once per lattice: mu(T, G) read from the lattice's
+    memoized Möbius table, |L(T)| and the exact 2|E_T| from the class's
+    lattice (`SubgroupLattice.class_lattice`); a quasihamiltonian T has the
+    null graph, 2|E_T| = 0 and no block. All spectra come from one
     `_spectra` call, and each class's pair is checked once by
     `verify_trace_identities` against its 2|E_T|: a failing check is a
     ConsistencyError that names it."""
@@ -468,7 +451,7 @@ def _split_sum(lattice: SubgroupLattice) -> int:
             raise DomainError("the spectral split formula requires sd(G) != 1; "
                               "this group is quasihamiltonian")
         classes = lattice.classes()
-        owns = [_own(lattice, rep) for rep, _ in classes]
+        owns = [lattice.class_lattice(rep) for rep, _ in classes]
         total = 0
         for (rep, size), own, (adj, lap) in zip(classes, owns, _spectra(owns)):
             s_exact = 2 * top_graph(own).edge_count
@@ -506,7 +489,7 @@ def _check(name: str, passed: bool, lhs, rhs, detail: str = "") -> dict:
 
 
 def _published_notes(lattice: SubgroupLattice, graph: NonPermutabilityGraph) -> list[str]:
-    if order_histogram_key(lattice.group) != _S4_FINGERPRINT:
+    if lattice.group.iso_key() != _S4_FINGERPRINT:
         return []
     pub = _S4_PUBLISHED
     mu_bottom = lattice.mobius(lattice.bottom_id, lattice.top_id)

@@ -19,11 +19,11 @@ representatives only, and copies every other row along the orbit walk,
 since conjugation preserves HK = KH; every permutability consumer reads
 that one matrix, except that the permuting core and the quasihamiltonian
 flag scan the representatives' rows up to a failing pair while it is
-unfilled. A subgroup's own lattice, enumerated on `standalone_group`, reads
-the matrix restricted to the subgroup's down-set once it is filled
-(`share_down_set`). `product_bits` builds the set product HK element by
-element, as a union of right cosets Hk from a table of H's cosets built once
-per H; it never touches joins, meets or the matrix.
+unfilled. A class's lattice (`class_lattice`), enumerated once per class on
+its representative's `standalone_group`, reads the matrix restricted to the
+representative's down-set once it is filled. `product_bits` builds the set
+product HK element by element, as a union of right cosets Hk from a table of
+H's cosets built once per H; it never touches joins, meets or the matrix.
 
 A lattice holds every subgroup, which `meet` and `join` rely on.
 `_close_by_cyclic_extension` finds them from the trivial subgroup, and is
@@ -290,6 +290,7 @@ class SubgroupLattice:
         self._min_gens: dict[int, tuple[int, ...]] = {}
         self._walk: tuple | None = None  # (class_reps, classes, steps)
         self._cosets: dict[int, list[int]] = {}  # subgroup id -> `_right_cosets`
+        self._class_lattices: dict[int, SubgroupLattice] = {}  # class rep -> `class_lattice`
         # results other modules derive from this lattice (see degrees), freed with it
         self.memo: dict = {}
 
@@ -562,36 +563,45 @@ class SubgroupLattice:
         Its element list is the subgroup's members in the parent's index
         order, its multiplication table the parent's restricted to them
         (`FiniteGroup.restricted`), and its generators are
-        `minimal_generators(sid)`; no permutation is closed.
+        `minimal_generators(sid)`; no permutation is closed. `class_lattice`
+        enumerates a class representative's.
         """
         if sid == self.top_id:
             return self.group
         return self.group.restricted(self._member_tuples[sid], self.minimal_generators(sid))
 
-    def share_down_set(self, own: "SubgroupLattice", sid: int) -> None:
-        """Tie `own`, the lattice enumerated on `standalone_group(sid)`, to
-        sid's down-set in this lattice.
+    def class_lattice(self, sid: int) -> "SubgroupLattice":
+        """The lattice of sid's conjugacy class, built once per class: this
+        lattice for the top, otherwise the lattice enumerated on the class
+        representative's `standalone_group`, which every conjugate shares.
 
-        Its ids must be `down_ids(sid)` in the same order, which holds since
-        both order subgroups by (order, members) and the standalone group
-        lists the members in this group's order: each of its member sets,
-        read back as this group's element indices, is mapped to its id here,
-        and a mismatch is a ConsistencyError. Once this lattice's
-        permutability matrix is filled, `own` takes its restriction to the
-        down-set as its own, read-only: XY = YX is a property of the two
-        sets, so no pair is tested again. Otherwise `own` fills its own
-        matrix on first use.
+        The enumeration stays an independent check: its ids must be
+        `down_ids(rep)` in the same order, which holds since both order
+        subgroups by (order, members) and the standalone group lists the
+        members in this group's order; each of its member sets, read back as
+        this group's element indices, is mapped to its id here, and a
+        mismatch is a ConsistencyError. When this lattice's permutability
+        matrix is already filled, the class lattice takes its restriction to
+        the down-set as its own, read-only: XY = YX is a property of the two
+        sets, so no pair is tested again. Otherwise it fills its own matrix
+        on first use.
         """
-        members = self._member_tuples[sid]
-        down = self.down_ids(sid)
-        if own.group.order != len(members) or [
-                self._id_of.get(bits_of(map(members.__getitem__, sub)))
-                for sub in own._member_tuples] != list(down):
-            raise ConsistencyError(f"the lattice of subgroup {sid} is not its down-set")
-        if self._permutes is not None and own._permutes is None:
-            permutes = self._permutes[np.ix_(down, down)]
-            permutes.flags.writeable = False
-            own._permutes = permutes
+        if sid == self.top_id:
+            return self
+        rep = self.class_reps()[sid]
+        own = self._class_lattices.get(rep)
+        if own is None:
+            own = enumerate_subgroups(self.standalone_group(rep))
+            members, down = self._member_tuples[rep], self.down_ids(rep)
+            if own.group.order != len(members) or [
+                    self._id_of.get(bits_of(map(members.__getitem__, sub)))
+                    for sub in own._member_tuples] != list(down):
+                raise ConsistencyError(f"the lattice of subgroup {rep} is not its down-set")
+            if self._permutes is not None:
+                own._permutes = self._permutes[np.ix_(down, down)]
+                own._permutes.flags.writeable = False
+            self._class_lattices[rep] = own
+        return own
 
     # -- serialization ---------------------------------------------------------
 

@@ -60,22 +60,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(tuple(range(degree)))
 
-    @classmethod
-    def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
-        """Build a permutation from disjoint cycles of 0-based points."""
-        images = list(range(degree))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for point in cycle:
-                if not 0 <= point < degree:
-                    raise InputError(f"point {point} out of range for degree {degree}")
-                if point in seen:
-                    raise InputError(f"point {point} appears in two cycles")
-                seen.add(point)
-            for i, point in enumerate(cycle):
-                images[point] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -142,22 +126,31 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
-    """Parse 1-based cycle notation like "(1,2)(3,4)" into a permutation."""
+    """Parse 1-based cycle notation like "(1,2)(3,4)" into a permutation.
+
+    Each point must lie in 1..degree and appear once, in one cycle; an
+    InputError names a point as it is written.
+    """
     stripped = text.replace(" ", "")
     if not re.fullmatch(r"(\([\d,]*\))*", stripped):
         raise InputError(f"cannot parse cycle notation: {text!r}")
-    cycles: list[list[int]] = []
+    images = list(range(degree))
+    seen: set[int] = set()
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             continue
         try:
-            points = [int(tok) - 1 for tok in body.split(",")]
+            points = [int(tok) for tok in body.split(",")]
         except ValueError:
             raise InputError(f"bad cycle {body!r} in {text!r}") from None
-        if any(p < 0 for p in points):
-            raise InputError(f"points are 1-based; got {body!r}")
-        cycles.append(points)
-    return Permutation.from_cycles(cycles, degree)
+        for point, image in zip(points, points[1:] + points[:1]):
+            if not 1 <= point <= degree:
+                raise InputError(f"point {point} out of range 1..{degree}")
+            if point in seen:
+                raise InputError(f"point {point} appears twice")
+            seen.add(point)
+            images[point - 1] = image - 1
+    return Permutation(tuple(images))
 
 
 def parse_generators(text: str, degree: int) -> list[Permutation]:
@@ -193,13 +186,12 @@ class FiniteGroup:
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]) -> None:
-        self.degree = degree
-        self.generators: tuple[Permutation, ...] = tuple(generators)
+        generators = tuple(generators)
         found = [tuple(range(degree))]
         seen = {found[0]: 0}
-        rows: list[list[int]] = [[] for _ in self.generators]  # row[x]: index of g * found[x]
+        rows: list[list[int]] = [[] for _ in generators]  # row[x]: index of g * found[x]
         for x in found:  # grows while it is walked
-            for g, row in zip(self.generators, rows):
+            for g, row in zip(generators, rows):
                 y = tuple(map(g.images.__getitem__, x))
                 i = seen.get(y)
                 if i is None:
@@ -212,10 +204,20 @@ class FiniteGroup:
         rank = [0] * len(found)
         for new, old in enumerate(order):
             rank[old] = new
-        self.elements: tuple[tuple[int, ...], ...] = tuple(map(found.__getitem__, order))
-        self.identity_index: int = rank[0]
-        self._generator_rows = [[rank[row[i]] for i in order] for row in rows]
-        self._mul_table: list[array] | None = None
+        self._init_fields(degree, generators, tuple(map(found.__getitem__, order)), rank[0],
+                          [[rank[row[i]] for i in order] for row in rows], None)
+
+    def _init_fields(self, degree: int, generators: tuple[Permutation, ...],
+                     elements: tuple[tuple[int, ...], ...], identity_index: int,
+                     generator_rows: list[Sequence[int]], mul_table: list[array] | None) -> None:
+        """Every field of a group, closed or cut, set in this one place; the
+        lazily derived tables and the table hash start empty."""
+        self.degree = degree
+        self.generators = generators
+        self.elements = elements
+        self.identity_index = identity_index
+        self._generator_rows = generator_rows
+        self._mul_table = mul_table
         self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
         self._cyclic: dict[int, list[int]] | None = None  # `cyclic_powers`
@@ -251,14 +253,8 @@ class FiniteGroup:
                 or -1 in map(position.__getitem__, generators)):
             raise ConsistencyError("the members are not a subgroup holding the generators")
         sub = FiniteGroup.__new__(FiniteGroup)
-        sub.degree = self.degree
-        sub.generators = tuple(Permutation(self.elements[g]) for g in generators)
-        sub.elements = pick(self.elements)
-        sub.identity_index = 0
-        sub._generator_rows = [mul[position[g]] for g in generators]
-        sub._mul_table = mul
-        sub._inverse = sub._orders = sub._cyclic = sub._table_hash = None
-        sub._conjugators = {}
+        sub._init_fields(self.degree, tuple(Permutation(self.elements[g]) for g in generators),
+                         pick(self.elements), 0, [mul[position[g]] for g in generators], mul)
         return sub
 
     @property
@@ -368,6 +364,14 @@ class FiniteGroup:
             k = self.order_of_index(i)
             hist[k] = hist.get(k, 0) + 1
         return hist
+
+    def iso_key(self) -> tuple:
+        """(order, abelian, exponent, sorted element-order histogram), an
+        isomorphism invariant; it separates every group that catalog
+        recognition and the census compare."""
+        histogram = self.element_order_histogram()
+        return (self.order, self.is_abelian(), math.lcm(*histogram),
+                tuple(sorted(histogram.items())))
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, read off the table as

@@ -77,6 +77,17 @@ class TestBasics:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("cycles, problem", [
+        ("(1,4)", "point 4 out of range 1..3"),
+        ("(0,1)", "point 0 out of range 1..3"),
+        ("(1,2)(2,3)", "point 2 appears twice"),
+        ("(1,2,1)", "point 1 appears twice"),
+    ])
+    def test_a_bad_point_is_named_as_written(self, capsys, cycles, problem):
+        code, out, err = run(capsys, "info", f"perm3:{cycles}")
+        assert (code, out) == (2, "")
+        assert err == f"error: parse error at position 0: {problem}\n"
+
     def test_budget_error_exits_2(self, capsys):
         code, _, err = run(capsys, "info", "PSL(2,11)")
         assert code == 2
@@ -1071,7 +1082,7 @@ def verify_blocks(name):
     """Per lattice whose blocks a cold `verify` solves (the top first, then each class below it whose lattice does not permute), the
     (dimension, bytes) of every block of its adjacency and Laplacian matrices."""
     top = enumerate_subgroups(parse_group_spec(name).group)
-    lattices = [top] + [degrees._own(top, rep) for rep in sorted(set(top.class_reps()))
+    lattices = [top] + [top.class_lattice(rep) for rep in sorted(set(top.class_reps()))
                         if rep != top.top_id]
     out = []
     for lattice in lattices:
@@ -1357,13 +1368,14 @@ class TestWorkCounts:
     @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
     def test_f2_by_mobius_builds_no_class_lattice(self, capsys, monkeypatch, name):
         built = []
-        real = degrees.enumerate_subgroups
+        real = lattice_module.enumerate_subgroups
 
         def counting(group):
             built.append(group.order)
             return real(group)
 
-        monkeypatch.setattr(degrees, "enumerate_subgroups", counting)
+        # the top is enumerated through cli's binding, class lattices through this one
+        monkeypatch.setattr(lattice_module, "enumerate_subgroups", counting)
         code, out, _ = run(capsys, "f2", name, "--method", "mobius", "--json")
         assert code == 0
         assert json.loads(out)["mobius"] == {"S4": 177, "A5": 237, "PSL(2,7)": 1141}[name]

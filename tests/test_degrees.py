@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latspec.degrees as degrees
+import latspec.lattice as lattice_module
 import latspec.spectral as spectral
 from latspec.catalog import (
     CATALOG_NAMES,
@@ -207,12 +208,12 @@ class TestF2Mobius:
             down_sets.append(sid)
             return real_down_ids(self, sid)
 
-        monkeypatch.setattr(degrees, "enumerate_subgroups", refuse)
+        monkeypatch.setattr(lattice_module, "enumerate_subgroups", refuse)
         monkeypatch.setattr(SubgroupLattice, "down_ids", recording)
         assert f2_mobius(lattice) == 177
         # the top's term is the whole matrix's sum, with no down-set copied
         assert sorted(down_sets) == sorted(set(nonzero) - {lattice.top_id})
-        assert not any(key[0] == "own" for key in lattice.memo if isinstance(key, tuple))
+        assert not lattice._class_lattices
         assert f2_mobius(lattice) == 177
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "PSL(2,7)", "A6"))
@@ -259,7 +260,7 @@ class TestF2Splits:
         assert f2_split_laplacian(lattice) == f2_split_adjacency(lattice) == 177
         nulls = 0
         for rep, _ in lattice.classes():
-            own = degrees._own(lattice, rep)
+            own = lattice.class_lattice(rep)
             adjacency, laplacian = own.memo["spectra"]
             if own.is_quasihamiltonian():
                 # the null graph enters the sum with 2|E| = 0 and no block
@@ -280,7 +281,7 @@ class TestF2Splits:
         # a fresh lattice: the split is summed once, so A4's spectra are
         # corrupted before the first sum reads them
         lattice = enumerate_subgroups(symmetric(4))
-        [a4] = [degrees._own(lattice, rep) for rep, _ in lattice.classes()
+        [a4] = [lattice.class_lattice(rep) for rep, _ in lattice.classes()
                 if lattice.subgroup(rep).order == 12]
         pair = dict(zip(("adjacency", "laplacian"), degrees.graph_spectra(a4)))
         values = list(pair[kind].values)
@@ -387,7 +388,7 @@ class TestVerifyIdentities:
             built.append(group.order)
             return enumerate_subgroups(group)
 
-        monkeypatch.setattr(degrees, "enumerate_subgroups", counting)
+        monkeypatch.setattr(lattice_module, "enumerate_subgroups", counting)
         assert verify_identities(lattice)["internal_ok"]
         assert sorted(built) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12]
 
@@ -743,7 +744,7 @@ class TestSymmetryBlocks:
         # each matrix; verify's one call solves it in one multisection entry
         lattice = enumerate_subgroups(parse_group_spec("PSL(2,7)").group)
         [(matrices, spectra, entries)] = verify_calls(lattice, monkeypatch)
-        s4s = [degrees._own(lattice, rep) for rep in sorted(set(lattice.class_reps()))
+        s4s = [lattice.class_lattice(rep) for rep in sorted(set(lattice.class_reps()))
                if lattice.subgroups[rep].order == 24]
         assert len(s4s) == 2
         made = []  # per class, per matrix, the blocks

@@ -620,12 +620,12 @@ class TestCutClassLattices:
     def test_class_lattice_ids_are_the_down_set(self, name):
         lattice, cuts = class_lattices(name)
         for rep, cut in cuts:
-            own = enumerate_subgroups(cut)
+            own = lattice.class_lattice(rep)  # the same check, raising on a mismatch
+            assert own.group.elements == cut.elements
             members = lattice.subgroup(rep).member_indices()
             ids = [lattice.id_of_members(bits_of(members[i] for i in s.member_indices()))
                    for s in own.subgroups]
             assert ids == list(lattice.down_ids(rep))
-            lattice.share_down_set(own, rep)  # the same check, raising on a mismatch
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("PSL(2,7)", "A6"))
     def test_sliced_matrix_equals_the_own_fill(self, name, monkeypatch):
@@ -639,9 +639,9 @@ class TestCutClassLattices:
             return real_test(self, a, b)
 
         for rep, cut in cuts:
-            shared, filled = enumerate_subgroups(cut), enumerate_subgroups(cut)
-            lattice.share_down_set(shared, rep)
+            filled = enumerate_subgroups(cut)
             monkeypatch.setattr(SubgroupLattice, "products_commute", recording_test)
+            shared = lattice.class_lattice(rep)
             sliced = shared.permutability()
             monkeypatch.undo()
             assert not tested
@@ -652,11 +652,30 @@ class TestCutClassLattices:
 
     def test_an_unfilled_parent_leaves_the_class_lattice_its_own_fill(self):
         lattice, cuts = class_lattices("S4")
-        for rep, cut in cuts:
-            own = enumerate_subgroups(cut)
-            lattice.share_down_set(own, rep)
+        for rep, _ in cuts:
+            own = lattice.class_lattice(rep)
             assert own._permutes is None
             assert np.array_equal(own.permutability(), pairwise_permutability(own))
+
+    @pytest.mark.parametrize("name", ["S4", "PSL(2,7)"])
+    def test_every_member_of_a_class_shares_one_lattice(self, name, monkeypatch):
+        lattice = enumerate_subgroups(parse_group_spec(name).group)
+        assert lattice.class_lattice(lattice.top_id) is lattice
+        lattice.permutability()
+
+        def refuse(self, a, b):
+            raise AssertionError("a pair was tested again")
+
+        monkeypatch.setattr(SubgroupLattice, "products_commute", refuse)
+        reps = lattice.class_reps()
+        for sid in range(lattice.size):
+            own = lattice.class_lattice(sid)
+            assert own is lattice.class_lattice(reps[sid])
+            assert own.group.order == lattice.subgroup(sid).order
+            assert np.array_equal(own.permutability(), lattice.permutability()[
+                np.ix_(lattice.down_ids(reps[sid]), lattice.down_ids(reps[sid]))])
+        assert len({id(lattice.class_lattice(sid)) for sid in range(lattice.size)}) == len(
+            lattice.classes())
 
     def test_a_set_that_is_not_closed_cannot_be_cut(self, s4):
         transpositions = [i for i in range(s4.order) if s4.order_of_index(i) == 2][:2]
@@ -667,17 +686,22 @@ class TestCutClassLattices:
         with pytest.raises(ConsistencyError):
             s4.restricted(transpositions, [])
 
-    def test_a_lattice_of_another_subgroup_is_not_the_down_set(self, lat_s4):
-        # a C4 and a Klein four-group: the same order, not the same lattice
-        fours = [sid for sid in sorted(set(lat_s4.class_reps()))
-                 if lat_s4.subgroup(sid).order == 4]
-        c4 = next(sid for sid in fours if len(lat_s4.down_ids(sid)) == 3)
-        v4 = next(sid for sid in fours if len(lat_s4.down_ids(sid)) == 5)
-        for sid, other in ((c4, v4), (v4, c4)):
+    def test_a_lattice_of_another_subgroup_is_not_the_down_set(self, monkeypatch):
+        # a C4 and a Klein four-group: the same order, not the same lattice;
+        # a fresh S4, since class lattices are memoized
+        lattice = enumerate_subgroups(symmetric(4))
+        fours = [sid for sid in sorted(set(lattice.class_reps()))
+                 if lattice.subgroup(sid).order == 4]
+        c4 = next(sid for sid in fours if len(lattice.down_ids(sid)) == 3)
+        v4 = next(sid for sid in fours if len(lattice.down_ids(sid)) == 5)
+        real = SubgroupLattice.standalone_group
+        for sid, other in ((c4, v4), (v4, c4), (v4, lattice.top_id)):
+            # hand over another class's cut (or the whole group) as sid's
+            monkeypatch.setattr(lattice, "standalone_group",
+                                lambda _, other=other: real(lattice, other))
             with pytest.raises(ConsistencyError):
-                lat_s4.share_down_set(enumerate_subgroups(lat_s4.standalone_group(other)), sid)
-        with pytest.raises(ConsistencyError):
-            lat_s4.share_down_set(enumerate_subgroups(lat_s4.group), v4)
+                lattice.class_lattice(sid)
+        assert not lattice._class_lattices
 
 
 class TestSerialization:
